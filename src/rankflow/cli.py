@@ -158,19 +158,12 @@ def _cmd_martingale(cfg: RunConfig, seed: int, threads: int, out: Path) -> tuple
     n = cfg.integer("n")
     replicas = cfg.integer("replicas")
     steps = cfg.integer("steps")
-    rows = []
-    worst = 0.0
-    for f_list, phi, psi in _martingale_suite(cfg):
-        rep = martingale_statistic(
-            cs, init, f_list, phi, psi, s, t, n, replicas, steps, seed, threads=threads
-        )
-        rows.extend(rep.rows)
-        worst = max(worst, rep.summary["z"])
-    outputs = [
-        write_csv(out / "martingale.csv",
-                  ("f_id", "phi_id", "psi_id", "estimate", "stderr", "z_score"), rows)
-    ]
-    return outputs, f"martingale: 6 triples, max |estimate|/stderr = {worst:.2f}"
+    rep = martingale_statistic(
+        cs, init, _martingale_suite(cfg), s, t, n, replicas, steps, seed, threads=threads
+    )
+    outputs = [write_csv(out / "martingale.csv", rep.columns, rep.rows)]
+    return outputs, (f"martingale: {len(rep.rows)} triples, "
+                     f"max |estimate|/stderr = {max(rep.summary['z']):.2f}")
 
 
 def _cmd_stability(cfg: RunConfig, seed: int, threads: int, out: Path) -> tuple[list, str]:

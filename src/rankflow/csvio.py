@@ -2,11 +2,13 @@
 
 Floats are written with 17 significant digits so every double round-trips
 exactly; reruns with the same config and seed produce byte-identical
-files.
+files.  Fields are quoted only when they contain a comma, a double quote
+or a line break (such as the `f_id` of a martingale row).
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -34,10 +36,10 @@ def format_value(v) -> str:
 
 def write_csv(path, header, rows):
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format_value(v) for v in row] for row in rows)
     return path
 
 

@@ -348,9 +348,7 @@ def default_martingale_suite(f_center: float = 0.0, f_radius: float = 2.5):
 def martingale_statistic(
     cs: CoefficientSet,
     init: InitialDistribution,
-    f_list,
-    phi,
-    psi,
+    suite,
     s: float,
     t: float,
     n: int,
@@ -359,8 +357,9 @@ def martingale_statistic(
     seed: int,
     threads: int = 1,
 ) -> ExperimentReport:
-    """Monte Carlo estimate of E[(M_t - M_s) Psi] where M compensates
-    phi(<F_nu, f>) by the limit generator:
+    """Monte Carlo estimates of E[(M_t - M_s) Psi], one per (f_list, phi,
+    psi) triple of `suite`, where M compensates phi(<F_nu, f>) by the limit
+    generator:
 
         M_t = phi(<F_t, f>) - phi(<F_0, f>)
               - sum_i int_0^t d_i phi (<B(F_r), f_i'> + <(Sigma+Gamma)(F_r), f_i''>) dr
@@ -368,18 +367,26 @@ def martingale_statistic(
 
     with F_r the empirical CDF, the pairings evaluated exactly through the
     step structure of F_r, and the dr-integrals by trapezoid on the
-    simulation grid.
+    simulation grid.  Each replica is simulated once and every triple is
+    evaluated on its trajectory, so a triple's row does not depend on the
+    rest of the suite.  Rows and the per-row summary lists are in suite
+    order.
     """
     if not 0.0 <= s <= t:
         raise ValueError("need 0 <= s <= t")
-    k = len(f_list)
-    if k != phi.k:
-        raise ValueError(f"phi expects {phi.k} test functions, got {k}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps!r}")
+    for f_list, phi, _ in suite:
+        if len(f_list) != phi.k:
+            raise ValueError(f"phi expects {phi.k} test functions, got {len(f_list)}")
     T = t
-    grid = np.linspace(0.0, T, steps + 1) if steps > 0 else np.array([0.0])
+    grid = np.linspace(0.0, T, steps + 1)
     s_idx = int(np.argmin(np.abs(grid - s)))
     if abs(grid[s_idx] - s) > 1e-9:
         raise ValueError("s must lie on the simulation grid")
+    # M_t - M_s reads only the states from s on
+    kept = grid[s_idx:]
+    bumps = list({id(f): f for f_list, _, _ in suite for f in f_list}.values())
 
     # pairing of g(F) against f' for a step CDF F with sorted atoms x_(l):
     # <g(F), f'> = -sum_l (g(l/n) - g((l-1)/n)) f(x_(l))
@@ -388,51 +395,59 @@ def martingale_statistic(
     dD_lv = np.diff(cs.eval_transform("Sigma", levels) + cs.eval_transform("Gamma", levels))
     dG_lv = np.diff(cs.eval_transform("G", levels))
 
-    def one_replica(r: int) -> float:
+    def one_replica(r: int) -> np.ndarray:
         seed_r = replica_seed(seed, r)
         noise = make_noise_bundle(seed_r, n, T, steps)
-        traj = simulate(init, cs, T, steps, noise)
-        n_times = len(traj.states)
-        v = np.empty((n_times, k))
-        drift = np.empty(n_times)
-        quad = np.empty(n_times)
+        traj = simulate(init, cs, T, steps, noise, snapshot_times=kept)
+        v = [np.empty((kept.size, phi.k)) for _, phi, _ in suite]
+        drift = np.empty((len(suite), kept.size))
+        quad = np.empty((len(suite), kept.size))
         for m, state in enumerate(traj.states):
             srt = state.sorted_positions()
-            fvals = np.stack([f(srt) for f in f_list])        # (k, n)
-            f1vals = np.stack([f.d1(srt) for f in f_list])
-            tails = np.stack([f.tail_integral(srt) for f in f_list])
-            v[m] = tails.mean(axis=1)
-            pair_b = -fvals @ dB_lv            # <B(F), f_i'>
-            pair_d = -f1vals @ dD_lv           # <(Sigma+Gamma)(F), f_i''>
-            pair_g = -fvals @ dG_lv            # <G(F), f_i'>
-            gr = phi.grad(v[m])
-            he = phi.hess(v[m])
-            drift[m] = float(gr @ (pair_b + pair_d))
-            quad[m] = 0.5 * float(pair_g @ he @ pair_g)
-        if steps == 0:
-            return 0.0
+            # f, f' and the tail integral once per distinct bump and state
+            evals = {id(f): (f(srt), f.d1(srt), f.tail_integral(srt)) for f in bumps}
+            for j, (f_list, phi, _) in enumerate(suite):
+                fvals, f1vals, tails = (np.stack([evals[id(f)][q] for f in f_list])
+                                        for q in range(3))   # (k, n) each
+                v[j][m] = tails.mean(axis=1)
+                pair_b = -fvals @ dB_lv            # <B(F), f_i'>
+                pair_d = -f1vals @ dD_lv           # <(Sigma+Gamma)(F), f_i''>
+                pair_g = -fvals @ dG_lv            # <G(F), f_i'>
+                gr = phi.grad(v[j][m])
+                he = phi.hess(v[j][m])
+                drift[j, m] = float(gr @ (pair_b + pair_d))
+                quad[j, m] = 0.5 * float(pair_g @ he @ pair_g)
         integrand = drift + quad
-        # M_t - M_s: the phi(v_0) terms cancel
-        m_diff = (
-            phi.value(v[-1]) - phi.value(v[s_idx])
-            - float(np.trapezoid(integrand[s_idx:], grid[s_idx:]))
-        )
-        w_s = noise.common.values[s_idx]
-        return m_diff * psi(v[s_idx], float(w_s))
+        w_s = float(noise.common.values[s_idx])
+        out = np.empty(len(suite))
+        for j, (_, phi, psi) in enumerate(suite):
+            # M_t - M_s: the phi(v_0) terms cancel
+            m_diff = (
+                phi.value(v[j][-1]) - phi.value(v[j][0])
+                - float(np.trapezoid(integrand[j], kept))
+            )
+            out[j] = m_diff * psi(v[j][0], w_s)
+        return out
 
-    samples = np.asarray(_map_replicas(one_replica, replicas, threads))
-    estimate = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0
-    z = abs(estimate) / stderr if stderr > 0 else 0.0
-    f_id = "+".join(f"bump({f.center:g},{f.radius:g})" for f in f_list)
+    # (triples, replicas), each row contiguous
+    samples = np.array(_map_replicas(one_replica, replicas, threads)).T.copy()
+    rows = []
+    for (f_list, phi, psi), col in zip(suite, samples):
+        estimate = float(col.mean())
+        stderr = float(col.std(ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0
+        z = abs(estimate) / stderr if stderr > 0 else 0.0
+        f_id = "+".join(f"bump({f.center:g},{f.radius:g})" for f in f_list)
+        rows.append((f_id, phi.phi_id, psi.psi_id, estimate, stderr, z))
     return ExperimentReport(
         kind="martingale",
         params={"s": s, "t": t, "n": n, "replicas": replicas, "steps": steps},
         columns=("f_id", "phi_id", "psi_id", "estimate", "stderr", "z_score"),
-        rows=((f_id, phi.phi_id, psi.psi_id, estimate, stderr, z),),
+        rows=tuple(rows),
         provenance={"seed": seed},
-        summary={"estimate": estimate, "stderr": stderr, "z": z,
-                 "allowance_C": bias_allowance(cs, f_list, phi, s, t)},
+        summary={"estimate": [r[3] for r in rows], "stderr": [r[4] for r in rows],
+                 "z": [r[5] for r in rows],
+                 "allowance_C": [bias_allowance(cs, f_list, phi, s, t)
+                                 for f_list, phi, _ in suite]},
     )
 
 

@@ -417,9 +417,6 @@ class CoefficientExpr:
         d = differentiate(self.ast)
         return CoefficientExpr(to_source(d), d)
 
-    def pretty(self) -> str:
-        return to_source(self.ast)
-
 
 def parse_coefficient(source: str) -> CoefficientExpr:
     """Parse coefficient text into an expression tree.

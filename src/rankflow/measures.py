@@ -22,7 +22,6 @@ __all__ = [
     "GridFunction",
     "InitialDistribution",
     "EmptyInputError",
-    "UnboundedDistanceError",
     "empirical_cdf",
     "w1",
     "quantile",
@@ -36,11 +35,6 @@ __all__ = [
 
 class EmptyInputError(ValueError):
     pass
-
-
-class UnboundedDistanceError(ValueError):
-    """Raised if CDF supports cannot be bracketed (unreachable for the
-    built-in representations, which all have finite breakpoint hulls)."""
 
 
 @dataclass(frozen=True)

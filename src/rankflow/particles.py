@@ -142,7 +142,7 @@ def simulate(initial, cs: CoefficientSet, T: float, steps: int,
     if grid.size != steps + 1 or abs(grid[-1] - T) > 1e-12 * max(1.0, T):
         raise ValueError("noise grid does not match (T, steps)")
     dW = noise.common.increments()
-    dB = noise.idiosyncratic_increments()
+    dB = noise.increments
     want_set = set(want)
     for k in range(steps):
         dt = grid[k + 1] - grid[k]

@@ -176,34 +176,44 @@ def refine_path(path: BrownianPath, insert_times) -> BrownianPath:
 
 @dataclass(frozen=True)
 class NoiseBundle:
-    """One common path W shared by all particles plus n idiosyncratic paths."""
+    """One common path W shared by all particles plus an (n, steps) matrix
+    of idiosyncratic increments; row i is particle i's Brownian increments."""
 
     common: BrownianPath
-    idiosyncratic: tuple
+    increments: np.ndarray
     seed: int
 
     def __post_init__(self):
-        streams = [p.stream_id for p in self.idiosyncratic] + [self.common.stream_id]
-        if len(set(streams)) != len(streams):
-            raise ValueError("noise streams must be pairwise distinct")
+        inc = np.asarray(self.increments, dtype=np.float64)
+        if inc.ndim != 2 or inc.shape[1] != self.common.t_grid.size - 1:
+            raise ValueError("increments must be (n, steps) on the grid of the common path")
+        inc.setflags(write=False)
+        object.__setattr__(self, "increments", inc)
 
     @property
     def n(self) -> int:
-        return len(self.idiosyncratic)
-
-    def idiosyncratic_increments(self) -> np.ndarray:
-        """(n, steps) array of per-particle increments."""
-        return np.stack([p.increments() for p in self.idiosyncratic])
+        return self.increments.shape[0]
 
 
 def make_noise_bundle(seed: int, n: int, T: float, steps: int,
                       common: BrownianPath | None = None) -> NoiseBundle:
     """Build the driving noise for an n-particle run; pass `common` to
-    couple a particle run to an existing common path."""
+    couple a particle run to an existing common path.
+
+    Particle i draws from stream i, and row i of the increments equals
+    `sample_path(seed, i, T, steps).increments()` bit for bit: the same
+    per-row arithmetic, applied once to the whole block."""
     if common is None:
         common = sample_path(seed, STREAM_COMMON, T, steps)
-    paths = tuple(sample_path(seed, i, T, steps) for i in range(n))
-    return NoiseBundle(common=common, idiosyncratic=paths, seed=seed)
+    if T <= 0:
+        raise ValueError(f"T must be positive, got {T!r}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps!r}")
+    raw = np.empty((n, steps), dtype=np.uint64)
+    for i in range(n):
+        raw[i] = _raw_block(seed, i, steps)
+    values = np.cumsum(np.sqrt(T / steps) * ndtri(_to_uniform(raw)), axis=1)
+    return NoiseBundle(common=common, increments=np.diff(values, axis=1, prepend=0.0), seed=seed)
 
 
 def replica_seed(base_seed: int, replica: int) -> int:

@@ -130,13 +130,11 @@ def test_criterion_4_martingale_problem_statistic():
     n, replicas = 512, 400
     details = []
     ok = True
-    for f_list, phi, psi in default_martingale_suite():
-        rep = martingale_statistic(
-            cs, init, f_list, phi, psi, s=0.25, t=0.5, n=n, replicas=replicas,
-            steps=128, seed=20240601,
-        )
-        est = rep.summary["estimate"]
-        se = rep.summary["stderr"]
+    suite = default_martingale_suite()
+    rep = martingale_statistic(
+        cs, init, suite, s=0.25, t=0.5, n=n, replicas=replicas, steps=128, seed=20240601,
+    )
+    for (f_list, phi, psi), est, se in zip(suite, rep.summary["estimate"], rep.summary["stderr"]):
         allowance = bias_allowance(cs, f_list, phi, 0.25, 0.5) / n
         passed = abs(est) <= 3.0 * se + allowance
         ok = ok and passed

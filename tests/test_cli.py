@@ -1,11 +1,13 @@
 """CLI behavior: exit codes, error messages, output schemas, determinism."""
 
+import csv
 import json
 
 import pytest
 
 from rankflow.cli import run
 from rankflow.config import ConfigError, parse_config, parse_init
+from rankflow.experiments import default_martingale_suite
 from rankflow.measures import InitialDistribution
 
 HEAT_CFG = """\
@@ -185,3 +187,24 @@ class TestDiagnoseAndStability:
         lines = (out / "stability.csv").read_text().splitlines()
         assert lines[0] == "epsilon,D,implied_C"
         assert len(lines) == 4
+
+    def test_martingale_csv_reads_with_a_standard_reader(self, tmp_path):
+        # f_id contains commas, so it must be quoted
+        cfg = tmp_path / "mart.cfg"
+        cfg.write_text(
+            'b = "a - 0.5"\nsigma = "1"\ngamma = "0.5*(1 + a)"\ntable_resolution = 32\n'
+            'seed = 3\ns = 0.25\nt = 0.5\nsteps = 8\nn = 16\nreplicas = 3\n'
+            'init = "gaussian(0, 1)"\n'
+        )
+        out = tmp_path / "o"
+        assert run(["martingale", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "martingale.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        suite = default_martingale_suite()
+        assert len(rows) == len(suite)
+        for row, (f_list, phi, psi) in zip(rows, suite):
+            assert None not in row and len(row) == 6
+            assert row["f_id"] == "+".join(f"bump({f.center:g},{f.radius:g})" for f in f_list)
+            assert (row["phi_id"], row["psi_id"]) == (phi.phi_id, psi.psi_id)
+            float(row["z_score"])
+        assert rows[2]["f_id"] == "bump(0,2.5)+bump(1.25,2.5)"

@@ -7,10 +7,12 @@ from rankflow.coefficients import build_from_sources
 from rankflow.experiments import (
     PhiConst,
     PhiLinear,
+    PhiProduct,
     PhiSquare,
     PhiTanh,
     PsiConst,
     PsiCosNoise,
+    PsiMixed,
     PsiTanhPairing,
     bias_allowance,
     convergence_study,
@@ -91,35 +93,58 @@ class TestConvergenceStudy:
 class TestMartingaleStatistic:
     def test_constant_phi_statistic_exactly_zero(self, cs_const):
         rep = martingale_statistic(
-            cs_const, gaussian(0, 1), [Bump1D(0.0, 2.0)], PhiConst(), PsiConst(),
+            cs_const, gaussian(0, 1), [([Bump1D(0.0, 2.0)], PhiConst(), PsiConst())],
             s=0.25, t=0.5, n=32, replicas=8, steps=16, seed=3,
         )
-        assert rep.summary["estimate"] == 0.0
-        assert rep.summary["stderr"] == 0.0
+        assert rep.summary["estimate"] == [0.0]
+        assert rep.summary["stderr"] == [0.0]
 
     def test_equal_endpoints_statistic_exactly_zero(self, cs_const):
         rep = martingale_statistic(
-            cs_const, gaussian(0, 1), [Bump1D(0.0, 2.0)], PhiLinear(), PsiConst(),
+            cs_const, gaussian(0, 1), [([Bump1D(0.0, 2.0)], PhiLinear(), PsiConst())],
             s=0.5, t=0.5, n=32, replicas=8, steps=16, seed=3,
         )
-        assert rep.summary["estimate"] == 0.0
+        assert rep.summary["estimate"] == [0.0]
 
     def test_linear_phi_centered(self, cs_const):
         rep = martingale_statistic(
-            cs_const, gaussian(0, 1), [Bump1D(0.0, 2.0)], PhiLinear(), PsiConst(),
+            cs_const, gaussian(0, 1), [([Bump1D(0.0, 2.0)], PhiLinear(), PsiConst())],
             s=0.25, t=0.5, n=128, replicas=60, steps=64, seed=13,
         )
         C = bias_allowance(cs_const, [Bump1D(0.0, 2.0)], PhiLinear(), 0.25, 0.5)
-        assert abs(rep.summary["estimate"]) <= 3 * rep.summary["stderr"] + C / 128
+        assert abs(rep.summary["estimate"][0]) <= 3 * rep.summary["stderr"][0] + C / 128
 
     def test_nonlinear_phi_and_psi_families(self, cs_const):
-        for phi, psi in [(PhiTanh(2.0), PsiTanhPairing()), (PhiSquare(1.0), PsiCosNoise())]:
-            rep = martingale_statistic(
-                cs_const, gaussian(0, 1), [Bump1D(0.0, 2.0)], phi, psi,
-                s=0.25, t=0.5, n=128, replicas=60, steps=64, seed=13,
-            )
-            C = rep.summary["allowance_C"]
-            assert abs(rep.summary["estimate"]) <= 3 * rep.summary["stderr"] + C / 128
+        suite = [([Bump1D(0.0, 2.0)], phi, psi)
+                 for phi, psi in [(PhiTanh(2.0), PsiTanhPairing()), (PhiSquare(1.0), PsiCosNoise())]]
+        rep = martingale_statistic(
+            cs_const, gaussian(0, 1), suite,
+            s=0.25, t=0.5, n=128, replicas=60, steps=64, seed=13,
+        )
+        assert len(rep.rows) == 2
+        for est, se, C in zip(rep.summary["estimate"], rep.summary["stderr"],
+                              rep.summary["allowance_C"]):
+            assert abs(est) <= 3 * se + C / 128
+
+    @pytest.mark.parametrize("s", [0.0, 0.25, 0.5])
+    def test_suite_rows_equal_single_triple_rows(self, s):
+        # rank-dependent coefficients; f1 is shared by the first two triples
+        # and f2 by the last two
+        cs = build_from_sources("a - 0.5", "1", "0.5*(1 + a)", 32)
+        f1, f2 = Bump1D(0.0, 2.0), Bump1D(0.5, 2.0)
+        suite = [
+            ([f1], PhiLinear(), PsiTanhPairing()),
+            ([f1, f2], PhiProduct(), PsiMixed()),
+            ([f2], PhiConst(), PsiConst()),
+        ]
+        kw = dict(s=s, t=0.5, n=24, replicas=3, steps=8, seed=17)
+        rep = martingale_statistic(cs, gaussian(0, 1), suite, **kw)
+        assert len(rep.rows) == len(suite)
+        for j, triple in enumerate(suite):
+            single = martingale_statistic(cs, gaussian(0, 1), [triple], **kw)
+            assert single.rows[0] == rep.rows[j]
+            for key, values in rep.summary.items():
+                assert single.summary[key] == [values[j]]
 
     def test_allowance_zero_for_constant_coefficients_linear_phi(self, cs_const):
         # constant coefficients have exact rank sums and linear phi has no
@@ -133,8 +158,16 @@ class TestMartingaleStatistic:
     def test_off_grid_s_rejected(self, cs_const):
         with pytest.raises(ValueError):
             martingale_statistic(
-                cs_const, gaussian(0, 1), [Bump1D(0.0, 2.0)], PhiLinear(), PsiConst(),
+                cs_const, gaussian(0, 1), [([Bump1D(0.0, 2.0)], PhiLinear(), PsiConst())],
                 s=0.333, t=0.5, n=8, replicas=2, steps=10, seed=1,
+            )
+
+    @pytest.mark.parametrize("f_list, steps", [([], 10), ([Bump1D(0.0, 2.0)], 0)])
+    def test_arity_mismatch_and_empty_grid_rejected(self, cs_const, f_list, steps):
+        with pytest.raises(ValueError):
+            martingale_statistic(
+                cs_const, gaussian(0, 1), [(f_list, PhiLinear(), PsiConst())],
+                s=0.0, t=0.5, n=8, replicas=2, steps=steps, seed=1,
             )
 
 

@@ -94,7 +94,7 @@ class TestSimulate:
         traj = simulate(point_mass(0.0), cs_const, 2.0, 50, nb, snapshot_times=[0.0, 2.0])
         x0 = traj.states[0].positions
         xt = traj.states[-1].positions
-        bt = np.array([p.values[-1] for p in nb.idiosyncratic])
+        bt = np.array([sample_path(77, i, 2.0, 50).values[-1] for i in range(8)])
         wt = nb.common.values[-1]
         np.testing.assert_allclose(xt, x0 + 2.0 + bt + 0.5 * wt, atol=2e-14)
 
@@ -104,11 +104,7 @@ class TestSimulate:
         nb = make_noise_bundle(9, n, 1.0, 20)
         pos = rng.normal(size=n)
         perm = rng.permutation(n)
-        nb_perm = NoiseBundle(
-            common=nb.common,
-            idiosyncratic=tuple(nb.idiosyncratic[i] for i in perm),
-            seed=nb.seed,
-        )
+        nb_perm = NoiseBundle(common=nb.common, increments=nb.increments[perm], seed=nb.seed)
         a = simulate(pos, cs_const, 1.0, 20, nb, snapshot_times=[1.0])
         b = simulate(pos[perm], cs_const, 1.0, 20, nb_perm, snapshot_times=[1.0])
         np.testing.assert_array_equal(a.states[-1].positions[perm], b.states[-1].positions)
@@ -119,7 +115,7 @@ class TestSimulate:
         n, T, steps = 30, 1.0, 40
         base = make_noise_bundle(21, n, T, steps)
         other_common = sample_path(4242, base.common.stream_id, T, steps)
-        alt = NoiseBundle(common=other_common, idiosyncratic=base.idiosyncratic, seed=base.seed)
+        alt = NoiseBundle(common=other_common, increments=base.increments, seed=base.seed)
         pos0 = point_mass(0.0).sample(n, 21)
         a = simulate(pos0, cs, T, steps, base, snapshot_times=[T])
         b = simulate(pos0, cs, T, steps, alt, snapshot_times=[T])
@@ -135,7 +131,7 @@ class TestSimulate:
         x0 = point_mass(0.0).sample(64, 33)
         traj = simulate(x0, cs_const, 1.0, 32, nb, snapshot_times=[1.0])
         shifted = traj.states[-1].positions - (1.0 + 0.5 * nb.common.values[-1])
-        target = x0 + np.array([p.values[-1] for p in nb.idiosyncratic])
+        target = x0 + np.array([sample_path(33, i, 1.0, 32).values[-1] for i in range(64)])
         assert w1(empirical_cdf(shifted), empirical_cdf(target)) < 1e-13
 
     def test_snapshot_off_grid_rejected(self, cs_const):
@@ -168,7 +164,7 @@ class TestSimulate:
             base = make_noise_bundle(29, n, T, 64)
             if steps == 64:
                 return base
-            paths = [base.common] + list(base.idiosyncratic)
+            paths = [base.common] + [sample_path(29, i, T, 64) for i in range(n)]
             refined = []
             for p in paths:
                 cur = p
@@ -176,7 +172,9 @@ class TestSimulate:
                     mids = 0.5 * (cur.t_grid[:-1] + cur.t_grid[1:])
                     cur = refine_path(cur, mids)
                 refined.append(cur)
-            return NoiseBundle(common=refined[0], idiosyncratic=tuple(refined[1:]), seed=29)
+            return NoiseBundle(common=refined[0],
+                               increments=np.stack([p.increments() for p in refined[1:]]),
+                               seed=29)
 
         x0 = point_mass(0.0).sample(n, 29)
         finals = {}

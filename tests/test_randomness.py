@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from rankflow.randomness import (
     GridConflict,
+    NoiseBundle,
     make_noise_bundle,
     refine_path,
     replica_seed,
@@ -109,19 +112,42 @@ class TestRefinePath:
 class TestNoiseBundle:
     def test_streams_distinct(self):
         nb = make_noise_bundle(3, 10, 1.0, 5)
-        ids = {p.stream_id for p in nb.idiosyncratic} | {nb.common.stream_id}
-        assert len(ids) == 11
+        rows = {r.tobytes() for r in nb.increments} | {nb.common.increments().tobytes()}
+        assert len(rows) == 11
         assert nb.common.stream_id == STREAM_COMMON
 
     def test_reproducible(self):
         a = make_noise_bundle(3, 4, 1.0, 5)
         b = make_noise_bundle(3, 4, 1.0, 5)
-        for pa, pb in zip(a.idiosyncratic, b.idiosyncratic):
-            assert np.array_equal(pa.values, pb.values)
+        assert np.array_equal(a.increments, b.increments)
 
     def test_increment_matrix_shape(self):
         nb = make_noise_bundle(3, 4, 1.0, 5)
-        assert nb.idiosyncratic_increments().shape == (4, 5)
+        assert nb.increments.shape == (4, 5)
+        assert nb.n == 4
+
+    def test_increments_must_match_common_grid(self):
+        nb = make_noise_bundle(3, 4, 1.0, 5)
+        with pytest.raises(ValueError):
+            NoiseBundle(common=nb.common, increments=nb.increments[:, :4], seed=3)
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n=st.integers(1, 64),
+        steps=st.integers(1, 64),
+        T=st.floats(1e-3, 10.0),
+        coupled=st.booleans(),
+    )
+    def test_batched_rows_equal_per_stream_paths(self, seed, n, steps, T, coupled):
+        common = sample_path(seed ^ 1, STREAM_COMMON, T, steps) if coupled else None
+        nb = make_noise_bundle(seed, n, T, steps, common=common)
+        ref = np.stack([sample_path(seed, i, T, steps).increments() for i in range(n)])
+        assert nb.increments.tobytes() == ref.tobytes()
+        if coupled:
+            assert nb.common is common
+        else:
+            ref_common = sample_path(seed, STREAM_COMMON, T, steps)
+            assert nb.common.values.tobytes() == ref_common.values.tobytes()
 
 
 def test_replica_seeds_distinct_and_stable():
