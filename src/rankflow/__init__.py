@@ -46,7 +46,6 @@ from .measures import (
     l1_cdf_distance,
     mixture,
     point_mass,
-    quantile,
     uniform,
     w1,
 )

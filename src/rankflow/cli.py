@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     rankflow <simulate|solve|converge|martingale|stability|diagnose>
-             --config PATH [--out DIR] [--seed U64] [--threads N]
+             --config PATH [--out DIR] [--seed U64]
 
 Configs are flat `key = value` files (see config module).  Every run
 writes its CSV artifacts plus a manifest recording the config hash and
@@ -34,7 +34,7 @@ from .experiments import (
     stability_experiment,
 )
 from .expr import ExpressionSyntaxError
-from .measures import GridFunction, empirical_cdf
+from .measures import empirical_cdf, grid_cdf
 from .particles import simulate as run_particles
 from .randomness import STREAM_COMMON, make_noise_bundle, sample_path
 from .solver import DomainMarginError, SolverConfig, solve
@@ -50,7 +50,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a key = value config file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="replica worker cap")
     return parser
 
 
@@ -74,19 +73,15 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
     )
 
 
-def _grid_initial(cfg: RunConfig, sc: SolverConfig) -> GridFunction:
-    init = parse_init(cfg.text("init"))
-    return GridFunction(sc.x_min, sc.x_max, init.cdf(sc.centers()))
-
-
-def _cmd_solve(cfg: RunConfig, seed: int, threads: int, out: Path) -> tuple[list, str]:
+def _cmd_solve(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     cs = _coefficients(cfg)
     sc = _solver_config(cfg)
     T = cfg.num("T")
     steps = cfg.integer("steps")
     snap = cfg.num_list("snapshot_times", [T])
     W = sample_path(seed, STREAM_COMMON, T, steps)
-    sol = solve(_grid_initial(cfg, sc), cs, W, sc, snapshot_times=snap)
+    u0 = grid_cdf(parse_init(cfg.text("init")), sc.x_min, sc.x_max, sc.cells)
+    sol = solve(u0, cs, W, sc, snapshot_times=snap)
     centers = sc.centers()
     rows = [
         (t, x, u)
@@ -100,7 +95,7 @@ def _cmd_solve(cfg: RunConfig, seed: int, threads: int, out: Path) -> tuple[list
     return outputs, f"solve: {len(sol.snapshots)} snapshots on J={sc.cells}"
 
 
-def _cmd_simulate(cfg: RunConfig, seed: int, threads: int, out: Path) -> tuple[list, str]:
+def _cmd_simulate(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     cs = _coefficients(cfg)
     T = cfg.num("T")
     steps = cfg.integer("steps")
@@ -122,7 +117,7 @@ def _cmd_simulate(cfg: RunConfig, seed: int, threads: int, out: Path) -> tuple[l
     return outputs, f"simulate: n={n} over {len(traj.times)} snapshots"
 
 
-def _cmd_converge(cfg: RunConfig, seed: int, threads: int, out: Path) -> tuple[list, str]:
+def _cmd_converge(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     cs = _coefficients(cfg)
     reference = cfg.text("reference", "spde")
     T = cfg.num("T")
@@ -137,7 +132,6 @@ def _cmd_converge(cfg: RunConfig, seed: int, threads: int, out: Path) -> tuple[l
         T,
         cfg.integer("steps"),
         reference=reference,
-        threads=threads,
     )
     outputs = [write_csv(out / "convergence.csv", rep.columns, rep.rows)]
     means = rep.summary["mean_error"]
@@ -150,7 +144,7 @@ def _martingale_suite(cfg: RunConfig):
     return default_martingale_suite(cfg.num("f_center", 0.0), cfg.num("f_radius", 2.5))
 
 
-def _cmd_martingale(cfg: RunConfig, seed: int, threads: int, out: Path) -> tuple[list, str]:
+def _cmd_martingale(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     cs = _coefficients(cfg)
     init = parse_init(cfg.text("init"))
     s = cfg.num("s")
@@ -158,22 +152,20 @@ def _cmd_martingale(cfg: RunConfig, seed: int, threads: int, out: Path) -> tuple
     n = cfg.integer("n")
     replicas = cfg.integer("replicas")
     steps = cfg.integer("steps")
-    rep = martingale_statistic(
-        cs, init, _martingale_suite(cfg), s, t, n, replicas, steps, seed, threads=threads
-    )
+    rep = martingale_statistic(cs, init, _martingale_suite(cfg), s, t, n, replicas, steps, seed)
     outputs = [write_csv(out / "martingale.csv", rep.columns, rep.rows)]
     return outputs, (f"martingale: {len(rep.rows)} triples, "
                      f"max |estimate|/stderr = {max(rep.summary['z']):.2f}")
 
 
-def _cmd_stability(cfg: RunConfig, seed: int, threads: int, out: Path) -> tuple[list, str]:
+def _cmd_stability(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     cs = _coefficients(cfg)
     sc = _solver_config(cfg)
     T = cfg.num("T")
     W = sample_path(seed, STREAM_COMMON, T, cfg.integer("steps"))
     rep = stability_experiment(
         cs,
-        _grid_initial(cfg, sc),
+        grid_cdf(parse_init(cfg.text("init")), sc.x_min, sc.x_max, sc.cells),
         W,
         cfg.num_list("epsilons"),
         sc,
@@ -183,7 +175,7 @@ def _cmd_stability(cfg: RunConfig, seed: int, threads: int, out: Path) -> tuple[
     return outputs, f"stability: implied-C spread {rep.summary['implied_C_spread']:.3g}"
 
 
-def _cmd_diagnose(cfg: RunConfig, seed: int, threads: int, out: Path) -> tuple[list, str]:
+def _cmd_diagnose(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     cs = _coefficients(cfg)
     sc = _solver_config(cfg)
     T = cfg.num("T")
@@ -195,7 +187,8 @@ def _cmd_diagnose(cfg: RunConfig, seed: int, threads: int, out: Path) -> tuple[l
     etas = cfg.num_list("eta_list", [0.3, 0.6])
     ys = cfg.num_list("y_list", [0.0])
     W = sample_path(seed, STREAM_COMMON, T, steps)
-    sol = solve(_grid_initial(cfg, sc), cs, W, sc)  # snapshot every noise node
+    u0 = grid_cdf(parse_init(cfg.text("init")), sc.x_min, sc.x_max, sc.cells)
+    sol = solve(u0, cs, W, sc)  # snapshot every noise node
     u_t = sol.snapshot_at(t)
     w_t = sol.path.value_at(t)
     rows = []
@@ -248,7 +241,7 @@ def run(argv) -> int:
         # build/validate everything before any output is created
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        outputs, summary = handler(cfg, seed, max(1, args.threads), out)
+        outputs, summary = handler(cfg, seed, out)
     except (ConfigError, ExpressionSyntaxError, ValidationError, DomainMarginError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -261,7 +254,6 @@ def run(argv) -> int:
         command=args.command,
         config_sha256=cfg.sha256(),
         seed=seed,
-        threads=max(1, args.threads),
         outputs=[p.name for p in outputs],
     )
     print(f"{summary} -> {out}")

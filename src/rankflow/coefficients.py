@@ -68,7 +68,6 @@ class ValidationReport:
     sup_abs_b: float
     sup_abs_sigma: float
     sup_abs_gamma: float
-    c_sigma: float
     warnings: tuple[str, ...] = ()
 
     @property
@@ -124,19 +123,10 @@ class CoefficientSet:
         width = r - lo
         # Gauss-Legendre on [lo, r], vectorized over entries
         nodes = lo[None, :] + (width[None, :] * (_GL_NODES[:, None] + 1.0)) * 0.5
-        vals = np.asarray(self._integrand(which)(nodes))
-        if vals.ndim == 0:
-            vals = np.full_like(nodes, float(vals))
+        vals = self._integrand(which)(nodes)
         partial = (0.5 * width) * np.einsum("i,ij->j", _GL_WEIGHTS, vals)
         out = table[k] + partial
         return float(out[0]) if scalar else out
-
-    def transform_table(self, which: str) -> np.ndarray:
-        return self.tables[which]
-
-    @property
-    def c_sigma(self) -> float:
-        return self.report.c_sigma
 
 
 def _dense_grid(K: int) -> np.ndarray:
@@ -145,8 +135,6 @@ def _dense_grid(K: int) -> np.ndarray:
 
 def _sample_checked(expr: CoefficientExpr, grid: np.ndarray, name: str) -> np.ndarray:
     vals = np.asarray(expr(grid), dtype=np.float64)
-    if vals.ndim == 0:
-        vals = np.full_like(grid, float(vals))
     if not np.all(np.isfinite(vals)):
         bad = grid[~np.isfinite(vals)][0]
         raise ValidationError(
@@ -189,7 +177,6 @@ def validate(cs: CoefficientSet, allow_degenerate: bool = False) -> ValidationRe
         sup_abs_b=float(np.max(np.abs(b_vals))),
         sup_abs_sigma=float(np.max(np.abs(s_vals))),
         sup_abs_gamma=float(np.max(np.abs(g_vals))),
-        c_sigma=inf_sigma,
         warnings=tuple(warnings),
     )
 
@@ -213,7 +200,7 @@ def build_coefficient_set(
         tables={},
         b_prime=b.derivative(),
         gamma_prime=gamma.derivative(),
-        report=ValidationReport(0, 0, 0, 0, 0, 0),
+        report=ValidationReport(0, 0, 0, 0, 0),
     )
     report = validate(cs, allow_degenerate=allow_degenerate)
 
@@ -223,9 +210,7 @@ def build_coefficient_set(
     nodes = lo[None, :] + (width * (_GL_NODES[:, None] + 1.0)) * 0.5
     tables = {}
     for which in TRANSFORMS:
-        vals = np.asarray(cs._integrand(which)(nodes))
-        if vals.ndim == 0:
-            vals = np.full_like(nodes, float(vals))
+        vals = cs._integrand(which)(nodes)
         per_cell = (0.5 * width) * np.einsum("i,ij->j", _GL_WEIGHTS, vals)
         table = np.concatenate(([0.0], np.cumsum(per_cell)))
         table.setflags(write=False)

@@ -12,6 +12,8 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
+
 __all__ = ["format_value", "write_csv", "write_manifest", "write_path_csv", "write_cdf_csv"]
 
 
@@ -22,15 +24,10 @@ def format_value(v) -> str:
         return f"{v:.17g}"
     if isinstance(v, (int,)):
         return str(v)
-    try:
-        import numpy as np
-
-        if isinstance(v, np.floating):
-            return f"{float(v):.17g}"
-        if isinstance(v, np.integer):
-            return str(int(v))
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(v, np.floating):
+        return f"{float(v):.17g}"
+    if isinstance(v, np.integer):
+        return str(int(v))
     return str(v)
 
 
@@ -52,12 +49,11 @@ def write_cdf_csv(path, xs, fs):
 
 
 def write_manifest(path, *, command: str, config_sha256: str, seed: int,
-                   threads: int, outputs: list, extra: dict | None = None):
+                   outputs: list, extra: dict | None = None):
     payload = {
         "command": command,
         "config_sha256": config_sha256,
         "seed": seed,
-        "threads": threads,
         "outputs": sorted(str(o) for o in outputs),
     }
     if extra:

@@ -212,11 +212,6 @@ class KineticMeasureEstimate:
     def xi_centers(self) -> np.ndarray:
         return 0.5 * (self.xi_edges[:-1] + self.xi_edges[1:])
 
-    def mass_per_bin(self) -> np.ndarray:
-        out = np.zeros(self.xi_edges.size - 1)
-        np.add.at(out, self.bin_idx.ravel(), self.masses.ravel())
-        return out
-
     def pair(self, fn) -> float:
         """sum of fn(xi_bin_center, t_k, x_j) * mass over all deposits."""
         centers = self.xi_centers()

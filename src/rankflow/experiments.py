@@ -3,19 +3,25 @@ problem statistic, and pathwise stability in the driving signal.
 
 All studies are reproducible from (config, seed): replica r draws its
 noise from streams keyed by a seed derived from (seed, r), and results are
-aggregated in replica order regardless of the worker count.
+aggregated in replica order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bumps import Bump1D
 from .coefficients import CoefficientSet
-from .measures import GridFunction, InitialDistribution, empirical_cdf, l1_cdf_distance, w1
+from .measures import (
+    GridFunction,
+    InitialDistribution,
+    empirical_cdf,
+    grid_cdf,
+    l1_cdf_distance,
+    w1,
+)
 from .particles import simulate
 from .randomness import (
     STREAM_COMMON,
@@ -55,20 +61,9 @@ class ExperimentReport:
     summary: dict = field(default_factory=dict)
 
 
-def _map_replicas(fn, replicas: int, threads: int):
-    """Evaluate fn(replica) for replica = 0..replicas-1, results in replica
-    order; the thread cap never affects the values."""
-    if threads <= 1:
-        return [fn(r) for r in range(replicas)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(replicas)))
-
-
 def _require_constant(expr, name: str) -> float:
     grid = np.linspace(0.0, 1.0, 2001)
     vals = np.asarray(expr(grid), dtype=np.float64)
-    if vals.ndim == 0:
-        return float(vals)
     if vals.max() - vals.min() > 1e-12:
         raise ValueError(f"analytic reference needs constant coefficients; {name} varies")
     return float(vals[0])
@@ -85,7 +80,6 @@ def convergence_study(
     T: float,
     steps: int,
     reference: str = "spde",
-    threads: int = 1,
 ) -> ExperimentReport:
     """Coupled convergence of the particle empirical CDF to the limit CDF.
 
@@ -102,16 +96,15 @@ def convergence_study(
     if reference == "analytic":
         consts = tuple(_require_constant(e, nm) for e, nm in
                        ((cs.b, "b"), (cs.sigma, "sigma"), (cs.gamma, "gamma")))
-    elif reference != "spde":
+    elif reference == "spde":
+        u0 = grid_cdf(init, solver_config.x_min, solver_config.x_max, solver_config.cells)
+    else:
         raise ValueError(f"unknown reference {reference!r}")
 
     def one_replica(r: int):
         seed_r = replica_seed(seed, r)
         W = sample_path(seed_r, STREAM_COMMON, T, steps)
         if reference == "spde":
-            u0 = GridFunction(
-                solver_config.x_min, solver_config.x_max, init.cdf(solver_config.centers())
-            )
             sol = solve(u0, cs, W, solver_config, snapshot_times=snapshot_times)
             refs = {t: sol.snapshot_at(t) for t in snapshot_times}
         else:
@@ -131,7 +124,7 @@ def convergence_study(
             errors.append(err)
         return errors
 
-    per_replica = _map_replicas(one_replica, replicas, threads)
+    per_replica = [one_replica(r) for r in range(replicas)]
     rows = []
     for j, n in enumerate(n_list):
         for r in range(replicas):
@@ -292,8 +285,7 @@ class PsiMixed:
 
 
 def _sup_abs(expr, grid) -> float:
-    vals = np.asarray(expr(grid), dtype=np.float64)
-    return float(np.max(np.abs(vals))) if vals.ndim else abs(float(vals))
+    return float(np.max(np.abs(np.asarray(expr(grid), dtype=np.float64))))
 
 
 def bias_allowance(cs: CoefficientSet, f_list, phi, s: float, t: float) -> float:
@@ -355,7 +347,6 @@ def martingale_statistic(
     replicas: int,
     steps: int,
     seed: int,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Monte Carlo estimates of E[(M_t - M_s) Psi], one per (f_list, phi,
     psi) triple of `suite`, where M compensates phi(<F_nu, f>) by the limit
@@ -430,7 +421,7 @@ def martingale_statistic(
         return out
 
     # (triples, replicas), each row contiguous
-    samples = np.array(_map_replicas(one_replica, replicas, threads)).T.copy()
+    samples = np.array([one_replica(r) for r in range(replicas)]).T.copy()
     rows = []
     for (f_list, phi, psi), col in zip(suite, samples):
         estimate = float(col.mean())

@@ -24,7 +24,6 @@ __all__ = [
     "EmptyInputError",
     "empirical_cdf",
     "w1",
-    "quantile",
     "l1_cdf_distance",
     "point_mass",
     "uniform",
@@ -178,11 +177,6 @@ def l1_cdf_distance(u: GridFunction, F: StepCDF) -> float:
     return _l1_between(u, F)
 
 
-def quantile(F, xi: float) -> float:
-    """Generalized inverse inf{x : F(x) >= xi}, xi in (0, 1)."""
-    return F.quantile(xi)
-
-
 _KINDS = ("point_mass", "uniform", "gaussian", "mixture")
 
 
@@ -277,29 +271,6 @@ class InitialDistribution:
             if np.any(mask):
                 out[mask] = comp._inverse_cdf(u_val[mask])
         return out
-
-    def support_bounds(self, tail: float = 1e-9) -> tuple[float, float]:
-        """Interval carrying all but `tail` probability on each side."""
-        if self.kind == "point_mass":
-            x0 = self.params[0]
-            return x0, x0
-        if self.kind == "uniform":
-            return self.params
-        if self.kind == "gaussian":
-            mu, s = self.params
-            z = float(-ndtri(tail))
-            return mu - z * s, mu + z * s
-        bounds = [c.support_bounds(tail) for c in self.components]
-        return min(b[0] for b in bounds), max(b[1] for b in bounds)
-
-    def mean(self) -> float:
-        if self.kind == "point_mass":
-            return float(self.params[0])
-        if self.kind == "uniform":
-            return 0.5 * (self.params[0] + self.params[1])
-        if self.kind == "gaussian":
-            return float(self.params[0])
-        return float(sum(w * c.mean() for w, c in zip(self.weights, self.components)))
 
 
 def point_mass(x0: float) -> InitialDistribution:

@@ -2,8 +2,8 @@
 
 Every random number is addressed by (seed, stream_id, counter): the Philox
 generator is keyed with (seed, stream_id) and uniforms come off fixed
-counter blocks, so regeneration is bit-identical regardless of scheduling
-or worker count.  Normals are produced by inverse CDF (one raw word per
+counter blocks, so regeneration is bit-identical regardless of the order
+in which streams are drawn.  Normals are produced by inverse CDF (one raw word per
 variate), which keeps the counter addressing exact.
 
 Bridge refinement draws are keyed by the bit pattern of the inserted time

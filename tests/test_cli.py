@@ -91,6 +91,7 @@ class TestRun:
         assert snapshots[0] == "t,x,u"
         assert (out / "path.csv").read_text().splitlines()[0] == "t,w"
         manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == ["command", "config_sha256", "outputs", "seed"]
         assert manifest["command"] == "solve"
         assert manifest["seed"] == 20240510
         assert capsys.readouterr().out.startswith("solve:")
@@ -131,6 +132,12 @@ class TestRun:
 
     def test_unknown_command_exit_2(self):
         assert run(["frobnicate", "--config", "x"]) == 2
+
+    def test_threads_flag_rejected(self, heat_cfg, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["solve", "--config", str(heat_cfg), "--out", str(out), "--threads", "2"]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override(self, heat_cfg, tmp_path):
         out = tmp_path / "o"

@@ -79,7 +79,7 @@ class TestValidate:
     def test_valid_unit_coefficients(self):
         cs = build_from_sources("0", "1", "1", 16)
         rep = validate(cs)
-        assert rep.c_sigma == 1.0
+        assert rep.inf_sigma == 1.0
         assert rep.inf_gamma == 1.0
         assert not rep.warnings
 
@@ -161,10 +161,10 @@ def test_invariants_on_200_random_polynomial_triples():
         )
         nodes = np.arange(17) / 16
         for which in ("Sigma", "Gamma", "G", "S"):
-            table = cs.transform_table(which)
+            table = cs.tables[which]
             assert table[0] == 0.0
             assert np.all(np.diff(table) >= -1e-14)
-        b_table = cs.transform_table("B")
+        b_table = cs.tables["B"]
         assert b_table[0] == 0.0
         lip = cs.report.sup_abs_b
         assert np.all(np.abs(np.diff(b_table)) <= lip / 16 + 1e-12)

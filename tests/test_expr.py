@@ -240,3 +240,11 @@ def test_vectorized_evaluation():
     const = parse_coefficient("2.5")
     out = const(np.linspace(0, 1, 4))
     np.testing.assert_allclose(out, 2.5)
+    # constant forms and their derivatives keep the argument's shape, which
+    # the table build and the coefficient sampling rely on
+    for a in (np.linspace(0, 1, 4), np.linspace(0, 1, 24).reshape(8, 3)):
+        for src in ("2.5", "1", "sqrt(2)", "-1", "2^3", "(1)^-2", "a-a"):
+            e = parse_coefficient(src)
+            for f in (e, e.derivative()):
+                out = f(a)
+                assert isinstance(out, np.ndarray) and out.shape == a.shape, (src, f.source)
