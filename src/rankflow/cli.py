@@ -54,13 +54,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _coefficients(cfg: RunConfig):
-    return build_from_sources(
+    """Build the coefficient set; what validation relaxed goes to stderr."""
+    cs = build_from_sources(
         cfg.text("b"),
         cfg.text("sigma"),
         cfg.text("gamma"),
         cfg.integer("table_resolution", 256),
         allow_degenerate=cfg.flag("allow_degenerate", False),
     )
+    for msg in cs.report.warnings:
+        print(f"warning: {msg}", file=sys.stderr)
+    return cs
 
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:

@@ -34,11 +34,21 @@ __all__ = [
     "build_coefficient_set",
     "build_from_sources",
     "validate",
+    "sample_finite",
     "parse_coefficient",
     "TRANSFORMS",
 ]
 
-TRANSFORMS = ("B", "Sigma", "Gamma", "G", "S")
+# transform name -> its integrand as a function of (coefficient set, a)
+_INTEGRANDS = {
+    "B": lambda cs, a: cs.b(a),
+    "Sigma": lambda cs, a: 0.5 * np.square(cs.sigma(a)),
+    "Gamma": lambda cs, a: 0.5 * np.square(cs.gamma(a)),
+    "G": lambda cs, a: cs.gamma(a),
+    "S": lambda cs, a: cs.sigma(a),
+}
+
+TRANSFORMS = tuple(_INTEGRANDS)
 
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
 
@@ -89,28 +99,14 @@ class CoefficientSet:
     gamma_prime: CoefficientExpr = field(repr=False)
     report: ValidationReport = field(repr=False)
 
-    def _integrand(self, which: str):
-        if which == "B":
-            return lambda a: self.b(a)
-        if which == "Sigma":
-            return lambda a: 0.5 * np.square(self.sigma(a))
-        if which == "Gamma":
-            return lambda a: 0.5 * np.square(self.gamma(a))
-        if which == "G":
-            return lambda a: self.gamma(a)
-        if which == "S":
-            return lambda a: self.sigma(a)
-        raise KeyError(f"unknown transform {which!r}; expected one of {TRANSFORMS}")
-
     def eval_transform(self, which: str, r):
         """Continuous evaluation of a transform at r in [0,1].
 
         Accepts scalars or arrays; values within 1e-12 outside [0,1] are
         clamped, anything further raises DomainError.
         """
-        if which not in TRANSFORMS:
+        if which not in _INTEGRANDS:
             raise KeyError(f"unknown transform {which!r}; expected one of {TRANSFORMS}")
-        table = self.tables[which]
         scalar = np.ndim(r) == 0
         r = np.atleast_1d(np.asarray(r, dtype=np.float64))
         if np.any(r < -_DOMAIN_TOL) or np.any(r > 1.0 + _DOMAIN_TOL):
@@ -120,20 +116,24 @@ class CoefficientSet:
         K = self.table_resolution
         k = np.minimum((r * K).astype(np.int64), K - 1)
         lo = k / K
-        width = r - lo
-        # Gauss-Legendre on [lo, r], vectorized over entries
-        nodes = lo[None, :] + (width[None, :] * (_GL_NODES[:, None] + 1.0)) * 0.5
-        vals = self._integrand(which)(nodes)
-        partial = (0.5 * width) * np.einsum("i,ij->j", _GL_WEIGHTS, vals)
-        out = table[k] + partial
+        out = self.tables[which][k] + _gauss_legendre(self, which, lo, r - lo)
         return float(out[0]) if scalar else out
+
+
+def _gauss_legendre(cs: CoefficientSet, which: str, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Integral of transform `which`'s integrand over [lo, lo + width] by
+    order-8 Gauss-Legendre, entrywise over lo and width."""
+    nodes = lo[None, :] + (width[None, :] * (_GL_NODES[:, None] + 1.0)) * 0.5
+    return (0.5 * width) * np.einsum("i,ij->j", _GL_WEIGHTS, _INTEGRANDS[which](cs, nodes))
 
 
 def _dense_grid(K: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, 10 * K + 1)
 
 
-def _sample_checked(expr: CoefficientExpr, grid: np.ndarray, name: str) -> np.ndarray:
+def sample_finite(expr: CoefficientExpr, grid: np.ndarray, name: str) -> np.ndarray:
+    """Sample expr on grid; a non-finite sample raises ValidationError
+    naming the expression."""
     vals = np.asarray(expr(grid), dtype=np.float64)
     if not np.all(np.isfinite(vals)):
         bad = grid[~np.isfinite(vals)][0]
@@ -152,9 +152,9 @@ def validate(cs: CoefficientSet, allow_degenerate: bool = False) -> ValidationRe
     gamma = 0, pure transport has sigma -> 0).
     """
     grid = _dense_grid(cs.table_resolution)
-    b_vals = _sample_checked(cs.b, grid, "b")
-    s_vals = _sample_checked(cs.sigma, grid, "sigma")
-    g_vals = _sample_checked(cs.gamma, grid, "gamma")
+    b_vals = sample_finite(cs.b, grid, "b")
+    s_vals = sample_finite(cs.sigma, grid, "sigma")
+    g_vals = sample_finite(cs.gamma, grid, "gamma")
 
     inf_sigma = float(np.min(s_vals))
     inf_gamma = float(np.min(g_vals))
@@ -204,15 +204,11 @@ def build_coefficient_set(
     )
     report = validate(cs, allow_degenerate=allow_degenerate)
 
-    edges = np.arange(K + 1) / K
-    lo = edges[:-1]
-    width = 1.0 / K
-    nodes = lo[None, :] + (width * (_GL_NODES[:, None] + 1.0)) * 0.5
+    lo = np.arange(K) / K
+    width = np.full(K, 1.0 / K)
     tables = {}
     for which in TRANSFORMS:
-        vals = cs._integrand(which)(nodes)
-        per_cell = (0.5 * width) * np.einsum("i,ij->j", _GL_WEIGHTS, vals)
-        table = np.concatenate(([0.0], np.cumsum(per_cell)))
+        table = np.concatenate(([0.0], np.cumsum(_gauss_legendre(cs, which, lo, width))))
         table.setflags(write=False)
         tables[which] = table
 

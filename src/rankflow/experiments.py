@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bumps import Bump1D
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, sample_finite
 from .measures import (
     GridFunction,
     InitialDistribution,
@@ -61,14 +61,6 @@ class ExperimentReport:
     summary: dict = field(default_factory=dict)
 
 
-def _require_constant(expr, name: str) -> float:
-    grid = np.linspace(0.0, 1.0, 2001)
-    vals = np.asarray(expr(grid), dtype=np.float64)
-    if vals.max() - vals.min() > 1e-12:
-        raise ValueError(f"analytic reference needs constant coefficients; {name} varies")
-    return float(vals[0])
-
-
 def convergence_study(
     cs: CoefficientSet,
     init: InitialDistribution,
@@ -94,8 +86,13 @@ def convergence_study(
         raise ValueError("n_list must be increasing")
     snapshot_times = [float(t) for t in snapshot_times]
     if reference == "analytic":
-        consts = tuple(_require_constant(e, nm) for e, nm in
-                       ((cs.b, "b"), (cs.sigma, "sigma"), (cs.gamma, "gamma")))
+        grid = np.linspace(0.0, 1.0, 2001)
+        consts = []
+        for e, nm in ((cs.b, "b"), (cs.sigma, "sigma"), (cs.gamma, "gamma")):
+            vals = sample_finite(e, grid, nm)
+            if vals.max() - vals.min() > 1e-12:
+                raise ValueError(f"analytic reference needs constant coefficients; {nm} varies")
+            consts.append(float(vals[0]))
     elif reference == "spde":
         u0 = grid_cdf(init, solver_config.x_min, solver_config.x_max, solver_config.cells)
     else:
@@ -284,23 +281,21 @@ class PsiMixed:
         return float(np.tanh(2.0 * v_s[0]) * np.cos(w_s))
 
 
-def _sup_abs(expr, grid) -> float:
-    return float(np.max(np.abs(np.asarray(expr(grid), dtype=np.float64))))
-
-
 def bias_allowance(cs: CoefficientSet, f_list, phi, s: float, t: float) -> float:
     """Finite-n bias budget C for the martingale statistic (the acceptance
     allowance is C/n).  It covers the idiosyncratic Ito term
     (1/2n) sum_ij d_ij phi <nu, f_i f_j sigma^2> plus the rank-sum versus
     antiderivative discrepancies, all bounded through the exact symbolic
-    derivatives of the coefficients; a factor 2 of headroom is included."""
+    derivatives of the coefficients; a factor 2 of headroom is included.
+    A coefficient or derivative that is not finite on the sampling grid
+    leaves no budget and raises ValidationError."""
     grid = np.linspace(0.0, 1.0, 4001)
-    sup_sigma = _sup_abs(cs.sigma, grid)
-    sup_gamma = _sup_abs(cs.gamma, grid)
-    lip_b = _sup_abs(cs.b_prime, grid)
-    lip_gamma = _sup_abs(cs.gamma_prime, grid)
-    sigma_prime = cs.sigma.derivative()
-    lip_s2g2 = 2.0 * (sup_sigma * _sup_abs(sigma_prime, grid) + sup_gamma * lip_gamma)
+    sup_sigma, sup_gamma, lip_b, lip_gamma, lip_sigma = (
+        float(np.max(np.abs(sample_finite(e, grid, nm)))) for e, nm in (
+            (cs.sigma, "sigma"), (cs.gamma, "gamma"), (cs.b_prime, "b'"),
+            (cs.gamma_prime, "gamma'"), (cs.sigma.derivative(), "sigma'"))
+    )
+    lip_s2g2 = 2.0 * (sup_sigma * lip_sigma + sup_gamma * lip_gamma)
 
     f_sup, f1_l1, f2_l1 = 0.0, 0.0, 0.0
     for f in f_list:
@@ -370,6 +365,8 @@ def martingale_statistic(
     for f_list, phi, _ in suite:
         if len(f_list) != phi.k:
             raise ValueError(f"phi expects {phi.k} test functions, got {len(f_list)}")
+    # the acceptance allowance, before any replica runs: it may reject cs
+    allowances = [bias_allowance(cs, f_list, phi, s, t) for f_list, phi, _ in suite]
     T = t
     grid = np.linspace(0.0, T, steps + 1)
     s_idx = int(np.argmin(np.abs(grid - s)))
@@ -437,8 +434,7 @@ def martingale_statistic(
         provenance={"seed": seed},
         summary={"estimate": [r[3] for r in rows], "stderr": [r[4] for r in rows],
                  "z": [r[5] for r in rows],
-                 "allowance_C": [bias_allowance(cs, f_list, phi, s, t)
-                                 for f_list, phi, _ in suite]},
+                 "allowance_C": allowances},
     )
 
 

@@ -94,60 +94,45 @@ class SpdeSolution:
         return self.snapshots[i]
 
 
-class _StepFlux:
-    """Engquist-Osher split of H(u) = B(u) dt + G(u) dW for one step.
+def _interface_flux(cs: CoefficientSet, dt: float, dW: float, ue: np.ndarray) -> np.ndarray:
+    """Engquist-Osher fluxes H+(ue[j]) + H-(ue[j+1]) between adjacent
+    entries of ue, for H(u) = B(u) dt + G(u) dW.
 
     The sign pattern of h(xi) = b(xi) dt + gamma(xi) dW is bracketed on a
     scan grid and refined by root finding; partial integrals of h over the
-    sign-constant segments come straight from the coefficient tables.
+    sign-constant segments come straight from the coefficient tables.  H
+    is evaluated once on ue and H- = H - H+.
     """
+    def h(xi):
+        return np.asarray(cs.b(xi)) * dt + np.asarray(cs.gamma(xi)) * dW
 
-    def __init__(self, cs: CoefficientSet, dt: float, dW: float):
-        self.cs = cs
-        self.dt = dt
-        self.dW = dW
-        scan = np.linspace(0.0, 1.0, 4 * cs.table_resolution + 1)
-        hv = self._h(scan)
-        # exact zeros at scan points are segment edges themselves; sign
-        # changes are bracketed between consecutive nonzero samples
-        roots = list(scan[1:-1][hv[1:-1] == 0.0])
-        nz = np.nonzero(hv != 0.0)[0]
-        for i, j in zip(nz[:-1], nz[1:]):
-            if hv[i] * hv[j] < 0.0:
-                roots.append(brentq(self._h, scan[i], scan[j], xtol=1e-14))
-        edges = np.unique(np.concatenate(([0.0], roots, [1.0])))
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        self.edges = edges
-        self.seg_positive = self._h(mids) > 0.0
-        H_edges = self._H(edges)
-        dH = np.diff(H_edges)
-        self.H_edges = H_edges
-        self.cum_plus = np.concatenate(([0.0], np.cumsum(np.where(self.seg_positive, dH, 0.0))))
+    def H(u):
+        return dt * cs.eval_transform("B", u) + dW * cs.eval_transform("G", u)
 
-    def _h(self, xi):
-        return np.asarray(self.cs.b(xi)) * self.dt + np.asarray(self.cs.gamma(xi)) * self.dW
+    scan = np.linspace(0.0, 1.0, 4 * cs.table_resolution + 1)
+    hv = h(scan)
+    # exact zeros at scan points are segment edges themselves; sign
+    # changes are bracketed between consecutive nonzero samples
+    roots = list(scan[1:-1][hv[1:-1] == 0.0])
+    nz = np.nonzero(hv != 0.0)[0]
+    for i, j in zip(nz[:-1], nz[1:]):
+        if hv[i] * hv[j] < 0.0:
+            roots.append(brentq(h, scan[i], scan[j], xtol=1e-14))
+    edges = np.unique(np.concatenate(([0.0], roots, [1.0])))
+    seg_positive = h(0.5 * (edges[:-1] + edges[1:])) > 0.0
+    H_edges = H(edges)
+    cum_plus = np.concatenate(([0.0], np.cumsum(np.where(seg_positive, np.diff(H_edges), 0.0))))
 
-    def _H(self, u):
-        return self.dt * self.cs.eval_transform("B", u) + self.dW * self.cs.eval_transform("G", u)
-
-    def h_plus(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        idx = np.clip(np.searchsorted(self.edges, u, side="right") - 1, 0, self.edges.size - 2)
-        partial = np.where(self.seg_positive[idx], self._H(u) - self.H_edges[idx], 0.0)
-        return self.cum_plus[idx] + partial
-
-    def h_minus(self, u):
-        return self._H(u) - self.h_plus(u)
-
-    def interface(self, u_left, u_right):
-        return self.h_plus(u_left) + self.h_minus(u_right)
+    H_ue = H(ue)
+    idx = np.clip(np.searchsorted(edges, ue, side="right") - 1, 0, edges.size - 2)
+    hp = cum_plus[idx] + np.where(seg_positive[idx], H_ue - H_edges[idx], 0.0)
+    return hp[:-1] + (H_ue - hp)[1:]
 
 
 def convective_flux(cs: CoefficientSet, dt: float, dW: float, u_left: float, u_right: float) -> float:
     """Engquist-Osher interface flux H+(u_left) + H-(u_right) of the
     per-step flux H(u) = B(u) dt + G(u) dW."""
-    flux = _StepFlux(cs, dt, dW)
-    return float(flux.interface(np.float64(u_left), np.float64(u_right)))
+    return float(_interface_flux(cs, dt, dW, np.array([u_left, u_right], dtype=np.float64))[0])
 
 
 def _cfl_number(cs: CoefficientSet, dt: float, dW: float, dx: float) -> float:
@@ -158,9 +143,8 @@ def _cfl_number(cs: CoefficientSet, dt: float, dW: float, dx: float) -> float:
 
 
 def _raw_step(values: np.ndarray, cs: CoefficientSet, dt: float, dW: float, dx: float) -> np.ndarray:
-    flux = _StepFlux(cs, dt, dW)
     ue = np.concatenate(([0.0], values, [1.0]))
-    f_if = flux.interface(ue[:-1], ue[1:])
+    f_if = _interface_flux(cs, dt, dW, ue)
     D = cs.eval_transform("Sigma", ue) + cs.eval_transform("Gamma", ue)
     return values - np.diff(f_if) / dx + (dt / dx**2) * (D[2:] - 2.0 * D[1:-1] + D[:-2])
 

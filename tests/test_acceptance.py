@@ -381,17 +381,38 @@ t = 0.5
 eta_list = [0.5]
 y_list = [0.0]
 """,
+    # rank-dependent b and gamma: h = b dt + gamma dW changes sign inside
+    # (0, 1) on several noise increments of this seed, so the root-finding
+    # branch of the flux split runs, and the initial CDF is smooth on the mesh
+    "solve_sign_change": """\
+b = "a - 0.5"
+sigma = "1"
+gamma = "0.5*(1 + a)"
+table_resolution = 64
+seed = 12
+T = 0.25
+steps = 16
+x_min = -14.0
+x_max = 14.0
+cells = 64
+init = "gaussian(0,1)"
+snapshot_times = [0.125, 0.25]
+""",
 }
 
+# determinism configs whose name is not the command they run
+_CONFIG_COMMANDS = {"solve_sign_change": "solve"}
 
-def _run_config(out_root, command: str, cfg_text: str, label: str) -> Path:
+
+def _run_config(out_root, name: str, cfg_text: str, label: str) -> Path:
     """Run one determinism config through the CLI; return its output directory."""
-    cfg_path = out_root / f"{command}.cfg"
+    command = _CONFIG_COMMANDS.get(name, name)
+    cfg_path = out_root / f"{name}.cfg"
     cfg_path.write_text(cfg_text)
-    out = out_root / f"{command}_{label}"
+    out = out_root / f"{name}_{label}"
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli_run([command, "--config", str(cfg_path), "--out", str(out)])
-    assert code == 0, f"{command} exited {code}"
+    assert code == 0, f"{name} ({command}) exited {code}"
     return out
 
 
@@ -399,17 +420,17 @@ def test_criterion_8_determinism(tmp_path):
     t0 = time.time()
     ok = True
     details = []
-    for command, cfg_text in _DETERMINISM_CONFIGS.items():
+    for name, cfg_text in _DETERMINISM_CONFIGS.items():
         digests = []
         for label in ("a", "b"):
-            out = _run_config(tmp_path, command, cfg_text, label)
+            out = _run_config(tmp_path, name, cfg_text, label)
             blob = b"".join(
                 p.read_bytes() for p in sorted(out.glob("*.csv"))
             )
             digests.append(blob)
         same = digests[0] == digests[1]
         ok = ok and same
-        details.append(f"{command}: {'byte-identical' if same else 'MISMATCH'}")
+        details.append(f"{name}: {'byte-identical' if same else 'MISMATCH'}")
     elapsed = time.time() - t0
     _report(8, "determinism across reruns", ok,
             "; ".join(details), elapsed, 180.0)
@@ -423,12 +444,12 @@ def _library_versions() -> dict:
 
 
 def _csv_digests(out_root) -> dict:
-    """SHA-256 of every CSV the determinism configs write, keyed command/file."""
+    """SHA-256 of every CSV the determinism configs write, keyed config name/file."""
     digests = {}
-    for command, cfg_text in _DETERMINISM_CONFIGS.items():
-        out = _run_config(out_root, command, cfg_text, "golden")
+    for name, cfg_text in _DETERMINISM_CONFIGS.items():
+        out = _run_config(out_root, name, cfg_text, "golden")
         for p in sorted(out.glob("*.csv")):
-            digests[f"{command}/{p.name}"] = hashlib.sha256(p.read_bytes()).hexdigest()
+            digests[f"{name}/{p.name}"] = hashlib.sha256(p.read_bytes()).hexdigest()
     return digests
 
 

@@ -1,9 +1,13 @@
 """CLI behavior: exit codes, error messages, output schemas, determinism."""
 
 import csv
+import hashlib
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from rankflow.cli import run
 from rankflow.config import ConfigError, parse_config, parse_init
@@ -26,6 +30,8 @@ cells = 96
 init = "point_mass(0)"
 snapshot_times = [0.5, 1.0]
 """
+
+GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
 
 @pytest.fixture()
@@ -95,6 +101,21 @@ class TestRun:
         assert manifest["command"] == "solve"
         assert manifest["seed"] == 20240510
         assert capsys.readouterr().out.startswith("solve:")
+
+    def test_degenerate_warning_on_stderr(self, heat_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(heat_cfg), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "warning: gamma is not strictly positive" in captured.err
+        assert "not strictly positive" not in captured.out
+        # HEAT_CFG runs the solve determinism config, whose CSV digests were
+        # recorded before warnings were printed
+        golden = json.loads(GOLDEN.read_text())
+        if golden["versions"] != {"numpy": np.__version__, "scipy": scipy.__version__}:
+            pytest.skip(f"digests recorded with {golden['versions']}")
+        for name in ("path.csv", "snapshots.csv"):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == golden["digests"][f"solve/{name}"]
 
     def test_missing_seed_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -1,9 +1,11 @@
 """Experiment orchestration: convergence, martingale statistic, stability."""
 
+import re
+
 import pytest
 
 from rankflow.bumps import Bump1D
-from rankflow.coefficients import build_from_sources
+from rankflow.coefficients import ValidationError, build_from_sources
 from rankflow.experiments import (
     PhiConst,
     PhiLinear,
@@ -154,6 +156,18 @@ class TestMartingaleStatistic:
     def test_allowance_positive_for_varying_coefficients(self):
         cs = build_from_sources("a - 0.5", "1", "0.5*(1 + a)", 32)
         assert bias_allowance(cs, [Bump1D(0.0, 2.0)], PhiTanh(2.0), 0.0, 1.0) > 0.0
+
+    @pytest.mark.parametrize("b,sigma,name", [("sqrt(a)", "1", "b'"),
+                                              ("a - 0.5", "1 + sqrt(a)", "sigma'")])
+    def test_allowance_rejects_unbounded_derivative(self, b, sigma, name):
+        # d/da sqrt(a) is infinite at a = 0: no finite budget covers the bias
+        cs = build_from_sources(b, sigma, "0.5*(1 + a)", 32)
+        msg = f"coefficient {name} = '1.0/(2.0*sqrt(a))' is not finite at a = 0"
+        with pytest.raises(ValidationError, match=re.escape(msg)):
+            bias_allowance(cs, [Bump1D(0.0, 2.0)], PhiLinear(), 0.0, 1.0)
+        with pytest.raises(ValidationError):
+            martingale_statistic(cs, gaussian(0, 1), [([Bump1D(0.0, 2.0)], PhiLinear(), PsiConst())],
+                                 s=0.0, t=0.5, n=8, replicas=2, steps=4, seed=1)
 
     def test_off_grid_s_rejected(self, cs_const):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ closed-form oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import ndtr
 
 from rankflow.coefficients import build_from_sources
@@ -18,6 +19,7 @@ from rankflow.solver import (
     solve,
     spde_step,
 )
+from rankflow.solver import _interface_flux
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +68,28 @@ class TestConvectiveFlux:
             dt, dw = float(rng.uniform(0.001, 0.1)), float(rng.normal() * 0.1)
             total = cs_general.eval_transform("B", u) * dt + cs_general.eval_transform("G", u) * dw
             assert convective_flux(cs_general, dt, dw, u, u) == pytest.approx(total, abs=1e-13)
+
+    @given(
+        u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24).map(sorted),
+        dt_frac=st.floats(0.01, 1.0),
+        dw_frac=st.floats(-1.0, 1.0),
+        sign_change=st.booleans(),
+    )
+    def test_vector_flux_equals_pairwise_flux(self, cs_general, u, dt_frac, dw_frac, sign_change):
+        # the vectorized interface fluxes pair ue[j] with ue[j + 1]; sign_change
+        # keeps |dW| < 2 dt, where h = (a - 0.5) dt + 0.5 (1 + a) dW can
+        # change sign inside (0, 1)
+        dx = 0.25
+        rep = cs_general.report
+        sup_d = rep.sup_abs_sigma**2 + rep.sup_abs_gamma**2
+        dt = dt_frac * 0.8 * dx**2 / sup_d
+        room = 0.9 - (rep.sup_abs_b * dt / dx + sup_d * dt / dx**2)
+        dw = dw_frac * min(room * dx / rep.sup_abs_gamma, 2.0 * dt if sign_change else np.inf)
+        ue = np.concatenate(([0.0], u, [1.0]))
+        f_if = _interface_flux(cs_general, dt, dw, ue)
+        assert f_if.shape == (ue.size - 1,)
+        for j, f in enumerate(f_if):
+            assert f == convective_flux(cs_general, dt, dw, ue[j], ue[j + 1])
 
 
 class TestSpdeStep:
@@ -132,11 +156,8 @@ class TestSpdeStep:
             dt = 0.3 * dx**2 / 2.0
             dw = float(rng.normal() * 0.2 * dx)
             out = spde_step(u, cs_general, dt, dw)
-            from rankflow.solver import _StepFlux
-
-            flux = _StepFlux(cs_general, dt, dw)
             ue = np.concatenate(([0.0], u_vals, [1.0]))
-            f_if = flux.interface(ue[:-1], ue[1:])
+            f_if = _interface_flux(cs_general, dt, dw, ue)
             D = cs_general.eval_transform("Sigma", ue) + cs_general.eval_transform("Gamma", ue)
             boundary = (
                 -(f_if[-1] - f_if[0])
