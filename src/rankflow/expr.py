@@ -364,7 +364,7 @@ def differentiate(node: Node) -> Node:
                    _mul(node.left, differentiate(node.right)))
         if _is_zero(num):
             return Const(0.0)
-        return Div(num, Pow(_paren_base(node.right), 2))
+        return Div(num, Pow(node.right, 2))
     if isinstance(node, Neg):
         inner = differentiate(node.child)
         return Const(0.0) if _is_zero(inner) else Neg(inner)
@@ -376,7 +376,7 @@ def differentiate(node: Node) -> Node:
         if _is_zero(base_d):
             return Const(0.0)
         coeff = Const(float(abs(k)))
-        power_part = _paren_base(node.base) if k == 2 else Pow(_paren_base(node.base), k - 1)
+        power_part = node.base if k == 2 else Pow(node.base, k - 1)
         if k == 1:
             return base_d
         term = _mul(_mul(coeff, power_part), base_d)
@@ -395,12 +395,6 @@ def differentiate(node: Node) -> Node:
             return _mul(Neg(Call("sin", node.arg)), arg_d)
         return _mul(outer, arg_d)
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
-
-
-def _paren_base(n: Node) -> Node:
-    # Pow bases must be atoms when rendered; the renderer adds parentheses
-    # for any non-atom, so the node can be used directly.
-    return n
 
 
 @dataclass(frozen=True)

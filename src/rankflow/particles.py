@@ -11,7 +11,7 @@ motions and W is the common one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class NonFiniteState(RuntimeError):
 class ParticleState:
     t: float
     positions: np.ndarray
-    order: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=np.float64)
@@ -47,15 +46,13 @@ class ParticleState:
             raise NonFiniteState(f"non-finite positions at t = {self.t}")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
-        if self.order is None:
-            object.__setattr__(self, "order", np.argsort(pos, kind="stable"))
 
     @property
     def n(self) -> int:
         return self.positions.size
 
     def sorted_positions(self) -> np.ndarray:
-        return self.positions[self.order]
+        return np.sort(self.positions)
 
 
 def rank_fractions(state: ParticleState) -> np.ndarray:

@@ -59,12 +59,12 @@ def _to_uniform(raw: np.ndarray) -> np.ndarray:
     return (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
 
 
-def uniforms(seed: int, stream_id: int, n: int, block: int = _BLOCK_SAMPLING) -> np.ndarray:
-    return _to_uniform(_raw_block(seed, stream_id, n, block=block))
+def uniforms(seed: int, stream_id: int, n: int) -> np.ndarray:
+    return _to_uniform(_raw_block(seed, stream_id, n, block=_BLOCK_SAMPLING))
 
 
-def standard_normals(seed: int, stream_id: int, n: int, block: int = _BLOCK_MAIN) -> np.ndarray:
-    return ndtri(_to_uniform(_raw_block(seed, stream_id, n, block=block)))
+def standard_normals(seed: int, stream_id: int, n: int) -> np.ndarray:
+    return ndtri(_to_uniform(_raw_block(seed, stream_id, n)))
 
 
 def _bridge_normal(seed: int, stream_id: int, time: float) -> float:
@@ -122,56 +122,65 @@ class BrownianPath:
         )
 
 
+def _brownian_rows(seed: int, streams, T: float, steps: int) -> np.ndarray:
+    """W at the `steps` nodes after 0 of the uniform grid over [0, T], one
+    row per stream id: one raw word per increment through ndtri, scaled by
+    sqrt(T/steps) and summed.  Row r depends only on (seed, streams[r])."""
+    if T <= 0:
+        raise ValueError(f"T must be positive, got {T!r}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps!r}")
+    raw = np.empty((len(streams), steps), dtype=np.uint64)
+    for r, stream_id in enumerate(streams):
+        raw[r] = _raw_block(seed, stream_id, steps)
+    return np.cumsum(np.sqrt(T / steps) * ndtri(_to_uniform(raw)), axis=1)
+
+
 def sample_path(seed: int, stream_id: int, T: float, steps: int) -> BrownianPath:
     """Sample W on the uniform grid with `steps` increments over [0, T].
 
     Increment k is a deterministic function of (seed, stream_id, k).
     """
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T!r}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps!r}")
-    dt = T / steps
-    z = standard_normals(seed, stream_id, steps)
-    values = np.concatenate(([0.0], np.cumsum(np.sqrt(dt) * z)))
-    t_grid = np.linspace(0.0, T, steps + 1)
-    return BrownianPath(t_grid, values, seed, stream_id)
+    values = np.concatenate(([0.0], _brownian_rows(seed, [stream_id], T, steps)[0]))
+    return BrownianPath(np.linspace(0.0, T, steps + 1), values, seed, stream_id)
 
 
 def refine_path(path: BrownianPath, insert_times) -> BrownianPath:
-    """Insert nodes by Brownian-bridge interpolation.
+    """Insert nodes by Brownian-bridge interpolation; the only bridge sampler.
 
-    Inserted value at s in (t1, t2) is conditionally Gaussian with mean
-    linear between the bracketing known values and variance
-    (t2 - s)(s - t1)/(t2 - t1); original grid values are unchanged.
+    The value at s in (t1, t2) between known neighbours (t1, w1) and
+    (t2, w2) is Gaussian with mean (1 - f) w1 + f w2 and variance
+    f (1 - f) (t2 - t1), where f = (s - t1)/(t2 - t1), and its normal draw
+    is keyed by the bits of s.  Several inserts in one interval of the grid
+    chain left to right: the left neighbour of each is the insert before it,
+    the right neighbour the next original node.  They are drawn in rounds,
+    the m-th insert of every interval in one vectorised pass.  Original grid
+    values are unchanged.
     """
-    insert_times = np.sort(np.asarray(insert_times, dtype=np.float64))
-    if insert_times.size == 0:
+    s = np.sort(np.asarray(insert_times, dtype=np.float64))
+    if s.size == 0:
         return path
-    t = path.t_grid
-    if insert_times[0] <= 0.0 or insert_times[-1] >= t[-1]:
+    t, w = path.t_grid, path.values
+    if s[0] <= 0.0 or s[-1] >= t[-1]:
         raise ValueError("insert times must lie strictly inside (0, T)")
-    if np.any(np.diff(insert_times) == 0.0):
+    if (s[1:] == s[:-1]).any():
         raise GridConflict("duplicate insert times")
-    if np.any(np.isin(insert_times, t)):
-        dup = insert_times[np.isin(insert_times, t)][0]
-        raise GridConflict(f"insert time {dup!r} duplicates an existing node")
+    right = np.searchsorted(t, s)
+    if (t[right] == s).any():
+        raise GridConflict(f"insert time {s[t[right] == s][0]!r} duplicates an existing node")
 
-    new_t = list(t)
-    new_v = list(path.values)
-    # ascending insertion: the left bracket may be a previously inserted
-    # node, the right bracket is always the next original node
-    for s in insert_times:
-        j = int(np.searchsorted(new_t, s))
-        t1, w1 = new_t[j - 1], new_v[j - 1]
-        t2, w2 = new_t[j], new_v[j]
-        frac = (s - t1) / (t2 - t1)
-        mean = w1 + frac * (w2 - w1)
-        var = (t2 - s) * (s - t1) / (t2 - t1)
-        z = _bridge_normal(path.seed, path.stream_id, float(s))
-        new_t.insert(j, float(s))
-        new_v.insert(j, mean + np.sqrt(var) * z)
-    return BrownianPath(np.array(new_t), np.array(new_v), path.seed, path.stream_id)
+    rank = np.arange(s.size) - np.searchsorted(right, right)  # m: rank within the interval
+    t1 = np.maximum(t[right - 1], np.concatenate(([0.0], s[:-1])))  # the later of node and insert
+    t2 = t[right]
+    f = (s - t1) / (t2 - t1)
+    sd = np.sqrt(f * (1.0 - f) * (t2 - t1))
+    z = np.array([_bridge_normal(path.seed, path.stream_id, float(x)) for x in s])
+    ws = np.empty_like(s)
+    for m in range(int(rank.max()) + 1):
+        i = np.nonzero(rank == m)[0]
+        w1 = w[right[i] - 1] if m == 0 else ws[i - 1]
+        ws[i] = (1.0 - f[i]) * w1 + f[i] * w[right[i]] + sd[i] * z[i]
+    return BrownianPath(np.insert(t, right, s), np.insert(w, right, ws), path.seed, path.stream_id)
 
 
 @dataclass(frozen=True)
@@ -205,14 +214,7 @@ def make_noise_bundle(seed: int, n: int, T: float, steps: int,
     per-row arithmetic, applied once to the whole block."""
     if common is None:
         common = sample_path(seed, STREAM_COMMON, T, steps)
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T!r}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps!r}")
-    raw = np.empty((n, steps), dtype=np.uint64)
-    for i in range(n):
-        raw[i] = _raw_block(seed, i, steps)
-    values = np.cumsum(np.sqrt(T / steps) * ndtri(_to_uniform(raw)), axis=1)
+    values = _brownian_rows(seed, range(n), T, steps)
     return NoiseBundle(common=common, increments=np.diff(values, axis=1, prepend=0.0), seed=seed)
 
 

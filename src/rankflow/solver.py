@@ -15,7 +15,8 @@ and the interface flux is H+(u_left) + H-(u_right).  The diffusion
 (Sigma + Gamma)(u)_xx is explicit; Gamma(u)_xx is the Ito correction
 already present in the equation, so dW enters only through the flux.
 Increments that violate the CFL bound are bisected with Brownian-bridge
-refinement, preserving the path's law and its coupling to particle runs.
+refinement (`randomness.refine_path`), preserving the path's law and its
+coupling to particle runs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from scipy.special import ndtr
 
 from .coefficients import CoefficientSet
 from .measures import GridFunction, InitialDistribution, StepCDF
-from .randomness import BrownianPath, _bridge_normal, refine_path
+from .randomness import BrownianPath, refine_path
 
 __all__ = [
     "SolverConfig",
@@ -188,81 +189,52 @@ def _check_margin(u0: GridFunction, cs: CoefficientSet, T: float):
         )
 
 
-def _bisect_segment(times: np.ndarray, values: np.ndarray, seed: int, stream_id: int):
-    """Double a local grid by bridge-sampling all midpoints (keyed draws)."""
-    mids = 0.5 * (times[:-1] + times[1:])
-    z = np.array([_bridge_normal(seed, stream_id, float(s)) for s in mids])
-    mean = 0.5 * (values[:-1] + values[1:])
-    sd = np.sqrt(0.25 * np.diff(times))
-    mid_vals = mean + sd * z
-    new_t = np.empty(times.size + mids.size)
-    new_v = np.empty_like(new_t)
-    new_t[0::2] = times
-    new_t[1::2] = mids
-    new_v[0::2] = values
-    new_v[1::2] = mid_vals
-    return new_t, new_v
-
-
 def solve(u0: GridFunction, cs: CoefficientSet, W: BrownianPath,
           config: SolverConfig, snapshot_times=None) -> SpdeSolution:
-    """March over W's grid, bisecting noise increments until the CFL bound
-    holds, and record snapshots by stepping exactly onto snapshot times."""
+    """Refine W, then march once over the refined grid.
+
+    Snapshot times off W's grid are inserted first.  Then every noise node
+    (interval of that grid) with a substep over the CFL target has all its
+    substeps bisected, one `refine_path` call per level, until none is.
+    The march records a snapshot wherever the grid hits a snapshot time,
+    and the refined path is returned as the path the solver consumed."""
     if u0.cells != config.cells or u0.x_min != config.x_min or u0.x_max != config.x_max:
         raise ValueError("initial data grid does not match the solver config")
     T = W.T
     if snapshot_times is None:
         snapshot_times = W.t_grid
     snapshot_times = np.asarray(sorted(set(float(t) for t in snapshot_times)))
-    if snapshot_times.size and (snapshot_times[0] < 0.0 or snapshot_times[-1] > T + 1e-12):
+    if snapshot_times.size and (snapshot_times[0] < 0.0 or snapshot_times[-1] > T):
         raise ValueError("snapshot times must lie in [0, T]")
 
+    dx = config.dx
     if T > 0:
         _check_margin(u0, cs, T)
-        on_grid = np.isin(snapshot_times, W.t_grid)
-        missing = snapshot_times[~on_grid]
-        if missing.size:
-            W = refine_path(W, missing)
-
-    dx = config.dx
-    target = config.cfl_target
-    values = u0.values.copy()
-    snapshots = []
-    recorded_times = []
-
-    def _maybe_record(t, vals):
-        i = int(np.argmin(np.abs(snapshot_times - t))) if snapshot_times.size else -1
-        if i >= 0 and abs(snapshot_times[i] - t) <= 1e-12 * max(1.0, T):
-            snapshots.append(GridFunction(config.x_min, config.x_max, vals.copy(), validate=False))
-            recorded_times.append(float(snapshot_times[i]))
-
-    _maybe_record(0.0, values)
-    consumed_t = [float(W.t_grid[0])]
-    consumed_v = [float(W.values[0])]
-
-    for k in range(W.t_grid.size - 1):
-        seg_t = W.t_grid[k:k + 2].copy()
-        seg_v = W.values[k:k + 2].copy()
+        W = refine_path(W, snapshot_times[~np.isin(snapshot_times, W.t_grid)])
+        node = np.arange(W.t_grid.size - 1)  # the noise node of each substep
         while True:
-            dts = np.diff(seg_t)
-            dWs = np.diff(seg_v)
-            numbers = [_cfl_number(cs, dt, dw, dx) for dt, dw in zip(dts, dWs)]
-            if max(numbers) <= target:
+            dts, dWs = np.diff(W.t_grid), np.diff(W.values)
+            bad = np.isin(node, node[_cfl_number(cs, dts, dWs, dx) > config.cfl_target])
+            if not bad.any():
                 break
-            if 2 * dts.size > config.max_substeps:
+            first = np.nonzero(node == node[bad][0])[0]  # substeps of the first violating node
+            if 2 * first.size > config.max_substeps:
                 raise SubstepLimitExceeded(
-                    f"increment [{seg_t[0]:.6g}, {seg_t[-1]:.6g}] still violates CFL "
-                    f"after {dts.size} substeps (max {config.max_substeps})"
+                    f"increment [{W.t_grid[first[0]]:.6g}, {W.t_grid[first[-1] + 1]:.6g}] still "
+                    f"violates CFL after {first.size} substeps (max {config.max_substeps})"
                 )
-            seg_t, seg_v = _bisect_segment(seg_t, seg_v, W.seed, W.stream_id)
-        for i in range(seg_t.size - 1):
-            values = _raw_step(values, cs, seg_t[i + 1] - seg_t[i], seg_v[i + 1] - seg_v[i], dx)
-        consumed_t.extend(float(t) for t in seg_t[1:])
-        consumed_v.extend(float(v) for v in seg_v[1:])
-        _maybe_record(float(seg_t[-1]), values)
+            W = refine_path(W, 0.5 * (W.t_grid[:-1] + W.t_grid[1:])[bad])
+            node = np.repeat(node, np.where(bad, 2, 1))
 
-    consumed = BrownianPath(np.asarray(consumed_t), np.asarray(consumed_v), W.seed, W.stream_id)
-    return SpdeSolution(np.asarray(recorded_times), tuple(snapshots), consumed)
+    values = u0.values
+    record = np.isin(W.t_grid, snapshot_times)
+    snapshots = [values.copy()] if record[0] else []
+    for i, (dt, dw) in enumerate(zip(np.diff(W.t_grid), np.diff(W.values))):
+        values = _raw_step(values, cs, dt, dw, dx)
+        if record[i + 1]:
+            snapshots.append(values)
+    grids = tuple(GridFunction(config.x_min, config.x_max, v, validate=False) for v in snapshots)
+    return SpdeSolution(W.t_grid[record].copy(), grids, W)
 
 
 def analytic_constant_solution(u0, b0: float, sigma0: float, gamma0: float,

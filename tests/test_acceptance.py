@@ -398,10 +398,27 @@ cells = 64
 init = "gaussian(0,1)"
 snapshot_times = [0.125, 0.25]
 """,
+    # gamma != 0 on the non-dyadic grid k/20 with an off-grid snapshot
+    # time: nodes bisect one to three levels deep for CFL, so every bridge
+    # value the solver draws (snapshot insert and midpoints) reaches the CSVs
+    "solve_bisect": """\
+b = "a - 0.5"
+sigma = "1"
+gamma = "0.5*(1 + a)"
+table_resolution = 32
+seed = 8
+T = 0.3
+steps = 6
+x_min = -14.0
+x_max = 14.0
+cells = 96
+init = "gaussian(0,1)"
+snapshot_times = [0.13, 0.3]
+""",
 }
 
 # determinism configs whose name is not the command they run
-_CONFIG_COMMANDS = {"solve_sign_change": "solve"}
+_CONFIG_COMMANDS = {"solve_sign_change": "solve", "solve_bisect": "solve"}
 
 
 def _run_config(out_root, name: str, cfg_text: str, label: str) -> Path:

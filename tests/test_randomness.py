@@ -1,8 +1,10 @@
 """Brownian path generation, determinism, and bridge refinement."""
 
+import bisect
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
@@ -15,6 +17,7 @@ from rankflow.randomness import (
     sample_path,
     standard_normals,
     STREAM_COMMON,
+    _bridge_normal,
 )
 
 
@@ -50,6 +53,19 @@ class TestSamplePath:
     def test_ks_normality_of_standardized_increments(self):
         z = standard_normals(123, 77, 10_000)
         assert kstest(z, "norm").pvalue > 0.001
+
+
+def _sequential_refine(path, insert_times):
+    """Reference bridge: one insert at a time, ascending, by list insertion."""
+    t, w = list(path.t_grid), list(path.values)
+    for s in sorted(insert_times):
+        j = bisect.bisect(t, s)
+        t1, w1, t2, w2 = t[j - 1], w[j - 1], t[j], w[j]
+        f = (s - t1) / (t2 - t1)
+        z = _bridge_normal(path.seed, path.stream_id, s)
+        t.insert(j, s)
+        w.insert(j, (1.0 - f) * w1 + f * w2 + np.sqrt(f * (1.0 - f) * (t2 - t1)) * z)
+    return np.array(t), np.array(w)
 
 
 class TestRefinePath:
@@ -107,6 +123,23 @@ class TestRefinePath:
         var = devs.var()
         band = 3.0 * 0.25 * np.sqrt(2.0 / n)
         assert abs(var - 0.25) <= band
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        steps=st.integers(1, 4),
+        T=st.floats(1e-2, 10.0),
+        fracs=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                       min_size=1, max_size=16, unique=True),
+    )
+    def test_equals_sequential_reference(self, seed, steps, T, fracs):
+        # up to 16 inserts over at most 4 intervals: several share an interval
+        path = sample_path(seed, 5, T, steps)
+        times = sorted({f * T for f in fracs})
+        assume(0.0 < times[0] and times[-1] < T and not np.isin(times, path.t_grid).any())
+        refined = refine_path(path, times[::-1])
+        ref_t, ref_w = _sequential_refine(path, times)
+        assert refined.t_grid.tobytes() == ref_t.tobytes()
+        assert refined.values.tobytes() == ref_w.tobytes()
 
 
 class TestNoiseBundle:

@@ -8,7 +8,7 @@ from scipy.special import ndtr
 
 from rankflow.coefficients import build_from_sources
 from rankflow.measures import GridFunction, grid_cdf, point_mass, w1
-from rankflow.randomness import BrownianPath, sample_path, STREAM_COMMON
+from rankflow.randomness import BrownianPath, refine_path, sample_path, STREAM_COMMON
 from rankflow.solver import (
     CflViolated,
     DomainMarginError,
@@ -222,6 +222,24 @@ class TestSolve:
             assert np.all(snap.values <= 1 + 1e-12)
             assert np.all(np.diff(snap.values) >= -1e-12)
 
+    @pytest.mark.parametrize("T", [0.3, 1.0])
+    def test_consumed_path_is_refine_path_by_level(self, cs_heat, T):
+        """The path the solver consumes is W refined level by level at all
+        midpoints by refine_path, bit for bit: with b = gamma = 0 the CFL
+        number 2 dt / dx^2 is the same on every noise node, so every node
+        bisects the same number of times (two or more here)."""
+        cfg = SolverConfig(-9.0, 9.0, 64)
+        u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
+        W = sample_path(17, STREAM_COMMON, T, 4)
+        ref, levels = W, 0
+        while 2.0 * (ref.t_grid[1] - ref.t_grid[0]) / cfg.dx**2 > cfg.cfl_target:
+            ref = refine_path(ref, 0.5 * (ref.t_grid[:-1] + ref.t_grid[1:]))
+            levels += 1
+        assert levels >= 2
+        sol = solve(u0, cs_heat, W, cfg, snapshot_times=[T])
+        assert sol.path.t_grid.tobytes() == ref.t_grid.tobytes()
+        assert sol.path.values.tobytes() == ref.values.tobytes()
+
     def test_substep_limit(self, cs_const):
         cfg = SolverConfig(-11.0, 11.0, 64, max_substeps=2)
         u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
@@ -229,6 +247,13 @@ class TestSolve:
         W = BrownianPath(np.array([0.0, 1.0]), np.array([0.0, 50.0]), seed=1, stream_id=7)
         with pytest.raises(SubstepLimitExceeded):
             solve(u0, cs_const, W, cfg, snapshot_times=[1.0])
+        # only the second of three nodes carries a jump too large for 4
+        # substeps; the message names that node
+        cfg = SolverConfig(-11.0, 11.0, 64, max_substeps=4)
+        W = BrownianPath(np.array([0.0, 0.01, 0.02, 0.03]), np.array([0.0, 0.01, 50.0, 50.01]),
+                         seed=1, stream_id=7)
+        with pytest.raises(SubstepLimitExceeded, match=r"increment \[0\.01, 0\.02\] .* after 4 substeps"):
+            solve(u0, cs_const, W, cfg)
 
     def test_domain_margin_enforced(self, cs_const):
         cfg = SolverConfig(-2.0, 2.0, 32)
