@@ -1,5 +1,5 @@
 """Rank-based interacting diffusions with common noise: a particle
-simulator, a monotone finite-volume solver for the conditional-CDF SPDE,
+simulator, a pathwise splitting solver for the conditional-CDF SPDE,
 kinetic/entropy diagnostics, and verification experiments."""
 
 from .bumps import Bump1D
@@ -59,12 +59,9 @@ from .randomness import (
     sample_path,
 )
 from .solver import (
-    CflViolated,
     SolverConfig,
     SpdeSolution,
-    SubstepLimitExceeded,
     analytic_constant_solution,
-    convective_flux,
     solve,
     spde_step,
 )

@@ -73,7 +73,6 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
         x_max=cfg.num("x_max"),
         cells=cfg.integer("cells"),
         cfl_target=cfg.num("cfl_target", 0.9),
-        max_substeps=cfg.integer("max_substeps", 4096),
     )
 
 

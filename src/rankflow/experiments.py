@@ -76,7 +76,7 @@ def convergence_study(
     """Coupled convergence of the particle empirical CDF to the limit CDF.
 
     Per replica one common path W drives both the n-particle system and the
-    reference: the finite-volume solution (reference="spde") or the exact
+    reference: the mesh solution of the SPDE (reference="spde") or the exact
     constant-coefficient law (reference="analytic").  The error for (n,
     replica) is the max over snapshot times of the L1 distance between the
     empirical CDF and the reference CDF.

@@ -1,22 +1,31 @@
-"""Monotone finite-volume solver for the conditional-CDF SPDE.
+"""Pathwise splitting solver for the conditional-CDF SPDE.
 
 The Ito-form equation
 
     du = (-B(u)_x + Sigma(u)_xx + Gamma(u)_xx) dt - G(u)_x dW
 
-is discretized on a truncated domain with Dirichlet data u = 0 on the left
-and u = 1 on the right.  Per noise increment the convective part is the
-conservative per-step flux H(u) = B(u) dt + G(u) dW with kinetic derivative
-h(xi) = b(xi) dt + gamma(xi) dW, split Engquist-Osher style into
+is solved on a truncated domain with Dirichlet data u = 0 on the left and
+u = 1 on the right.  Its Stratonovich form is
 
-    H+(u) = int_0^u max(h, 0) dxi,   H-(u) = int_0^u min(h, 0) dxi,
+    du = (-B(u)_x + Sigma(u)_xx) dt - G(u)_x o dW.
 
-and the interface flux is H+(u_left) + H-(u_right).  The diffusion
-(Sigma + Gamma)(u)_xx is explicit; Gamma(u)_xx is the Ito correction
-already present in the equation, so dW enters only through the flux.
-Increments that violate the CFL bound are bisected with Brownian-bridge
-refinement (`randomness.refine_path`), preserving the path's law and its
-coupling to particle runs.
+In the kinetic formulation the noise moves each level set {u = xi} rigidly
+by gamma(xi) dW.  That exact transport carries the Ito correction
+Gamma(u)_xx, so Gamma drops out of the scheme.  Each interval (dt, dW) of
+the noise grid is one split step:
+
+- diffusion: m explicit substeps u += (dt/m)/dx^2 Delta Sigma(u), with m
+  the least count that keeps sup sigma^2 (dt/m)/dx^2 within the CFL target;
+- transport-collapse (Brenier, SIAM J. Numer. Anal. 1984): points on the
+  graph of u (the cell centres with both ghost points, and L = 4J quantile
+  points) move by h(xi) = b(xi) dt + gamma(xi) dW at their level xi.
+  Positions and levels are sorted independently (the monotone
+  rearrangement, which selects the entropy solution) and interpolated back
+  onto the cell centres.  With h = 0 this is the identity, bit for bit.
+
+There is no noise CFL condition, so W's grid is marched as it stands; only
+off-grid snapshot times are inserted, by Brownian-bridge refinement
+(`randomness.refine_path`).
 """
 
 from __future__ import annotations
@@ -24,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .coefficients import CoefficientSet
@@ -34,24 +42,12 @@ from .randomness import BrownianPath, refine_path
 __all__ = [
     "SolverConfig",
     "SpdeSolution",
-    "CflViolated",
-    "SubstepLimitExceeded",
     "DomainMarginError",
-    "convective_flux",
     "spde_step",
     "solve",
     "analytic_constant_solution",
     "required_margin",
 ]
-
-
-class CflViolated(RuntimeError):
-    """spde_step called with a step violating the CFL bound; solve() is
-    responsible for pre-subdividing, so reaching this signals a caller bug."""
-
-
-class SubstepLimitExceeded(RuntimeError):
-    """An extreme noise increment needed more than max_substeps bisections."""
 
 
 class DomainMarginError(ValueError):
@@ -60,11 +56,14 @@ class DomainMarginError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """A mesh of `cells` cells on [x_min, x_max].  cfl_target bounds the
+    diffusion CFL number sup sigma^2 dt / dx^2 of each substep; it limits
+    diffusion only, as the noise has no CFL condition."""
+
     x_min: float
     x_max: float
     cells: int
     cfl_target: float = 0.9
-    max_substeps: int = 4096
 
     def __post_init__(self):
         if not self.x_min < self.x_max:
@@ -86,7 +85,7 @@ class SolverConfig:
 class SpdeSolution:
     times: np.ndarray
     snapshots: tuple
-    path: BrownianPath  # the path actually consumed, post-refinement
+    path: BrownianPath  # W plus off-grid snapshot inserts
 
     def snapshot_at(self, t: float, tol: float = 1e-9) -> GridFunction:
         i = int(np.argmin(np.abs(self.times - t)))
@@ -95,71 +94,24 @@ class SpdeSolution:
         return self.snapshots[i]
 
 
-def _interface_flux(cs: CoefficientSet, dt: float, dW: float, ue: np.ndarray) -> np.ndarray:
-    """Engquist-Osher fluxes H+(ue[j]) + H-(ue[j+1]) between adjacent
-    entries of ue, for H(u) = B(u) dt + G(u) dW.
-
-    The sign pattern of h(xi) = b(xi) dt + gamma(xi) dW is bracketed on a
-    scan grid and refined by root finding; partial integrals of h over the
-    sign-constant segments come straight from the coefficient tables.  H
-    is evaluated once on ue and H- = H - H+.
-    """
-    def h(xi):
-        return np.asarray(cs.b(xi)) * dt + np.asarray(cs.gamma(xi)) * dW
-
-    def H(u):
-        return dt * cs.eval_transform("B", u) + dW * cs.eval_transform("G", u)
-
-    scan = np.linspace(0.0, 1.0, 4 * cs.table_resolution + 1)
-    hv = h(scan)
-    # exact zeros at scan points are segment edges themselves; sign
-    # changes are bracketed between consecutive nonzero samples
-    roots = list(scan[1:-1][hv[1:-1] == 0.0])
-    nz = np.nonzero(hv != 0.0)[0]
-    for i, j in zip(nz[:-1], nz[1:]):
-        if hv[i] * hv[j] < 0.0:
-            roots.append(brentq(h, scan[i], scan[j], xtol=1e-14))
-    edges = np.unique(np.concatenate(([0.0], roots, [1.0])))
-    seg_positive = h(0.5 * (edges[:-1] + edges[1:])) > 0.0
-    H_edges = H(edges)
-    cum_plus = np.concatenate(([0.0], np.cumsum(np.where(seg_positive, np.diff(H_edges), 0.0))))
-
-    H_ue = H(ue)
-    idx = np.clip(np.searchsorted(edges, ue, side="right") - 1, 0, edges.size - 2)
-    hp = cum_plus[idx] + np.where(seg_positive[idx], H_ue - H_edges[idx], 0.0)
-    return hp[:-1] + (H_ue - hp)[1:]
-
-
-def convective_flux(cs: CoefficientSet, dt: float, dW: float, u_left: float, u_right: float) -> float:
-    """Engquist-Osher interface flux H+(u_left) + H-(u_right) of the
-    per-step flux H(u) = B(u) dt + G(u) dW."""
-    return float(_interface_flux(cs, dt, dW, np.array([u_left, u_right], dtype=np.float64))[0])
-
-
-def _cfl_number(cs: CoefficientSet, dt: float, dW: float, dx: float) -> float:
-    rep = cs.report
-    conv = (rep.sup_abs_b * dt + rep.sup_abs_gamma * abs(dW)) / dx
-    diff = (rep.sup_abs_sigma**2 + rep.sup_abs_gamma**2) * dt / dx**2
-    return conv + diff
-
-
-def _raw_step(values: np.ndarray, cs: CoefficientSet, dt: float, dW: float, dx: float) -> np.ndarray:
-    ue = np.concatenate(([0.0], values, [1.0]))
-    f_if = _interface_flux(cs, dt, dW, ue)
-    D = cs.eval_transform("Sigma", ue) + cs.eval_transform("Gamma", ue)
-    return values - np.diff(f_if) / dx + (dt / dx**2) * (D[2:] - 2.0 * D[1:-1] + D[:-2])
-
-
 def spde_step(u: GridFunction, cs: CoefficientSet, dt: float, dW: float,
               cfl_target: float = 0.9) -> GridFunction:
-    """One explicit update over a (sub)step carrying noise increment dW."""
+    """One split step over a noise interval (dt, dW): diffusion substeps
+    within the CFL target, then transport-collapse."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if _cfl_number(cs, dt, dW, u.dx) > cfl_target:
-        raise CflViolated(
-            f"CFL number {_cfl_number(cs, dt, dW, u.dx):.3f} exceeds target {cfl_target}"
-        )
-    new = _raw_step(u.values, cs, dt, dW, u.dx)
+    dx, J = u.dx, u.cells
+    m = int(np.ceil(cs.report.sup_abs_sigma**2 * dt / (cfl_target * dx**2)))
+    ue = np.concatenate(([0.0], u.values, [1.0]))
+    for _ in range(m):
+        S = cs.eval_transform("Sigma", ue)
+        ue[1:-1] += (dt / m) / dx**2 * (S[2:] - 2.0 * S[1:-1] + S[:-2])
+    xe = u.x_min + (np.arange(-1, J + 1) + 0.5) * dx
+    xi = (np.arange(4 * J) + 0.5) / (4 * J)
+    levels = np.concatenate((ue, xi))
+    pos = np.concatenate((xe, np.interp(xi, ue, xe)))
+    pos = pos + cs.b(levels) * dt + cs.gamma(levels) * dW
+    new = np.interp(xe[1:-1], np.sort(pos), np.sort(levels))
     return GridFunction(u.x_min, u.x_max, new, validate=False)
 
 
@@ -191,13 +143,10 @@ def _check_margin(u0: GridFunction, cs: CoefficientSet, T: float):
 
 def solve(u0: GridFunction, cs: CoefficientSet, W: BrownianPath,
           config: SolverConfig, snapshot_times=None) -> SpdeSolution:
-    """Refine W, then march once over the refined grid.
-
-    Snapshot times off W's grid are inserted first.  Then every noise node
-    (interval of that grid) with a substep over the CFL target has all its
-    substeps bisected, one `refine_path` call per level, until none is.
-    The march records a snapshot wherever the grid hits a snapshot time,
-    and the refined path is returned as the path the solver consumed."""
+    """March spde_step over W's grid, after inserting the snapshot times
+    off that grid with `refine_path`.  Snapshots are recorded at the
+    snapshot times, and the refined path is returned as the path the
+    solver consumed."""
     if u0.cells != config.cells or u0.x_min != config.x_min or u0.x_max != config.x_max:
         raise ValueError("initial data grid does not match the solver config")
     T = W.T
@@ -206,35 +155,18 @@ def solve(u0: GridFunction, cs: CoefficientSet, W: BrownianPath,
     snapshot_times = np.asarray(sorted(set(float(t) for t in snapshot_times)))
     if snapshot_times.size and (snapshot_times[0] < 0.0 or snapshot_times[-1] > T):
         raise ValueError("snapshot times must lie in [0, T]")
-
-    dx = config.dx
     if T > 0:
         _check_margin(u0, cs, T)
         W = refine_path(W, snapshot_times[~np.isin(snapshot_times, W.t_grid)])
-        node = np.arange(W.t_grid.size - 1)  # the noise node of each substep
-        while True:
-            dts, dWs = np.diff(W.t_grid), np.diff(W.values)
-            bad = np.isin(node, node[_cfl_number(cs, dts, dWs, dx) > config.cfl_target])
-            if not bad.any():
-                break
-            first = np.nonzero(node == node[bad][0])[0]  # substeps of the first violating node
-            if 2 * first.size > config.max_substeps:
-                raise SubstepLimitExceeded(
-                    f"increment [{W.t_grid[first[0]]:.6g}, {W.t_grid[first[-1] + 1]:.6g}] still "
-                    f"violates CFL after {first.size} substeps (max {config.max_substeps})"
-                )
-            W = refine_path(W, 0.5 * (W.t_grid[:-1] + W.t_grid[1:])[bad])
-            node = np.repeat(node, np.where(bad, 2, 1))
 
-    values = u0.values
+    u = u0
     record = np.isin(W.t_grid, snapshot_times)
-    snapshots = [values.copy()] if record[0] else []
+    snapshots = [u] if record[0] else []
     for i, (dt, dw) in enumerate(zip(np.diff(W.t_grid), np.diff(W.values))):
-        values = _raw_step(values, cs, dt, dw, dx)
+        u = spde_step(u, cs, dt, dw, config.cfl_target)
         if record[i + 1]:
-            snapshots.append(values)
-    grids = tuple(GridFunction(config.x_min, config.x_max, v, validate=False) for v in snapshots)
-    return SpdeSolution(W.t_grid[record].copy(), grids, W)
+            snapshots.append(u)
+    return SpdeSolution(W.t_grid[record].copy(), tuple(snapshots), W)
 
 
 def analytic_constant_solution(u0, b0: float, sigma0: float, gamma0: float,

@@ -278,19 +278,20 @@ class TestWeakForm:
         assert weak_form_residual(sol, cs, sol.path, f, 0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_residual_halves_with_dx(self):
-        """Oracle run at J in {128, 256}: residual halves within +-50%."""
+        """Oracle run at J in {128, 256, 512}: the residual at least halves
+        with each halving of dx."""
         cs = build_from_sources("1", "1", "0.5", 64)
         init = point_mass(0.0)
         W = sample_path(3, STREAM_COMMON, 1.0, 128)
         f = Bump1D(0.5, 2.0)
         res = {}
-        for J in (128, 256):
+        for J in (128, 256, 512):
             cfg = SolverConfig(-11.0, 12.0, J)
             u0 = grid_cdf(init, cfg.x_min, cfg.x_max, J)
             sol = solve(u0, cs, W, cfg)
             res[J] = weak_form_residual(sol, cs, sol.path, f, 0.25, 0.75)
-        ratio = res[128] / res[256]
-        assert 1.0 <= ratio <= 3.0
+        assert res[128] / res[256] >= 2.0
+        assert res[256] / res[512] >= 2.0
 
     def test_support_must_be_inside_domain(self, cs_general):
         sol, cs, cfg = _heat_solution(64, 16)

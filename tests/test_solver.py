@@ -1,25 +1,20 @@
-"""Finite-volume solver: flux splitting, monotonicity, conservativity, and
-closed-form oracles."""
+"""Splitting solver: the transport-collapse step, monotonicity, the
+comparison principle, and closed-form oracles."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy.special import ndtr
 
 from rankflow.coefficients import build_from_sources
 from rankflow.measures import GridFunction, grid_cdf, point_mass, w1
 from rankflow.randomness import BrownianPath, refine_path, sample_path, STREAM_COMMON
 from rankflow.solver import (
-    CflViolated,
     DomainMarginError,
     SolverConfig,
-    SubstepLimitExceeded,
     analytic_constant_solution,
-    convective_flux,
     solve,
     spde_step,
 )
-from rankflow.solver import _interface_flux
 
 
 @pytest.fixture(scope="module")
@@ -41,57 +36,6 @@ def _heaviside(cfg: SolverConfig, jump=0.0) -> GridFunction:
     return GridFunction(cfg.x_min, cfg.x_max, (cfg.centers() >= jump).astype(float))
 
 
-class TestConvectiveFlux:
-    def test_pure_upwind_positive_speed(self, cs_const):
-        # b = 1, dW = 0: h > 0, flux = dt * u_left
-        cs = build_from_sources("1", "1", "1", 32)
-        assert convective_flux(cs, 0.1, 0.0, 0.7, 0.3) == pytest.approx(0.07, abs=1e-14)
-
-    def test_pure_downwind_negative_noise(self):
-        cs = build_from_sources("0", "1", "1", 32)
-        assert convective_flux(cs, 0.1, -0.2, 0.7, 0.3) == pytest.approx(-0.2 * 0.3, abs=1e-14)
-
-    def test_sign_change_zero_at_matched_states(self):
-        cs = build_from_sources("a - 0.5", "1", "1", 32)
-        assert convective_flux(cs, 1.0, 0.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
-
-    def test_sign_change_rarefaction_positive_part(self):
-        # H+(1) = int_{0.5}^{1} (a - 0.5) da = 0.125
-        cs = build_from_sources("a - 0.5", "1", "1", 32)
-        assert convective_flux(cs, 1.0, 0.0, 1.0, 0.0) == pytest.approx(0.125, abs=1e-13)
-
-    def test_splitting_reassembles_total_flux(self, cs_general):
-        # H+(u) + H-(u) = B(u) dt + G(u) dW for matched states
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            u = float(rng.uniform(0, 1))
-            dt, dw = float(rng.uniform(0.001, 0.1)), float(rng.normal() * 0.1)
-            total = cs_general.eval_transform("B", u) * dt + cs_general.eval_transform("G", u) * dw
-            assert convective_flux(cs_general, dt, dw, u, u) == pytest.approx(total, abs=1e-13)
-
-    @given(
-        u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24).map(sorted),
-        dt_frac=st.floats(0.01, 1.0),
-        dw_frac=st.floats(-1.0, 1.0),
-        sign_change=st.booleans(),
-    )
-    def test_vector_flux_equals_pairwise_flux(self, cs_general, u, dt_frac, dw_frac, sign_change):
-        # the vectorized interface fluxes pair ue[j] with ue[j + 1]; sign_change
-        # keeps |dW| < 2 dt, where h = (a - 0.5) dt + 0.5 (1 + a) dW can
-        # change sign inside (0, 1)
-        dx = 0.25
-        rep = cs_general.report
-        sup_d = rep.sup_abs_sigma**2 + rep.sup_abs_gamma**2
-        dt = dt_frac * 0.8 * dx**2 / sup_d
-        room = 0.9 - (rep.sup_abs_b * dt / dx + sup_d * dt / dx**2)
-        dw = dw_frac * min(room * dx / rep.sup_abs_gamma, 2.0 * dt if sign_change else np.inf)
-        ue = np.concatenate(([0.0], u, [1.0]))
-        f_if = _interface_flux(cs_general, dt, dw, ue)
-        assert f_if.shape == (ue.size - 1,)
-        for j, f in enumerate(f_if):
-            assert f == convective_flux(cs_general, dt, dw, ue[j], ue[j + 1])
-
-
 class TestSpdeStep:
     def test_zero_coefficients_fixed_point(self):
         cs = build_from_sources("0", "0", "0", 16, allow_degenerate=True)
@@ -111,29 +55,46 @@ class TestSpdeStep:
         manual = vals + dt / u.dx**2 * (ue[2:] - 2 * ue[1:-1] + ue[:-2])
         np.testing.assert_allclose(out.values, manual, atol=1e-15)
 
-    def test_cfl_violation_raises(self, cs_const):
+    def test_collapse_is_identity_without_transport(self):
+        """b = gamma = 0 (and sigma = 0, so no diffusion substep): the
+        transport-collapse returns any nondecreasing input bit for bit,
+        whatever dt and dW."""
+        cs = build_from_sources("0", "0", "0", 16, allow_degenerate=True)
         cfg = SolverConfig(-2.0, 2.0, 64)
-        u = _heaviside(cfg)
-        with pytest.raises(CflViolated):
-            spde_step(u, cs_const, dt=1.0, dW=0.0)
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            vals = np.clip(np.sort(rng.uniform(-0.2, 1.2, cfg.cells)), 0.0, 1.0)
+            u = GridFunction(cfg.x_min, cfg.x_max, vals, validate=False)
+            out = spde_step(u, cs, float(rng.uniform(0.01, 1.0)), float(rng.normal()))
+            assert out.values.tobytes() == vals.tobytes()
+
+    def test_constant_transport_shifts_by_whole_cells(self):
+        """sigma = 0 and constant b, gamma: a shift of exactly k cells moves
+        the grid values k cells to the right."""
+        cs = build_from_sources("1", "0", "0.5", 16, allow_degenerate=True)
+        cfg = SolverConfig(-4.0, 4.0, 64)
+        vals = np.clip(np.linspace(-0.5, 1.5, cfg.cells), 0.0, 1.0)
+        u = GridFunction(cfg.x_min, cfg.x_max, vals)
+        dt, k = 0.25, 3
+        dw = (k * cfg.dx - dt) / 0.5
+        out = spde_step(u, cs, dt, dw)
+        np.testing.assert_allclose(out.values[k:], vals[:-k], atol=1e-12)
+        np.testing.assert_array_equal(out.values[:k], 0.0)
 
     def test_monotone_and_range_on_fuzzed_steps(self, cs_general):
-        """10^4 fuzzed (u, dt, dW) under CFL: output stays a monotone CDF
-        in [0,1]; pairs also verify the comparison principle."""
+        """10^4 fuzzed (u, dt, dW): output stays a monotone CDF in [0,1];
+        pairs also verify the comparison principle.  There is no noise CFL,
+        so |dW| goes up to 20 sqrt(dt); dt spans up to five diffusion
+        substeps."""
         rng = np.random.default_rng(20240520)
         cfg = SolverConfig(-3.0, 3.0, 24)
         dx = cfg.dx
-        rep = cs_general.report
-        sup_h = rep.sup_abs_b
-        sup_g = rep.sup_abs_gamma
-        sup_d = rep.sup_abs_sigma**2 + rep.sup_abs_gamma**2
+        sup_s2 = cs_general.report.sup_abs_sigma**2
         for _ in range(10_000):
             raw = np.sort(rng.uniform(-0.2, 1.2, cfg.cells))
             u_vals = np.clip(raw, 0.0, 1.0)
-            dt = float(rng.uniform(0.1, 1.0)) * 0.8 * dx**2 / sup_d
-            # pick dW to keep the full CFL number below 0.9
-            room = 0.9 - (sup_h * dt / dx + sup_d * dt / dx**2)
-            dw = float(rng.uniform(-1.0, 1.0)) * room * dx / sup_g
+            dt = float(rng.uniform(0.1, 1.0)) * 4.0 * dx**2 / sup_s2
+            dw = float(rng.uniform(-20.0, 20.0)) * np.sqrt(dt)
             u = GridFunction(cfg.x_min, cfg.x_max, u_vals, validate=False)
             out = spde_step(u, cs_general, dt, dw)
             assert np.all(out.values >= -1e-12)
@@ -144,26 +105,6 @@ class TestSpdeStep:
             v = GridFunction(cfg.x_min, cfg.x_max, v_vals, validate=False)
             out_v = spde_step(v, cs_general, dt, dw)
             assert np.all(out_v.values >= out.values - 1e-12)
-
-    def test_conservative_update_bookkeeping(self, cs_general):
-        # sum_j (u'_j - u_j) dx equals the net boundary contribution exactly
-        rng = np.random.default_rng(9)
-        cfg = SolverConfig(-3.0, 3.0, 48)
-        dx = cfg.dx
-        for _ in range(50):
-            u_vals = np.clip(np.sort(rng.uniform(-0.2, 1.2, cfg.cells)), 0, 1)
-            u = GridFunction(cfg.x_min, cfg.x_max, u_vals, validate=False)
-            dt = 0.3 * dx**2 / 2.0
-            dw = float(rng.normal() * 0.2 * dx)
-            out = spde_step(u, cs_general, dt, dw)
-            ue = np.concatenate(([0.0], u_vals, [1.0]))
-            f_if = _interface_flux(cs_general, dt, dw, ue)
-            D = cs_general.eval_transform("Sigma", ue) + cs_general.eval_transform("Gamma", ue)
-            boundary = (
-                -(f_if[-1] - f_if[0])
-                + dt / dx * ((D[-1] - D[-2]) - (D[1] - D[0]))
-            )
-            assert np.sum(out.values - u_vals) * dx == pytest.approx(boundary, abs=1e-13)
 
 
 class TestSolve:
@@ -185,8 +126,8 @@ class TestSolve:
     def test_constant_coefficient_oracle_first_order(self, cs_const):
         """L1 error against the exact conditional law, J=128 vs 256.
 
-        Refinement band frozen from the repository study: ratios observed
-        1.65-1.75 across seeds with a 384-step base grid."""
+        Ratios observed 2.23-2.27 on seeds 1-5 and 2024 with a 384-step
+        base grid."""
         init = point_mass(0.0)
         W = sample_path(2024, STREAM_COMMON, 1.0, 384)
         errs = {}
@@ -223,37 +164,18 @@ class TestSolve:
             assert np.all(np.diff(snap.values) >= -1e-12)
 
     @pytest.mark.parametrize("T", [0.3, 1.0])
-    def test_consumed_path_is_refine_path_by_level(self, cs_heat, T):
-        """The path the solver consumes is W refined level by level at all
-        midpoints by refine_path, bit for bit: with b = gamma = 0 the CFL
-        number 2 dt / dx^2 is the same on every noise node, so every node
-        bisects the same number of times (two or more here)."""
-        cfg = SolverConfig(-9.0, 9.0, 64)
+    def test_consumed_path_is_refine_path_of_snapshot_inserts(self, cs_general, T):
+        """The path the solver consumes is W with the off-grid snapshot
+        times inserted by refine_path, bit for bit, whatever the noise."""
+        cfg = SolverConfig(-14.0, 14.0, 64)
         u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
         W = sample_path(17, STREAM_COMMON, T, 4)
-        ref, levels = W, 0
-        while 2.0 * (ref.t_grid[1] - ref.t_grid[0]) / cfg.dx**2 > cfg.cfl_target:
-            ref = refine_path(ref, 0.5 * (ref.t_grid[:-1] + ref.t_grid[1:]))
-            levels += 1
-        assert levels >= 2
-        sol = solve(u0, cs_heat, W, cfg, snapshot_times=[T])
+        off_grid = [0.13 * T, 0.6 * T]
+        ref = refine_path(W, off_grid)
+        sol = solve(u0, cs_general, W, cfg, snapshot_times=off_grid + [0.5 * T, T])
         assert sol.path.t_grid.tobytes() == ref.t_grid.tobytes()
         assert sol.path.values.tobytes() == ref.values.tobytes()
-
-    def test_substep_limit(self, cs_const):
-        cfg = SolverConfig(-11.0, 11.0, 64, max_substeps=2)
-        u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
-        # a manufactured path with a huge jump cannot satisfy CFL in 2 substeps
-        W = BrownianPath(np.array([0.0, 1.0]), np.array([0.0, 50.0]), seed=1, stream_id=7)
-        with pytest.raises(SubstepLimitExceeded):
-            solve(u0, cs_const, W, cfg, snapshot_times=[1.0])
-        # only the second of three nodes carries a jump too large for 4
-        # substeps; the message names that node
-        cfg = SolverConfig(-11.0, 11.0, 64, max_substeps=4)
-        W = BrownianPath(np.array([0.0, 0.01, 0.02, 0.03]), np.array([0.0, 0.01, 50.0, 50.01]),
-                         seed=1, stream_id=7)
-        with pytest.raises(SubstepLimitExceeded, match=r"increment \[0\.01, 0\.02\] .* after 4 substeps"):
-            solve(u0, cs_const, W, cfg)
+        np.testing.assert_array_equal(sol.times, [0.13 * T, 0.5 * T, 0.6 * T, T])
 
     def test_domain_margin_enforced(self, cs_const):
         cfg = SolverConfig(-2.0, 2.0, 32)
