@@ -164,6 +164,24 @@ class TestSolve:
             assert np.all(np.diff(snap.values) >= -1e-12)
 
     @pytest.mark.parametrize("T", [0.3, 1.0])
+    def test_consumed_path_is_refine_path_by_level(self, cs_heat, T):
+        """No noise CFL: the path the solver consumes is W refined by zero
+        levels, bit for bit, on a heat config whose diffusion number
+        2 dt / dx^2 exceeds cfl_target on every noise node (a scheme that
+        bisected the noise until it held would refine two or more levels
+        here).  The diffusion is subdivided inside spde_step instead."""
+        cfg = SolverConfig(-9.0, 9.0, 64)
+        u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
+        W = sample_path(17, STREAM_COMMON, T, 4)
+        dt, levels = W.t_grid[1] - W.t_grid[0], 0
+        while 2.0 * dt / cfg.dx**2 > cfg.cfl_target:
+            dt, levels = 0.5 * dt, levels + 1
+        assert levels >= 2
+        sol = solve(u0, cs_heat, W, cfg, snapshot_times=[T])
+        assert sol.path.t_grid.tobytes() == W.t_grid.tobytes()
+        assert sol.path.values.tobytes() == W.values.tobytes()
+
+    @pytest.mark.parametrize("T", [0.3, 1.0])
     def test_consumed_path_is_refine_path_of_snapshot_inserts(self, cs_general, T):
         """The path the solver consumes is W with the off-grid snapshot
         times inserted by refine_path, bit for bit, whatever the noise."""
