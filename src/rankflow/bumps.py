@@ -2,8 +2,8 @@
 
 The building block is the standard bump exp(-1/(1-s^2)) on (-1,1),
 normalized to unit integral; scaled copies and their first two derivatives
-are available in closed form.  All evaluations are vectorized and exactly
-zero outside the support.
+are available in closed form.  All evaluations are vectorized, compute the
+formula only on the support and are exactly zero outside it.
 """
 
 from __future__ import annotations
@@ -19,30 +19,37 @@ __all__ = ["bump", "bump_d1", "bump_d2", "Bump1D", "BUMP_L1"]
 BUMP_L1 = quad(lambda s: np.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0, epsabs=1e-15)[0]
 
 
-def _masked(s):
+def _on_support(s, formula):
+    """formula(s_in, core) on the points with |s| < 1, where core = 1 - s^2,
+    and exactly 0.0 elsewhere (also at NaN); shape as s, float64."""
     s = np.asarray(s, dtype=np.float64)
     inside = np.abs(s) < 1.0
-    safe = np.where(inside, s, 0.0)
-    core = 1.0 - safe * safe
-    return s, inside, safe, core
+    out = np.zeros(s.shape)
+    if inside.any():
+        # a 0-d s is evaluated in numpy scalar arithmetic, whose x**3 rounds
+        # differently from the array loop's x*x*x
+        s_in = s[inside] if s.ndim else s[()]
+        out[inside] = formula(s_in, 1.0 - s_in * s_in)
+    return out
 
 
 def bump(s):
     """exp(-1/(1-s^2)) on (-1,1), zero elsewhere."""
-    _, inside, _, core = _masked(s)
-    return np.where(inside, np.exp(-1.0 / core), 0.0)
+    return _on_support(s, lambda s, core: np.exp(-1.0 / core))
 
 
 def bump_d1(s):
-    _, inside, safe, core = _masked(s)
-    return np.where(inside, np.exp(-1.0 / core) * (-2.0 * safe / core**2), 0.0)
+    return _on_support(s, lambda s, core: np.exp(-1.0 / core) * (-2.0 * s / core**2))
+
+
+def _d2(s, core):
+    g = 2.0 * s / core**2
+    gp = 2.0 / core**2 + 8.0 * s * s / core**3
+    return np.exp(-1.0 / core) * (g * g - gp)
 
 
 def bump_d2(s):
-    _, inside, safe, core = _masked(s)
-    g = 2.0 * safe / core**2
-    gp = 2.0 / core**2 + 8.0 * safe * safe / core**3
-    return np.where(inside, np.exp(-1.0 / core) * (g * g - gp), 0.0)
+    return _on_support(s, _d2)
 
 
 @dataclass(frozen=True)

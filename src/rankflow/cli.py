@@ -194,20 +194,19 @@ def _cmd_diagnose(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     sol = solve(u0, cs, W, sc)  # snapshot every noise node
     u_t = sol.snapshot_at(t)
     w_t = sol.path.value_at(t)
+    tfs = [BumpTestFunction(eta=eta, y=y, r_xi=r_xi, r_x=r_x) for eta in etas for y in ys]
+    entropy = entropy_identity_residual(sol, cs, sol.path, tfs, s, t)
     rows = []
-    for eta in etas:
-        for y in ys:
-            tf = BumpTestFunction(eta=eta, y=y, r_xi=r_xi, r_x=r_x)
-            rows.append(("chain_rule", eta, y, t, t,
-                         chain_rule_residual(u_t, cs, tf, t, w_t), sc.cells))
-            # a test integrand varying in both arguments, centered near (y, eta)
-            g_fn = lambda x, v, y0=y, e0=eta: np.cos(x - y0) + (v - e0) ** 2
-            rows.append(("coarea", eta, y, t, t,
-                         coarea_check(u_t, cs, g_fn), sc.cells))
-            rows.append(("entropy_identity", eta, y, s, t,
-                         entropy_identity_residual(sol, cs, sol.path, tf, s, t), sc.cells))
-            rows.append(("weak_form", eta, y, s, t,
-                         weak_form_residual(sol, cs, sol.path, Bump1D(y, r_x), s, t), sc.cells))
+    for tf, ent in zip(tfs, entropy):
+        eta, y = tf.eta, tf.y
+        rows.append(("chain_rule", eta, y, t, t,
+                     chain_rule_residual(u_t, cs, tf, t, w_t), sc.cells))
+        # a test integrand varying in both arguments, centered near (y, eta)
+        g_fn = lambda x, v, y0=y, e0=eta: np.cos(x - y0) + (v - e0) ** 2
+        rows.append(("coarea", eta, y, t, t, coarea_check(u_t, cs, g_fn), sc.cells))
+        rows.append(("entropy_identity", eta, y, s, t, ent, sc.cells))
+        rows.append(("weak_form", eta, y, s, t,
+                     weak_form_residual(sol, cs, sol.path, Bump1D(y, r_x), s, t), sc.cells))
     outputs = [
         write_csv(out / "diagnostics.csv",
                   ("diagnostic", "eta", "y", "s", "t", "residual", "resolution"), rows)
@@ -239,12 +238,21 @@ def run(argv) -> int:
 
     try:
         cfg = parse_config(text)
-        seed = args.seed if args.seed is not None else cfg.integer("seed")
+        if args.seed is None:
+            seed = cfg.integer("seed")
+        else:
+            seed = args.seed
+            cfg.read.add("seed")  # overridden, not unused
         handler = _HANDLERS[args.command]
         # build/validate everything before any output is created
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         outputs, summary = handler(cfg, seed, out)
+        # a key set in the file but read by no command is likely a typo or
+        # a retired option; sample configs are shared across commands, so
+        # this warns instead of failing
+        for key in cfg.unread():
+            print(f"warning: unused config key {key!r}", file=sys.stderr)
     except (ConfigError, ExpressionSyntaxError, ValidationError, DomainMarginError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

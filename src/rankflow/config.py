@@ -75,11 +75,18 @@ def parse_config(text: str) -> "RunConfig":
 class RunConfig:
     values: dict
     source: str = field(default="", repr=False)
+    # keys looked up so far, so that keys no command reads can be reported
+    read: set = field(default_factory=set, repr=False, compare=False)
 
     def sha256(self) -> str:
         return hashlib.sha256(self.source.encode()).hexdigest()
 
+    def unread(self) -> list:
+        """Keys of the file that no lookup has asked for, in file order."""
+        return [k for k in self.values if k not in self.read]
+
     def _get(self, key: str, default):
+        self.read.add(key)
         if key in self.values:
             return self.values[key]
         if default is _REQUIRED:

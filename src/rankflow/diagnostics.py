@@ -11,6 +11,7 @@ snapshots were produced.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,44 +260,47 @@ def _restrict(sol: SpdeSolution, s: float, t: float) -> tuple[SpdeSolution, np.n
 
 
 def entropy_identity_residual(sol: SpdeSolution, cs: CoefficientSet, W,
-                              tf: BumpTestFunction, s: float, t: float,
-                              xi_bins=256) -> float:
-    """Signed defect of the pathwise entropy identity over [s, t]:
+                              tfs: Sequence[BumpTestFunction], s: float, t: float,
+                              xi_bins=256) -> list[float]:
+    """Signed defect of the pathwise entropy identity over [s, t], for each
+    test function rho of the family `tfs`, in order:
 
         -[int int chi rho]_s^t + 1/2 int_s^t int int chi sigma^2 rho_xx
         - int int d_xi rho dn
 
     with n from dissipation_measure and the entropy defect measure m set
-    to zero; the residual therefore estimates the pairing against m.
+    to zero; each residual therefore estimates the pairing against m.
+
+    The snapshots are walked once: each builds its per-cell xi quadrature,
+    the shift b(xi) r + gamma(xi) w_r and sigma^2 once for the whole
+    family, and is dropped before the next; n is built once per call.
     """
     sub, _ = _restrict(sol, s, t)
     times = sub.times
     w_at = {float(r): W.value_at(float(r)) for r in times}
+    last = len(times) - 1
+    boundary = [[] for _ in tfs]   # int int chi rho at s and at t
+    diffusion = [[] for _ in tfs]  # int int chi sigma^2 rho_xx per snapshot
 
-    def _chi_pairing(snap: GridFunction, r: float, deriv: str) -> float:
-        centers = snap.centers()
-        uv = np.clip(snap.values, 0.0, 1.0)
-        nodes, weights = _cell_xi_quadrature(uv)
-        rho = eval_rho(tf, cs, nodes, r, centers[None, :], w_at[float(r)])
-        if deriv == "value":
-            integrand = rho.value
-        else:
-            integrand = np.asarray(cs.sigma(nodes)) ** 2 * rho.dxx
-        return float(np.sum(weights * integrand) * snap.dx)
-
-    bnd_s = _chi_pairing(sub.snapshots[0], float(times[0]), "value")
-    bnd_t = _chi_pairing(sub.snapshots[-1], float(times[-1]), "value")
-    boundary = -(bnd_t - bnd_s)
-
-    diffusion_vals = [
-        _chi_pairing(snap, float(r), "sigma2_dxx") for snap, r in zip(sub.snapshots, times)
-    ]
-    diffusion = 0.5 * float(np.trapezoid(diffusion_vals, times))
+    for k, (snap, r) in enumerate(zip(sub.snapshots, times)):
+        r = float(r)
+        x = snap.centers()[None, :]
+        nodes, weights = _cell_xi_quadrature(np.clip(snap.values, 0.0, 1.0))
+        shift = np.asarray(cs.b(nodes)) * r + np.asarray(cs.gamma(nodes)) * w_at[r]
+        sig2 = np.asarray(cs.sigma(nodes)) ** 2
+        for i, tf in enumerate(tfs):
+            xt = (x - tf.y) - shift
+            xit = nodes - tf.eta
+            diffusion[i].append(float(np.sum(weights * (sig2 * tf.rho0_dxx(xt, xit))) * snap.dx))
+            if k == 0 or k == last:
+                boundary[i].append(float(np.sum(weights * tf.rho0(xt, xit)) * snap.dx))
 
     est = dissipation_measure(sub, cs, xi_bins)
-    n_pair = est.pair(lambda xi, r, x: eval_rho(tf, cs, xi, r, x, w_at[float(r)]).dxi)
-
-    return boundary + diffusion - n_pair
+    out = []
+    for tf, (bnd_s, bnd_t), diff_vals in zip(tfs, boundary, diffusion):
+        n_pair = est.pair(lambda xi, r, x: eval_rho(tf, cs, xi, r, x, w_at[float(r)]).dxi)
+        out.append(-(bnd_t - bnd_s) + 0.5 * float(np.trapezoid(diff_vals, times)) - n_pair)
+    return out
 
 
 def weak_form_residual(sol: SpdeSolution, cs: CoefficientSet, W, f: Bump1D,

@@ -201,7 +201,7 @@ def test_criterion_6_entropy_structure():
         u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, J)
         Wh = sample_path(3, STREAM_COMMON, 1.0, steps)
         sol = solve(u0, cs_heat, Wh, cfg)
-        ent[J] = abs(entropy_identity_residual(sol, cs_heat, sol.path, tf, 0.25, 0.75))
+        ent[J] = abs(entropy_identity_residual(sol, cs_heat, sol.path, [tf], 0.25, 0.75)[0])
     ent_decays = ent[256] < ent[128]
 
     # dissipation measure: bookkeeping to 1e-10 and the closed-form heat
@@ -422,10 +422,34 @@ cells = 96
 init = "gaussian(0,1)"
 snapshot_times = [0.13, 0.3]
 """,
+    # rank-dependent b and gamma with a family of four test functions: the
+    # shift b(xi) r + gamma(xi) w_r and every test-function centre reach
+    # the entropy, chain-rule and co-area residuals, which the heat config
+    # above (b = gamma = 0, one test function) leaves unguarded
+    "diagnose_general": """\
+b = "a - 0.5"
+sigma = "1"
+gamma = "0.5*(1 + a)"
+table_resolution = 32
+seed = 9
+T = 0.5
+steps = 16
+x_min = -16.0
+x_max = 16.0
+cells = 96
+init = "gaussian(0,1)"
+s = 0.25
+t = 0.5
+r_xi = 0.25
+r_x = 1.0
+eta_list = [0.3, 0.7]
+y_list = [-0.5, 0.5]
+""",
 }
 
 # determinism configs whose name is not the command they run
-_CONFIG_COMMANDS = {"solve_sign_change": "solve", "solve_bisect": "solve"}
+_CONFIG_COMMANDS = {"solve_sign_change": "solve", "solve_bisect": "solve",
+                    "diagnose_general": "diagnose"}
 
 
 def _run_config(out_root, name: str, cfg_text: str, label: str) -> Path:

@@ -160,10 +160,33 @@ class TestRun:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_seed_override(self, heat_cfg, tmp_path):
+    def test_seed_override(self, heat_cfg, tmp_path, capsys):
         out = tmp_path / "o"
         run(["solve", "--config", str(heat_cfg), "--out", str(out), "--seed", "7"])
         assert json.loads((out / "manifest.json").read_text())["seed"] == 7
+        # the overridden seed key is not reported as unused
+        assert "unused config key" not in capsys.readouterr().err
+
+    def test_unused_keys_warn_on_stderr(self, tmp_path, capsys):
+        """A retired key and a misspelt one run with exit 0; each is named in
+        a warning on stderr, and the CSVs are those of the config without them."""
+        cfg = tmp_path / "heat.cfg"
+        cfg.write_text(HEAT_CFG + "max_substeps = 100\ncfl_targte = 0.5\n")
+        out = tmp_path / "o"
+        assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "warning: unused config key 'max_substeps'" in captured.err
+        assert "warning: unused config key 'cfl_targte'" in captured.err
+        assert captured.err.count("unused config key") == 2
+        assert "config key" not in captured.out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == ["command", "config_sha256", "outputs", "seed"]
+        golden = json.loads(GOLDEN.read_text())
+        if golden["versions"] != {"numpy": np.__version__, "scipy": scipy.__version__}:
+            pytest.skip(f"digests recorded with {golden['versions']}")
+        for name in ("path.csv", "snapshots.csv"):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == golden["digests"][f"solve/{name}"]
 
     def test_simulate_schema(self, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -230,13 +230,13 @@ class TestEntropyIdentity:
 
         W = BrownianPath(times, np.zeros(5), seed=0, stream_id=0)
         sol = SpdeSolution(times, snaps, W)
-        assert entropy_identity_residual(sol, cs, W, tf, 0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert entropy_identity_residual(sol, cs, W, [tf], 0.0, 1.0)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_decays_under_refinement(self, tf):
         res = {}
         for J, steps in ((128, 64), (256, 128)):
             sol, cs, cfg = _heat_solution(J, steps)
-            res[J] = abs(entropy_identity_residual(sol, cs, sol.path, tf, 0.25, 0.75))
+            res[J] = abs(entropy_identity_residual(sol, cs, sol.path, [tf], 0.25, 0.75)[0])
         # slope at least 0.5; the study observed ~4
         assert res[256] <= res[128] / np.sqrt(2.0)
 
@@ -248,9 +248,26 @@ class TestEntropyIdentity:
         u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
         W = sample_path(3, STREAM_COMMON, 1.0, 256)
         sol = solve(u0, cs, W, cfg)
-        ent = abs(entropy_identity_residual(sol, cs, sol.path, tf, 0.25, 0.75))
+        ent = abs(entropy_identity_residual(sol, cs, sol.path, [tf], 0.25, 0.75)[0])
         cr = chain_rule_residual(sol.snapshot_at(0.75), cs, tf, 0.75, sol.path.value_at(0.75))
         assert ent <= 10.0 * cr
+
+    def test_family_equals_single_calls(self, cs_general):
+        """A call on a family returns, in order, bit for bit what one call
+        per test function returns; an empty family returns []."""
+        cfg = SolverConfig(-16.0, 16.0, 64)
+        u0 = grid_cdf(gaussian(0.0, 1.0), cfg.x_min, cfg.x_max, cfg.cells)
+        W = sample_path(4, STREAM_COMMON, 0.5, 8)
+        sol = solve(u0, cs_general, W, cfg)
+        tfs = [BumpTestFunction(eta=0.3, y=-0.5, r_xi=0.25, r_x=1.0),
+               BumpTestFunction(eta=0.7, y=0.5, r_xi=0.3, r_x=1.5),
+               BumpTestFunction(eta=0.5, y=0.0, r_xi=0.2, r_x=2.0)]
+        family = entropy_identity_residual(sol, cs_general, sol.path, tfs, 0.125, 0.5)
+        singles = [entropy_identity_residual(sol, cs_general, sol.path, [tf], 0.125, 0.5)[0]
+                   for tf in tfs]
+        assert [np.float64(v).tobytes() for v in family] == [np.float64(v).tobytes() for v in singles]
+        assert len(set(family)) == 3
+        assert entropy_identity_residual(sol, cs_general, sol.path, [], 0.125, 0.5) == []
 
 
 class TestWeakForm:
