@@ -11,12 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = ["bump", "bump_d1", "bump_d2", "Bump1D", "BUMP_L1"]
 
-# unit-integral normalization of exp(-1/(1-s^2)) on (-1, 1)
-BUMP_L1 = quad(lambda s: np.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0, epsabs=1e-15)[0]
+# unit-integral normalization of exp(-1/(1-s^2)) on (-1, 1): the value of
+# scipy.integrate.quad(..., -1, 1, epsabs=1e-15), written out so that
+# importing rankflow does not load scipy.integrate (tests/test_bumps.py
+# pins it to quad)
+BUMP_L1 = 0.44399381616807865
 
 
 def _on_support(s, formula):

@@ -8,6 +8,7 @@ aggregated in replica order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +23,13 @@ from .measures import (
     l1_cdf_distance,
     w1,
 )
-from .particles import simulate
+from .particles import ParticleState, march, simulate
 from .randomness import (
     STREAM_COMMON,
+    STREAM_INIT,
     BrownianPath,
     make_noise_bundle,
+    replica_noise,
     replica_seed,
     sample_path,
 )
@@ -353,7 +356,8 @@ def martingale_statistic(
 
     with F_r the empirical CDF, the pairings evaluated exactly through the
     step structure of F_r, and the dr-integrals by trapezoid on the
-    simulation grid.  Each replica is simulated once and every triple is
+    simulation grid.  Each replica is simulated once, all replicas in
+    lock-step on the noise of `make_noise_bundle`, and every triple is
     evaluated on its trajectory, so a triple's row does not depend on the
     rest of the suite.  Rows and the per-row summary lists are in suite
     order.
@@ -383,42 +387,49 @@ def martingale_statistic(
     dD_lv = np.diff(cs.eval_transform("Sigma", levels) + cs.eval_transform("Gamma", levels))
     dG_lv = np.diff(cs.eval_transform("G", levels))
 
-    def one_replica(r: int) -> np.ndarray:
-        seed_r = replica_seed(seed, r)
-        noise = make_noise_bundle(seed_r, n, T, steps)
-        traj = simulate(init, cs, T, steps, noise, snapshot_times=kept)
-        v = [np.empty((kept.size, phi.k)) for _, phi, _ in suite]
-        drift = np.empty((len(suite), kept.size))
-        quad = np.empty((len(suite), kept.size))
-        for m, state in enumerate(traj.states):
-            srt = state.sorted_positions()
-            # f, f' and the tail integral once per distinct bump and state
-            evals = {id(f): (f(srt), f.d1(srt), f.tail_integral(srt)) for f in bumps}
-            for j, (f_list, phi, _) in enumerate(suite):
-                fvals, f1vals, tails = (np.stack([evals[id(f)][q] for f in f_list])
-                                        for q in range(3))   # (k, n) each
-                v[j][m] = tails.mean(axis=1)
-                pair_b = -fvals @ dB_lv            # <B(F), f_i'>
-                pair_d = -f1vals @ dD_lv           # <(Sigma+Gamma)(F), f_i''>
-                pair_g = -fvals @ dG_lv            # <G(F), f_i'>
-                gr = phi.grad(v[j][m])
-                he = phi.hess(v[j][m])
-                drift[j, m] = float(gr @ (pair_b + pair_d))
-                quad[j, m] = 0.5 * float(pair_g @ he @ pair_g)
-        integrand = drift + quad
-        w_s = float(noise.common.values[s_idx])
-        out = np.empty(len(suite))
-        for j, (_, phi, psi) in enumerate(suite):
+    # all replicas march in lock-step, one (R, n) block per step, and each
+    # kept state is reduced to v, drift and quad as soon as it is produced
+    seeds = np.array([replica_seed(seed, r) for r in range(replicas)], dtype=np.uint64)
+    W, dB = replica_noise(seeds, n, T, steps)
+    start = ParticleState(0.0, init.sample(n, seeds, STREAM_INIT))
+    states = itertools.chain([start], march(start, cs, grid, dB, np.diff(W).T))
+    list_keys = [tuple(map(id, f_list)) for f_list, _, _ in suite]
+    f_lists = dict(zip(list_keys, (f_list for f_list, _, _ in suite)))
+    v = [np.empty((replicas, kept.size, phi.k)) for _, phi, _ in suite]
+    drift = np.empty((len(suite), replicas, kept.size))
+    quad = np.empty((len(suite), replicas, kept.size))
+    for m, state in enumerate(itertools.islice(states, s_idx, None)):
+        srt = state.sorted_positions()
+        # f, f' and the tail mean once per distinct bump and state
+        evals = {id(f): (f(srt), f.d1(srt), f.tail_integral(srt).mean(axis=1)) for f in bumps}
+        pairs = {}
+        for key, f_list in f_lists.items():
+            fvals = -np.stack([evals[id(f)][0] for f in f_list], axis=1)   # (R, k, n)
+            f1vals = -np.stack([evals[id(f)][1] for f in f_list], axis=1)
+            # one (k, n) @ (n,) product per replica: BLAS rounds a stacked
+            # product differently from the one-trajectory pairing
+            pairs[key] = [(fv @ dB_lv,     # <B(F), f_i'>
+                           f1v @ dD_lv,    # <(Sigma+Gamma)(F), f_i''>
+                           fv @ dG_lv)     # <G(F), f_i'>
+                          for fv, f1v in zip(fvals, f1vals)]
+        for j, ((f_list, phi, _), key) in enumerate(zip(suite, list_keys)):
+            v[j][:, m] = np.stack([evals[id(f)][2] for f in f_list], axis=1)
+            for r, (pair_b, pair_d, pair_g) in enumerate(pairs[key]):
+                gr = phi.grad(v[j][r, m])
+                he = phi.hess(v[j][r, m])
+                drift[j, r, m] = float(gr @ (pair_b + pair_d))
+                quad[j, r, m] = 0.5 * float(pair_g @ he @ pair_g)
+    integrand = drift + quad
+    # (triples, replicas), each row contiguous
+    samples = np.empty((len(suite), replicas))
+    for j, (_, phi, psi) in enumerate(suite):
+        for r in range(replicas):
             # M_t - M_s: the phi(v_0) terms cancel
             m_diff = (
-                phi.value(v[j][-1]) - phi.value(v[j][0])
-                - float(np.trapezoid(integrand[j], kept))
+                phi.value(v[j][r, -1]) - phi.value(v[j][r, 0])
+                - float(np.trapezoid(integrand[j, r], kept))
             )
-            out[j] = m_diff * psi(v[j][0], w_s)
-        return out
-
-    # (triples, replicas), each row contiguous
-    samples = np.array([one_replica(r) for r in range(replicas)]).T.copy()
+            samples[j, r] = m_diff * psi(v[j][r, 0], float(W[r, s_idx]))
     rows = []
     for (f_list, phi, psi), col in zip(suite, samples):
         estimate = float(col.mean())

@@ -254,18 +254,20 @@ class InitialDistribution:
             return mu + s * ndtri(u)
         raise NotImplementedError
 
-    def sample(self, n: int, seed: int, stream_id: int = STREAM_INIT) -> np.ndarray:
-        """n i.i.d. draws, reproducible from (seed, stream_id)."""
+    def sample(self, n: int, seed, stream_id: int = STREAM_INIT) -> np.ndarray:
+        """n i.i.d. draws, reproducible from (seed, stream_id).  An array of
+        seeds gives one row of n draws per seed, each row equal to the draws
+        of its seed alone."""
         if n < 1:
             raise EmptyInputError("need at least one sample")
         u = uniforms(seed, stream_id, 2 * n)
-        u_comp, u_val = u[:n], u[n:]
+        u_comp, u_val = u[..., :n], u[..., n:]
         if self.kind != "mixture":
             return self._inverse_cdf(u_val)
         cum = np.cumsum(self.weights)
         idx = np.searchsorted(cum, u_comp, side="left")
         idx = np.minimum(idx, len(self.components) - 1)
-        out = np.empty(n)
+        out = np.empty(u_val.shape)
         for i, comp in enumerate(self.components):
             mask = idx == i
             if np.any(mask):

@@ -7,6 +7,10 @@ Each particle moves by
 where F_i is particle i's rank fraction #{j : X_j <= X_i}/n evaluated at
 the start of the step (explicit scheme), B_i are idiosyncratic Brownian
 motions and W is the common one.
+
+One stepper serves every caller: a state holds one system (n,) or R
+independent systems (R, n), one per row, and ranks are taken within each
+row, so R replicas march in lock-step and `simulate` is the R = 1 case.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ __all__ = [
     "NonFiniteState",
     "rank_fractions",
     "em_step",
+    "march",
     "simulate",
 ]
 
@@ -35,13 +40,16 @@ class NonFiniteState(RuntimeError):
 
 @dataclass(frozen=True)
 class ParticleState:
+    """Positions of one system (n,) or of R independent systems in lock-step
+    (R, n), one row each."""
+
     t: float
     positions: np.ndarray
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=np.float64)
-        if pos.ndim != 1 or pos.size == 0:
-            raise ValueError("positions must be a nonempty 1-d array")
+        if pos.ndim not in (1, 2) or pos.size == 0:
+            raise ValueError("positions must be a nonempty (n,) or (R, n) array")
         if not np.all(np.isfinite(pos)):
             raise NonFiniteState(f"non-finite positions at t = {self.t}")
         pos.setflags(write=False)
@@ -49,37 +57,64 @@ class ParticleState:
 
     @property
     def n(self) -> int:
-        return self.positions.size
+        return self.positions.shape[-1]
 
     def sorted_positions(self) -> np.ndarray:
-        return np.sort(self.positions)
+        return np.sort(self.positions, axis=-1)
 
 
 def rank_fractions(state: ParticleState) -> np.ndarray:
-    """Entry i is #{j : X_j <= X_i}/n; ties share the count-<= value."""
-    srt = state.sorted_positions()
-    return np.searchsorted(srt, state.positions, side="right") / state.n
+    """Entry i of a row is #{j : X_j <= X_i}/n over that row; ties share the
+    count-<= value."""
+    x = state.positions
+    n = x.shape[-1]
+    order = np.argsort(x, axis=-1)
+    srt = np.take_along_axis(x, order, axis=-1)
+    # the count-<= of a sorted entry is one past the last index of its tie
+    # group: the smallest group end at or after it
+    last = np.ones(x.shape, dtype=bool)
+    last[..., :-1] = srt[..., 1:] != srt[..., :-1]
+    ends = np.where(last, np.arange(1, n + 1), n)
+    counts = np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
+    fr = np.empty(x.shape)
+    np.put_along_axis(fr, order, counts / n, axis=-1)
+    return fr
 
 
 def em_step(state: ParticleState, cs: CoefficientSet, dt: float,
-            dB: np.ndarray, dW: float) -> ParticleState:
-    """One explicit Euler-Maruyama step with start-of-step rank fractions."""
+            dB: np.ndarray, dW) -> ParticleState:
+    """One explicit Euler-Maruyama step with start-of-step rank fractions,
+    every row at once; dB is shaped as the positions and dW holds one common
+    increment per row (a scalar for (n,) positions)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     dB = np.asarray(dB, dtype=np.float64)
     if dB.shape != state.positions.shape:
         raise ValueError("dB must have one increment per particle")
+    dW = np.asarray(dW, dtype=np.float64)
+    if dW.shape != state.positions.shape[:-1]:
+        raise ValueError("dW must have one increment per row")
     fr = rank_fractions(state)
     with np.errstate(invalid="ignore"):  # non-finite results are caught below
         new = (
             state.positions
             + np.asarray(cs.b(fr), dtype=np.float64) * dt
             + np.asarray(cs.sigma(fr), dtype=np.float64) * dB
-            + np.asarray(cs.gamma(fr), dtype=np.float64) * dW
+            + np.asarray(cs.gamma(fr), dtype=np.float64) * dW[..., None]
         )
     if not np.all(np.isfinite(new)):
         raise NonFiniteState(f"non-finite positions after step from t = {state.t}")
     return ParticleState(t=state.t + dt, positions=new)
+
+
+def march(state: ParticleState, cs: CoefficientSet, grid: np.ndarray, dB, dW):
+    """Yield the state after each step of `grid`: step k runs from grid[k]
+    to grid[k+1] on the increments dB[k] (shaped as the positions) and dW[k]
+    (one per row).  `dB` and `dW` are iterables, so the noise of a step may
+    be drawn only when the step is taken."""
+    for k, (dB_k, dW_k) in enumerate(zip(dB, dW)):
+        state = em_step(state, cs, grid[k + 1] - grid[k], dB_k, dW_k)
+        yield state
 
 
 @dataclass(frozen=True)
@@ -138,13 +173,9 @@ def simulate(initial, cs: CoefficientSet, T: float, steps: int,
     grid = noise.common.t_grid
     if grid.size != steps + 1 or abs(grid[-1] - T) > 1e-12 * max(1.0, T):
         raise ValueError("noise grid does not match (T, steps)")
-    dW = noise.common.increments()
-    dB = noise.increments
     want_set = set(want)
-    for k in range(steps):
-        dt = grid[k + 1] - grid[k]
-        state = em_step(state, cs, dt, dB[:, k], float(dW[k]))
-        if k + 1 in want_set:
+    for k, state in enumerate(march(state, cs, grid, noise.increments.T, noise.common.increments()), 1):
+        if k in want_set:
             states.append(state)
-            times.append(float(grid[k + 1]))
+            times.append(float(grid[k]))
     return Trajectory(np.asarray(times), tuple(states), noise)

@@ -6,6 +6,10 @@ counter blocks, so regeneration is bit-identical regardless of the order
 in which streams are drawn.  Normals are produced by inverse CDF (one raw word per
 variate), which keeps the counter addressing exact.
 
+Philox4x64-10 is computed here on uint64 arrays, the same words as
+`np.random.Philox`, so the words of any number of streams and counters
+come out of one array operation.
+
 Bridge refinement draws are keyed by the bit pattern of the inserted time
 in a counter block disjoint from the main increment block, so two solver
 runs that share (seed, stream_id) refine their paths with coupled noise.
@@ -25,6 +29,7 @@ __all__ = [
     "sample_path",
     "refine_path",
     "make_noise_bundle",
+    "replica_noise",
     "uniforms",
     "standard_normals",
     "replica_seed",
@@ -48,10 +53,62 @@ class GridConflict(ValueError):
     """An insert time duplicates an existing grid node."""
 
 
-def _raw_block(seed: int, stream_id: int, n: int, word1: int = 0, block: int = _BLOCK_MAIN) -> np.ndarray:
-    key = np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64)
-    counter = np.array([0, word1 & _MASK64, 0, block & _MASK64], dtype=np.uint64)
-    return np.random.Philox(counter=counter, key=key).random_raw(n)
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11): round multipliers and Weyl key increments.  The rounds treat
+# counter words (0, 2) alike, words (1, 3) alike and the two key words
+# alike, so each pair is held stacked along a leading axis of length 2.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
+# 0-d arrays: cheaper ufunc operands than numpy scalars
+_LO32 = np.array(0xFFFFFFFF, dtype=np.uint64)
+_U32 = np.array(32, dtype=np.uint64)
+
+
+def _u64(x) -> np.ndarray:
+    if isinstance(x, (int, np.integer)):
+        return np.asarray(int(x) & _MASK64, dtype=np.uint64)
+    return np.asarray(x).astype(np.uint64, copy=False)
+
+
+def _philox_block(seed, stream_id, c, word1=0, block=_BLOCK_MAIN) -> np.ndarray:
+    """The four words of counter block c of the stream keyed (seed,
+    stream_id), i.e. words 4c .. 4c+3 of
+    `np.random.Philox(counter=[0, word1, 0, block], key=[seed, stream_id])`,
+    which increments its counter before each block: block c is Philox4x64-10
+    of the counter (c + 1, word1, 0, block).  Broadcasts over its arguments;
+    the four words run along a new last axis."""
+    k0, k1, c0, c1, c3 = np.broadcast_arrays(
+        _u64(seed), _u64(stream_id), _u64(c) + np.uint64(1), _u64(word1), _u64(block))
+    key, even, odd = np.stack((k0, k1)), np.stack((c0, np.zeros_like(c0))), np.stack((c1, c3))
+    pair = (2,) + (1,) * c0.ndim
+    m, w = _PHILOX_M.reshape(pair), _PHILOX_W.reshape(pair)
+    m_lo, m_hi = m & _LO32, m >> _U32
+    with np.errstate(over="ignore"):  # key words wrap mod 2**64
+        for rnd in range(10):
+            if rnd:
+                key = key + w
+            # hi = the high word of m * even from 32-bit halves, where no
+            # partial sum overflows (Warren, Hacker's Delight, mulhu)
+            x_lo, x_hi = even & _LO32, even >> _U32
+            u = x_hi * m_lo
+            u += (x_lo * m_lo) >> _U32
+            v = x_lo * m_hi
+            v += u & _LO32
+            hi = x_hi * m_hi
+            hi += u >> _U32
+            hi += v >> _U32
+            even, odd = hi[::-1] ^ odd ^ key, (even * m)[::-1]
+    return np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
+
+
+def _raw_block(seed, stream_id, n: int, word1=0, block=_BLOCK_MAIN) -> np.ndarray:
+    """Words 0 .. n-1 of the stream keyed (seed, stream_id) at counter words
+    (word1, block), all streams in one call.  Broadcasts over seed,
+    stream_id, word1 and block; the words run along a new last axis."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (seed, stream_id, word1, block)))
+    seed, stream_id, word1, block = (np.expand_dims(_u64(a), -1) for a in (seed, stream_id, word1, block))
+    words = _philox_block(seed, stream_id, np.arange(-(-n // 4)), word1, block)
+    return words.reshape(shape + (-1,))[..., :n]
 
 
 def _to_uniform(raw: np.ndarray) -> np.ndarray:
@@ -59,18 +116,21 @@ def _to_uniform(raw: np.ndarray) -> np.ndarray:
     return (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
 
 
-def uniforms(seed: int, stream_id: int, n: int) -> np.ndarray:
+def uniforms(seed, stream_id, n: int) -> np.ndarray:
+    """n uniforms in (0, 1) from the sampling block; broadcasts over seed and
+    stream_id like `_raw_block`."""
     return _to_uniform(_raw_block(seed, stream_id, n, block=_BLOCK_SAMPLING))
 
 
-def standard_normals(seed: int, stream_id: int, n: int) -> np.ndarray:
+def standard_normals(seed, stream_id, n: int) -> np.ndarray:
     return ndtri(_to_uniform(_raw_block(seed, stream_id, n)))
 
 
-def _bridge_normal(seed: int, stream_id: int, time: float) -> float:
-    word = int(np.float64(time).view(np.uint64))
-    raw = _raw_block(seed, stream_id, 1, word1=word, block=_BLOCK_BRIDGE)
-    return float(ndtri(_to_uniform(raw))[0])
+def _bridge_normals(seed, stream_id, times) -> np.ndarray:
+    """The bridge normal of each insert time, keyed by the bits of the time;
+    shape as the broadcast of the arguments."""
+    word1 = np.asarray(times, dtype=np.float64).view(np.uint64)
+    return ndtri(_to_uniform(_raw_block(seed, stream_id, 1, word1=word1, block=_BLOCK_BRIDGE)[..., 0]))
 
 
 @dataclass(frozen=True)
@@ -122,18 +182,16 @@ class BrownianPath:
         )
 
 
-def _brownian_rows(seed: int, streams, T: float, steps: int) -> np.ndarray:
-    """W at the `steps` nodes after 0 of the uniform grid over [0, T], one
-    row per stream id: one raw word per increment through ndtri, scaled by
-    sqrt(T/steps) and summed.  Row r depends only on (seed, streams[r])."""
+def _brownian_rows(seed, stream_id, T: float, steps: int) -> np.ndarray:
+    """W at the `steps` nodes after 0 of the uniform grid over [0, T] for
+    every (seed, stream_id) of the broadcast of the two, along a new last
+    axis: one raw word per increment through ndtri, scaled by sqrt(T/steps)
+    and summed.  A row depends only on its own (seed, stream_id)."""
     if T <= 0:
         raise ValueError(f"T must be positive, got {T!r}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
-    raw = np.empty((len(streams), steps), dtype=np.uint64)
-    for r, stream_id in enumerate(streams):
-        raw[r] = _raw_block(seed, stream_id, steps)
-    return np.cumsum(np.sqrt(T / steps) * ndtri(_to_uniform(raw)), axis=1)
+    return np.cumsum(np.sqrt(T / steps) * ndtri(_to_uniform(_raw_block(seed, stream_id, steps))), axis=-1)
 
 
 def sample_path(seed: int, stream_id: int, T: float, steps: int) -> BrownianPath:
@@ -141,7 +199,7 @@ def sample_path(seed: int, stream_id: int, T: float, steps: int) -> BrownianPath
 
     Increment k is a deterministic function of (seed, stream_id, k).
     """
-    values = np.concatenate(([0.0], _brownian_rows(seed, [stream_id], T, steps)[0]))
+    values = np.concatenate(([0.0], _brownian_rows(seed, stream_id, T, steps)))
     return BrownianPath(np.linspace(0.0, T, steps + 1), values, seed, stream_id)
 
 
@@ -174,7 +232,7 @@ def refine_path(path: BrownianPath, insert_times) -> BrownianPath:
     t2 = t[right]
     f = (s - t1) / (t2 - t1)
     sd = np.sqrt(f * (1.0 - f) * (t2 - t1))
-    z = np.array([_bridge_normal(path.seed, path.stream_id, float(x)) for x in s])
+    z = _bridge_normals(path.seed, path.stream_id, s)
     ws = np.empty_like(s)
     for m in range(int(rank.max()) + 1):
         i = np.nonzero(rank == m)[0]
@@ -214,8 +272,36 @@ def make_noise_bundle(seed: int, n: int, T: float, steps: int,
     per-row arithmetic, applied once to the whole block."""
     if common is None:
         common = sample_path(seed, STREAM_COMMON, T, steps)
-    values = _brownian_rows(seed, range(n), T, steps)
+    values = _brownian_rows(seed, np.arange(n), T, steps)
     return NoiseBundle(common=common, increments=np.diff(values, axis=1, prepend=0.0), seed=seed)
+
+
+def replica_noise(seeds, n: int, T: float, steps: int):
+    """The noise of `make_noise_bundle(seeds[r], n, T, steps)` for every
+    replica r, streamed for a lock-step run of all replicas.
+
+    Returns (W, dB): W is the (R, steps + 1) array of the common paths'
+    values, and dB yields, for each step k, the (R, n) array whose row r is
+    column k of that bundle's increments, bit for bit.  dB draws one Philox
+    counter block (four steps of every stream) at a time and carries the
+    running sums across blocks, so each increment is the same difference of
+    the same partial sums as in the bundle while only O(R n) noise is
+    alive."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    W = np.concatenate((np.zeros((seeds.size, 1)), _brownian_rows(seeds, STREAM_COMMON, T, steps)), axis=1)
+    scale = np.sqrt(T / steps)
+
+    def increments():
+        keys = seeds[:, None], np.arange(n, dtype=np.uint64)
+        w = None
+        for c in range(-(-steps // 4)):
+            z = scale * ndtri(_to_uniform(_philox_block(*keys, c)))
+            for j in range(min(4, steps - 4 * c)):
+                w_next = z[..., j] if w is None else w + z[..., j]
+                yield w_next if w is None else w_next - w
+                w = w_next
+
+    return W, increments()
 
 
 def replica_seed(base_seed: int, replica: int) -> int:

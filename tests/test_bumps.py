@@ -1,12 +1,19 @@
 """Bump evaluations restricted to their support agree bit for bit with the
 dense formulas, on every shape and at every special value."""
 
+import json
+from pathlib import Path
+
 import numpy as np
+import pytest
+import scipy
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from rankflow.bumps import bump, bump_d1, bump_d2
+from rankflow.bumps import BUMP_L1, bump, bump_d1, bump_d2
+
+GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
 
 # the dense formulas: every point evaluated, np.where selects the support
@@ -61,3 +68,15 @@ def test_support_restricted_equals_dense(s):
 def test_python_scalar_gives_0d(v):
     for fn, dense in _PAIRS:
         _assert_same(fn(v), dense(v))
+
+
+def test_bump_l1_literal_equals_quad():
+    # BUMP_L1 is written out so that rankflow does not import
+    # scipy.integrate; it scales every bump, so under the scipy version the
+    # golden digests were recorded with it must be quad's value exactly
+    recorded = json.loads(GOLDEN.read_text())["versions"]["scipy"]
+    if scipy.__version__ != recorded:
+        pytest.skip(f"quad value recorded with scipy {recorded}")
+    from scipy.integrate import quad
+
+    assert BUMP_L1 == quad(lambda s: np.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0, epsabs=1e-15)[0]

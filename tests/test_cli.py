@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -259,3 +262,14 @@ class TestDiagnoseAndStability:
             assert (row["phi_id"], row["psi_id"]) == (phi.phi_id, psi.psi_id)
             float(row["z_score"])
         assert rows[2]["f_id"] == "bump(0,2.5)+bump(1.25,2.5)"
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # each of these pulls in scipy.sparse and scipy.linalg (tens of MB and
+    # a quarter second at start-up) and rankflow needs none of them
+    heavy = ("scipy.integrate", "scipy.sparse", "scipy.linalg", "scipy.stats")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys, rankflow.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

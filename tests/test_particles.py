@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rankflow.coefficients import build_from_sources
 from rankflow.measures import empirical_cdf, point_mass, w1
@@ -18,6 +21,23 @@ from rankflow.randomness import NoiseBundle, make_noise_bundle, sample_path
 @pytest.fixture(scope="module")
 def cs_const():
     return build_from_sources("1", "1", "0.5", 32)
+
+
+# rank-dependent coefficients through every transcendental of the grammar
+CS_GENERAL = build_from_sources("a - 0.5 + 0.3*sin(5*a)", "1 + 0.5*exp(-a)", "0.5*(1 + cos(a))", 32)
+
+# few distinct values, so rows are full of ties; -0.0 ties with 0.0
+_TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300])
+
+
+@st.composite
+def tied_blocks(draw):
+    """(R, n) positions with heavy ties; some rows all equal."""
+    R, n = draw(st.integers(1, 5)), draw(st.integers(1, 16))
+    x = draw(arrays(np.float64, (R, n), elements=st.one_of(_TIED, st.floats(-4.0, 4.0))))
+    for r in draw(st.sets(st.integers(0, R - 1))):
+        x[r] = draw(_TIED)
+    return x
 
 
 class TestRankFractions:
@@ -40,6 +60,40 @@ class TestRankFractions:
         got = rank_fractions(st)
         oracle = np.array([np.sum(pos <= x) for x in pos]) / 500
         np.testing.assert_array_equal(got, oracle)
+
+
+class TestBlocks:
+    """(R, n) blocks: each row is its own system, bit for bit."""
+
+    @given(tied_blocks())
+    def test_rank_fractions_equal_searchsorted_per_row(self, x):
+        got = rank_fractions(ParticleState(0.0, x))
+        want = np.stack([np.searchsorted(np.sort(row), row, side="right") / row.size for row in x])
+        assert got.tobytes() == want.tobytes()
+        for row, got_row in zip(x, got):
+            assert rank_fractions(ParticleState(0.0, row)).tobytes() == got_row.tobytes()
+
+    @given(tied_blocks(), st.integers(0, 2**32 - 1))
+    def test_em_step_equals_row_steps(self, x, seed):
+        rng = np.random.default_rng(seed)
+        dB = rng.normal(size=x.shape) * 0.1
+        dW = rng.normal(size=x.shape[0]) * 0.1
+        block = em_step(ParticleState(0.25, x), CS_GENERAL, 0.01, dB, dW)
+        for r in range(x.shape[0]):
+            row = em_step(ParticleState(0.25, x[r]), CS_GENERAL, 0.01, dB[r], float(dW[r]))
+            assert row.positions.tobytes() == block.positions[r].tobytes()
+            assert row.t == block.t
+
+    def test_non_finite_row_names_step_time(self):
+        x = np.zeros((3, 4))
+        dB = np.zeros((3, 4))
+        dB[1, 2] = np.inf
+        with pytest.raises(NonFiniteState, match=r"t = 0\.375"):
+            em_step(ParticleState(0.375, x), CS_GENERAL, 0.125, dB, np.zeros(3))
+
+    def test_one_common_increment_per_row(self):
+        with pytest.raises(ValueError):
+            em_step(ParticleState(0.0, np.zeros((3, 4))), CS_GENERAL, 0.1, np.zeros((3, 4)), 0.0)
 
 
 class TestEmStep:

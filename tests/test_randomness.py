@@ -13,11 +13,15 @@ from rankflow.randomness import (
     NoiseBundle,
     make_noise_bundle,
     refine_path,
+    replica_noise,
     replica_seed,
     sample_path,
     standard_normals,
     STREAM_COMMON,
-    _bridge_normal,
+    STREAM_INIT,
+    _brownian_rows,
+    _bridge_normals,
+    _raw_block,
 )
 
 
@@ -62,7 +66,7 @@ def _sequential_refine(path, insert_times):
         j = bisect.bisect(t, s)
         t1, w1, t2, w2 = t[j - 1], w[j - 1], t[j], w[j]
         f = (s - t1) / (t2 - t1)
-        z = _bridge_normal(path.seed, path.stream_id, s)
+        z = float(_bridge_normals(path.seed, path.stream_id, s))
         t.insert(j, s)
         w.insert(j, (1.0 - f) * w1 + f * w2 + np.sqrt(f * (1.0 - f) * (t2 - t1)) * z)
     return np.array(t), np.array(w)
@@ -73,14 +77,14 @@ class TestRefinePath:
         from rankflow.randomness import BrownianPath
 
         # with W_0 = 0 and W_1 = 0 the conditional mean at 0.5 is 0: the
-        # sampled midpoints average to 0 across seeds
-        mids = np.array([
-            refine_path(
-                BrownianPath(np.array([0.0, 1.0]), np.array([0.0, 0.0]), seed=k, stream_id=2),
-                [0.5],
-            ).values[1]
-            for k in range(1000)
-        ])
+        # midpoints sampled for seeds 0 .. 999, drawn in one call, average to 0
+        seeds = np.arange(1000, dtype=np.uint64)
+        f = 0.5
+        mids = (1.0 - f) * 0.0 + f * 0.0 + np.sqrt(f * (1.0 - f) * 1.0) * _bridge_normals(seeds, 2, 0.5)
+        # the same samples as the public sampler, bit for bit
+        for k in range(64):
+            pinned = BrownianPath(np.array([0.0, 1.0]), np.array([0.0, 0.0]), seed=k, stream_id=2)
+            assert refine_path(pinned, [0.5]).values[1] == mids[k]
         assert abs(mids.mean()) <= 3 * 0.5 / np.sqrt(1000)
         # and re-refining the same path reproduces the same value
         path = sample_path(5, 9, 1.0, 1)
@@ -112,14 +116,20 @@ class TestRefinePath:
             refine_path(path, [1.5])
 
     def test_midpoint_conditional_variance(self):
-        # bridge variance at the midpoint of a unit interval is 1/4;
-        # 1e5 replicas land within 3 standard errors of 0.25
+        # bridge variance at the midpoint of a unit interval is 1/4; the
+        # midpoints of sample_path(k, 1, 1.0, 1) for seeds k < 1e5, all drawn
+        # in one call, land within 3 standard errors of 0.25
         n = 100_000
-        devs = np.empty(n)
-        for k in range(n):
+        seeds = np.arange(n, dtype=np.uint64)
+        end = _brownian_rows(seeds, 1, 1.0, 1)[:, 0]
+        f = (0.5 - 0.0) / (1.0 - 0.0)
+        mid = (1.0 - f) * 0.0 + f * end + np.sqrt(f * (1.0 - f) * (1.0 - 0.0)) * _bridge_normals(seeds, 1, 0.5)
+        devs = mid - 0.5 * (0.0 + end)
+        # the same samples as the public sampler, bit for bit
+        for k in range(64):
             p = sample_path(k, 1, 1.0, 1)
             r = refine_path(p, [0.5])
-            devs[k] = r.values[1] - 0.5 * (p.values[0] + p.values[1])
+            assert r.values[1] - 0.5 * (p.values[0] + p.values[1]) == devs[k]
         var = devs.var()
         band = 3.0 * 0.25 * np.sqrt(2.0 / n)
         assert abs(var - 0.25) <= band
@@ -181,6 +191,61 @@ class TestNoiseBundle:
         else:
             ref_common = sample_path(seed, STREAM_COMMON, T, steps)
             assert nb.common.values.tobytes() == ref_common.values.tobytes()
+
+
+_U64 = st.integers(0, 2**64 - 1)
+
+
+@given(
+    seeds=st.lists(st.one_of(_U64, st.sampled_from([0, 2**64 - 1])), min_size=1, max_size=3),
+    streams=st.lists(st.one_of(_U64, st.sampled_from([0, STREAM_COMMON, STREAM_INIT])),
+                     min_size=1, max_size=3),
+    times=st.lists(st.floats(allow_nan=False), min_size=1, max_size=3),
+    block=st.sampled_from([0, 1, 2]),
+    m=st.one_of(st.integers(1, 9), st.just(128)),
+)
+def test_vectorised_philox_equals_numpy_philox(seeds, streams, times, block, m):
+    """Every (seed, stream, word1) lane of one broadcast call, word1 the bits
+    of a float64 time as for bridge draws, equals numpy's Philox4x64-10."""
+    word1 = np.array(times, dtype=np.float64).view(np.uint64)
+    got = _raw_block(np.array(seeds, dtype=np.uint64)[:, None, None],
+                     np.array(streams, dtype=np.uint64)[:, None], m, word1=word1, block=block)
+    assert got.shape == (len(seeds), len(streams), len(times), m)
+    for (a, b, c), lane in np.ndenumerate(got[..., 0]):
+        key = np.array([seeds[a], streams[b]], dtype=np.uint64)
+        counter = np.array([0, word1[c], 0, block], dtype=np.uint64)
+        ref = np.random.Philox(counter=counter, key=key).random_raw(m)
+        assert got[a, b, c].tobytes() == ref.tobytes()
+    # a scalar call is the same lane
+    assert _raw_block(seeds[0], streams[0], m, word1=int(word1[0]), block=block).tobytes() \
+        == got[0, 0, 0].tobytes()
+
+
+@given(
+    seeds=st.lists(_U64, min_size=1, max_size=4),
+    n=st.integers(1, 16),
+    steps=st.integers(1, 13),
+    T=st.floats(1e-3, 10.0),
+)
+def test_replica_noise_equals_bundles(seeds, n, steps, T):
+    W, dB = replica_noise(seeds, n, T, steps)
+    steps_drawn = np.stack(list(dB), axis=-1)   # (R, n, steps)
+    for r, seed in enumerate(seeds):
+        nb = make_noise_bundle(seed, n, T, steps)
+        assert W[r].tobytes() == nb.common.values.tobytes()
+        assert steps_drawn[r].tobytes() == nb.increments.tobytes()
+
+
+def test_initial_samples_per_seed_row():
+    from rankflow.measures import gaussian, mixture, point_mass, uniform
+
+    seeds = np.array([replica_seed(7, r) for r in range(5)], dtype=np.uint64)
+    for dist in (gaussian(0.5, 2.0), uniform(-1.0, 1.0), point_mass(0.0),
+                 mixture([gaussian(-1.0, 0.5), uniform(0.0, 2.0)], [0.3, 0.7])):
+        rows = dist.sample(32, seeds, STREAM_INIT)
+        assert rows.shape == (5, 32)
+        for row, seed in zip(rows, seeds):
+            assert row.tobytes() == dist.sample(32, int(seed), STREAM_INIT).tobytes()
 
 
 def test_replica_seeds_distinct_and_stable():
