@@ -21,6 +21,7 @@ from .coefficients import ValidationError, build_from_sources
 from .config import ConfigError, RunConfig, parse_config, parse_init
 from .csvio import write_csv, write_cdf_csv, write_manifest, write_path_csv
 from .diagnostics import (
+    MIN_XI_SCALE,
     BumpTestFunction,
     chain_rule_residual,
     coarea_check,
@@ -38,6 +39,10 @@ from .measures import empirical_cdf, grid_cdf
 from .particles import simulate as run_particles
 from .randomness import STREAM_COMMON, make_noise_bundle, sample_path
 from .solver import DomainMarginError, SolverConfig, solve
+
+# how far s and t of diagnose may sit from a noise grid time (as
+# SpdeSolution.snapshot_at allows)
+_GRID_TOL = 1e-9
 
 COMMANDS = ("simulate", "solve", "converge", "martingale", "stability", "diagnose")
 
@@ -178,6 +183,31 @@ def _cmd_stability(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     return outputs, f"stability: implied-C spread {rep.summary['implied_C_spread']:.3g}"
 
 
+def _diagnose_bumps(sc: SolverConfig, grid: np.ndarray, s: float, t: float,
+                    r_xi: float, r_x: float, ys) -> dict:
+    """Check the diagnose parameters that would otherwise fail only after
+    the solve (bump scales, weak-form supports, the window [s, t] on the
+    noise grid) and return the weak-form test functions, one per distinct
+    centre in first-seen order."""
+    if not r_xi >= MIN_XI_SCALE:
+        raise ConfigError(f"r_xi = {r_xi} is below {MIN_XI_SCALE}; the fixed 256-node "
+                          "xi quadrature cannot resolve narrower bumps")
+    if not r_x > 0:
+        raise ConfigError(f"r_x = {r_x} must be positive")
+    fs = {y: Bump1D(y, r_x) for y in ys}
+    for f in fs.values():
+        lo, hi = f.support()
+        if lo <= sc.x_min or hi >= sc.x_max:
+            raise ConfigError(f"bump support [{lo}, {hi}] (y = {f.center}, r_x = {r_x}) must lie "
+                              f"inside (x_min, x_max) = ({sc.x_min}, {sc.x_max})")
+    if not 0.0 <= s < t <= grid[-1]:
+        raise ConfigError(f"need 0 <= s < t <= T, got s = {s}, t = {t}, T = {grid[-1]}")
+    for name, v in (("s", s), ("t", t)):
+        if np.min(np.abs(grid - v)) > _GRID_TOL:
+            raise ConfigError(f"{name} = {v} is not a noise grid time k*T/steps")
+    return fs
+
+
 def _cmd_diagnose(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     cs = _coefficients(cfg)
     sc = _solver_config(cfg)
@@ -190,23 +220,24 @@ def _cmd_diagnose(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     etas = cfg.num_list("eta_list", [0.3, 0.6])
     ys = cfg.num_list("y_list", [0.0])
     W = sample_path(seed, STREAM_COMMON, T, steps)
+    fs = _diagnose_bumps(sc, W.t_grid, s, t, r_xi, r_x, ys)
     u0 = grid_cdf(parse_init(cfg.text("init")), sc.x_min, sc.x_max, sc.cells)
     sol = solve(u0, cs, W, sc)  # snapshot every noise node
-    u_t = sol.snapshot_at(t)
-    w_t = sol.path.value_at(t)
+    u_t = sol.snapshot_at(t, _GRID_TOL)
+    w_t = sol.path.value_at(t, _GRID_TOL)
     tfs = [BumpTestFunction(eta=eta, y=y, r_xi=r_xi, r_x=r_x) for eta in etas for y in ys]
     entropy = entropy_identity_residual(sol, cs, sol.path, tfs, s, t)
+    chain = chain_rule_residual(u_t, cs, tfs, t, w_t)
+    weak = dict(zip(fs, weak_form_residual(sol, cs, sol.path, list(fs.values()), s, t)))
     rows = []
-    for tf, ent in zip(tfs, entropy):
+    for tf, cr, ent in zip(tfs, chain, entropy):
         eta, y = tf.eta, tf.y
-        rows.append(("chain_rule", eta, y, t, t,
-                     chain_rule_residual(u_t, cs, tf, t, w_t), sc.cells))
+        rows.append(("chain_rule", eta, y, t, t, cr, sc.cells))
         # a test integrand varying in both arguments, centered near (y, eta)
         g_fn = lambda x, v, y0=y, e0=eta: np.cos(x - y0) + (v - e0) ** 2
         rows.append(("coarea", eta, y, t, t, coarea_check(u_t, cs, g_fn), sc.cells))
         rows.append(("entropy_identity", eta, y, s, t, ent, sc.cells))
-        rows.append(("weak_form", eta, y, s, t,
-                     weak_form_residual(sol, cs, sol.path, Bump1D(y, r_x), s, t), sc.cells))
+        rows.append(("weak_form", eta, y, s, t, weak[y], sc.cells))
     outputs = [
         write_csv(out / "diagnostics.csv",
                   ("diagnostic", "eta", "y", "s", "t", "residual", "resolution"), rows)

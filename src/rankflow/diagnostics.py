@@ -91,15 +91,6 @@ class BumpTestFunction:
     def rho0(self, xt, xit):
         return self._fx(xt) * self._fxi(xit)
 
-    def rho0_dx(self, xt, xit):
-        return self._fx_d1(xt) * self._fxi(xit)
-
-    def rho0_dxx(self, xt, xit):
-        return self._fx_d2(xt) * self._fxi(xit)
-
-    def rho0_dxi(self, xt, xit):
-        return self._fx(xt) * self._fxi_d1(xit)
-
 
 @dataclass(frozen=True)
 class RhoValues:
@@ -109,13 +100,37 @@ class RhoValues:
     dxi: np.ndarray
 
 
-def eval_rho(tf: BumpTestFunction, cs: CoefficientSet, xi, t: float, x, z_t: float) -> RhoValues:
+def _x_key(tf: BumpTestFunction):
+    return tf.y, tf.r_x
+
+
+def _xi_key(tf: BumpTestFunction):
+    return tf.eta, tf.r_xi
+
+
+def _shared(tfs: Sequence[BumpTestFunction], key, make) -> list:
+    """[make(tf) for tf in tfs], with make called once per distinct key(tf)
+    and its result shared by every test function with that key."""
+    memo = {}
+    for tf in tfs:
+        if key(tf) not in memo:
+            memo[key(tf)] = make(tf)
+    return [memo[key(tf)] for tf in tfs]
+
+
+def _shift(cs: CoefficientSet, xi, t, z_t):
+    """Characteristic displacement b(xi) t + gamma(xi) z_t."""
+    return np.asarray(cs.b(xi)) * t + np.asarray(cs.gamma(xi)) * z_t
+
+
+def eval_rho(tf: BumpTestFunction, cs: CoefficientSet, xi, t, x, z_t) -> RhoValues:
     """Transported test function rho0(x - y - b(xi) t - gamma(xi) z_t,
     xi - eta) with its x, xx and xi partial derivatives; the xi derivative
-    chains through the exact b', gamma'."""
+    chains through the exact b', gamma'.  Every argument broadcasts, so t
+    and z_t may be columns with one row per time."""
     xi = np.asarray(xi, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    shift = np.asarray(cs.b(xi)) * t + np.asarray(cs.gamma(xi)) * z_t
+    shift = _shift(cs, xi, t, z_t)
     xt = x - tf.y - shift
     xit = xi - tf.eta
     d_shift = np.asarray(cs.b_prime(xi)) * t + np.asarray(cs.gamma_prime(xi)) * z_t
@@ -149,38 +164,49 @@ def _grid_ux(u: GridFunction) -> np.ndarray:
     return np.gradient(u.values, u.dx)
 
 
-def chain_rule_forms(u: GridFunction, cs: CoefficientSet, tf: BumpTestFunction,
-                     t: float, w_t: float):
-    """The three evaluations whose agreement expresses the chain rule:
+def chain_rule_forms(u: GridFunction, cs: CoefficientSet, tfs: Sequence[BumpTestFunction],
+                     t: float, w_t: float) -> list[tuple[float, float, float]]:
+    """For each test function rho of the family `tfs`, in order, the three
+    evaluations whose agreement expresses the chain rule:
 
       lhs   = int int chi(xi, u) sigma(xi) rho_x dx dxi
       rhs   = -int S(u)_x rho(u(t,x), t, x) dx
       qform = -int_0^1 sigma(xi) rho0(u^{-1}(xi) - y - b(xi) t
                                        - gamma(xi) w_t, xi - eta) dxi
+
+    b, gamma and sigma are evaluated once per call, and each bump factor
+    once per distinct centre and radius.
     """
-    centers = u.centers()
+    x = u.centers()
     uv = np.clip(u.values, 0.0, 1.0)
+
     nodes, weights = _cell_xi_quadrature(uv)
-    rho = eval_rho(tf, cs, nodes, t, centers[None, :], w_t)
-    sig = np.asarray(cs.sigma(nodes))
-    lhs = float(np.sum(weights * sig * rho.dx) * u.dx)
+    shift = _shift(cs, nodes, t, w_t)
+    w_sig = weights * np.asarray(cs.sigma(nodes))
+    fx1 = _shared(tfs, _x_key, lambda tf: tf._fx_d1((x[None, :] - tf.y) - shift))
+    fxi = _shared(tfs, _xi_key, lambda tf: tf._fxi(nodes - tf.eta))
+    lhs = [float(np.sum(w_sig * (a * c)) * u.dx) for a, c in zip(fx1, fxi)]
+    del fx1, fxi
 
     sx = _grid_sx(u, cs)
-    rho_at_u = eval_rho(tf, cs, uv, t, centers, w_t)
-    rhs = float(-np.sum(sx * rho_at_u.value) * u.dx)
+    shift = _shift(cs, uv, t, w_t)
+    fx = _shared(tfs, _x_key, lambda tf: tf._fx((x - tf.y) - shift))
+    fxi = _shared(tfs, _xi_key, lambda tf: tf._fxi(uv - tf.eta))
+    rhs = [float(-np.sum(sx * (a * c)) * u.dx) for a, c in zip(fx, fxi)]
 
     q = u.quantiles(_NODES01)
-    shift = np.asarray(cs.b(_NODES01)) * t + np.asarray(cs.gamma(_NODES01)) * w_t
-    vals = tf.rho0(q - tf.y - shift, _NODES01 - tf.eta)
-    qform = float(-np.sum(_WEIGHTS01 * np.asarray(cs.sigma(_NODES01)) * vals))
-    return lhs, rhs, qform
+    shift = _shift(cs, _NODES01, t, w_t)
+    w_sig = _WEIGHTS01 * np.asarray(cs.sigma(_NODES01))
+    fx = _shared(tfs, _x_key, lambda tf: tf._fx((q - tf.y) - shift))
+    fxi = _shared(tfs, _xi_key, lambda tf: tf._fxi(_NODES01 - tf.eta))
+    qform = [float(-np.sum(w_sig * (a * c))) for a, c in zip(fx, fxi)]
+    return list(zip(lhs, rhs, qform))
 
 
-def chain_rule_residual(u: GridFunction, cs: CoefficientSet, tf: BumpTestFunction,
-                        t: float, w_t: float) -> float:
-    """|lhs - rhs| of the chain rule at one time."""
-    lhs, rhs, _ = chain_rule_forms(u, cs, tf, t, w_t)
-    return abs(lhs - rhs)
+def chain_rule_residual(u: GridFunction, cs: CoefficientSet, tfs: Sequence[BumpTestFunction],
+                        t: float, w_t: float) -> list[float]:
+    """|lhs - rhs| of the chain rule at one time, per test function in order."""
+    return [abs(lhs - rhs) for lhs, rhs, _ in chain_rule_forms(u, cs, tfs, t, w_t)]
 
 
 def coarea_check(u: GridFunction, cs: CoefficientSet, g) -> float:
@@ -214,12 +240,16 @@ class KineticMeasureEstimate:
         return 0.5 * (self.xi_edges[:-1] + self.xi_edges[1:])
 
     def pair(self, fn) -> float:
-        """sum of fn(xi_bin_center, t_k, x_j) * mass over all deposits."""
-        centers = self.xi_centers()
+        """sum of fn(xi_bin_center, t_k, x_j) * mass over all deposits.
+
+        fn is called once on the whole block: xi of shape (snapshots, cells),
+        t the column of snapshot times and x the cell centres.  The products
+        are summed per snapshot and the row sums added in snapshot order."""
+        vals = fn(self.xi_centers()[self.bin_idx], self.times[:, None], self.x_centers)
+        vals = np.broadcast_to(np.asarray(vals), self.masses.shape)
         total = 0.0
-        for k, t in enumerate(self.times):
-            xi = centers[self.bin_idx[k]]
-            total += float(np.sum(np.asarray(fn(xi, float(t), self.x_centers)) * self.masses[k]))
+        for row, mass in zip(vals, self.masses):
+            total += float(np.sum(row * mass))
         return total
 
 
@@ -249,14 +279,33 @@ def dissipation_measure(sol: SpdeSolution, cs: CoefficientSet, xi_bins=256) -> K
     )
 
 
-def _restrict(sol: SpdeSolution, s: float, t: float) -> tuple[SpdeSolution, np.ndarray]:
+def _restrict(sol: SpdeSolution, s: float, t: float) -> SpdeSolution:
     times = np.asarray(sol.times)
     mask = (times >= s - 1e-12) & (times <= t + 1e-12)
     idx = np.nonzero(mask)[0]
     if idx.size < 2 or abs(times[idx[0]] - s) > 1e-9 or abs(times[idx[-1]] - t) > 1e-9:
         raise ValueError("s and t must be snapshot times with snapshots between them")
-    sub = SpdeSolution(times[idx], tuple(sol.snapshots[i] for i in idx), sol.path)
-    return sub, idx
+    return SpdeSolution(times[idx], tuple(sol.snapshots[i] for i in idx), sol.path)
+
+
+def _entropy_terms(snap: GridFunction, r: float, w_r: float, cs: CoefficientSet,
+                   tfs: Sequence[BumpTestFunction], boundary: bool):
+    """Per test function, int int chi sigma^2 rho_xx at one snapshot and,
+    if `boundary`, int int chi rho (else None).  The xi quadrature, shift
+    and sigma^2 are built once, each bump factor once per distinct centre
+    and radius; all of them are dropped on return."""
+    x = snap.centers()[None, :]
+    nodes, weights = _cell_xi_quadrature(np.clip(snap.values, 0.0, 1.0))
+    shift = _shift(cs, nodes, r, w_r)
+    sig2 = np.asarray(cs.sigma(nodes)) ** 2
+    fxi = _shared(tfs, _xi_key, lambda tf: tf._fxi(nodes - tf.eta))
+    fx_d2 = _shared(tfs, _x_key, lambda tf: tf._fx_d2((x - tf.y) - shift))
+    diffusion = [float(np.sum(weights * (sig2 * (a * c))) * snap.dx) for a, c in zip(fx_d2, fxi)]
+    if not boundary:
+        return diffusion, None
+    del fx_d2
+    fx = _shared(tfs, _x_key, lambda tf: tf._fx((x - tf.y) - shift))
+    return diffusion, [float(np.sum(weights * (a * c)) * snap.dx) for a, c in zip(fx, fxi)]
 
 
 def entropy_identity_residual(sol: SpdeSolution, cs: CoefficientSet, W,
@@ -271,65 +320,65 @@ def entropy_identity_residual(sol: SpdeSolution, cs: CoefficientSet, W,
     with n from dissipation_measure and the entropy defect measure m set
     to zero; each residual therefore estimates the pairing against m.
 
-    The snapshots are walked once: each builds its per-cell xi quadrature,
-    the shift b(xi) r + gamma(xi) w_r and sigma^2 once for the whole
-    family, and is dropped before the next; n is built once per call.
+    The snapshots are walked once, one at a time (`_entropy_terms`); n is
+    built once per call and paired with each rho in one block evaluation.
     """
-    sub, _ = _restrict(sol, s, t)
+    sub = _restrict(sol, s, t)
     times = sub.times
-    w_at = {float(r): W.value_at(float(r)) for r in times}
+    w = np.array([W.value_at(float(r)) for r in times])
     last = len(times) - 1
-    boundary = [[] for _ in tfs]   # int int chi rho at s and at t
-    diffusion = [[] for _ in tfs]  # int int chi sigma^2 rho_xx per snapshot
-
-    for k, (snap, r) in enumerate(zip(sub.snapshots, times)):
-        r = float(r)
-        x = snap.centers()[None, :]
-        nodes, weights = _cell_xi_quadrature(np.clip(snap.values, 0.0, 1.0))
-        shift = np.asarray(cs.b(nodes)) * r + np.asarray(cs.gamma(nodes)) * w_at[r]
-        sig2 = np.asarray(cs.sigma(nodes)) ** 2
-        for i, tf in enumerate(tfs):
-            xt = (x - tf.y) - shift
-            xit = nodes - tf.eta
-            diffusion[i].append(float(np.sum(weights * (sig2 * tf.rho0_dxx(xt, xit))) * snap.dx))
-            if k == 0 or k == last:
-                boundary[i].append(float(np.sum(weights * tf.rho0(xt, xit)) * snap.dx))
+    diffusion = []  # per snapshot, per test function
+    boundary = []   # at s and at t, per test function
+    for k, (snap, r, w_r) in enumerate(zip(sub.snapshots, times, w)):
+        diff_k, bnd_k = _entropy_terms(snap, float(r), float(w_r), cs, tfs, k in (0, last))
+        diffusion.append(diff_k)
+        if bnd_k is not None:
+            boundary.append(bnd_k)
 
     est = dissipation_measure(sub, cs, xi_bins)
     out = []
-    for tf, (bnd_s, bnd_t), diff_vals in zip(tfs, boundary, diffusion):
-        n_pair = est.pair(lambda xi, r, x: eval_rho(tf, cs, xi, r, x, w_at[float(r)]).dxi)
+    for tf, diff_vals, bnd_s, bnd_t in zip(tfs, zip(*diffusion), *boundary):
+        n_pair = est.pair(lambda xi, r, x, tf=tf: eval_rho(tf, cs, xi, r, x, w[:, None]).dxi)
         out.append(-(bnd_t - bnd_s) + 0.5 * float(np.trapezoid(diff_vals, times)) - n_pair)
     return out
 
 
-def weak_form_residual(sol: SpdeSolution, cs: CoefficientSet, W, f: Bump1D,
-                       s: float, t: float) -> float:
-    """Residual of the weak (distributional) form over [s, t] against a
-    compactly supported f: time integrals by trapezoid on the snapshot
-    grid, the noise integral as a left-endpoint Ito sum."""
-    sub, _ = _restrict(sol, s, t)
-    first = sub.snapshots[0]
-    lo, hi = f.support()
-    if lo <= first.x_min or hi >= first.x_max:
-        raise ValueError("test function support must lie inside the domain")
+def weak_form_residual(sol: SpdeSolution, cs: CoefficientSet, W, fs: Sequence[Bump1D],
+                       s: float, t: float) -> list[float]:
+    """Residual of the weak (distributional) form over [s, t] against each
+    compactly supported f of the family `fs`, in order: time integrals by
+    trapezoid on the snapshot grid, the noise integral as a left-endpoint
+    Ito sum.  B, Sigma + Gamma and G are evaluated once per snapshot for
+    the whole family."""
+    first = sol.snapshots[0]
+    for f in fs:
+        lo, hi = f.support()
+        if lo <= first.x_min or hi >= first.x_max:
+            raise ValueError("test function support must lie inside the domain")
+    sub = _restrict(sol, s, t)
     centers = first.centers()
     dx = first.dx
-    fv, f1, f2 = f(centers), f.d1(centers), f.d2(centers)
+    derivs = [(f.d1(centers), f.d2(centers)) for f in fs]
 
     times = sub.times
-    w_vals = np.array([W.value_at(float(r)) for r in times])
-
-    pairing = [float(np.sum(snap.values * fv) * dx) for snap in sub.snapshots]
-    drift = []
-    noise_coef = []
+    dw = np.diff(np.array([W.value_at(float(r)) for r in times]))
+    drift = []       # per snapshot, per f
+    noise_coef = []  # per snapshot, per f
     for snap in sub.snapshots:
         uv = np.clip(snap.values, 0.0, 1.0)
         Bu = cs.eval_transform("B", uv)
         Du = cs.eval_transform("Sigma", uv) + cs.eval_transform("Gamma", uv)
         Gu = cs.eval_transform("G", uv)
-        drift.append(float(np.sum(Bu * f1 + Du * f2) * dx))
-        noise_coef.append(float(np.sum(Gu * f1) * dx))
-    drift_int = float(np.trapezoid(drift, times))
-    noise_sum = float(np.sum(np.asarray(noise_coef[:-1]) * np.diff(w_vals)))
-    return abs(pairing[-1] - pairing[0] - drift_int - noise_sum)
+        drift.append([float(np.sum(Bu * f1 + Du * f2) * dx) for f1, f2 in derivs])
+        noise_coef.append([float(np.sum(Gu * f1) * dx) for f1, _ in derivs])
+
+    u_s, u_t = sub.snapshots[0].values, sub.snapshots[-1].values
+    out = []
+    for f, drift_f, noise_f in zip(fs, zip(*drift), zip(*noise_coef)):
+        fv = f(centers)
+        drift_int = float(np.trapezoid(drift_f, times))
+        noise_sum = float(np.sum(np.asarray(noise_f[:-1]) * dw))
+        pairing_s = float(np.sum(u_s * fv) * dx)
+        pairing_t = float(np.sum(u_t * fv) * dx)
+        out.append(abs(pairing_t - pairing_s - drift_int - noise_sum))
+    return out

@@ -34,6 +34,13 @@ init = "point_mass(0)"
 snapshot_times = [0.5, 1.0]
 """
 
+DIAG_CFG = (
+    'b = "0"\nsigma = "sqrt(2)"\ngamma = "0"\nallow_degenerate = true\n'
+    'table_resolution = 32\nseed = 6\nT = 0.5\nsteps = 16\n'
+    'x_min = -7.0\nx_max = 7.0\ncells = 64\ninit = "point_mass(0)"\n'
+    's = 0.25\nt = 0.5\neta_list = [0.5]\ny_list = [0.0]\n'
+)
+
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
 
@@ -216,18 +223,50 @@ class TestRun:
 class TestDiagnoseAndStability:
     def test_diagnose_schema(self, tmp_path):
         cfg = tmp_path / "diag.cfg"
-        cfg.write_text(
-            'b = "0"\nsigma = "sqrt(2)"\ngamma = "0"\nallow_degenerate = true\n'
-            'table_resolution = 32\nseed = 6\nT = 0.5\nsteps = 16\n'
-            'x_min = -7.0\nx_max = 7.0\ncells = 64\ninit = "point_mass(0)"\n'
-            's = 0.25\nt = 0.5\neta_list = [0.5]\ny_list = [0.0]\n'
-        )
+        cfg.write_text(DIAG_CFG)
         out = tmp_path / "o"
         assert run(["diagnose", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "diagnostics.csv").read_text().splitlines()
         assert lines[0] == "diagnostic,eta,y,s,t,residual,resolution"
         kinds = {ln.split(",")[0] for ln in lines[1:]}
         assert kinds == {"chain_rule", "coarea", "entropy_identity", "weak_form"}
+
+    @pytest.mark.parametrize("values, message", [
+        ({"r_xi": "0.01"}, "r_xi"),
+        ({"r_x": "0.0"}, "r_x"),
+        ({"r_x": "20.0"}, "support"),
+        ({"y_list": "[0.0, 6.5]"}, "support"),
+        ({"s": "0.5", "t": "0.25"}, "0 <= s < t <= T"),
+        ({"t": "0.75"}, "0 <= s < t <= T"),
+        ({"t": "0.37"}, "t = 0.37 is not a noise grid time"),
+        ({"s": "0.1"}, "s = 0.1 is not a noise grid time"),
+    ], ids=["r_xi", "r_x", "r_x_support", "y_support", "s_after_t", "t_after_T",
+            "t_off_grid", "s_off_grid"])
+    def test_diagnose_bad_parameters_exit_2_before_solve(self, tmp_path, capsys, monkeypatch,
+                                                         values, message):
+        """Bump scales, weak-form supports and the window [s, t] are checked
+        before the solve: exit 2 and no CSV."""
+        kept = [ln for ln in DIAG_CFG.splitlines() if ln.split(" = ")[0] not in values]
+        cfg = tmp_path / "diag.cfg"
+        cfg.write_text("\n".join(kept + [f"{k} = {v}" for k, v in values.items()]) + "\n")
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve ran")
+
+        monkeypatch.setattr("rankflow.cli.solve", no_solve)
+        out = tmp_path / "o"
+        assert run(["diagnose", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not list(out.glob("*.csv"))
+
+    def test_diagnose_window_within_grid_tolerance_runs(self, tmp_path):
+        # t = 0.4375 + 5e-10 is 14 T/16 within the 1e-9 that the check allows
+        cfg = tmp_path / "diag.cfg"
+        cfg.write_text(DIAG_CFG.replace("t = 0.5\n", "t = 0.4375000005\n"))
+        out = tmp_path / "o"
+        assert run(["diagnose", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len((out / "diagnostics.csv").read_text().splitlines()) == 5
 
     def test_stability_schema(self, tmp_path):
         cfg = tmp_path / "stab.cfg"

@@ -47,6 +47,24 @@ def _identity_ramp(J=512):
     return GridFunction(-1.0, 2.0, np.clip(centers, 0.0, 1.0))
 
 
+def _family_grid():
+    """2 etas x 2 ys x 2 (r_xi, r_x) pairs: every eta and every y recurs
+    with the other radius, so sharing a bump factor by centre alone fails."""
+    return [BumpTestFunction(eta=eta, y=y, r_xi=r_xi, r_x=r_x)
+            for eta in (0.3, 0.7) for y in (-0.5, 0.5) for r_xi, r_x in ((0.25, 1.0), (0.3, 1.5))]
+
+
+def _bits(values):
+    return [np.float64(v).tobytes() for v in np.ravel(values)]
+
+
+def _small_solution(cs):
+    cfg = SolverConfig(-16.0, 16.0, 64)
+    u0 = grid_cdf(gaussian(0.0, 1.0), cfg.x_min, cfg.x_max, cfg.cells)
+    W = sample_path(4, STREAM_COMMON, 0.5, 8)
+    return solve(u0, cs, W, cfg)
+
+
 def _heat_solution(J, steps, T=1.0, seed=3, snapshot_times=None):
     cs = build_from_sources("0", "sqrt(2)", "0", 64, allow_degenerate=True)
     cfg = SolverConfig(-9.0, 9.0, J)
@@ -100,6 +118,19 @@ class TestEvalRho:
         slope = math.log10(errs[0] / errs[1])
         assert 1.7 <= slope <= 2.3
 
+    def test_column_times_equal_row_calls(self, tf, cs_general):
+        """Column t and z_t broadcast against (rows, points) xi: each row is
+        bit for bit the call with that row's scalar t and z_t."""
+        rng = np.random.default_rng(7)
+        xis = rng.uniform(0.0, 1.0, (5, 40))
+        xs = rng.uniform(-2.0, 2.0, 40)
+        ts, zs = rng.uniform(0.0, 1.0, 5), rng.normal(size=5)
+        block = eval_rho(tf, cs_general, xis, ts[:, None], xs, zs[:, None])
+        for k in range(5):
+            row = eval_rho(tf, cs_general, xis[k], float(ts[k]), xs, float(zs[k]))
+            for name in ("value", "dx", "dxx", "dxi"):
+                assert _bits(getattr(block, name)[k]) == _bits(getattr(row, name))
+
     def test_narrow_xi_scale_rejected(self):
         with pytest.raises(ValueError):
             BumpTestFunction(eta=0.5, y=0.0, r_xi=0.01, r_x=1.0)
@@ -108,14 +139,14 @@ class TestEvalRho:
 class TestChainRule:
     def test_zero_state(self, tf, cs_general):
         u = GridFunction(-1.0, 1.0, np.zeros(64), validate=False)
-        assert chain_rule_residual(u, cs_general, tf, 0.3, 0.1) == 0.0
+        assert chain_rule_residual(u, cs_general, [tf], 0.3, 0.1) == [0.0]
 
     def test_identity_ramp_value_and_residual(self, tf):
         # sigma = 1, b = 0, gamma = 1, t = 0: all three forms equal
         # -int_0^1 rho0(xi - y, xi - eta) dxi
         cs = build_from_sources("0", "1", "1", 64)
         u = _identity_ramp(512)
-        lhs, rhs, qform = chain_rule_forms(u, cs, tf, 0.0, 0.0)
+        [(lhs, rhs, qform)] = chain_rule_forms(u, cs, [tf], 0.0, 0.0)
         oracle = -quad(lambda xi: tf.rho0(xi - tf.y, xi - tf.eta), 0.0, 1.0, limit=200)[0]
         assert abs(lhs - rhs) <= 1e-6
         assert lhs == pytest.approx(oracle, abs=1e-8)
@@ -128,7 +159,7 @@ class TestChainRule:
         W = sample_path(5, STREAM_COMMON, 0.5, 64)
         sol = solve(u0, cs_general, W, cfg, snapshot_times=[0.5])
         u = sol.snapshots[-1]
-        lhs, rhs, qform = chain_rule_forms(u, cs_general, tf, 0.5, W.values[-1])
+        [(lhs, rhs, qform)] = chain_rule_forms(u, cs_general, [tf], 0.5, W.values[-1])
         assert lhs == pytest.approx(qform, abs=5e-3)
         assert rhs == pytest.approx(qform, abs=5e-3)
 
@@ -139,9 +170,22 @@ class TestChainRule:
             cfg = SolverConfig(-16.0, 16.0, J)
             u0 = grid_cdf(gaussian(0, 1), cfg.x_min, cfg.x_max, J)
             sol = solve(u0, cs_general, W, cfg, snapshot_times=[0.5])
-            res[J] = chain_rule_residual(sol.snapshots[-1], cs_general, tf, 0.5, W.values[-1])
+            res[J] = chain_rule_residual(sol.snapshots[-1], cs_general, [tf], 0.5, W.values[-1])[0]
         slope = math.log2(res[128] / res[256])
         assert slope >= 1.0
+
+    def test_family_equals_single_calls(self, cs_general):
+        """A call on a family returns, in order, bit for bit what one call
+        per test function returns; an empty family returns []."""
+        u = _small_solution(cs_general).snapshots[-1]
+        tfs = _family_grid()
+        family = chain_rule_forms(u, cs_general, tfs, 0.5, 0.3)
+        singles = [chain_rule_forms(u, cs_general, [tf], 0.5, 0.3)[0] for tf in tfs]
+        assert _bits(family) == _bits(singles)
+        assert len(set(family)) == len(tfs)
+        residuals = chain_rule_residual(u, cs_general, tfs, 0.5, 0.3)
+        assert residuals == [abs(lhs - rhs) for lhs, rhs, _ in family]
+        assert chain_rule_forms(u, cs_general, [], 0.5, 0.3) == []
 
 
 class TestCoarea:
@@ -210,6 +254,21 @@ class TestDissipationMeasure:
             totals[J] = dissipation_measure(sol, cs, 256).total_mass()
         assert abs(totals[256] - totals[512]) / totals[512] <= 0.02
 
+    def test_block_pair_equals_per_snapshot_loop(self, tf, cs_general):
+        """pair evaluates its integrand once on the whole deposit block; the
+        result is bit for bit the loop of one call per snapshot."""
+        sol = _small_solution(cs_general)
+        est = dissipation_measure(sol, cs_general, 64)
+        w = sol.path.values
+        got = est.pair(lambda xi, r, x: eval_rho(tf, cs_general, xi, r, x, w[:, None]).dxi)
+        ref = 0.0
+        for k, r in enumerate(est.times):
+            xi = est.xi_centers()[est.bin_idx[k]]
+            vals = eval_rho(tf, cs_general, xi, float(r), est.x_centers, float(w[k])).dxi
+            ref += float(np.sum(vals * est.masses[k]))
+        assert ref != 0.0
+        assert _bits(got) == _bits(ref)
+
     def test_requires_uniform_time_grid(self, cs_general):
         snaps = tuple(
             GridFunction(-1.0, 1.0, np.full(8, 0.5), validate=False) for _ in range(3)
@@ -249,24 +308,19 @@ class TestEntropyIdentity:
         W = sample_path(3, STREAM_COMMON, 1.0, 256)
         sol = solve(u0, cs, W, cfg)
         ent = abs(entropy_identity_residual(sol, cs, sol.path, [tf], 0.25, 0.75)[0])
-        cr = chain_rule_residual(sol.snapshot_at(0.75), cs, tf, 0.75, sol.path.value_at(0.75))
+        cr = chain_rule_residual(sol.snapshot_at(0.75), cs, [tf], 0.75, sol.path.value_at(0.75))[0]
         assert ent <= 10.0 * cr
 
     def test_family_equals_single_calls(self, cs_general):
         """A call on a family returns, in order, bit for bit what one call
         per test function returns; an empty family returns []."""
-        cfg = SolverConfig(-16.0, 16.0, 64)
-        u0 = grid_cdf(gaussian(0.0, 1.0), cfg.x_min, cfg.x_max, cfg.cells)
-        W = sample_path(4, STREAM_COMMON, 0.5, 8)
-        sol = solve(u0, cs_general, W, cfg)
-        tfs = [BumpTestFunction(eta=0.3, y=-0.5, r_xi=0.25, r_x=1.0),
-               BumpTestFunction(eta=0.7, y=0.5, r_xi=0.3, r_x=1.5),
-               BumpTestFunction(eta=0.5, y=0.0, r_xi=0.2, r_x=2.0)]
+        sol = _small_solution(cs_general)
+        tfs = _family_grid()
         family = entropy_identity_residual(sol, cs_general, sol.path, tfs, 0.125, 0.5)
         singles = [entropy_identity_residual(sol, cs_general, sol.path, [tf], 0.125, 0.5)[0]
                    for tf in tfs]
-        assert [np.float64(v).tobytes() for v in family] == [np.float64(v).tobytes() for v in singles]
-        assert len(set(family)) == 3
+        assert _bits(family) == _bits(singles)
+        assert len(set(family)) == len(tfs)
         assert entropy_identity_residual(sol, cs_general, sol.path, [], 0.125, 0.5) == []
 
 
@@ -282,7 +336,7 @@ class TestWeakForm:
                 return (-0.5, 0.5)
 
         sol, cs, cfg = _heat_solution(64, 16)
-        assert weak_form_residual(sol, cs, sol.path, ZeroF(), 0.0, 1.0) == 0.0
+        assert weak_form_residual(sol, cs, sol.path, [ZeroF()], 0.0, 1.0) == [0.0]
 
     def test_zero_coefficient_run(self, tf):
         cs = build_from_sources("0", "0", "0", 16, allow_degenerate=True)
@@ -292,7 +346,7 @@ class TestWeakForm:
         W = sample_path(2, STREAM_COMMON, 1.0, 8)
         sol = solve(u0, cs, W, cfg)
         f = Bump1D(0.0, 1.5)
-        assert weak_form_residual(sol, cs, sol.path, f, 0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert weak_form_residual(sol, cs, sol.path, [f], 0.0, 1.0)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_residual_halves_with_dx(self):
         """Oracle run at J in {128, 256, 512}: the residual at least halves
@@ -306,11 +360,26 @@ class TestWeakForm:
             cfg = SolverConfig(-11.0, 12.0, J)
             u0 = grid_cdf(init, cfg.x_min, cfg.x_max, J)
             sol = solve(u0, cs, W, cfg)
-            res[J] = weak_form_residual(sol, cs, sol.path, f, 0.25, 0.75)
+            res[J] = weak_form_residual(sol, cs, sol.path, [f], 0.25, 0.75)[0]
         assert res[128] / res[256] >= 2.0
         assert res[256] / res[512] >= 2.0
 
+    def test_family_equals_single_calls(self, cs_general):
+        """A call on a family returns, in order, bit for bit what one call
+        per f returns; an empty family returns []."""
+        sol = _small_solution(cs_general)
+        fs = [Bump1D(y, r) for y in (-0.5, 0.5) for r in (1.0, 1.5)]
+        family = weak_form_residual(sol, cs_general, sol.path, fs, 0.125, 0.5)
+        singles = [weak_form_residual(sol, cs_general, sol.path, [f], 0.125, 0.5)[0] for f in fs]
+        assert _bits(family) == _bits(singles)
+        assert len(set(family)) == len(fs)
+        assert weak_form_residual(sol, cs_general, sol.path, [], 0.125, 0.5) == []
+
     def test_support_must_be_inside_domain(self, cs_general):
+        """Checked before any other work: s = 0.3 is no snapshot time, yet
+        the error is the support's."""
         sol, cs, cfg = _heat_solution(64, 16)
-        with pytest.raises(ValueError):
-            weak_form_residual(sol, cs, sol.path, Bump1D(0.0, 100.0), 0.0, 1.0)
+        with pytest.raises(ValueError, match="support"):
+            weak_form_residual(sol, cs, sol.path, [Bump1D(0.0, 1.0), Bump1D(0.0, 100.0)], 0.3, 1.0)
+        with pytest.raises(ValueError, match="support"):
+            weak_form_residual(sol, cs, sol.path, [Bump1D(0.0, 1.0), Bump1D(0.0, 100.0)], 0.0, 1.0)
