@@ -445,11 +445,32 @@ r_x = 1.0
 eta_list = [0.3, 0.7]
 y_list = [-0.5, 0.5]
 """,
+    # rank-dependent b and gamma against the mesh solution at two snapshot
+    # times: the rank ordering of the particles and the max over snapshots
+    # reach the errors, which the analytic config above (constant
+    # coefficients, one snapshot) leaves unguarded
+    "converge_spde": """\
+b = "a - 0.5"
+sigma = "1"
+gamma = "0.5*(1 + a)"
+table_resolution = 64
+seed = 17
+T = 0.25
+steps = 16
+n_list = [16, 64]
+replicas = 3
+reference = "spde"
+x_min = -11.0
+x_max = 11.0
+cells = 64
+init = "gaussian(0,1)"
+snapshot_times = [0.125, 0.25]
+""",
 }
 
 # determinism configs whose name is not the command they run
 _CONFIG_COMMANDS = {"solve_sign_change": "solve", "solve_bisect": "solve",
-                    "diagnose_general": "diagnose"}
+                    "diagnose_general": "diagnose", "converge_spde": "converge"}
 
 
 def _run_config(out_root, name: str, cfg_text: str, label: str) -> Path:
