@@ -349,7 +349,7 @@ def weak_form_residual(sol: SpdeSolution, cs: CoefficientSet, W, fs: Sequence[Bu
     compactly supported f of the family `fs`, in order: time integrals by
     trapezoid on the snapshot grid, the noise integral as a left-endpoint
     Ito sum.  B, Sigma + Gamma and G are evaluated once per snapshot for
-    the whole family."""
+    the whole family, G only where the Ito sum reads it: not at t."""
     first = sol.snapshots[0]
     for f in fs:
         lo, hi = f.support()
@@ -362,22 +362,23 @@ def weak_form_residual(sol: SpdeSolution, cs: CoefficientSet, W, fs: Sequence[Bu
 
     times = sub.times
     dw = np.diff(np.array([W.value_at(float(r)) for r in times]))
-    drift = []       # per snapshot, per f
-    noise_coef = []  # per snapshot, per f
-    for snap in sub.snapshots:
+    drift = np.empty((times.size, len(fs)))         # per snapshot, per f
+    noise_coef = np.empty((times.size - 1, len(fs)))  # per left endpoint, per f
+    for i, snap in enumerate(sub.snapshots):
         uv = np.clip(snap.values, 0.0, 1.0)
         Bu = cs.eval_transform("B", uv)
         Du = cs.eval_transform("Sigma", uv) + cs.eval_transform("Gamma", uv)
-        Gu = cs.eval_transform("G", uv)
-        drift.append([float(np.sum(Bu * f1 + Du * f2) * dx) for f1, f2 in derivs])
-        noise_coef.append([float(np.sum(Gu * f1) * dx) for f1, _ in derivs])
+        drift[i] = [float(np.sum(Bu * f1 + Du * f2) * dx) for f1, f2 in derivs]
+        if i < dw.size:
+            Gu = cs.eval_transform("G", uv)
+            noise_coef[i] = [float(np.sum(Gu * f1) * dx) for f1, _ in derivs]
 
     u_s, u_t = sub.snapshots[0].values, sub.snapshots[-1].values
     out = []
-    for f, drift_f, noise_f in zip(fs, zip(*drift), zip(*noise_coef)):
+    for f, drift_f, noise_f in zip(fs, drift.T, noise_coef.T):
         fv = f(centers)
         drift_int = float(np.trapezoid(drift_f, times))
-        noise_sum = float(np.sum(np.asarray(noise_f[:-1]) * dw))
+        noise_sum = float(np.sum(noise_f * dw))
         pairing_s = float(np.sum(u_s * fv) * dx)
         pairing_t = float(np.sum(u_t * fv) * dx)
         out.append(abs(pairing_t - pairing_s - drift_int - noise_sum))
