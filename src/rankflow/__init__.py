@@ -53,7 +53,6 @@ from .particles import NonFiniteState, ParticleState, Trajectory, em_step, rank_
 from .randomness import (
     BrownianPath,
     GridConflict,
-    NoiseBundle,
     make_noise_bundle,
     refine_path,
     sample_path,

@@ -110,8 +110,9 @@ def _cmd_simulate(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     n = cfg.integer("n")
     init = parse_init(cfg.text("init"))
     snap = cfg.num_list("snapshot_times", [0.0, T])
+    _particle_inputs(T, steps, [n], 1, "snapshot time", snap)
     noise = make_noise_bundle(seed, n, T, steps)
-    traj = run_particles(init, cs, T, steps, noise, snapshot_times=snap)
+    traj = run_particles(init.sample(n, seed), cs, T, steps, noise, snapshot_times=snap)
     rows = [
         (t, i, x)
         for t, state in zip(traj.times, traj.states)
@@ -129,16 +130,21 @@ def _cmd_converge(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     cs = _coefficients(cfg)
     reference = cfg.text("reference", "spde")
     T = cfg.num("T")
+    steps = cfg.integer("steps")
+    n_list = cfg.int_list("n_list")
+    replicas = cfg.integer("replicas")
+    snap = cfg.num_list("snapshot_times", [T])
+    _particle_inputs(T, steps, n_list, replicas, "snapshot time", snap)
     rep = convergence_study(
         cs,
         parse_init(cfg.text("init")),
-        cfg.int_list("n_list"),
-        cfg.integer("replicas"),
+        n_list,
+        replicas,
         _solver_config(cfg),
-        cfg.num_list("snapshot_times", [T]),
+        snap,
         seed,
         T,
-        cfg.integer("steps"),
+        steps,
         reference=reference,
     )
     outputs = [write_csv(out / "convergence.csv", rep.columns, rep.rows)]
@@ -160,6 +166,7 @@ def _cmd_martingale(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     n = cfg.integer("n")
     replicas = cfg.integer("replicas")
     steps = cfg.integer("steps")
+    _particle_inputs(t, steps, [n], replicas, "s", [s])
     rep = martingale_statistic(cs, init, _martingale_suite(cfg), s, t, n, replicas, steps, seed)
     outputs = [write_csv(out / "martingale.csv", rep.columns, rep.rows)]
     return outputs, (f"martingale: {len(rep.rows)} triples, "
@@ -183,6 +190,27 @@ def _cmd_stability(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     return outputs, f"stability: implied-C spread {rep.summary['implied_C_spread']:.3g}"
 
 
+def _on_grid(name: str, v: float, grid: np.ndarray) -> None:
+    if np.min(np.abs(grid - v)) > _GRID_TOL:
+        raise ConfigError(f"{name} = {v} is not a noise grid time k*T/steps")
+
+
+def _particle_inputs(T: float, steps: int, ns, replicas: int, name: str, times) -> None:
+    """Reject the particle-study inputs that would otherwise run empty,
+    repeat rows or fail only after work has started: particle counts that
+    are not positive and strictly increasing, fewer than one replica, and
+    times off the noise grid of `steps` steps over [0, T] or out of order."""
+    if not ns or ns[0] < 1 or sorted(set(ns)) != list(ns):
+        raise ConfigError(f"particle counts {list(ns)} must be positive and strictly increasing")
+    if replicas < 1:
+        raise ConfigError(f"replicas = {replicas} must be at least 1")
+    grid = np.linspace(0.0, T, steps + 1)
+    for v in times:
+        _on_grid(name, v, grid)
+    if sorted(set(times)) != list(times):
+        raise ConfigError(f"{name}s {list(times)} must be increasing and distinct")
+
+
 def _diagnose_bumps(sc: SolverConfig, grid: np.ndarray, s: float, t: float,
                     r_xi: float, r_x: float, ys) -> dict:
     """Check the diagnose parameters that would otherwise fail only after
@@ -202,9 +230,8 @@ def _diagnose_bumps(sc: SolverConfig, grid: np.ndarray, s: float, t: float,
                               f"inside (x_min, x_max) = ({sc.x_min}, {sc.x_max})")
     if not 0.0 <= s < t <= grid[-1]:
         raise ConfigError(f"need 0 <= s < t <= T, got s = {s}, t = {t}, T = {grid[-1]}")
-    for name, v in (("s", s), ("t", t)):
-        if np.min(np.abs(grid - v)) > _GRID_TOL:
-            raise ConfigError(f"{name} = {v} is not a noise grid time k*T/steps")
+    _on_grid("s", s, grid)
+    _on_grid("t", t, grid)
     return fs
 
 

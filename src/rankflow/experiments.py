@@ -29,7 +29,6 @@ from .randomness import (
     STREAM_INIT,
     BrownianPath,
     make_noise_bundle,
-    replica_noise,
     replica_seed,
     sample_path,
 )
@@ -82,11 +81,12 @@ def convergence_study(
     reference: the mesh solution of the SPDE (reference="spde") or the exact
     constant-coefficient law (reference="analytic").  The error for (n,
     replica) is the max over snapshot times of the L1 distance between the
-    empirical CDF and the reference CDF.
+    empirical CDF and the reference CDF.  For each n all replicas are
+    simulated in lock-step, one (replicas, n) block.
     """
     n_list = [int(n) for n in n_list]
-    if sorted(n_list) != n_list:
-        raise ValueError("n_list must be increasing")
+    if sorted(set(n_list)) != n_list:
+        raise ValueError("n_list must be strictly increasing")
     snapshot_times = [float(t) for t in snapshot_times]
     if reference == "analytic":
         grid = np.linspace(0.0, 1.0, 2001)
@@ -101,38 +101,34 @@ def convergence_study(
     else:
         raise ValueError(f"unknown reference {reference!r}")
 
-    def one_replica(r: int):
-        seed_r = replica_seed(seed, r)
+    seeds = [replica_seed(seed, r) for r in range(replicas)]
+    refs = []  # per replica, the reference CDF at each snapshot time
+    for seed_r in seeds:
         W = sample_path(seed_r, STREAM_COMMON, T, steps)
         if reference == "spde":
             sol = solve(u0, cs, W, solver_config, snapshot_times=snapshot_times)
-            refs = {t: sol.snapshot_at(t) for t in snapshot_times}
+            refs.append([sol.snapshot_at(t) for t in snapshot_times])
         else:
             b0, s0, g0 = consts
-            refs = {
-                t: analytic_constant_solution(init, b0, s0, g0, t, W.value_at(t), solver_config)
-                for t in snapshot_times
-            }
-        errors = []
-        for n in n_list:
-            noise = make_noise_bundle(seed_r, n, T, steps, common=W)
-            traj = simulate(init, cs, T, steps, noise, snapshot_times=snapshot_times)
-            err = max(
-                l1_cdf_distance(refs[t], empirical_cdf(traj.state_at(t).positions))
-                for t in snapshot_times
-            )
-            errors.append(err)
-        return errors
+            refs.append([analytic_constant_solution(init, b0, s0, g0, t, W.value_at(t), solver_config)
+                         for t in snapshot_times])
 
-    per_replica = [one_replica(r) for r in range(replicas)]
-    rows = []
+    # per n, all replicas march in lock-step, each row on its replica's
+    # common path; errors[j, r] is the error of (n_list[j], replica r)
+    seed_array = np.array(seeds, dtype=np.uint64)
+    errors = np.empty((len(n_list), replicas))
     for j, n in enumerate(n_list):
+        traj = simulate(init.sample(n, seed_array, STREAM_INIT), cs, T, steps,
+                        make_noise_bundle(seed_array, n, T, steps), snapshot_times=snapshot_times)
         for r in range(replicas):
-            rows.append((n, r, per_replica[r][j]))
-    means = {n: float(np.mean([per_replica[r][j] for r in range(replicas)]))
-             for j, n in enumerate(n_list)}
-    stderrs = {n: float(np.std([per_replica[r][j] for r in range(replicas)], ddof=1)
-                        / np.sqrt(replicas)) if replicas > 1 else 0.0
+            errors[j, r] = max(
+                l1_cdf_distance(ref, empirical_cdf(state.positions[r]))
+                for ref, state in zip(refs[r], traj.states)
+            )
+
+    rows = [(n, r, float(errors[j, r])) for j, n in enumerate(n_list) for r in range(replicas)]
+    means = {n: float(np.mean(errors[j])) for j, n in enumerate(n_list)}
+    stderrs = {n: float(np.std(errors[j], ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0
                for j, n in enumerate(n_list)}
     ratios = [means[a] / means[b] for a, b in zip(n_list[:-1], n_list[1:])]
     return ExperimentReport(
@@ -141,7 +137,7 @@ def convergence_study(
                 "snapshot_times": snapshot_times, "reference": reference},
         columns=("n", "replica", "error"),
         rows=tuple(rows),
-        provenance={"seed": seed, "replica_seeds": [replica_seed(seed, r) for r in range(replicas)]},
+        provenance={"seed": seed, "replica_seeds": seeds},
         summary={"mean_error": means, "stderr": stderrs, "adjacent_ratios": ratios},
     )
 
@@ -390,7 +386,7 @@ def martingale_statistic(
     # all replicas march in lock-step, one (R, n) block per step, and each
     # kept state is reduced to v, drift and quad as soon as it is produced
     seeds = np.array([replica_seed(seed, r) for r in range(replicas)], dtype=np.uint64)
-    W, dB = replica_noise(seeds, n, T, steps)
+    W, dB = make_noise_bundle(seeds, n, T, steps)
     start = ParticleState(0.0, init.sample(n, seeds, STREAM_INIT))
     states = itertools.chain([start], march(start, cs, grid, dB, np.diff(W).T))
     list_keys = [tuple(map(id, f_list)) for f_list, _, _ in suite]

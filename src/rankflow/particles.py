@@ -10,18 +10,17 @@ motions and W is the common one.
 
 One stepper serves every caller: a state holds one system (n,) or R
 independent systems (R, n), one per row, and ranks are taken within each
-row, so R replicas march in lock-step and `simulate` is the R = 1 case.
+row, so R replicas march in lock-step.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .measures import InitialDistribution
-from .randomness import STREAM_INIT, NoiseBundle
 
 __all__ = [
     "ParticleState",
@@ -112,22 +111,17 @@ def march(state: ParticleState, cs: CoefficientSet, grid: np.ndarray, dB, dW):
     to grid[k+1] on the increments dB[k] (shaped as the positions) and dW[k]
     (one per row).  `dB` and `dW` are iterables, so the noise of a step may
     be drawn only when the step is taken."""
-    for k, (dB_k, dW_k) in enumerate(zip(dB, dW)):
-        state = em_step(state, cs, grid[k + 1] - grid[k], dB_k, dW_k)
+    for dt, dB_k, dW_k in zip(np.diff(grid), dB, dW):
+        state = em_step(state, cs, dt, dB_k, dW_k)
         yield state
 
 
 @dataclass(frozen=True)
 class Trajectory:
+    """The states at the snapshot times, in order."""
+
     times: np.ndarray
     states: tuple
-    noise: NoiseBundle
-
-    def state_at(self, t: float, tol: float = 1e-9) -> ParticleState:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > tol:
-            raise KeyError(f"no snapshot at t = {t!r}")
-        return self.states[i]
 
 
 def _snapshot_indices(snapshot_times, T: float, steps: int) -> list[int]:
@@ -145,37 +139,20 @@ def _snapshot_indices(snapshot_times, T: float, steps: int) -> list[int]:
     return idx
 
 
-def simulate(initial, cs: CoefficientSet, T: float, steps: int,
-             noise: NoiseBundle, snapshot_times=None) -> Trajectory:
-    """March the particle system over the uniform grid of `noise`.
-
-    `initial` is either an explicit position vector or an
-    InitialDistribution sampled with (noise.seed, init stream).  Snapshot
-    times must lie on the step grid; None captures every step.
-    """
-    if isinstance(initial, InitialDistribution):
-        positions = initial.sample(noise.n, noise.seed, STREAM_INIT)
-    else:
-        positions = np.asarray(initial, dtype=np.float64)
-    if positions.size != noise.n:
-        raise ValueError(f"noise bundle has n = {noise.n}, initial state has {positions.size}")
-
-    state = ParticleState(t=0.0, positions=positions)
+def simulate(positions, cs: CoefficientSet, T: float, steps: int, noise,
+             snapshot_times=None) -> Trajectory:
+    """March the particle system from `positions`, one system (n,) or R
+    replicas (R, n), over the uniform grid with `steps` steps over [0, T] on
+    `noise`, the (W, dB) pair of `make_noise_bundle` for that grid with one
+    row per replica.  Snapshot times must lie on the step grid; None
+    captures every step."""
     want = _snapshot_indices(snapshot_times, T, steps)
-    states = []
-    times = []
-    if 0 in want:
-        states.append(state)
-        times.append(0.0)
-    if steps == 0:
-        return Trajectory(np.asarray(times), tuple(states), noise)
-
-    grid = noise.common.t_grid
-    if grid.size != steps + 1 or abs(grid[-1] - T) > 1e-12 * max(1.0, T):
-        raise ValueError("noise grid does not match (T, steps)")
+    grid = np.linspace(0.0, T, steps + 1)
+    W, dB = noise
+    start = ParticleState(0.0, positions)
+    states = itertools.chain([start], march(start, cs, grid, dB, np.diff(W).T))
+    # march no further than the last snapshot
+    states = itertools.islice(states, max(want, default=-1) + 1)
     want_set = set(want)
-    for k, state in enumerate(march(state, cs, grid, noise.increments.T, noise.common.increments()), 1):
-        if k in want_set:
-            states.append(state)
-            times.append(float(grid[k]))
-    return Trajectory(np.asarray(times), tuple(states), noise)
+    kept = tuple(state for k, state in enumerate(states) if k in want_set)
+    return Trajectory(grid[want], kept)

@@ -24,12 +24,10 @@ from scipy.special import ndtri
 
 __all__ = [
     "BrownianPath",
-    "NoiseBundle",
     "GridConflict",
     "sample_path",
     "refine_path",
     "make_noise_bundle",
-    "replica_noise",
     "uniforms",
     "standard_normals",
     "replica_seed",
@@ -83,21 +81,35 @@ def _philox_block(seed, stream_id, c, word1=0, block=_BLOCK_MAIN) -> np.ndarray:
     pair = (2,) + (1,) * c0.ndim
     m, w = _PHILOX_M.reshape(pair), _PHILOX_W.reshape(pair)
     m_lo, m_hi = m & _LO32, m >> _U32
+    # the round runs in place on four scratch pairs, so a lane holds 14
+    # words, not the 20 of fresh temporaries
+    x_lo, x_hi, u, v = (np.empty_like(even) for _ in range(4))
     with np.errstate(over="ignore"):  # key words wrap mod 2**64
         for rnd in range(10):
             if rnd:
-                key = key + w
+                key += w
             # hi = the high word of m * even from 32-bit halves, where no
             # partial sum overflows (Warren, Hacker's Delight, mulhu)
-            x_lo, x_hi = even & _LO32, even >> _U32
-            u = x_hi * m_lo
-            u += (x_lo * m_lo) >> _U32
-            v = x_lo * m_hi
-            v += u & _LO32
-            hi = x_hi * m_hi
-            hi += u >> _U32
-            hi += v >> _U32
-            even, odd = hi[::-1] ^ odd ^ key, (even * m)[::-1]
+            np.bitwise_and(even, _LO32, out=x_lo)
+            np.right_shift(even, _U32, out=x_hi)
+            np.multiply(x_hi, m_lo, out=u)
+            np.multiply(x_lo, m_lo, out=v)
+            v >>= _U32
+            u += v
+            np.multiply(x_lo, m_hi, out=v)
+            np.bitwise_and(u, _LO32, out=x_lo)
+            v += x_lo
+            x_hi *= m_hi  # hi
+            u >>= _U32
+            x_hi += u
+            v >>= _U32
+            x_hi += v
+            # even, odd = hi[::-1] ^ odd ^ key, (even * m)[::-1]
+            even *= m
+            np.bitwise_xor(x_hi[::-1], odd, out=odd)
+            odd ^= key
+            even, odd = odd, even[::-1]
+    del x_lo, x_hi, u, v, key
     return np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
 
 
@@ -241,58 +253,28 @@ def refine_path(path: BrownianPath, insert_times) -> BrownianPath:
     return BrownianPath(np.insert(t, right, s), np.insert(w, right, ws), path.seed, path.stream_id)
 
 
-@dataclass(frozen=True)
-class NoiseBundle:
-    """One common path W shared by all particles plus an (n, steps) matrix
-    of idiosyncratic increments; row i is particle i's Brownian increments."""
+def make_noise_bundle(seeds, n: int, T: float, steps: int):
+    """The driving noise of an n-particle run on the uniform grid with
+    `steps` steps over [0, T], for one seed or for a 1-d array of seeds, one
+    lock-step replica each; the one noise constructor.
 
-    common: BrownianPath
-    increments: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=np.float64)
-        if inc.ndim != 2 or inc.shape[1] != self.common.t_grid.size - 1:
-            raise ValueError("increments must be (n, steps) on the grid of the common path")
-        inc.setflags(write=False)
-        object.__setattr__(self, "increments", inc)
-
-    @property
-    def n(self) -> int:
-        return self.increments.shape[0]
-
-
-def make_noise_bundle(seed: int, n: int, T: float, steps: int,
-                      common: BrownianPath | None = None) -> NoiseBundle:
-    """Build the driving noise for an n-particle run; pass `common` to
-    couple a particle run to an existing common path.
-
-    Particle i draws from stream i, and row i of the increments equals
-    `sample_path(seed, i, T, steps).increments()` bit for bit: the same
-    per-row arithmetic, applied once to the whole block."""
-    if common is None:
-        common = sample_path(seed, STREAM_COMMON, T, steps)
-    values = _brownian_rows(seed, np.arange(n), T, steps)
-    return NoiseBundle(common=common, increments=np.diff(values, axis=1, prepend=0.0), seed=seed)
-
-
-def replica_noise(seeds, n: int, T: float, steps: int):
-    """The noise of `make_noise_bundle(seeds[r], n, T, steps)` for every
-    replica r, streamed for a lock-step run of all replicas.
-
-    Returns (W, dB): W is the (R, steps + 1) array of the common paths'
-    values, and dB yields, for each step k, the (R, n) array whose row r is
-    column k of that bundle's increments, bit for bit.  dB draws one Philox
-    counter block (four steps of every stream) at a time and carries the
-    running sums across blocks, so each increment is the same difference of
-    the same partial sums as in the bundle while only O(R n) noise is
-    alive."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    W = np.concatenate((np.zeros((seeds.size, 1)), _brownian_rows(seeds, STREAM_COMMON, T, steps)), axis=1)
+    Returns (W, dB).  W holds the values of the common path, shaped
+    (steps + 1,) for one seed and (R, steps + 1) for R seeds; row r equals
+    `sample_path(seeds[r], STREAM_COMMON, T, steps).values` bit for bit.  dB
+    yields, for each step k, the (n,) or (R, n) array of the particles'
+    increments: particle i draws from stream i, and its entry equals
+    `sample_path(seed, i, T, steps).increments()[k]` bit for bit.  dB draws
+    one Philox counter block (four steps of every stream) at a time and
+    carries the running sums across blocks, so each increment is the same
+    difference of the same partial sums as in `sample_path` while only
+    O(R n) noise is alive."""
+    seeds = _u64(seeds)
+    rows = _brownian_rows(seeds, STREAM_COMMON, T, steps)
+    W = np.concatenate((np.zeros(seeds.shape + (1,)), rows), axis=-1)
     scale = np.sqrt(T / steps)
 
     def increments():
-        keys = seeds[:, None], np.arange(n, dtype=np.uint64)
+        keys = np.expand_dims(seeds, -1), np.arange(n, dtype=np.uint64)
         w = None
         for c in range(-(-steps // 4)):
             z = scale * ndtri(_to_uniform(_philox_block(*keys, c)))
@@ -300,6 +282,7 @@ def replica_noise(seeds, n: int, T: float, steps: int):
                 w_next = z[..., j] if w is None else w + z[..., j]
                 yield w_next if w is None else w_next - w
                 w = w_next
+            del z  # free this block before the next is drawn
 
     return W, increments()
 

@@ -41,6 +41,17 @@ DIAG_CFG = (
     's = 0.25\nt = 0.5\neta_list = [0.5]\ny_list = [0.0]\n'
 )
 
+_PARTICLE_COMMON = 'b = "a - 0.5"\nsigma = "1"\ngamma = "0.5*(1 + a)"\ntable_resolution = 32\n'
+PARTICLE_CFGS = {
+    "converge": _PARTICLE_COMMON + (
+        'seed = 4\nT = 0.25\nsteps = 8\nn_list = [8, 16]\nreplicas = 2\nreference = "spde"\n'
+        'x_min = -11.0\nx_max = 11.0\ncells = 32\ninit = "gaussian(0,1)"\n'
+        'snapshot_times = [0.125, 0.25]\n'),
+    "simulate": _PARTICLE_COMMON + 'seed = 4\nT = 0.5\nsteps = 16\nn = 8\ninit = "gaussian(0,1)"\n',
+    "martingale": _PARTICLE_COMMON + (
+        'seed = 3\ns = 0.25\nt = 0.5\nsteps = 8\nn = 16\nreplicas = 3\ninit = "gaussian(0, 1)"\n'),
+}
+
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
 
@@ -256,6 +267,40 @@ class TestDiagnoseAndStability:
         monkeypatch.setattr("rankflow.cli.solve", no_solve)
         out = tmp_path / "o"
         assert run(["diagnose", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command, values, message", [
+        ("converge", {"replicas": "0"}, "replicas = 0"),
+        ("converge", {"n_list": "[0, 16]"}, "particle counts [0, 16]"),
+        ("converge", {"n_list": "[16, 16]"}, "particle counts [16, 16]"),
+        ("converge", {"snapshot_times": "[0.13, 0.25]"}, "snapshot time = 0.13 is not a noise grid time"),
+        ("converge", {"snapshot_times": "[0.25, 0.125]"}, "must be increasing and distinct"),
+        ("simulate", {"n": "0"}, "particle counts [0]"),
+        ("simulate", {"snapshot_times": "[0.1]"}, "snapshot time = 0.1 is not a noise grid time"),
+        ("martingale", {"n": "0"}, "particle counts [0]"),
+        ("martingale", {"replicas": "0"}, "replicas = 0"),
+        ("martingale", {"s": "0.3"}, "s = 0.3 is not a noise grid time"),
+    ], ids=["converge_replicas", "converge_n_zero", "converge_n_repeated", "converge_off_grid",
+            "converge_unordered", "simulate_n_zero", "simulate_off_grid", "martingale_n_zero",
+            "martingale_replicas", "martingale_s_off_grid"])
+    def test_particle_bad_inputs_exit_2_before_work(self, tmp_path, capsys, monkeypatch,
+                                                    command, values, message):
+        """Particle counts, replica counts and snapshot times are checked
+        before any solve or particle run: exit 2 and no CSV."""
+        kept = [ln for ln in PARTICLE_CFGS[command].splitlines() if ln.split(" = ")[0] not in values]
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text("\n".join(kept + [f"{k} = {v}" for k, v in values.items()]) + "\n")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("rankflow.cli.solve", "rankflow.cli.run_particles", "rankflow.experiments.solve",
+                     "rankflow.experiments.simulate", "rankflow.experiments.march"):
+            monkeypatch.setattr(name, no_work)
+        out = tmp_path / "o"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
         assert not list(out.glob("*.csv"))

@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from rankflow.bumps import Bump1D
@@ -21,9 +22,10 @@ from rankflow.experiments import (
     martingale_statistic,
     stability_experiment,
 )
-from rankflow.measures import gaussian, grid_cdf, point_mass
-from rankflow.randomness import sample_path, STREAM_COMMON
-from rankflow.solver import SolverConfig
+from rankflow.measures import empirical_cdf, gaussian, grid_cdf, l1_cdf_distance, point_mass
+from rankflow.particles import ParticleState, march
+from rankflow.randomness import replica_seed, sample_path, STREAM_COMMON
+from rankflow.solver import SolverConfig, solve
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +85,29 @@ class TestConvergenceStudy:
             for _ in range(2)
         ]
         assert reps[0].rows == reps[1].rows
+
+    def test_rows_equal_per_replica_loop(self):
+        """The lock-step study writes the rows of one particle run per
+        (replica, n), each on its own streams' paths, bit for bit."""
+        cs = build_from_sources("a - 0.5", "1", "0.5*(1 + a)", 32)
+        init, sc, times = gaussian(0, 1), SolverConfig(-11.0, 11.0, 48), [0.125, 0.25]
+        n_list, replicas, T, steps = [8, 32], 3, 0.25, 8
+        rep = convergence_study(cs, init, n_list, replicas, sc, times,
+                                seed=23, T=T, steps=steps, reference="spde")
+        u0 = grid_cdf(init, sc.x_min, sc.x_max, sc.cells)
+        grid = np.linspace(0.0, T, steps + 1)
+        errors = {}
+        for r in range(replicas):
+            seed_r = replica_seed(23, r)
+            W = sample_path(seed_r, STREAM_COMMON, T, steps)
+            sol = solve(u0, cs, W, sc, snapshot_times=times)
+            for n in n_list:
+                dB = np.stack([sample_path(seed_r, i, T, steps).increments() for i in range(n)], axis=1)
+                state = ParticleState(0.0, init.sample(n, seed_r))
+                states = dict(zip(grid[1:], march(state, cs, grid, dB, W.increments())))
+                errors[n, r] = max(l1_cdf_distance(sol.snapshot_at(t), empirical_cdf(states[t].positions))
+                                   for t in times)
+        assert rep.rows == tuple((n, r, errors[n, r]) for n in n_list for r in range(replicas))
 
     def test_rows_schema(self, cs_const):
         rep = convergence_study(cs_const, point_mass(0.0), [8], 2,

@@ -12,10 +12,11 @@ from rankflow.particles import (
     NonFiniteState,
     ParticleState,
     em_step,
+    march,
     rank_fractions,
     simulate,
 )
-from rankflow.randomness import NoiseBundle, make_noise_bundle, sample_path
+from rankflow.randomness import STREAM_COMMON, make_noise_bundle, sample_path
 
 
 @pytest.fixture(scope="module")
@@ -135,75 +136,104 @@ class TestEmStep:
         np.testing.assert_array_equal(a.positions[perm], b.positions)
 
 
+def _bundle(seed, n, T, steps):
+    """The noise of `make_noise_bundle` as arrays: the common path's values
+    and the (steps, n) increments."""
+    W, dB = make_noise_bundle(seed, n, T, steps)
+    return W, np.stack(list(dB))
+
+
+def _march_to_end(positions, cs, T, steps, dB, W):
+    """The final state of `march` on explicit (steps, n) increments dB and
+    common-path values W."""
+    state = ParticleState(0.0, positions)
+    for state in march(state, cs, np.linspace(0.0, T, steps + 1), dB, np.diff(W)):
+        pass
+    return state
+
+
 class TestSimulate:
     def test_zero_steps_initial_snapshot_only(self, cs_const):
-        nb = make_noise_bundle(5, 2, 1.0, 1)
-        traj = simulate(np.array([1.0, 2.0]), cs_const, 0.0, 0, nb, snapshot_times=[0.0])
+        noise = make_noise_bundle(5, 2, 1.0, 1)
+        traj = simulate(np.array([1.0, 2.0]), cs_const, 0.0, 0, noise, snapshot_times=[0.0])
         assert len(traj.states) == 1
         np.testing.assert_array_equal(traj.states[0].positions, [1.0, 2.0])
 
     def test_exact_for_constant_coefficients(self, cs_const):
         # X_i(T) = X_i(0) + b T + B^i_T + gamma W_T exactly for EM
-        nb = make_noise_bundle(77, 8, 2.0, 50)
-        traj = simulate(point_mass(0.0), cs_const, 2.0, 50, nb, snapshot_times=[0.0, 2.0])
+        noise = make_noise_bundle(77, 8, 2.0, 50)
+        traj = simulate(point_mass(0.0).sample(8, 77), cs_const, 2.0, 50, noise,
+                        snapshot_times=[0.0, 2.0])
         x0 = traj.states[0].positions
         xt = traj.states[-1].positions
         bt = np.array([sample_path(77, i, 2.0, 50).values[-1] for i in range(8)])
-        wt = nb.common.values[-1]
+        wt = noise[0][-1]
         np.testing.assert_allclose(xt, x0 + 2.0 + bt + 0.5 * wt, atol=2e-14)
 
     def test_permutation_of_initial_positions_and_streams(self, cs_const):
         rng = np.random.default_rng(6)
         n = 12
-        nb = make_noise_bundle(9, n, 1.0, 20)
+        W, dB = _bundle(9, n, 1.0, 20)
         pos = rng.normal(size=n)
         perm = rng.permutation(n)
-        nb_perm = NoiseBundle(common=nb.common, increments=nb.increments[perm], seed=nb.seed)
-        a = simulate(pos, cs_const, 1.0, 20, nb, snapshot_times=[1.0])
-        b = simulate(pos[perm], cs_const, 1.0, 20, nb_perm, snapshot_times=[1.0])
-        np.testing.assert_array_equal(a.states[-1].positions[perm], b.states[-1].positions)
+        a = _march_to_end(pos, cs_const, 1.0, 20, dB, W)
+        b = _march_to_end(pos[perm], cs_const, 1.0, 20, dB[:, perm], W)
+        np.testing.assert_array_equal(a.positions[perm], b.positions)
 
     def test_common_noise_factorization(self):
         # gamma constant: X_i - g W_t does not depend on the common path
         cs = build_from_sources("a - 0.5", "1", "0.7", 32)
         n, T, steps = 30, 1.0, 40
-        base = make_noise_bundle(21, n, T, steps)
-        other_common = sample_path(4242, base.common.stream_id, T, steps)
-        alt = NoiseBundle(common=other_common, increments=base.increments, seed=base.seed)
+        W, dB = _bundle(21, n, T, steps)
+        other_W = sample_path(4242, STREAM_COMMON, T, steps).values
         pos0 = point_mass(0.0).sample(n, 21)
-        a = simulate(pos0, cs, T, steps, base, snapshot_times=[T])
-        b = simulate(pos0, cs, T, steps, alt, snapshot_times=[T])
-        ca = a.states[-1].positions - 0.7 * base.common.values[-1]
-        cb = b.states[-1].positions - 0.7 * other_common.values[-1]
+        a = _march_to_end(pos0, cs, T, steps, dB, W)
+        b = _march_to_end(pos0, cs, T, steps, dB, other_W)
+        ca = a.positions - 0.7 * W[-1]
+        cb = b.positions - 0.7 * other_W[-1]
         # float accumulation prevents exact cancellation; 1e-12 is tight
         np.testing.assert_allclose(ca, cb, atol=1e-12)
 
     def test_recentered_cloud_matches_idiosyncratic_motion(self, cs_const):
         # constant coefficients: the empirical law of X(T) - (bT + gamma W_T)
         # equals that of X(0) + sigma B_T
-        nb = make_noise_bundle(33, 64, 1.0, 32)
+        noise = make_noise_bundle(33, 64, 1.0, 32)
         x0 = point_mass(0.0).sample(64, 33)
-        traj = simulate(x0, cs_const, 1.0, 32, nb, snapshot_times=[1.0])
-        shifted = traj.states[-1].positions - (1.0 + 0.5 * nb.common.values[-1])
+        traj = simulate(x0, cs_const, 1.0, 32, noise, snapshot_times=[1.0])
+        shifted = traj.states[-1].positions - (1.0 + 0.5 * noise[0][-1])
         target = x0 + np.array([sample_path(33, i, 1.0, 32).values[-1] for i in range(64)])
         assert w1(empirical_cdf(shifted), empirical_cdf(target)) < 1e-13
 
     def test_snapshot_off_grid_rejected(self, cs_const):
-        nb = make_noise_bundle(5, 2, 1.0, 10)
+        noise = make_noise_bundle(5, 2, 1.0, 10)
         with pytest.raises(ValueError):
-            simulate(np.array([0.0, 1.0]), cs_const, 1.0, 10, nb, snapshot_times=[0.55])
+            simulate(np.array([0.0, 1.0]), cs_const, 1.0, 10, noise, snapshot_times=[0.55])
 
     def test_mismatched_bundle_rejected(self, cs_const):
-        nb = make_noise_bundle(5, 3, 1.0, 10)
+        noise = make_noise_bundle(5, 3, 1.0, 10)
         with pytest.raises(ValueError):
-            simulate(np.array([0.0, 1.0]), cs_const, 1.0, 10, nb)
+            simulate(np.array([0.0, 1.0]), cs_const, 1.0, 10, noise)
 
     def test_trajectory_reproducible(self, cs_const):
-        nb = make_noise_bundle(13, 5, 1.0, 16)
-        a = simulate(point_mass(0.0), cs_const, 1.0, 16, nb)
-        b = simulate(point_mass(0.0), cs_const, 1.0, 16, nb)
+        x0 = point_mass(0.0).sample(5, 13)
+        a = simulate(x0, cs_const, 1.0, 16, make_noise_bundle(13, 5, 1.0, 16))
+        b = simulate(x0, cs_const, 1.0, 16, make_noise_bundle(13, 5, 1.0, 16))
         for sa, sb in zip(a.states, b.states):
             np.testing.assert_array_equal(sa.positions, sb.positions)
+
+    def test_replica_rows_equal_single_runs(self):
+        """(R, n) positions on a seed array: row r is the run of seed r alone,
+        bit for bit, at every snapshot."""
+        seeds = np.array([3, 2**64 - 1, 40], dtype=np.uint64)
+        x0 = point_mass(0.0).sample(8, seeds)
+        block = simulate(x0, CS_GENERAL, 0.5, 12, make_noise_bundle(seeds, 8, 0.5, 12),
+                         snapshot_times=[0.25, 0.5])
+        for r, seed in enumerate(seeds):
+            row = simulate(x0[r], CS_GENERAL, 0.5, 12, make_noise_bundle(int(seed), 8, 0.5, 12),
+                           snapshot_times=[0.25, 0.5])
+            assert row.times.tobytes() == block.times.tobytes()
+            for a, b in zip(row.states, block.states):
+                assert a.positions.tobytes() == b.positions[r].tobytes()
 
     def test_time_step_self_refinement(self):
         """Rank-dependent coefficients: halving dt (with bridge-coupled
@@ -213,12 +243,9 @@ class TestSimulate:
 
         cs = build_from_sources("a - 0.5", "1", "0.5*(1 + a)", 32)
         n, T = 64, 0.5
+        paths = [sample_path(29, STREAM_COMMON, T, 64)] + [sample_path(29, i, T, 64) for i in range(n)]
 
-        def bundle_at(steps):
-            base = make_noise_bundle(29, n, T, 64)
-            if steps == 64:
-                return base
-            paths = [base.common] + [sample_path(29, i, T, 64) for i in range(n)]
+        def noise_at(steps):
             refined = []
             for p in paths:
                 cur = p
@@ -226,15 +253,13 @@ class TestSimulate:
                     mids = 0.5 * (cur.t_grid[:-1] + cur.t_grid[1:])
                     cur = refine_path(cur, mids)
                 refined.append(cur)
-            return NoiseBundle(common=refined[0],
-                               increments=np.stack([p.increments() for p in refined[1:]]),
-                               seed=29)
+            return refined[0].values, np.stack([p.increments() for p in refined[1:]], axis=1)
 
         x0 = point_mass(0.0).sample(n, 29)
         finals = {}
         for steps in (64, 128, 256):
-            traj = simulate(x0, cs, T, steps, bundle_at(steps), snapshot_times=[T])
-            finals[steps] = traj.states[-1].positions
+            W, dB = noise_at(steps)
+            finals[steps] = _march_to_end(x0, cs, T, steps, dB, W).positions
         d1 = np.max(np.abs(finals[64] - finals[128]))
         d2 = np.max(np.abs(finals[128] - finals[256]))
         assert d2 < d1

@@ -10,10 +10,8 @@ from scipy.stats import kstest
 
 from rankflow.randomness import (
     GridConflict,
-    NoiseBundle,
     make_noise_bundle,
     refine_path,
-    replica_noise,
     replica_seed,
     sample_path,
     standard_normals,
@@ -152,48 +150,40 @@ class TestRefinePath:
         assert refined.values.tobytes() == ref_w.tobytes()
 
 
+_U64 = st.integers(0, 2**64 - 1)
+
+
 class TestNoiseBundle:
     def test_streams_distinct(self):
-        nb = make_noise_bundle(3, 10, 1.0, 5)
-        rows = {r.tobytes() for r in nb.increments} | {nb.common.increments().tobytes()}
+        W, dB = make_noise_bundle(3, 10, 1.0, 5)
+        rows = {r.tobytes() for r in np.stack(list(dB), axis=-1)} | {np.diff(W).tobytes()}
         assert len(rows) == 11
-        assert nb.common.stream_id == STREAM_COMMON
 
     def test_reproducible(self):
-        a = make_noise_bundle(3, 4, 1.0, 5)
-        b = make_noise_bundle(3, 4, 1.0, 5)
-        assert np.array_equal(a.increments, b.increments)
-
-    def test_increment_matrix_shape(self):
-        nb = make_noise_bundle(3, 4, 1.0, 5)
-        assert nb.increments.shape == (4, 5)
-        assert nb.n == 4
-
-    def test_increments_must_match_common_grid(self):
-        nb = make_noise_bundle(3, 4, 1.0, 5)
-        with pytest.raises(ValueError):
-            NoiseBundle(common=nb.common, increments=nb.increments[:, :4], seed=3)
+        a = np.stack(list(make_noise_bundle(3, 4, 1.0, 5)[1]))
+        b = np.stack(list(make_noise_bundle(3, 4, 1.0, 5)[1]))
+        assert np.array_equal(a, b)
 
     @given(
-        seed=st.integers(0, 2**64 - 1),
-        n=st.integers(1, 64),
-        steps=st.integers(1, 64),
+        seeds=st.one_of(_U64, st.lists(_U64, min_size=1, max_size=4)),
+        n=st.integers(1, 16),
+        steps=st.integers(1, 13),
         T=st.floats(1e-3, 10.0),
-        coupled=st.booleans(),
     )
-    def test_batched_rows_equal_per_stream_paths(self, seed, n, steps, T, coupled):
-        common = sample_path(seed ^ 1, STREAM_COMMON, T, steps) if coupled else None
-        nb = make_noise_bundle(seed, n, T, steps, common=common)
-        ref = np.stack([sample_path(seed, i, T, steps).increments() for i in range(n)])
-        assert nb.increments.tobytes() == ref.tobytes()
-        if coupled:
-            assert nb.common is common
-        else:
-            ref_common = sample_path(seed, STREAM_COMMON, T, steps)
-            assert nb.common.values.tobytes() == ref_common.values.tobytes()
-
-
-_U64 = st.integers(0, 2**64 - 1)
+    def test_batched_rows_equal_per_stream_paths(self, seeds, n, steps, T):
+        """For one seed and for a seed array, the common path and every
+        streamed increment equal `sample_path` of their stream, bit for bit."""
+        W, dB = make_noise_bundle(seeds, n, T, steps)
+        steps_drawn = np.stack(list(dB), axis=-1)   # (n, steps) or (R, n, steps)
+        if isinstance(seeds, int):
+            assert W.shape == (steps + 1,) and steps_drawn.shape == (n, steps)
+            W, steps_drawn, seeds = W[None], steps_drawn[None], [seeds]
+        assert W.shape == (len(seeds), steps + 1)
+        assert steps_drawn.shape == (len(seeds), n, steps)
+        for w, drawn, seed in zip(W, steps_drawn, seeds):
+            assert w.tobytes() == sample_path(seed, STREAM_COMMON, T, steps).values.tobytes()
+            ref = np.stack([sample_path(seed, i, T, steps).increments() for i in range(n)])
+            assert drawn.tobytes() == ref.tobytes()
 
 
 @given(
@@ -219,21 +209,6 @@ def test_vectorised_philox_equals_numpy_philox(seeds, streams, times, block, m):
     # a scalar call is the same lane
     assert _raw_block(seeds[0], streams[0], m, word1=int(word1[0]), block=block).tobytes() \
         == got[0, 0, 0].tobytes()
-
-
-@given(
-    seeds=st.lists(_U64, min_size=1, max_size=4),
-    n=st.integers(1, 16),
-    steps=st.integers(1, 13),
-    T=st.floats(1e-3, 10.0),
-)
-def test_replica_noise_equals_bundles(seeds, n, steps, T):
-    W, dB = replica_noise(seeds, n, T, steps)
-    steps_drawn = np.stack(list(dB), axis=-1)   # (R, n, steps)
-    for r, seed in enumerate(seeds):
-        nb = make_noise_bundle(seed, n, T, steps)
-        assert W[r].tobytes() == nb.common.values.tobytes()
-        assert steps_drawn[r].tobytes() == nb.increments.tobytes()
 
 
 def test_initial_samples_per_seed_row():
