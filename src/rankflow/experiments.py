@@ -101,9 +101,9 @@ def convergence_study(
     else:
         raise ValueError(f"unknown reference {reference!r}")
 
-    seeds = [replica_seed(seed, r) for r in range(replicas)]
+    seeds = np.array([replica_seed(seed, r) for r in range(replicas)], dtype=np.uint64)
     refs = []  # per replica, the reference CDF at each snapshot time
-    for seed_r in seeds:
+    for seed_r in seeds.tolist():
         W = sample_path(seed_r, STREAM_COMMON, T, steps)
         if reference == "spde":
             sol = solve(u0, cs, W, solver_config, snapshot_times=snapshot_times)
@@ -115,11 +115,10 @@ def convergence_study(
 
     # per n, all replicas march in lock-step, each row on its replica's
     # common path; errors[j, r] is the error of (n_list[j], replica r)
-    seed_array = np.array(seeds, dtype=np.uint64)
     errors = np.empty((len(n_list), replicas))
     for j, n in enumerate(n_list):
-        traj = simulate(init.sample(n, seed_array, STREAM_INIT), cs, T, steps,
-                        make_noise_bundle(seed_array, n, T, steps), snapshot_times=snapshot_times)
+        traj = simulate(init.sample(n, seeds, STREAM_INIT), cs, T, steps,
+                        make_noise_bundle(seeds, n, T, steps), snapshot_times=snapshot_times)
         for r in range(replicas):
             errors[j, r] = max(
                 l1_cdf_distance(ref, empirical_cdf(state.positions[r]))
@@ -137,7 +136,7 @@ def convergence_study(
                 "snapshot_times": snapshot_times, "reference": reference},
         columns=("n", "replica", "error"),
         rows=tuple(rows),
-        provenance={"seed": seed, "replica_seeds": seeds},
+        provenance={"seed": seed, "replica_seeds": seeds.tolist()},
         summary={"mean_error": means, "stderr": stderrs, "adjacent_ratios": ratios},
     )
 
