@@ -164,6 +164,11 @@ class TestNoiseBundle:
         b = np.stack(list(make_noise_bundle(3, 4, 1.0, 5)[1]))
         assert np.array_equal(a, b)
 
+    def test_increment_matrix_shape(self):
+        W, dB = make_noise_bundle(3, 4, 1.0, 5)
+        assert W.shape == (6,)
+        assert np.stack(list(dB), axis=-1).shape == (4, 5)
+
     @given(
         seeds=st.one_of(_U64, st.lists(_U64, min_size=1, max_size=4)),
         n=st.integers(1, 16),
@@ -209,6 +214,22 @@ def test_vectorised_philox_equals_numpy_philox(seeds, streams, times, block, m):
     # a scalar call is the same lane
     assert _raw_block(seeds[0], streams[0], m, word1=int(word1[0]), block=block).tobytes() \
         == got[0, 0, 0].tobytes()
+
+
+@given(
+    seeds=st.lists(_U64, min_size=1, max_size=4),
+    n=st.integers(1, 16),
+    steps=st.integers(1, 13),
+    T=st.floats(1e-3, 10.0),
+)
+def test_replica_noise_equals_bundles(seeds, n, steps, T):
+    """Row r of the noise for a seed array is the noise for seeds[r] alone."""
+    W, dB = make_noise_bundle(np.array(seeds, dtype=np.uint64), n, T, steps)
+    steps_drawn = np.stack(list(dB), axis=-1)   # (R, n, steps)
+    for r, seed in enumerate(seeds):
+        W1, dB1 = make_noise_bundle(seed, n, T, steps)
+        assert W[r].tobytes() == W1.tobytes()
+        assert steps_drawn[r].tobytes() == np.stack(list(dB1), axis=-1).tobytes()
 
 
 def test_initial_samples_per_seed_row():
