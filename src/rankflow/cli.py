@@ -29,6 +29,7 @@ from .diagnostics import (
     weak_form_residual,
 )
 from .experiments import (
+    _particle_counts,
     convergence_study,
     default_martingale_suite,
     martingale_statistic,
@@ -36,7 +37,7 @@ from .experiments import (
 )
 from .expr import ExpressionSyntaxError
 from .measures import empirical_cdf, grid_cdf
-from .particles import simulate as run_particles
+from .particles import _snapshot_indices, simulate as run_particles
 from .randomness import STREAM_COMMON, make_noise_bundle, sample_path
 from .solver import DomainMarginError, SolverConfig, solve
 
@@ -110,7 +111,7 @@ def _cmd_simulate(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     n = cfg.integer("n")
     init = parse_init(cfg.text("init"))
     snap = cfg.num_list("snapshot_times", [0.0, T])
-    _particle_inputs(T, steps, [n], 1, "snapshot time", snap)
+    _particle_inputs([n], 1, T, steps, snap)
     noise = make_noise_bundle(seed, n, T, steps)
     traj = run_particles(init.sample(n, seed), cs, T, steps, noise, snapshot_times=snap)
     rows = [
@@ -134,7 +135,7 @@ def _cmd_converge(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     n_list = cfg.int_list("n_list")
     replicas = cfg.integer("replicas")
     snap = cfg.num_list("snapshot_times", [T])
-    _particle_inputs(T, steps, n_list, replicas, "snapshot time", snap)
+    _particle_inputs(n_list, replicas, T, steps, snap)
     rep = convergence_study(
         cs,
         parse_init(cfg.text("init")),
@@ -166,7 +167,8 @@ def _cmd_martingale(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     n = cfg.integer("n")
     replicas = cfg.integer("replicas")
     steps = cfg.integer("steps")
-    _particle_inputs(t, steps, [n], replicas, "s", [s])
+    _particle_inputs([n], replicas, t, steps, [])
+    _on_grid("s", s, np.linspace(0.0, t, steps + 1))
     rep = martingale_statistic(cs, init, _martingale_suite(cfg), s, t, n, replicas, steps, seed)
     outputs = [write_csv(out / "martingale.csv", rep.columns, rep.rows)]
     return outputs, (f"martingale: {len(rep.rows)} triples, "
@@ -195,20 +197,18 @@ def _on_grid(name: str, v: float, grid: np.ndarray) -> None:
         raise ConfigError(f"{name} = {v} is not a noise grid time k*T/steps")
 
 
-def _particle_inputs(T: float, steps: int, ns, replicas: int, name: str, times) -> None:
-    """Reject the particle-study inputs that would otherwise run empty,
-    repeat rows or fail only after work has started: particle counts that
-    are not positive and strictly increasing, fewer than one replica, and
-    times off the noise grid of `steps` steps over [0, T] or out of order."""
-    if not ns or ns[0] < 1 or sorted(set(ns)) != list(ns):
-        raise ConfigError(f"particle counts {list(ns)} must be positive and strictly increasing")
+def _particle_inputs(ns, replicas: int, T: float, steps: int, snapshot_times) -> None:
+    """Reject, before any work, the particle-study inputs that would
+    otherwise run empty, repeat rows or fail only after a solve: the
+    particle-count check of `convergence_study`, the snapshot-time check of
+    `simulate` and fewer than one replica."""
+    try:
+        _particle_counts(ns)
+        _snapshot_indices(snapshot_times, T, steps)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     if replicas < 1:
         raise ConfigError(f"replicas = {replicas} must be at least 1")
-    grid = np.linspace(0.0, T, steps + 1)
-    for v in times:
-        _on_grid(name, v, grid)
-    if sorted(set(times)) != list(times):
-        raise ConfigError(f"{name}s {list(times)} must be increasing and distinct")
 
 
 def _diagnose_bumps(sc: SolverConfig, grid: np.ndarray, s: float, t: float,

@@ -63,6 +63,15 @@ class ExperimentReport:
     summary: dict = field(default_factory=dict)
 
 
+def _particle_counts(ns) -> list[int]:
+    """The particle counts as ints; they must be positive and strictly
+    increasing, so that no study runs empty or repeats its rows."""
+    ns = [int(n) for n in ns]
+    if not ns or ns[0] < 1 or sorted(set(ns)) != ns:
+        raise ValueError(f"particle counts {ns} must be positive and strictly increasing")
+    return ns
+
+
 def convergence_study(
     cs: CoefficientSet,
     init: InitialDistribution,
@@ -84,9 +93,7 @@ def convergence_study(
     empirical CDF and the reference CDF.  For each n all replicas are
     simulated in lock-step, one (replicas, n) block.
     """
-    n_list = [int(n) for n in n_list]
-    if sorted(set(n_list)) != n_list:
-        raise ValueError("n_list must be strictly increasing")
+    n_list = _particle_counts(n_list)
     snapshot_times = [float(t) for t in snapshot_times]
     if reference == "analytic":
         grid = np.linspace(0.0, 1.0, 2001)

@@ -149,6 +149,8 @@ def simulate(positions, cs: CoefficientSet, T: float, steps: int, noise,
     want = _snapshot_indices(snapshot_times, T, steps)
     grid = np.linspace(0.0, T, steps + 1)
     W, dB = noise
+    if steps > 0 and np.shape(W)[-1] != steps + 1:  # a zero-step run reads no noise
+        raise ValueError(f"noise has {np.shape(W)[-1] - 1} steps, not {steps}")
     start = ParticleState(0.0, positions)
     states = itertools.chain([start], march(start, cs, grid, dB, np.diff(W).T))
     # march no further than the last snapshot

@@ -65,7 +65,10 @@ _U32 = np.array(32, dtype=np.uint64)
 def _u64(x) -> np.ndarray:
     if isinstance(x, (int, np.integer)):
         return np.asarray(int(x) & _MASK64, dtype=np.uint64)
-    return np.asarray(x).astype(np.uint64, copy=False)
+    if isinstance(x, np.ndarray):
+        return x.astype(np.uint64, copy=False)
+    # a sequence of ints converts exactly, never through float64
+    return np.asarray(x, dtype=np.uint64)
 
 
 def _philox_block(seed, stream_id, c, word1=0, block=_BLOCK_MAIN) -> np.ndarray:

@@ -275,10 +275,10 @@ class TestDiagnoseAndStability:
         ("converge", {"replicas": "0"}, "replicas = 0"),
         ("converge", {"n_list": "[0, 16]"}, "particle counts [0, 16]"),
         ("converge", {"n_list": "[16, 16]"}, "particle counts [16, 16]"),
-        ("converge", {"snapshot_times": "[0.13, 0.25]"}, "snapshot time = 0.13 is not a noise grid time"),
-        ("converge", {"snapshot_times": "[0.25, 0.125]"}, "must be increasing and distinct"),
+        ("converge", {"snapshot_times": "[0.13, 0.25]"}, "snapshot time 0.13 is not on the step grid"),
+        ("converge", {"snapshot_times": "[0.25, 0.125]"}, "snapshot times must be increasing and distinct"),
         ("simulate", {"n": "0"}, "particle counts [0]"),
-        ("simulate", {"snapshot_times": "[0.1]"}, "snapshot time = 0.1 is not a noise grid time"),
+        ("simulate", {"snapshot_times": "[0.1]"}, "snapshot time 0.1 is not on the step grid"),
         ("martingale", {"n": "0"}, "particle counts [0]"),
         ("martingale", {"replicas": "0"}, "replicas = 0"),
         ("martingale", {"s": "0.3"}, "s = 0.3 is not a noise grid time"),

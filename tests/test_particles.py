@@ -214,6 +214,12 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(np.array([0.0, 1.0]), cs_const, 1.0, 10, noise)
 
+    @pytest.mark.parametrize("noise_steps", [8, 12])
+    def test_noise_for_other_step_count_rejected(self, cs_const, noise_steps):
+        noise = make_noise_bundle(5, 2, 1.0, noise_steps)
+        with pytest.raises(ValueError, match="steps"):
+            simulate(np.array([0.0, 1.0]), cs_const, 1.0, 10, noise, snapshot_times=[0.5])
+
     def test_trajectory_reproducible(self, cs_const):
         x0 = point_mass(0.0).sample(5, 13)
         a = simulate(x0, cs_const, 1.0, 16, make_noise_bundle(13, 5, 1.0, 16))

@@ -170,14 +170,18 @@ class TestNoiseBundle:
         assert np.stack(list(dB), axis=-1).shape == (4, 5)
 
     @given(
-        seeds=st.one_of(_U64, st.lists(_U64, min_size=1, max_size=4)),
-        n=st.integers(1, 16),
-        steps=st.integers(1, 13),
+        # one seed over n, steps <= 64; a seed array over a smaller range
+        case=st.one_of(
+            st.tuples(_U64, st.integers(1, 64), st.integers(1, 64)),
+            st.tuples(st.lists(_U64, min_size=1, max_size=4), st.integers(1, 16),
+                      st.integers(1, 13)),
+        ),
         T=st.floats(1e-3, 10.0),
     )
-    def test_batched_rows_equal_per_stream_paths(self, seeds, n, steps, T):
+    def test_batched_rows_equal_per_stream_paths(self, case, T):
         """For one seed and for a seed array, the common path and every
         streamed increment equal `sample_path` of their stream, bit for bit."""
+        seeds, n, steps = case
         W, dB = make_noise_bundle(seeds, n, T, steps)
         steps_drawn = np.stack(list(dB), axis=-1)   # (n, steps) or (R, n, steps)
         if isinstance(seeds, int):
