@@ -150,6 +150,9 @@ def convergence_study(
 
 # --- martingale statistic -------------------------------------------------
 
+# phi and psi broadcast over leading axes: for v of shape (..., k), value(v)
+# and psi(v, w) have shape (...), grad(v) (..., k) and hess(v) (..., k, k).
+
 class PhiConst:
     """phi(v) = c: the compensated process is identically zero."""
 
@@ -162,13 +165,13 @@ class PhiConst:
         self.c = c
 
     def value(self, v):
-        return self.c
+        return np.full(v.shape[:-1], self.c)
 
     def grad(self, v):
-        return np.zeros(1)
+        return np.zeros(v.shape)
 
     def hess(self, v):
-        return np.zeros((1, 1))
+        return np.zeros(v.shape + (1,))
 
 
 class PhiLinear:
@@ -180,13 +183,13 @@ class PhiLinear:
     hess_bound = 0.0
 
     def value(self, v):
-        return float(v[0])
+        return v[..., 0]
 
     def grad(self, v):
-        return np.array([1.0])
+        return np.ones(v.shape)
 
     def hess(self, v):
-        return np.zeros((1, 1))
+        return np.zeros(v.shape + (1,))
 
 
 class PhiSquare:
@@ -200,13 +203,13 @@ class PhiSquare:
         self.hess_bound = 2.0
 
     def value(self, v):
-        return float(v[0] ** 2)
+        return v[..., 0] * v[..., 0]
 
     def grad(self, v):
-        return np.array([2.0 * v[0]])
+        return 2.0 * v
 
     def hess(self, v):
-        return np.array([[2.0]])
+        return np.full(v.shape + (1,), 2.0)
 
 
 class PhiProduct:
@@ -220,13 +223,13 @@ class PhiProduct:
         self.hess_bound = 2.0
 
     def value(self, v):
-        return float(v[0] * v[1])
+        return v[..., 0] * v[..., 1]
 
     def grad(self, v):
-        return np.array([v[1], v[0]])
+        return v[..., ::-1]
 
     def hess(self, v):
-        return np.array([[0.0, 1.0], [1.0, 0.0]])
+        return np.broadcast_to([[0.0, 1.0], [1.0, 0.0]], v.shape + (2,))
 
 
 class PhiTanh:
@@ -241,21 +244,20 @@ class PhiTanh:
         self.hess_bound = c * c * 4.0 / (3.0 * np.sqrt(3.0))  # sup |tanh''|
 
     def value(self, v):
-        return float(np.tanh(self.c * v[0]))
+        return np.tanh(self.c * v[..., 0])
 
     def grad(self, v):
-        return np.array([self.c / np.cosh(self.c * v[0]) ** 2])
+        return self.c / np.cosh(self.c * v) ** 2
 
     def hess(self, v):
-        th = np.tanh(self.c * v[0])
-        return np.array([[-2.0 * self.c**2 * th / np.cosh(self.c * v[0]) ** 2]])
+        return (-2.0 * self.c**2 * np.tanh(self.c * v) / np.cosh(self.c * v) ** 2)[..., None]
 
 
 class PsiConst:
     psi_id = "const"
 
     def __call__(self, v_s, w_s):
-        return 1.0
+        return np.ones(np.shape(w_s))
 
 
 class PsiTanhPairing:
@@ -267,7 +269,7 @@ class PsiTanhPairing:
         self.c = c
 
     def __call__(self, v_s, w_s):
-        return float(np.tanh(self.c * v_s[0]))
+        return np.tanh(self.c * v_s[..., 0])
 
 
 class PsiCosNoise:
@@ -276,14 +278,14 @@ class PsiCosNoise:
     psi_id = "cos_noise"
 
     def __call__(self, v_s, w_s):
-        return float(np.cos(w_s))
+        return np.cos(w_s)
 
 
 class PsiMixed:
     psi_id = "mixed"
 
     def __call__(self, v_s, w_s):
-        return float(np.tanh(2.0 * v_s[0]) * np.cos(w_s))
+        return np.tanh(2.0 * v_s[..., 0]) * np.cos(w_s)
 
 
 def bias_allowance(cs: CoefficientSet, f_list, phi, s: float, t: float) -> float:
@@ -358,11 +360,12 @@ def martingale_statistic(
 
     with F_r the empirical CDF, the pairings evaluated exactly through the
     step structure of F_r, and the dr-integrals by trapezoid on the
-    simulation grid.  Each replica is simulated once, all replicas in
-    lock-step on the noise of `make_noise_bundle`, and every triple is
-    evaluated on its trajectory, so a triple's row does not depend on the
-    rest of the suite.  Rows and the per-row summary lists are in suite
-    order.
+    simulation grid.  All replicas are simulated once, in lock-step on the
+    noise of `make_noise_bundle`.  Each kept state is reduced per distinct
+    bump to <F, f> and the three pairings over all replicas at once; phi,
+    psi and the integrals then act on (replicas, kept states, k) blocks, so
+    a triple's row does not depend on the rest of the suite.  Rows and the
+    per-row summary lists are in suite order.
     """
     if not 0.0 <= s <= t:
         raise ValueError("need 0 <= s <= t")
@@ -380,58 +383,43 @@ def martingale_statistic(
         raise ValueError("s must lie on the simulation grid")
     # M_t - M_s reads only the states from s on
     kept = grid[s_idx:]
-    bumps = list({id(f): f for f_list, _, _ in suite for f in f_list}.values())
+    bumps = {id(f): f for f_list, _, _ in suite for f in f_list}
 
     # pairing of g(F) against f' for a step CDF F with sorted atoms x_(l):
-    # <g(F), f'> = -sum_l (g(l/n) - g((l-1)/n)) f(x_(l))
+    # <g(F), f'> = f(x_(.)) @ -(g(l/n) - g((l-1)/n))
     levels = np.arange(n + 1) / n
-    dB_lv = np.diff(cs.eval_transform("B", levels))
-    dD_lv = np.diff(cs.eval_transform("Sigma", levels) + cs.eval_transform("Gamma", levels))
-    dG_lv = np.diff(cs.eval_transform("G", levels))
+    dB_lv, dD_lv, dG_lv = (-np.diff(g) for g in (
+        cs.eval_transform("B", levels),
+        cs.eval_transform("Sigma", levels) + cs.eval_transform("Gamma", levels),
+        cs.eval_transform("G", levels)))
 
-    # all replicas march in lock-step, one (R, n) block per step, and each
-    # kept state is reduced to v, drift and quad as soon as it is produced
+    # all replicas march in lock-step, one (R, n) block per step; each kept
+    # state is reduced per bump to <F, f>, <B(F), f'>, <(Sigma+Gamma)(F), f''>
+    # and <G(F), f'> as soon as it is produced
     seeds = np.array([replica_seed(seed, r) for r in range(replicas)], dtype=np.uint64)
     W, dB = make_noise_bundle(seeds, n, T, steps)
     start = ParticleState(0.0, init.sample(n, seeds, STREAM_INIT))
     states = itertools.chain([start], march(start, cs, grid, dB, np.diff(W).T))
-    list_keys = [tuple(map(id, f_list)) for f_list, _, _ in suite]
-    f_lists = dict(zip(list_keys, (f_list for f_list, _, _ in suite)))
-    v = [np.empty((replicas, kept.size, phi.k)) for _, phi, _ in suite]
-    drift = np.empty((len(suite), replicas, kept.size))
-    quad = np.empty((len(suite), replicas, kept.size))
+    reduced = {key: np.empty((4, replicas, kept.size)) for key in bumps}
     for m, state in enumerate(itertools.islice(states, s_idx, None)):
         srt = state.sorted_positions()
-        # f, f' and the tail mean once per distinct bump and state
-        evals = {id(f): (f(srt), f.d1(srt), f.tail_integral(srt).mean(axis=1)) for f in bumps}
-        pairs = {}
-        for key, f_list in f_lists.items():
-            fvals = -np.stack([evals[id(f)][0] for f in f_list], axis=1)   # (R, k, n)
-            f1vals = -np.stack([evals[id(f)][1] for f in f_list], axis=1)
-            # one (k, n) @ (n,) product per replica: BLAS rounds a stacked
-            # product differently from the one-trajectory pairing
-            pairs[key] = [(fv @ dB_lv,     # <B(F), f_i'>
-                           f1v @ dD_lv,    # <(Sigma+Gamma)(F), f_i''>
-                           fv @ dG_lv)     # <G(F), f_i'>
-                          for fv, f1v in zip(fvals, f1vals)]
-        for j, ((f_list, phi, _), key) in enumerate(zip(suite, list_keys)):
-            v[j][:, m] = np.stack([evals[id(f)][2] for f in f_list], axis=1)
-            for r, (pair_b, pair_d, pair_g) in enumerate(pairs[key]):
-                gr = phi.grad(v[j][r, m])
-                he = phi.hess(v[j][r, m])
-                drift[j, r, m] = float(gr @ (pair_b + pair_d))
-                quad[j, r, m] = 0.5 * float(pair_g @ he @ pair_g)
-    integrand = drift + quad
-    # (triples, replicas), each row contiguous
-    samples = np.empty((len(suite), replicas))
-    for j, (_, phi, psi) in enumerate(suite):
-        for r in range(replicas):
-            # M_t - M_s: the phi(v_0) terms cancel
-            m_diff = (
-                phi.value(v[j][r, -1]) - phi.value(v[j][r, 0])
-                - float(np.trapezoid(integrand[j, r], kept))
-            )
-            samples[j, r] = m_diff * psi(v[j][r, 0], float(W[r, s_idx]))
+        for key, f in bumps.items():
+            fv = f(srt)
+            reduced[key][:, :, m] = (f.tail_integral(srt).mean(axis=1), fv @ dB_lv,
+                                     f.d1(srt) @ dD_lv, fv @ dG_lv)
+
+    integrand = np.empty((len(suite), replicas, kept.size))
+    phi_diff = np.empty((len(suite), replicas))
+    weight = np.empty((len(suite), replicas))
+    for j, (f_list, phi, psi) in enumerate(suite):
+        # each (replicas, kept, k)
+        v, pair_b, pair_d, pair_g = np.stack([reduced[id(f)] for f in f_list], axis=-1)
+        integrand[j] = (np.einsum("...i,...i", phi.grad(v), pair_b + pair_d)
+                        + 0.5 * np.einsum("...i,...ij,...j", pair_g, phi.hess(v), pair_g))
+        phi_diff[j] = phi.value(v[:, -1]) - phi.value(v[:, 0])
+        weight[j] = psi(v[:, 0], W[:, s_idx])
+    # M_t - M_s times Psi per (triple, replica): the phi(v_0) terms cancel
+    samples = (phi_diff - np.trapezoid(integrand, kept)) * weight
     rows = []
     for (f_list, phi, psi), col in zip(suite, samples):
         estimate = float(col.mean())

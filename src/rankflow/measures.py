@@ -61,11 +61,6 @@ class StepCDF:
     def breakpoints(self) -> np.ndarray:
         return np.unique(self.points)
 
-    def quantile(self, xi: float) -> float:
-        """Generalized inverse inf{x : F(x) >= xi} for xi in (0, 1)."""
-        k = int(np.ceil(xi * self.n)) - 1
-        return float(self.points[min(max(k, 0), self.n - 1)])
-
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -116,9 +111,6 @@ class GridFunction:
 
     def breakpoints(self) -> np.ndarray:
         return self._anchors()[0]
-
-    def quantile(self, xi: float) -> float:
-        return float(self.quantiles(np.asarray([xi]))[0])
 
     def quantiles(self, xi: np.ndarray) -> np.ndarray:
         """Vectorized generalized inverse inf{x : F(x) >= xi}."""

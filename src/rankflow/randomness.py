@@ -29,7 +29,6 @@ __all__ = [
     "refine_path",
     "make_noise_bundle",
     "uniforms",
-    "standard_normals",
     "replica_seed",
     "STREAM_COMMON",
     "STREAM_INIT",
@@ -135,10 +134,6 @@ def uniforms(seed, stream_id, n: int) -> np.ndarray:
     """n uniforms in (0, 1) from the sampling block; broadcasts over seed and
     stream_id like `_raw_block`."""
     return _to_uniform(_raw_block(seed, stream_id, n, block=_BLOCK_SAMPLING))
-
-
-def standard_normals(seed, stream_id, n: int) -> np.ndarray:
-    return ndtri(_to_uniform(_raw_block(seed, stream_id, n)))
 
 
 def _bridge_normals(seed, stream_id, times) -> np.ndarray:
@@ -265,12 +260,11 @@ def make_noise_bundle(seeds, n: int, T: float, steps: int):
     (steps + 1,) for one seed and (R, steps + 1) for R seeds; row r equals
     `sample_path(seeds[r], STREAM_COMMON, T, steps).values` bit for bit.  dB
     yields, for each step k, the (n,) or (R, n) array of the particles'
-    increments: particle i draws from stream i, and its entry equals
-    `sample_path(seed, i, T, steps).increments()[k]` bit for bit.  dB draws
-    one Philox counter block (four steps of every stream) at a time and
-    carries the running sums across blocks, so each increment is the same
-    difference of the same partial sums as in `sample_path` while only
-    O(R n) noise is alive."""
+    increments: particle i draws from stream i, its increment k is
+    sqrt(T/steps) times the normal of word k, and the cumulative sum of its
+    increments equals `sample_path(seed, i, T, steps).values[1:]` bit for
+    bit.  dB draws one Philox counter block (four steps of every stream) at
+    a time, so only O(R n) noise is alive."""
     seeds = _u64(seeds)
     rows = _brownian_rows(seeds, STREAM_COMMON, T, steps)
     W = np.concatenate((np.zeros(seeds.shape + (1,)), rows), axis=-1)
@@ -278,13 +272,10 @@ def make_noise_bundle(seeds, n: int, T: float, steps: int):
 
     def increments():
         keys = np.expand_dims(seeds, -1), np.arange(n, dtype=np.uint64)
-        w = None
         for c in range(-(-steps // 4)):
             z = scale * ndtri(_to_uniform(_philox_block(*keys, c)))
             for j in range(min(4, steps - 4 * c)):
-                w_next = z[..., j] if w is None else w + z[..., j]
-                yield w_next if w is None else w_next - w
-                w = w_next
+                yield z[..., j]
             del z  # free this block before the next is drawn
 
     return W, increments()

@@ -538,7 +538,15 @@ def test_golden_digests(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    old = json.loads(_GOLDEN.read_text()) if _GOLDEN.exists() else {"versions": None, "digests": {}}
     with tempfile.TemporaryDirectory() as d:
         payload = {"versions": _library_versions(), "digests": _csv_digests(Path(d))}
+    if old["versions"] != payload["versions"]:
+        print(f"versions: {old['versions']} -> {payload['versions']}")
+    # every key that changed, appeared or disappeared, with its old and new value
+    for key in sorted(old["digests"].keys() | payload["digests"].keys()):
+        before, after = old["digests"].get(key), payload["digests"].get(key)
+        if before != after:
+            print(f"changed {key}: {before} -> {after}")
     _GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(payload['digests'])} digests to {_GOLDEN}")

@@ -4,6 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import ndtri
 
 from rankflow.bumps import Bump1D
 from rankflow.coefficients import ValidationError, build_from_sources
@@ -19,12 +23,20 @@ from rankflow.experiments import (
     PsiTanhPairing,
     bias_allowance,
     convergence_study,
+    default_martingale_suite,
     martingale_statistic,
     stability_experiment,
 )
 from rankflow.measures import empirical_cdf, gaussian, grid_cdf, l1_cdf_distance, point_mass
 from rankflow.particles import ParticleState, march
-from rankflow.randomness import replica_seed, sample_path, STREAM_COMMON
+from rankflow.randomness import (
+    STREAM_COMMON,
+    _raw_block,
+    _to_uniform,
+    make_noise_bundle,
+    replica_seed,
+    sample_path,
+)
 from rankflow.solver import SolverConfig, solve
 
 
@@ -102,7 +114,8 @@ class TestConvergenceStudy:
             W = sample_path(seed_r, STREAM_COMMON, T, steps)
             sol = solve(u0, cs, W, sc, snapshot_times=times)
             for n in n_list:
-                dB = np.stack([sample_path(seed_r, i, T, steps).increments() for i in range(n)], axis=1)
+                dB = np.stack([np.sqrt(T / steps) * ndtri(_to_uniform(_raw_block(seed_r, i, steps)))
+                               for i in range(n)], axis=1)
                 state = ParticleState(0.0, init.sample(n, seed_r))
                 states = dict(zip(grid[1:], march(state, cs, grid, dB, W.increments())))
                 errors[n, r] = max(l1_cdf_distance(sol.snapshot_at(t), empirical_cdf(states[t].positions))
@@ -117,7 +130,92 @@ class TestConvergenceStudy:
         assert all(len(r) == 3 for r in rep.rows)
 
 
+_PHIS = [PhiConst(1.5), PhiLinear(), PhiSquare(1.0), PhiProduct(1.0), PhiTanh(2.0)]
+_PSIS = [PsiConst(), PsiTanhPairing(3.0), PsiCosNoise(), PsiMixed()]
+
+
+def _rows_equal_block(fn, *block):
+    """fn on a block equals fn on each row alone, bit for bit."""
+    out = fn(*block)
+    for r in range(block[0].shape[0]):
+        assert np.asarray(fn(*(a[r] for a in block))).tobytes() == out[r].tobytes()
+
+
+@given(data=st.data(), phi=st.sampled_from(_PHIS), R=st.integers(1, 5))
+def test_phi_block_derivatives_and_rows(data, phi, R):
+    """On an (R, k) block, grad is the central difference of value and hess
+    that of grad, hess is symmetric, and every method equals its one-row
+    calls bit for bit."""
+    v = data.draw(arrays(np.float64, (R, phi.k), elements=st.floats(-3.0, 3.0)))
+    h = 1e-5
+    shifts = h * np.eye(phi.k)
+    fd_grad = np.stack([(phi.value(v + e) - phi.value(v - e)) / (2 * h) for e in shifts], axis=-1)
+    fd_hess = np.stack([(phi.grad(v + e) - phi.grad(v - e)) / (2 * h) for e in shifts], axis=-1)
+    grad, hess = phi.grad(v), phi.hess(v)
+    assert phi.value(v).shape == (R,) and grad.shape == (R, phi.k)
+    assert hess.shape == (R, phi.k, phi.k)
+    np.testing.assert_allclose(grad, fd_grad, rtol=0, atol=1e-7)
+    np.testing.assert_allclose(hess, fd_hess, rtol=0, atol=1e-7)
+    assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+    for method in (phi.value, phi.grad, phi.hess):
+        _rows_equal_block(method, v)
+
+
+@given(data=st.data(), psi=st.sampled_from(_PSIS), R=st.integers(1, 5), k=st.integers(1, 2))
+def test_psi_block_equals_rows(data, psi, R, k):
+    v = data.draw(arrays(np.float64, (R, k), elements=st.floats(-3.0, 3.0)))
+    w = data.draw(arrays(np.float64, (R,), elements=st.floats(-5.0, 5.0)))
+    assert psi(v, w).shape == (R,)
+    _rows_equal_block(psi, v, w)
+
+
+def _martingale_loop(cs, init, suite, s, t, n, replicas, steps, seed):
+    """Reference for `martingale_statistic`: each replica marched on its own
+    noise, each triple evaluated state by state with one-trajectory
+    (k, n) @ (n,) pairings and scalar phi and psi.  Returns the estimates
+    and standard errors, one per triple."""
+    grid = np.linspace(0.0, t, steps + 1)
+    s_idx = round(s / t * steps)
+    levels = np.arange(n + 1) / n
+    dB_lv = np.diff(cs.eval_transform("B", levels))
+    dD_lv = np.diff(cs.eval_transform("Sigma", levels) + cs.eval_transform("Gamma", levels))
+    dG_lv = np.diff(cs.eval_transform("G", levels))
+    samples = np.empty((len(suite), replicas))
+    for r in range(replicas):
+        seed_r = replica_seed(seed, r)
+        W, dB = make_noise_bundle(seed_r, n, t, steps)
+        start = ParticleState(0.0, init.sample(n, seed_r))
+        states = [start, *march(start, cs, grid, dB, np.diff(W))][s_idx:]
+        for j, (f_list, phi, psi) in enumerate(suite):
+            v, integrand = [], []
+            for state in states:
+                srt = state.sorted_positions()
+                fv = -np.stack([f(srt) for f in f_list])
+                f1v = -np.stack([f.d1(srt) for f in f_list])
+                pair_b, pair_d, pair_g = fv @ dB_lv, f1v @ dD_lv, fv @ dG_lv
+                v_m = np.array([f.tail_integral(srt).mean() for f in f_list])
+                v.append(v_m)
+                integrand.append(float(phi.grad(v_m) @ (pair_b + pair_d))
+                                 + 0.5 * float(pair_g @ phi.hess(v_m) @ pair_g))
+            m_diff = (float(phi.value(v[-1])) - float(phi.value(v[0]))
+                      - float(np.trapezoid(integrand, grid[s_idx:])))
+            samples[j, r] = m_diff * float(psi(v[0], W[s_idx]))
+    return samples.mean(axis=1), samples.std(axis=1, ddof=1) / np.sqrt(replicas)
+
+
 class TestMartingaleStatistic:
+    @pytest.mark.parametrize("s", [0.0, 0.25])
+    def test_block_statistic_equals_per_replica_loop(self, s):
+        """The block computation over (replicas, kept states) agrees with the
+        per-replica, per-triple loop on the whole default suite."""
+        cs = build_from_sources("a - 0.5", "1", "0.5*(1 + a)", 32)
+        suite = default_martingale_suite()
+        kw = dict(s=s, t=0.5, n=24, replicas=3, steps=8, seed=29)
+        rep = martingale_statistic(cs, gaussian(0, 1), suite, **kw)
+        estimate, stderr = _martingale_loop(cs, gaussian(0, 1), suite, **kw)
+        np.testing.assert_allclose(rep.summary["estimate"], estimate, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rep.summary["stderr"], stderr, rtol=1e-12, atol=0)
+
     def test_constant_phi_statistic_exactly_zero(self, cs_const):
         rep = martingale_statistic(
             cs_const, gaussian(0, 1), [([Bump1D(0.0, 2.0)], PhiConst(), PsiConst())],

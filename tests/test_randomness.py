@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import kstest
 
 from rankflow.randomness import (
@@ -14,12 +15,12 @@ from rankflow.randomness import (
     refine_path,
     replica_seed,
     sample_path,
-    standard_normals,
     STREAM_COMMON,
     STREAM_INIT,
     _brownian_rows,
     _bridge_normals,
     _raw_block,
+    _to_uniform,
 )
 
 
@@ -53,8 +54,10 @@ class TestSamplePath:
             sample_path(1, 1, 1.0, 0)
 
     def test_ks_normality_of_standardized_increments(self):
-        z = standard_normals(123, 77, 10_000)
-        assert kstest(z, "norm").pvalue > 0.001
+        # 100 particles' streams over 100 steps: 10_000 increments
+        T, steps = 2.0, 100
+        z = np.stack(list(make_noise_bundle(123, 100, T, steps)[1])) / np.sqrt(T / steps)
+        assert kstest(z.ravel(), "norm").pvalue > 0.001
 
 
 def _sequential_refine(path, insert_times):
@@ -179,8 +182,10 @@ class TestNoiseBundle:
         T=st.floats(1e-3, 10.0),
     )
     def test_batched_rows_equal_per_stream_paths(self, case, T):
-        """For one seed and for a seed array, the common path and every
-        streamed increment equal `sample_path` of their stream, bit for bit."""
+        """For one seed and for a seed array, the common path equals
+        `sample_path` of its stream, and the cumulative sum of every
+        particle's streamed increments equals the values of `sample_path` of
+        the particle's stream, bit for bit."""
         seeds, n, steps = case
         W, dB = make_noise_bundle(seeds, n, T, steps)
         steps_drawn = np.stack(list(dB), axis=-1)   # (n, steps) or (R, n, steps)
@@ -191,8 +196,11 @@ class TestNoiseBundle:
         assert steps_drawn.shape == (len(seeds), n, steps)
         for w, drawn, seed in zip(W, steps_drawn, seeds):
             assert w.tobytes() == sample_path(seed, STREAM_COMMON, T, steps).values.tobytes()
-            ref = np.stack([sample_path(seed, i, T, steps).increments() for i in range(n)])
-            assert drawn.tobytes() == ref.tobytes()
+            ref = np.stack([sample_path(seed, i, T, steps).values[1:] for i in range(n)])
+            assert np.cumsum(drawn, axis=-1).tobytes() == ref.tobytes()
+            # and increment k is sqrt(T/steps) times the normal of word k
+            z = ndtri(_to_uniform(_raw_block(seed, np.arange(n, dtype=np.uint64), steps)))
+            assert drawn.tobytes() == (np.sqrt(T / steps) * z).tobytes()
 
 
 @given(
