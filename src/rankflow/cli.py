@@ -37,13 +37,9 @@ from .experiments import (
 )
 from .expr import ExpressionSyntaxError
 from .measures import empirical_cdf, grid_cdf
-from .particles import _snapshot_indices, simulate as run_particles
-from .randomness import STREAM_COMMON, make_noise_bundle, sample_path
+from .particles import simulate as run_particles, snapshot_indices
+from .randomness import STREAM_COMMON, grid_indices, make_noise_bundle, sample_path
 from .solver import DomainMarginError, SolverConfig, solve
-
-# how far s and t of diagnose may sit from a noise grid time (as
-# SpdeSolution.snapshot_at allows)
-_GRID_TOL = 1e-9
 
 COMMANDS = ("simulate", "solve", "converge", "martingale", "stability", "diagnose")
 
@@ -78,7 +74,6 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
         x_min=cfg.num("x_min"),
         x_max=cfg.num("x_max"),
         cells=cfg.integer("cells"),
-        cfl_target=cfg.num("cfl_target", 0.9),
     )
 
 
@@ -167,8 +162,7 @@ def _cmd_martingale(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     n = cfg.integer("n")
     replicas = cfg.integer("replicas")
     steps = cfg.integer("steps")
-    _particle_inputs([n], replicas, t, steps, [])
-    _on_grid("s", s, np.linspace(0.0, t, steps + 1))
+    _particle_inputs([n], replicas, t, steps, [], s=s)
     rep = martingale_statistic(cs, init, _martingale_suite(cfg), s, t, n, replicas, steps, seed)
     outputs = [write_csv(out / "martingale.csv", rep.columns, rep.rows)]
     return outputs, (f"martingale: {len(rep.rows)} triples, "
@@ -192,19 +186,20 @@ def _cmd_stability(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     return outputs, f"stability: implied-C spread {rep.summary['implied_C_spread']:.3g}"
 
 
-def _on_grid(name: str, v: float, grid: np.ndarray) -> None:
-    if np.min(np.abs(grid - v)) > _GRID_TOL:
-        raise ConfigError(f"{name} = {v} is not a noise grid time k*T/steps")
-
-
-def _particle_inputs(ns, replicas: int, T: float, steps: int, snapshot_times) -> None:
+def _particle_inputs(ns, replicas: int, T: float, steps: int, snapshot_times, **times) -> None:
     """Reject, before any work, the particle-study inputs that would
     otherwise run empty, repeat rows or fail only after a solve: the
     particle-count check of `convergence_study`, the snapshot-time check of
-    `simulate` and fewer than one replica."""
+    `simulate`, each named time of `times` off the step grid
+    (`grid_indices`) and fewer than one replica."""
+    if not T > 0:
+        raise ConfigError(f"the time horizon {T} must be positive")
+    grid = np.linspace(0.0, T, steps + 1)
     try:
         _particle_counts(ns)
-        _snapshot_indices(snapshot_times, T, steps)
+        snapshot_indices(snapshot_times, grid)
+        for name, v in times.items():
+            grid_indices(grid, v, name)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     if replicas < 1:
@@ -212,11 +207,11 @@ def _particle_inputs(ns, replicas: int, T: float, steps: int, snapshot_times) ->
 
 
 def _diagnose_bumps(sc: SolverConfig, grid: np.ndarray, s: float, t: float,
-                    r_xi: float, r_x: float, ys) -> dict:
+                    r_xi: float, r_x: float, ys):
     """Check the diagnose parameters that would otherwise fail only after
     the solve (bump scales, weak-form supports, the window [s, t] on the
     noise grid) and return the weak-form test functions, one per distinct
-    centre in first-seen order."""
+    centre in first-seen order, and s and t as grid nodes (`grid_indices`)."""
     if not r_xi >= MIN_XI_SCALE:
         raise ConfigError(f"r_xi = {r_xi} is below {MIN_XI_SCALE}; the fixed 256-node "
                           "xi quadrature cannot resolve narrower bumps")
@@ -228,11 +223,14 @@ def _diagnose_bumps(sc: SolverConfig, grid: np.ndarray, s: float, t: float,
         if lo <= sc.x_min or hi >= sc.x_max:
             raise ConfigError(f"bump support [{lo}, {hi}] (y = {f.center}, r_x = {r_x}) must lie "
                               f"inside (x_min, x_max) = ({sc.x_min}, {sc.x_max})")
-    if not 0.0 <= s < t <= grid[-1]:
-        raise ConfigError(f"need 0 <= s < t <= T, got s = {s}, t = {t}, T = {grid[-1]}")
-    _on_grid("s", s, grid)
-    _on_grid("t", t, grid)
-    return fs
+    window = ConfigError(f"need 0 <= s < t <= T, got s = {s}, t = {t}, T = {grid[-1]}")
+    try:
+        k_s, k_t = (grid_indices(grid, v, name) for name, v in (("s", s), ("t", t)))
+    except ValueError as e:
+        raise (ConfigError(str(e)) if 0.0 <= s < t <= grid[-1] else window) from None
+    if not k_s < k_t:
+        raise window
+    return fs, float(grid[k_s]), float(grid[k_t])
 
 
 def _cmd_diagnose(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
@@ -247,15 +245,15 @@ def _cmd_diagnose(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     etas = cfg.num_list("eta_list", [0.3, 0.6])
     ys = cfg.num_list("y_list", [0.0])
     W = sample_path(seed, STREAM_COMMON, T, steps)
-    fs = _diagnose_bumps(sc, W.t_grid, s, t, r_xi, r_x, ys)
+    fs, s, t = _diagnose_bumps(sc, W.t_grid, s, t, r_xi, r_x, ys)
     u0 = grid_cdf(parse_init(cfg.text("init")), sc.x_min, sc.x_max, sc.cells)
     sol = solve(u0, cs, W, sc)  # snapshot every noise node
-    u_t = sol.snapshot_at(t, _GRID_TOL)
-    w_t = sol.path.value_at(t, _GRID_TOL)
+    u_t = sol.snapshot_at(t)
+    w_t = sol.path.value_at(t)
     tfs = [BumpTestFunction(eta=eta, y=y, r_xi=r_xi, r_x=r_x) for eta in etas for y in ys]
-    entropy = entropy_identity_residual(sol, cs, sol.path, tfs, s, t)
+    entropy = entropy_identity_residual(sol, cs, tfs, s, t)
     chain = chain_rule_residual(u_t, cs, tfs, t, w_t)
-    weak = dict(zip(fs, weak_form_residual(sol, cs, sol.path, list(fs.values()), s, t)))
+    weak = dict(zip(fs, weak_form_residual(sol, cs, list(fs.values()), s, t)))
     rows = []
     for tf, cr, ent in zip(tfs, chain, entropy):
         eta, y = tf.eta, tf.y

@@ -80,10 +80,6 @@ class ValidationReport:
     sup_abs_gamma: float
     warnings: tuple[str, ...] = ()
 
-    @property
-    def degenerate(self) -> bool:
-        return self.inf_sigma <= 0.0 or self.inf_gamma <= 0.0
-
 
 @dataclass(frozen=True)
 class CoefficientSet:

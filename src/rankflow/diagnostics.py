@@ -20,6 +20,7 @@ from numpy.polynomial.legendre import leggauss
 from .bumps import BUMP_L1, Bump1D, bump, bump_d1, bump_d2
 from .coefficients import CoefficientSet
 from .measures import GridFunction
+from .randomness import grid_indices
 from .solver import SpdeSolution
 
 __all__ = [
@@ -95,8 +96,6 @@ class BumpTestFunction:
 @dataclass(frozen=True)
 class RhoValues:
     value: np.ndarray
-    dx: np.ndarray
-    dxx: np.ndarray
     dxi: np.ndarray
 
 
@@ -125,8 +124,8 @@ def _shift(cs: CoefficientSet, xi, t, z_t):
 
 def eval_rho(tf: BumpTestFunction, cs: CoefficientSet, xi, t, x, z_t) -> RhoValues:
     """Transported test function rho0(x - y - b(xi) t - gamma(xi) z_t,
-    xi - eta) with its x, xx and xi partial derivatives; the xi derivative
-    chains through the exact b', gamma'.  Every argument broadcasts, so t
+    xi - eta) with its xi partial derivative, which chains through the
+    exact b', gamma'.  Every argument broadcasts, so t
     and z_t may be columns with one row per time."""
     xi = np.asarray(xi, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -135,13 +134,10 @@ def eval_rho(tf: BumpTestFunction, cs: CoefficientSet, xi, t, x, z_t) -> RhoValu
     xit = xi - tf.eta
     d_shift = np.asarray(cs.b_prime(xi)) * t + np.asarray(cs.gamma_prime(xi)) * z_t
     fx = tf._fx(xt)
-    fx1 = tf._fx_d1(xt)
     fxi = tf._fxi(xit)
     return RhoValues(
         value=fx * fxi,
-        dx=fx1 * fxi,
-        dxx=tf._fx_d2(xt) * fxi,
-        dxi=fx1 * (-d_shift) * fxi + fx * tf._fxi_d1(xit),
+        dxi=tf._fx_d1(xt) * (-d_shift) * fxi + fx * tf._fxi_d1(xit),
     )
 
 
@@ -253,39 +249,41 @@ class KineticMeasureEstimate:
         return total
 
 
-def dissipation_measure(sol: SpdeSolution, cs: CoefficientSet, xi_bins=256) -> KineticMeasureEstimate:
-    """Deposit (1/2)(S(u)_x)^2 dx dt per (cell, snapshot) into the xi bin
-    of u(t, x); snapshots must sit on a uniform time grid."""
+def dissipation_measure(sol: SpdeSolution, cs: CoefficientSet, xi_bins: int = 256) -> KineticMeasureEstimate:
+    """Deposit (1/2)(S(u)_x)^2 dx dt per (cell, snapshot) into the one of
+    `xi_bins` equal bins of [0, 1] that holds u(t, x); the snapshot times
+    must be the nodes of a uniform grid (`grid_indices`)."""
     times = np.asarray(sol.times)
     if times.size < 2:
         raise ValueError("need at least two snapshots")
-    dts = np.diff(times)
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("snapshots must be on a uniform time grid")
-    dt = float(dts[0])
-    edges = np.asarray(xi_bins, dtype=np.float64) if np.ndim(xi_bins) else np.linspace(0.0, 1.0, int(xi_bins) + 1)
+    try:
+        grid_indices(times, np.linspace(times[0], times[-1], times.size), "uniform grid time")
+    except ValueError:
+        raise ValueError("snapshots must be on a uniform time grid") from None
+    dt = float(times[1] - times[0])
+    edges = np.linspace(0.0, 1.0, xi_bins + 1)
     first = sol.snapshots[0]
     dx = first.dx
-    nbins = edges.size - 1
     bin_idx = np.empty((times.size, first.cells), dtype=np.int32)
     masses = np.empty_like(bin_idx, dtype=np.float64)
     for k, snap in enumerate(sol.snapshots):
         sx = _grid_sx(snap, cs)
         masses[k] = 0.5 * sx * sx * dx * dt
-        bin_idx[k] = np.clip(np.digitize(snap.values, edges) - 1, 0, nbins - 1)
+        bin_idx[k] = np.clip(np.digitize(snap.values, edges) - 1, 0, xi_bins - 1)
     return KineticMeasureEstimate(
         xi_edges=edges, times=times, x_centers=first.centers(),
         bin_idx=bin_idx, masses=masses, dx=dx, dt=dt,
     )
 
 
-def _restrict(sol: SpdeSolution, s: float, t: float) -> SpdeSolution:
-    times = np.asarray(sol.times)
-    mask = (times >= s - 1e-12) & (times <= t + 1e-12)
-    idx = np.nonzero(mask)[0]
-    if idx.size < 2 or abs(times[idx[0]] - s) > 1e-9 or abs(times[idx[-1]] - t) > 1e-9:
+def _restrict(sol: SpdeSolution, s: float, t: float):
+    """The snapshots from s to t (snapshot times by `grid_indices`) and W
+    at each of their times."""
+    i, j = (int(grid_indices(sol.times, r, name)) for name, r in (("s", s), ("t", t)))
+    if not i < j:
         raise ValueError("s and t must be snapshot times with snapshots between them")
-    return SpdeSolution(times[idx], tuple(sol.snapshots[i] for i in idx), sol.path)
+    sub = SpdeSolution(sol.times[i:j + 1], sol.snapshots[i:j + 1], sol.path)
+    return sub, sol.path.values[grid_indices(sol.path.t_grid, sub.times, "snapshot time")]
 
 
 def _entropy_terms(snap: GridFunction, r: float, w_r: float, cs: CoefficientSet,
@@ -308,9 +306,8 @@ def _entropy_terms(snap: GridFunction, r: float, w_r: float, cs: CoefficientSet,
     return diffusion, [float(np.sum(weights * (a * c)) * snap.dx) for a, c in zip(fx, fxi)]
 
 
-def entropy_identity_residual(sol: SpdeSolution, cs: CoefficientSet, W,
-                              tfs: Sequence[BumpTestFunction], s: float, t: float,
-                              xi_bins=256) -> list[float]:
+def entropy_identity_residual(sol: SpdeSolution, cs: CoefficientSet,
+                              tfs: Sequence[BumpTestFunction], s: float, t: float) -> list[float]:
     """Signed defect of the pathwise entropy identity over [s, t], for each
     test function rho of the family `tfs`, in order:
 
@@ -323,9 +320,8 @@ def entropy_identity_residual(sol: SpdeSolution, cs: CoefficientSet, W,
     The snapshots are walked once, one at a time (`_entropy_terms`); n is
     built once per call and paired with each rho in one block evaluation.
     """
-    sub = _restrict(sol, s, t)
+    sub, w = _restrict(sol, s, t)
     times = sub.times
-    w = np.array([W.value_at(float(r)) for r in times])
     last = len(times) - 1
     diffusion = []  # per snapshot, per test function
     boundary = []   # at s and at t, per test function
@@ -335,7 +331,7 @@ def entropy_identity_residual(sol: SpdeSolution, cs: CoefficientSet, W,
         if bnd_k is not None:
             boundary.append(bnd_k)
 
-    est = dissipation_measure(sub, cs, xi_bins)
+    est = dissipation_measure(sub, cs)
     out = []
     for tf, diff_vals, bnd_s, bnd_t in zip(tfs, zip(*diffusion), *boundary):
         n_pair = est.pair(lambda xi, r, x, tf=tf: eval_rho(tf, cs, xi, r, x, w[:, None]).dxi)
@@ -343,7 +339,7 @@ def entropy_identity_residual(sol: SpdeSolution, cs: CoefficientSet, W,
     return out
 
 
-def weak_form_residual(sol: SpdeSolution, cs: CoefficientSet, W, fs: Sequence[Bump1D],
+def weak_form_residual(sol: SpdeSolution, cs: CoefficientSet, fs: Sequence[Bump1D],
                        s: float, t: float) -> list[float]:
     """Residual of the weak (distributional) form over [s, t] against each
     compactly supported f of the family `fs`, in order: time integrals by
@@ -355,13 +351,13 @@ def weak_form_residual(sol: SpdeSolution, cs: CoefficientSet, W, fs: Sequence[Bu
         lo, hi = f.support()
         if lo <= first.x_min or hi >= first.x_max:
             raise ValueError("test function support must lie inside the domain")
-    sub = _restrict(sol, s, t)
+    sub, w = _restrict(sol, s, t)
     centers = first.centers()
     dx = first.dx
     derivs = [(f.d1(centers), f.d2(centers)) for f in fs]
 
     times = sub.times
-    dw = np.diff(np.array([W.value_at(float(r)) for r in times]))
+    dw = np.diff(w)
     drift = np.empty((times.size, len(fs)))         # per snapshot, per f
     noise_coef = np.empty((times.size - 1, len(fs)))  # per left endpoint, per f
     for i, snap in enumerate(sub.snapshots):

@@ -23,11 +23,12 @@ from .measures import (
     l1_cdf_distance,
     w1,
 )
-from .particles import ParticleState, march, simulate
+from .particles import ParticleState, march, simulate, snapshot_indices
 from .randomness import (
     STREAM_COMMON,
     STREAM_INIT,
     BrownianPath,
+    grid_indices,
     make_noise_bundle,
     replica_seed,
     sample_path,
@@ -55,11 +56,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    kind: str
-    params: dict
     columns: tuple
     rows: tuple
-    provenance: dict
     summary: dict = field(default_factory=dict)
 
 
@@ -91,10 +89,13 @@ def convergence_study(
     constant-coefficient law (reference="analytic").  The error for (n,
     replica) is the max over snapshot times of the L1 distance between the
     empirical CDF and the reference CDF.  For each n all replicas are
-    simulated in lock-step, one (replicas, n) block.
+    simulated in lock-step, one (replicas, n) block.  Both are read at the
+    step-grid nodes of the snapshot times (`snapshot_indices`).
     """
     n_list = _particle_counts(n_list)
-    snapshot_times = [float(t) for t in snapshot_times]
+    steps_grid = np.linspace(0.0, T, steps + 1)
+    snap_idx = snapshot_indices(snapshot_times, steps_grid)
+    snapshot_times = steps_grid[snap_idx]
     if reference == "analytic":
         grid = np.linspace(0.0, 1.0, 2001)
         consts = []
@@ -113,12 +114,11 @@ def convergence_study(
     for seed_r in seeds.tolist():
         W = sample_path(seed_r, STREAM_COMMON, T, steps)
         if reference == "spde":
-            sol = solve(u0, cs, W, solver_config, snapshot_times=snapshot_times)
-            refs.append([sol.snapshot_at(t) for t in snapshot_times])
+            refs.append(solve(u0, cs, W, solver_config, snapshot_times=snapshot_times).snapshots)
         else:
             b0, s0, g0 = consts
-            refs.append([analytic_constant_solution(init, b0, s0, g0, t, W.value_at(t), solver_config)
-                         for t in snapshot_times])
+            refs.append([analytic_constant_solution(init, b0, s0, g0, t, W.values[k], solver_config)
+                         for t, k in zip(snapshot_times, snap_idx)])
 
     # per n, all replicas march in lock-step, each row on its replica's
     # common path; errors[j, r] is the error of (n_list[j], replica r)
@@ -138,12 +138,8 @@ def convergence_study(
                for j, n in enumerate(n_list)}
     ratios = [means[a] / means[b] for a, b in zip(n_list[:-1], n_list[1:])]
     return ExperimentReport(
-        kind="converge",
-        params={"n_list": n_list, "replicas": replicas, "T": T, "steps": steps,
-                "snapshot_times": snapshot_times, "reference": reference},
         columns=("n", "replica", "error"),
         rows=tuple(rows),
-        provenance={"seed": seed, "replica_seeds": seeds.tolist()},
         summary={"mean_error": means, "stderr": stderrs, "adjacent_ratios": ratios},
     )
 
@@ -367,20 +363,20 @@ def martingale_statistic(
     a triple's row does not depend on the rest of the suite.  Rows and the
     per-row summary lists are in suite order.
     """
-    if not 0.0 <= s <= t:
-        raise ValueError("need 0 <= s <= t")
+    if not t > 0.0:
+        raise ValueError(f"t must be positive, got {t!r}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
     for f_list, phi, _ in suite:
         if len(f_list) != phi.k:
             raise ValueError(f"phi expects {phi.k} test functions, got {len(f_list)}")
-    # the acceptance allowance, before any replica runs: it may reject cs
-    allowances = [bias_allowance(cs, f_list, phi, s, t) for f_list, phi, _ in suite]
     T = t
     grid = np.linspace(0.0, T, steps + 1)
-    s_idx = int(np.argmin(np.abs(grid - s)))
-    if abs(grid[s_idx] - s) > 1e-9:
-        raise ValueError("s must lie on the simulation grid")
+    # s is its node of the simulation grid from here on
+    s_idx = int(grid_indices(grid, s, "s"))
+    s = float(grid[s_idx])
+    # the acceptance allowance, before any replica runs: it may reject cs
+    allowances = [bias_allowance(cs, f_list, phi, s, t) for f_list, phi, _ in suite]
     # M_t - M_s reads only the states from s on
     kept = grid[s_idx:]
     bumps = {id(f): f for f_list, _, _ in suite for f in f_list}
@@ -428,11 +424,8 @@ def martingale_statistic(
         f_id = "+".join(f"bump({f.center:g},{f.radius:g})" for f in f_list)
         rows.append((f_id, phi.phi_id, psi.psi_id, estimate, stderr, z))
     return ExperimentReport(
-        kind="martingale",
-        params={"s": s, "t": t, "n": n, "replicas": replicas, "steps": steps},
         columns=("f_id", "phi_id", "psi_id", "estimate", "stderr", "z_score"),
         rows=tuple(rows),
-        provenance={"seed": seed},
         summary={"estimate": [r[3] for r in rows], "stderr": [r[4] for r in rows],
                  "z": [r[5] for r in rows],
                  "allowance_C": allowances},
@@ -470,11 +463,8 @@ def stability_experiment(
         rows.append((eps, D, implied))
     implied_cs = [r[2] for r in rows if np.isfinite(r[2])]
     return ExperimentReport(
-        kind="stability",
-        params={"epsilons": epsilons, "T": T, "snapshot_times": list(map(float, snapshot_times))},
         columns=("epsilon", "D", "implied_C"),
         rows=tuple(rows),
-        provenance={"seed": base_path.seed, "stream_id": base_path.stream_id},
         summary={"implied_C_spread": (max(implied_cs) / min(implied_cs))
                  if implied_cs and min(implied_cs) > 0 else float("nan")},
     )

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet
+from .randomness import grid_indices
 
 __all__ = [
     "ParticleState",
@@ -30,6 +31,7 @@ __all__ = [
     "em_step",
     "march",
     "simulate",
+    "snapshot_indices",
 ]
 
 
@@ -124,17 +126,14 @@ class Trajectory:
     states: tuple
 
 
-def _snapshot_indices(snapshot_times, T: float, steps: int) -> list[int]:
+def snapshot_indices(snapshot_times, grid: np.ndarray) -> np.ndarray:
+    """The step indices of the snapshot times on the step grid
+    (`grid_indices`); they must be increasing and distinct.  None stands
+    for every step."""
     if snapshot_times is None:
-        return list(range(steps + 1))
-    idx = []
-    for t in snapshot_times:
-        k = round(t / T * steps) if steps > 0 and T > 0 else 0
-        on_grid = (k * T / steps if steps > 0 else 0.0)
-        if not (0 <= k <= steps) or abs(on_grid - t) > 1e-9 * max(1.0, T):
-            raise ValueError(f"snapshot time {t!r} is not on the step grid")
-        idx.append(k)
-    if sorted(set(idx)) != idx:
+        return np.arange(grid.size)
+    idx = grid_indices(grid, snapshot_times, "snapshot time")
+    if np.any(np.diff(idx) <= 0):
         raise ValueError("snapshot times must be increasing and distinct")
     return idx
 
@@ -146,8 +145,8 @@ def simulate(positions, cs: CoefficientSet, T: float, steps: int, noise,
     `noise`, the (W, dB) pair of `make_noise_bundle` for that grid with one
     row per replica.  Snapshot times must lie on the step grid; None
     captures every step."""
-    want = _snapshot_indices(snapshot_times, T, steps)
     grid = np.linspace(0.0, T, steps + 1)
+    want = snapshot_indices(snapshot_times, grid)
     W, dB = noise
     if steps > 0 and np.shape(W)[-1] != steps + 1:  # a zero-step run reads no noise
         raise ValueError(f"noise has {np.shape(W)[-1] - 1} steps, not {steps}")

@@ -25,6 +25,7 @@ from scipy.special import ndtri
 __all__ = [
     "BrownianPath",
     "GridConflict",
+    "grid_indices",
     "sample_path",
     "refine_path",
     "make_noise_bundle",
@@ -143,6 +144,30 @@ def _bridge_normals(seed, stream_id, times) -> np.ndarray:
     return ndtri(_to_uniform(_raw_block(seed, stream_id, 1, word1=word1, block=_BLOCK_BRIDGE)[..., 0]))
 
 
+def _nearest_nodes(grid, times):
+    """Per time, the index of the nearest node of the sorted time grid and
+    whether the time is that node, i.e. within 1e-9 max(1, grid[-1]) of it:
+    the one on-grid tolerance of rankflow."""
+    grid = np.asarray(grid, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    hi = np.searchsorted(grid, times).clip(0, grid.size - 1)
+    lo = (hi - 1).clip(0)
+    k = np.where(np.abs(grid[hi] - times) < np.abs(times - grid[lo]), hi, lo)
+    return k, np.abs(grid[k] - times) <= 1e-9 * max(1.0, float(grid[-1]))
+
+
+def grid_indices(grid, times, what: str) -> np.ndarray:
+    """The index of the node of the sorted time grid `grid` at each of
+    `times` (a scalar or an array, shaped alike): the one on-grid rule.  A
+    time within 1e-9 max(1, grid[-1]) of a node is that node; a time with
+    no node that close raises ValueError naming `what` and the time."""
+    k, on_grid = _nearest_nodes(grid, times)
+    if not on_grid.all():
+        bad = np.asarray(times, dtype=np.float64)[~on_grid][0]
+        raise ValueError(f"{what} = {float(bad)!r} is not a grid time")
+    return k
+
+
 @dataclass(frozen=True)
 class BrownianPath:
     """A Brownian motion sampled on a strictly increasing time grid."""
@@ -173,13 +198,9 @@ class BrownianPath:
     def increments(self) -> np.ndarray:
         return np.diff(self.values)
 
-    def value_at(self, t: float, tol: float = 1e-12) -> float:
-        """Value at a grid node (exact lookup with tolerance)."""
-        i = int(np.searchsorted(self.t_grid, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < self.t_grid.size and abs(self.t_grid[j] - t) <= tol:
-                return float(self.values[j])
-        raise KeyError(f"time {t!r} is not a grid node of this path")
+    def value_at(self, t: float) -> float:
+        """W at the grid node of t (`grid_indices`)."""
+        return float(self.values[grid_indices(self.t_grid, t, "time")])
 
     def shifted(self, offset_fn) -> "BrownianPath":
         """Path with values + offset_fn(t); keeps (seed, stream_id) so

@@ -15,7 +15,7 @@ Gamma(u)_xx, so Gamma drops out of the scheme.  Each interval (dt, dW) of
 the noise grid is one split step:
 
 - diffusion: m explicit substeps u += (dt/m)/dx^2 Delta Sigma(u), with m
-  the least count that keeps sup sigma^2 (dt/m)/dx^2 within the CFL target;
+  the least count that keeps sup sigma^2 (dt/m)/dx^2 within CFL_TARGET;
 - transport-collapse (Brenier, SIAM J. Numer. Anal. 1984): points on the
   graph of u (the cell centres with both ghost points, and L = 4J quantile
   points) move by h(xi) = b(xi) dt + gamma(xi) dW at their level xi.
@@ -23,8 +23,9 @@ the noise grid is one split step:
   rearrangement, which selects the entropy solution) and interpolated back
   onto the cell centres.  With h = 0 this is the identity, bit for bit.
 
-There is no noise CFL condition, so W's grid is marched as it stands; only
-off-grid snapshot times are inserted, by Brownian-bridge refinement
+There is no noise CFL condition, so W's grid is marched as it stands.  A
+snapshot time on W's grid (`randomness.grid_indices`) is read at its node;
+only the others are inserted, by Brownian-bridge refinement
 (`randomness.refine_path`).
 """
 
@@ -37,7 +38,7 @@ from scipy.special import ndtr
 
 from .coefficients import CoefficientSet
 from .measures import GridFunction, InitialDistribution, StepCDF
-from .randomness import BrownianPath, refine_path
+from .randomness import BrownianPath, _nearest_nodes, grid_indices, refine_path
 
 __all__ = [
     "SolverConfig",
@@ -50,28 +51,27 @@ __all__ = [
 ]
 
 
+# bound on the diffusion CFL number sup sigma^2 dt / dx^2 of one substep
+CFL_TARGET = 0.9
+
+
 class DomainMarginError(ValueError):
     """Truncated domain too small around the initial support."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """A mesh of `cells` cells on [x_min, x_max].  cfl_target bounds the
-    diffusion CFL number sup sigma^2 dt / dx^2 of each substep; it limits
-    diffusion only, as the noise has no CFL condition."""
+    """A mesh of `cells` cells on [x_min, x_max]."""
 
     x_min: float
     x_max: float
     cells: int
-    cfl_target: float = 0.9
 
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
         if self.cells < 8:
             raise ValueError("need at least 8 cells")
-        if not 0.0 < self.cfl_target < 1.0:
-            raise ValueError("cfl_target must lie in (0, 1)")
 
     @property
     def dx(self) -> float:
@@ -87,21 +87,18 @@ class SpdeSolution:
     snapshots: tuple
     path: BrownianPath  # W plus off-grid snapshot inserts
 
-    def snapshot_at(self, t: float, tol: float = 1e-9) -> GridFunction:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > tol:
-            raise KeyError(f"no snapshot at t = {t!r}")
-        return self.snapshots[i]
+    def snapshot_at(self, t: float) -> GridFunction:
+        """The snapshot at the snapshot time of t (`grid_indices`)."""
+        return self.snapshots[grid_indices(self.times, t, "snapshot time")]
 
 
-def spde_step(u: GridFunction, cs: CoefficientSet, dt: float, dW: float,
-              cfl_target: float = 0.9) -> GridFunction:
+def spde_step(u: GridFunction, cs: CoefficientSet, dt: float, dW: float) -> GridFunction:
     """One split step over a noise interval (dt, dW): diffusion substeps
-    within the CFL target, then transport-collapse."""
+    within CFL_TARGET, then transport-collapse."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     dx, J = u.dx, u.cells
-    m = int(np.ceil(cs.report.sup_abs_sigma**2 * dt / (cfl_target * dx**2)))
+    m = int(np.ceil(cs.report.sup_abs_sigma**2 * dt / (CFL_TARGET * dx**2)))
     ue = np.concatenate(([0.0], u.values, [1.0]))
     for _ in range(m):
         S = cs.eval_transform("Sigma", ue)
@@ -144,26 +141,27 @@ def _check_margin(u0: GridFunction, cs: CoefficientSet, T: float):
 def solve(u0: GridFunction, cs: CoefficientSet, W: BrownianPath,
           config: SolverConfig, snapshot_times=None) -> SpdeSolution:
     """March spde_step over W's grid, after inserting the snapshot times
-    off that grid with `refine_path`.  Snapshots are recorded at the
-    snapshot times, and the refined path is returned as the path the
-    solver consumed."""
+    off that grid (`grid_indices`) with `refine_path`; a snapshot time on
+    the grid is its node.  Snapshots are recorded at the snapshot times, and
+    the refined path is returned as the path the solver consumed."""
     if u0.cells != config.cells or u0.x_min != config.x_min or u0.x_max != config.x_max:
         raise ValueError("initial data grid does not match the solver config")
     T = W.T
-    if snapshot_times is None:
-        snapshot_times = W.t_grid
-    snapshot_times = np.asarray(sorted(set(float(t) for t in snapshot_times)))
-    if snapshot_times.size and (snapshot_times[0] < 0.0 or snapshot_times[-1] > T):
+    times = np.unique(np.asarray(W.t_grid if snapshot_times is None else snapshot_times, dtype=np.float64))
+    node, on_grid = _nearest_nodes(W.t_grid, times)
+    inserts = times[~on_grid]
+    if not np.all((inserts > 0.0) & (inserts < T)):
         raise ValueError("snapshot times must lie in [0, T]")
+    times = np.where(on_grid, W.t_grid[node], times)
     if T > 0:
         _check_margin(u0, cs, T)
-        W = refine_path(W, snapshot_times[~np.isin(snapshot_times, W.t_grid)])
+        W = refine_path(W, inserts)
 
     u = u0
-    record = np.isin(W.t_grid, snapshot_times)
+    record = np.isin(W.t_grid, times)
     snapshots = [u] if record[0] else []
     for i, (dt, dw) in enumerate(zip(np.diff(W.t_grid), np.diff(W.values))):
-        u = spde_step(u, cs, dt, dw, config.cfl_target)
+        u = spde_step(u, cs, dt, dw)
         if record[i + 1]:
             snapshots.append(u)
     return SpdeSolution(W.t_grid[record].copy(), tuple(snapshots), W)

@@ -201,7 +201,7 @@ def test_criterion_6_entropy_structure():
         u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, J)
         Wh = sample_path(3, STREAM_COMMON, 1.0, steps)
         sol = solve(u0, cs_heat, Wh, cfg)
-        ent[J] = abs(entropy_identity_residual(sol, cs_heat, sol.path, [tf], 0.25, 0.75)[0])
+        ent[J] = abs(entropy_identity_residual(sol, cs_heat, [tf], 0.25, 0.75)[0])
     ent_decays = ent[256] < ent[128]
 
     # dissipation measure: bookkeeping to 1e-10 and the closed-form heat

@@ -52,6 +52,12 @@ PARTICLE_CFGS = {
         'seed = 3\ns = 0.25\nt = 0.5\nsteps = 8\nn = 16\nreplicas = 3\ninit = "gaussian(0, 1)"\n'),
 }
 
+# constant coefficients, so that either reference applies
+CONVERGE_CONST_CFG = (
+    'b = "0.3"\nsigma = "1"\ngamma = "0.5"\ntable_resolution = 32\nseed = 4\nT = 0.25\n'
+    'steps = 8\nn_list = [8, 16]\nreplicas = 2\nx_min = -11.0\nx_max = 11.0\ncells = 32\n'
+    'init = "gaussian(0,1)"\n')
+
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
 
@@ -249,10 +255,11 @@ class TestDiagnoseAndStability:
         ({"y_list": "[0.0, 6.5]"}, "support"),
         ({"s": "0.5", "t": "0.25"}, "0 <= s < t <= T"),
         ({"t": "0.75"}, "0 <= s < t <= T"),
-        ({"t": "0.37"}, "t = 0.37 is not a noise grid time"),
-        ({"s": "0.1"}, "s = 0.1 is not a noise grid time"),
+        ({"t": "0.37"}, "t = 0.37 is not a grid time"),
+        ({"s": "0.1"}, "s = 0.1 is not a grid time"),
+        ({"s": "0.250000002"}, "s = 0.250000002 is not a grid time"),
     ], ids=["r_xi", "r_x", "r_x_support", "y_support", "s_after_t", "t_after_T",
-            "t_off_grid", "s_off_grid"])
+            "t_off_grid", "s_off_grid", "s_beyond_grid_tolerance"])
     def test_diagnose_bad_parameters_exit_2_before_solve(self, tmp_path, capsys, monkeypatch,
                                                          values, message):
         """Bump scales, weak-form supports and the window [s, t] are checked
@@ -275,16 +282,19 @@ class TestDiagnoseAndStability:
         ("converge", {"replicas": "0"}, "replicas = 0"),
         ("converge", {"n_list": "[0, 16]"}, "particle counts [0, 16]"),
         ("converge", {"n_list": "[16, 16]"}, "particle counts [16, 16]"),
-        ("converge", {"snapshot_times": "[0.13, 0.25]"}, "snapshot time 0.13 is not on the step grid"),
+        ("converge", {"snapshot_times": "[0.13, 0.25]"}, "snapshot time = 0.13 is not a grid time"),
         ("converge", {"snapshot_times": "[0.25, 0.125]"}, "snapshot times must be increasing and distinct"),
         ("simulate", {"n": "0"}, "particle counts [0]"),
-        ("simulate", {"snapshot_times": "[0.1]"}, "snapshot time 0.1 is not on the step grid"),
+        ("simulate", {"snapshot_times": "[0.1]"}, "snapshot time = 0.1 is not a grid time"),
         ("martingale", {"n": "0"}, "particle counts [0]"),
         ("martingale", {"replicas": "0"}, "replicas = 0"),
-        ("martingale", {"s": "0.3"}, "s = 0.3 is not a noise grid time"),
+        ("martingale", {"s": "0.3"}, "s = 0.3 is not a grid time"),
+        ("simulate", {"T": "-0.5"}, "the time horizon -0.5 must be positive"),
+        ("martingale", {"t": "-0.5"}, "the time horizon -0.5 must be positive"),
     ], ids=["converge_replicas", "converge_n_zero", "converge_n_repeated", "converge_off_grid",
             "converge_unordered", "simulate_n_zero", "simulate_off_grid", "martingale_n_zero",
-            "martingale_replicas", "martingale_s_off_grid"])
+            "martingale_replicas", "martingale_s_off_grid", "simulate_negative_T",
+            "martingale_negative_t"])
     def test_particle_bad_inputs_exit_2_before_work(self, tmp_path, capsys, monkeypatch,
                                                     command, values, message):
         """Particle counts, replica counts and snapshot times are checked
@@ -312,6 +322,35 @@ class TestDiagnoseAndStability:
         out = tmp_path / "o"
         assert run(["diagnose", "--config", str(cfg), "--out", str(out)]) == 0
         assert len((out / "diagnostics.csv").read_text().splitlines()) == 5
+
+    @pytest.mark.parametrize("key, node, near", [("s", "0.25", "0.2500000005"),
+                                                  ("t", "0.5", "0.4999999995")])
+    def test_diagnose_window_near_a_node_is_that_node(self, tmp_path, key, node, near):
+        """s or t within the on-grid tolerance of a noise node runs (exit 0)
+        with the residuals of the run at the node, bit for bit."""
+        residuals = []
+        for v in (node, near):
+            cfg = tmp_path / f"diag_{v}.cfg"
+            cfg.write_text(DIAG_CFG.replace(f"\n{key} = {node}\n", f"\n{key} = {v}\n"))
+            out = tmp_path / v
+            assert run(["diagnose", "--config", str(cfg), "--out", str(out)]) == 0
+            with open(out / "diagnostics.csv", newline="") as fh:
+                residuals.append([row["residual"] for row in csv.DictReader(fh)])
+        assert len(residuals[0]) == 4 and residuals[1] == residuals[0]
+
+    @pytest.mark.parametrize("reference", ["analytic", "spde"])
+    def test_converge_snapshot_near_a_node_is_that_node(self, tmp_path, reference):
+        """A snapshot time within the on-grid tolerance of a step node gives
+        the bytes of the run at the node, for both references."""
+        outs = []
+        for first in ("0.125", "0.1250000005"):
+            cfg = tmp_path / f"conv_{first}.cfg"
+            cfg.write_text(CONVERGE_CONST_CFG + f'reference = "{reference}"\n'
+                           f"snapshot_times = [{first}, 0.25]\n")
+            out = tmp_path / first
+            assert run(["converge", "--config", str(cfg), "--out", str(out)]) == 0
+            outs.append((out / "convergence.csv").read_bytes())
+        assert outs[1] == outs[0]
 
     def test_stability_schema(self, tmp_path):
         cfg = tmp_path / "stab.cfg"

@@ -98,7 +98,7 @@ class TestEvalRho:
 
     def test_compact_support(self, tf, cs_general):
         out = eval_rho(tf, cs_general, 0.5, 0.7, 50.0, 0.3)
-        assert out.value == 0.0 and out.dx == 0.0 and out.dxi == 0.0
+        assert out.value == 0.0 and out.dxi == 0.0
 
     def test_xi_derivative_second_order_in_h(self, tf, cs_general):
         """Central differences of rho in xi converge to the analytic dxi at
@@ -128,7 +128,7 @@ class TestEvalRho:
         block = eval_rho(tf, cs_general, xis, ts[:, None], xs, zs[:, None])
         for k in range(5):
             row = eval_rho(tf, cs_general, xis[k], float(ts[k]), xs, float(zs[k]))
-            for name in ("value", "dx", "dxx", "dxi"):
+            for name in ("value", "dxi"):
                 assert _bits(getattr(block, name)[k]) == _bits(getattr(row, name))
 
     def test_narrow_xi_scale_rejected(self):
@@ -289,13 +289,13 @@ class TestEntropyIdentity:
 
         W = BrownianPath(times, np.zeros(5), seed=0, stream_id=0)
         sol = SpdeSolution(times, snaps, W)
-        assert entropy_identity_residual(sol, cs, W, [tf], 0.0, 1.0)[0] == pytest.approx(0.0, abs=1e-15)
+        assert entropy_identity_residual(sol, cs, [tf], 0.0, 1.0)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_decays_under_refinement(self, tf):
         res = {}
         for J, steps in ((128, 64), (256, 128)):
             sol, cs, cfg = _heat_solution(J, steps)
-            res[J] = abs(entropy_identity_residual(sol, cs, sol.path, [tf], 0.25, 0.75)[0])
+            res[J] = abs(entropy_identity_residual(sol, cs, [tf], 0.25, 0.75)[0])
         # slope at least 0.5; the study observed ~4
         assert res[256] <= res[128] / np.sqrt(2.0)
 
@@ -307,7 +307,7 @@ class TestEntropyIdentity:
         u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
         W = sample_path(3, STREAM_COMMON, 1.0, 256)
         sol = solve(u0, cs, W, cfg)
-        ent = abs(entropy_identity_residual(sol, cs, sol.path, [tf], 0.25, 0.75)[0])
+        ent = abs(entropy_identity_residual(sol, cs, [tf], 0.25, 0.75)[0])
         cr = chain_rule_residual(sol.snapshot_at(0.75), cs, [tf], 0.75, sol.path.value_at(0.75))[0]
         assert ent <= 10.0 * cr
 
@@ -316,12 +316,12 @@ class TestEntropyIdentity:
         per test function returns; an empty family returns []."""
         sol = _small_solution(cs_general)
         tfs = _family_grid()
-        family = entropy_identity_residual(sol, cs_general, sol.path, tfs, 0.125, 0.5)
-        singles = [entropy_identity_residual(sol, cs_general, sol.path, [tf], 0.125, 0.5)[0]
+        family = entropy_identity_residual(sol, cs_general, tfs, 0.125, 0.5)
+        singles = [entropy_identity_residual(sol, cs_general, [tf], 0.125, 0.5)[0]
                    for tf in tfs]
         assert _bits(family) == _bits(singles)
         assert len(set(family)) == len(tfs)
-        assert entropy_identity_residual(sol, cs_general, sol.path, [], 0.125, 0.5) == []
+        assert entropy_identity_residual(sol, cs_general, [], 0.125, 0.5) == []
 
 
 class TestWeakForm:
@@ -336,7 +336,7 @@ class TestWeakForm:
                 return (-0.5, 0.5)
 
         sol, cs, cfg = _heat_solution(64, 16)
-        assert weak_form_residual(sol, cs, sol.path, [ZeroF()], 0.0, 1.0) == [0.0]
+        assert weak_form_residual(sol, cs, [ZeroF()], 0.0, 1.0) == [0.0]
 
     def test_zero_coefficient_run(self, tf):
         cs = build_from_sources("0", "0", "0", 16, allow_degenerate=True)
@@ -346,7 +346,7 @@ class TestWeakForm:
         W = sample_path(2, STREAM_COMMON, 1.0, 8)
         sol = solve(u0, cs, W, cfg)
         f = Bump1D(0.0, 1.5)
-        assert weak_form_residual(sol, cs, sol.path, [f], 0.0, 1.0)[0] == pytest.approx(0.0, abs=1e-15)
+        assert weak_form_residual(sol, cs, [f], 0.0, 1.0)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_residual_halves_with_dx(self):
         """Oracle run at J in {128, 256, 512}: the residual at least halves
@@ -360,7 +360,7 @@ class TestWeakForm:
             cfg = SolverConfig(-11.0, 12.0, J)
             u0 = grid_cdf(init, cfg.x_min, cfg.x_max, J)
             sol = solve(u0, cs, W, cfg)
-            res[J] = weak_form_residual(sol, cs, sol.path, [f], 0.25, 0.75)[0]
+            res[J] = weak_form_residual(sol, cs, [f], 0.25, 0.75)[0]
         assert res[128] / res[256] >= 2.0
         assert res[256] / res[512] >= 2.0
 
@@ -369,17 +369,17 @@ class TestWeakForm:
         per f returns; an empty family returns []."""
         sol = _small_solution(cs_general)
         fs = [Bump1D(y, r) for y in (-0.5, 0.5) for r in (1.0, 1.5)]
-        family = weak_form_residual(sol, cs_general, sol.path, fs, 0.125, 0.5)
-        singles = [weak_form_residual(sol, cs_general, sol.path, [f], 0.125, 0.5)[0] for f in fs]
+        family = weak_form_residual(sol, cs_general, fs, 0.125, 0.5)
+        singles = [weak_form_residual(sol, cs_general, [f], 0.125, 0.5)[0] for f in fs]
         assert _bits(family) == _bits(singles)
         assert len(set(family)) == len(fs)
-        assert weak_form_residual(sol, cs_general, sol.path, [], 0.125, 0.5) == []
+        assert weak_form_residual(sol, cs_general, [], 0.125, 0.5) == []
 
     def test_support_must_be_inside_domain(self, cs_general):
         """Checked before any other work: s = 0.3 is no snapshot time, yet
         the error is the support's."""
         sol, cs, cfg = _heat_solution(64, 16)
         with pytest.raises(ValueError, match="support"):
-            weak_form_residual(sol, cs, sol.path, [Bump1D(0.0, 1.0), Bump1D(0.0, 100.0)], 0.3, 1.0)
+            weak_form_residual(sol, cs, [Bump1D(0.0, 1.0), Bump1D(0.0, 100.0)], 0.3, 1.0)
         with pytest.raises(ValueError, match="support"):
-            weak_form_residual(sol, cs, sol.path, [Bump1D(0.0, 1.0), Bump1D(0.0, 100.0)], 0.0, 1.0)
+            weak_form_residual(sol, cs, [Bump1D(0.0, 1.0), Bump1D(0.0, 100.0)], 0.0, 1.0)

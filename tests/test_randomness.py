@@ -1,6 +1,7 @@
 """Brownian path generation, determinism, and bridge refinement."""
 
 import bisect
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.stats import kstest
 
 from rankflow.randomness import (
     GridConflict,
+    grid_indices,
     make_noise_bundle,
     refine_path,
     replica_seed,
@@ -260,3 +262,33 @@ def test_replica_seeds_distinct_and_stable():
     seeds = [replica_seed(123, r) for r in range(200)]
     assert len(set(seeds)) == 200
     assert seeds == [replica_seed(123, r) for r in range(200)]
+
+
+@given(
+    T=st.floats(0.01, 100.0),
+    steps=st.integers(1, 4096),
+    data=st.data(),
+)
+def test_grid_indices_one_tolerance(T, steps, data):
+    """A time within 1e-9 max(1, T) of node k maps to k; one 2 tol away
+    from every node raises, naming what and the time."""
+    grid = np.linspace(0.0, T, steps + 1)
+    tol = 1e-9 * max(1.0, T)
+    ks = np.array(data.draw(st.lists(st.integers(0, steps), min_size=1, max_size=5)))
+    # 0.999: the rounding of grid[k] + d must not carry it past tol
+    d = np.array(data.draw(st.lists(st.floats(-0.999, 0.999), min_size=ks.size, max_size=ks.size)))
+    np.testing.assert_array_equal(grid_indices(grid, grid[ks] + d * tol, "t"), ks)
+    assert grid_indices(grid, float(grid[ks[0]] + d[0] * tol), "t") == ks[0]
+
+    k = data.draw(st.integers(0, steps))
+    off = float(grid[k] + data.draw(st.sampled_from([-2.0, 2.0])) * tol)
+    with pytest.raises(ValueError, match=re.escape(f"snapshot time = {off!r} is not a grid time")):
+        grid_indices(grid, np.append(grid[ks], off), "snapshot time")
+
+
+def test_value_at_reads_the_node_within_tolerance():
+    path = sample_path(3, STREAM_COMMON, 2.0, 8)
+    assert path.value_at(0.5 + 1.5e-9) == path.values[2]
+    assert path.value_at(2.0 + 1.5e-9) == path.values[-1]
+    with pytest.raises(ValueError, match="time = 0.500000003 is not a grid time"):
+        path.value_at(0.500000003)

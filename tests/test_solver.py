@@ -9,6 +9,7 @@ from rankflow.coefficients import build_from_sources
 from rankflow.measures import GridFunction, grid_cdf, point_mass, w1
 from rankflow.randomness import BrownianPath, refine_path, sample_path, STREAM_COMMON
 from rankflow.solver import (
+    CFL_TARGET,
     DomainMarginError,
     SolverConfig,
     analytic_constant_solution,
@@ -167,14 +168,14 @@ class TestSolve:
     def test_consumed_path_is_refine_path_by_level(self, cs_heat, T):
         """No noise CFL: the path the solver consumes is W refined by zero
         levels, bit for bit, on a heat config whose diffusion number
-        2 dt / dx^2 exceeds cfl_target on every noise node (a scheme that
+        2 dt / dx^2 exceeds CFL_TARGET on every noise node (a scheme that
         bisected the noise until it held would refine two or more levels
         here).  The diffusion is subdivided inside spde_step instead."""
         cfg = SolverConfig(-9.0, 9.0, 64)
         u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
         W = sample_path(17, STREAM_COMMON, T, 4)
         dt, levels = W.t_grid[1] - W.t_grid[0], 0
-        while 2.0 * dt / cfg.dx**2 > cfg.cfl_target:
+        while 2.0 * dt / cfg.dx**2 > CFL_TARGET:
             dt, levels = 0.5 * dt, levels + 1
         assert levels >= 2
         sol = solve(u0, cs_heat, W, cfg, snapshot_times=[T])
@@ -194,6 +195,24 @@ class TestSolve:
         assert sol.path.t_grid.tobytes() == ref.t_grid.tobytes()
         assert sol.path.values.tobytes() == ref.values.tobytes()
         np.testing.assert_array_equal(sol.times, [0.13 * T, 0.5 * T, 0.6 * T, T])
+
+    def test_snapshot_near_a_node_is_that_node(self, cs_general):
+        """A snapshot time within the on-grid tolerance of a W node is read
+        at that node, with no bridge insert; a time 2e-9 off is inserted."""
+        cfg = SolverConfig(-14.0, 14.0, 64)
+        u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
+        W = sample_path(17, STREAM_COMMON, 1.0, 4)
+        exact = solve(u0, cs_general, W, cfg, snapshot_times=[0.25, 1.0])
+        near = solve(u0, cs_general, W, cfg, snapshot_times=[0.25 + 5e-10, 1.0 + 5e-10])
+        assert near.path.t_grid.tobytes() == W.t_grid.tobytes()
+        np.testing.assert_array_equal(near.times, [0.25, 1.0])
+        assert [s.values.tobytes() for s in near.snapshots] == [s.values.tobytes() for s in exact.snapshots]
+        assert near.snapshot_at(0.25 - 5e-10) is near.snapshots[0]
+        off = solve(u0, cs_general, W, cfg, snapshot_times=[0.25 + 2e-9])
+        np.testing.assert_array_equal(off.times, [0.25 + 2e-9])
+        assert off.path.t_grid.size == W.t_grid.size + 1
+        with pytest.raises(ValueError, match="snapshot time = 0.25 is not a grid time"):
+            off.snapshot_at(0.25)
 
     def test_domain_margin_enforced(self, cs_const):
         cfg = SolverConfig(-2.0, 2.0, 32)
