@@ -20,6 +20,9 @@ __all__ = ["bump", "bump_d1", "bump_d2", "Bump1D", "BUMP_L1"]
 # pins it to quad)
 BUMP_L1 = 0.44399381616807865
 
+# cells of the uniform table behind Bump1D.tail_integral
+_TAIL_CELLS = 16384
+
 
 def _on_support(s, formula):
     """formula(s_in, core) on the points with |s| < 1, where core = 1 - s^2,
@@ -60,8 +63,7 @@ class Bump1D:
 
     center: float
     radius: float
-    _tail_x: np.ndarray = field(default=None, repr=False, compare=False)
-    _tail_y: np.ndarray = field(default=None, repr=False, compare=False)
+    _tail: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -82,15 +84,37 @@ class Bump1D:
     def support(self) -> tuple[float, float]:
         return self.center - self.radius, self.center + self.radius
 
+    def _tail_table(self):
+        """Nodes, tail values and slopes of the cumulative table: the
+        cumulative trapezoid of f from lo on _TAIL_CELLS uniform cells of the
+        support, tail = total - head, and np.interp's slope per cell."""
+        lo, hi = self.support()
+        # a node's rounding error stays below a quarter cell, which keeps
+        # tail_integral's index guess within one cell of the node
+        if max(abs(lo), abs(hi)) > 2.0**36 * self.radius:
+            raise ValueError(f"bump centre {self.center!r} too far from 0 for radius {self.radius!r}")
+        xs = np.linspace(lo, hi, _TAIL_CELLS + 1)
+        ys = self(xs)
+        head = np.concatenate(([0.0], np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))))
+        tail = head[-1] - head
+        return xs, tail, np.diff(tail) / np.diff(xs)
+
     def tail_integral(self, x):
-        """F_tail(x) = int_x^inf f(y) dy, from a dense cached cumulative."""
-        if self._tail_x is None:
-            lo, hi = self.support()
-            xs = np.linspace(lo, hi, 16385)
-            ys = self(xs)
-            # cumulative trapezoid of f from lo; tail = total - head
-            head = np.concatenate(([0.0], np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))))
-            tail = head[-1] - head
-            object.__setattr__(self, "_tail_x", xs)
-            object.__setattr__(self, "_tail_y", tail)
-        return np.interp(x, self._tail_x, self._tail_y, left=self._tail_y[0], right=0.0)
+        """F_tail(x) = int_x^inf f(y) dy, from a dense cached cumulative:
+        bit for bit `np.interp(x, nodes, tail, left=tail[0], right=0.0)`,
+        with the cell of x found by index arithmetic on the uniform nodes
+        instead of a binary search."""
+        if self._tail is None:
+            object.__setattr__(self, "_tail", self._tail_table())
+        xs, tail, slopes = self._tail
+        lo, hi = xs[0], xs[-1]
+        x = np.asarray(x, dtype=np.float64)
+        # a non-finite x casts to any index, and +-inf gives NaN inside;
+        # both are replaced by the end values below
+        with np.errstate(invalid="ignore"):
+            j = np.clip(((x - lo) * (_TAIL_CELLS / (hi - lo))).astype(np.intp), 0, _TAIL_CELLS - 1)
+            # the guess is at most one cell off: step to the last node <= x
+            j = j - (xs[j] > x)
+            j = np.clip(j + (xs[j + 1] <= x), 0, _TAIL_CELLS - 1)
+            inner = slopes[j] * (x - xs[j]) + tail[j]
+        return np.where(x < lo, tail[0], np.where(x >= hi, 0.0, inner))[()]

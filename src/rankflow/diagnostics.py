@@ -277,9 +277,9 @@ def dissipation_measure(sol: SpdeSolution, cs: CoefficientSet, xi_bins: int = 25
 
 
 def _restrict(sol: SpdeSolution, s: float, t: float):
-    """The snapshots from s to t (snapshot times by `grid_indices`) and W
-    at each of their times."""
-    i, j = (int(grid_indices(sol.times, r, name)) for name, r in (("s", s), ("t", t)))
+    """The snapshots from s to t (`SpdeSolution.snapshot_index`) and W at
+    each of their times."""
+    i, j = (int(sol.snapshot_index(r, name)) for name, r in (("s", s), ("t", t)))
     if not i < j:
         raise ValueError("s and t must be snapshot times with snapshots between them")
     sub = SpdeSolution(sol.times[i:j + 1], sol.snapshots[i:j + 1], sol.path)

@@ -69,16 +69,24 @@ def rank_fractions(state: ParticleState) -> np.ndarray:
     count-<= value."""
     x = state.positions
     n = x.shape[-1]
-    order = np.argsort(x, axis=-1)
-    srt = np.take_along_axis(x, order, axis=-1)
-    # the count-<= of a sorted entry is one past the last index of its tie
-    # group: the smallest group end at or after it
-    last = np.ones(x.shape, dtype=bool)
-    last[..., :-1] = srt[..., 1:] != srt[..., :-1]
-    ends = np.where(last, np.arange(1, n + 1), n)
-    counts = np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
+    rows = x.reshape(-1, n)
+    # flat index of each row's entries in sorted order
+    order = np.argsort(rows, axis=-1)
+    order += np.arange(0, x.size, n)[:, None]
+    srt = np.take(x, order)
+    tied = srt[:, 1:] == srt[:, :-1]
+    counts = np.broadcast_to(np.arange(1, n + 1) / n, rows.shape)
+    has_tie = tied.any(axis=-1)
+    if has_tie.any():
+        # the count-<= of a sorted entry is one past the last index of its
+        # tie group: the smallest group end at or after it
+        last = np.ones((int(has_tie.sum()), n), dtype=bool)
+        last[:, :-1] = ~tied[has_tie]
+        ends = np.where(last, np.arange(1, n + 1), n)
+        counts = counts.copy()
+        counts[has_tie] = np.minimum.accumulate(ends[:, ::-1], axis=-1)[:, ::-1] / n
     fr = np.empty(x.shape)
-    np.put_along_axis(fr, order, counts / n, axis=-1)
+    np.put(fr, order, counts)
     return fr
 
 

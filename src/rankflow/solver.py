@@ -87,9 +87,16 @@ class SpdeSolution:
     snapshots: tuple
     path: BrownianPath  # W plus off-grid snapshot inserts
 
+    def snapshot_index(self, t, what: str = "snapshot time"):
+        """The index in `times` of the snapshot at t: t is read at its node
+        of `path.t_grid` (`grid_indices`), as `solve` read the snapshot
+        times, and that node must be a snapshot time."""
+        node = self.path.t_grid[grid_indices(self.path.t_grid, t, what)]
+        return grid_indices(self.times, node, what)
+
     def snapshot_at(self, t: float) -> GridFunction:
-        """The snapshot at the snapshot time of t (`grid_indices`)."""
-        return self.snapshots[grid_indices(self.times, t, "snapshot time")]
+        """The snapshot at t (`snapshot_index`)."""
+        return self.snapshots[self.snapshot_index(t)]
 
 
 def spde_step(u: GridFunction, cs: CoefficientSet, dt: float, dW: float) -> GridFunction:

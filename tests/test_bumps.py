@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from rankflow.bumps import BUMP_L1, bump, bump_d1, bump_d2
+from rankflow.bumps import BUMP_L1, Bump1D, bump, bump_d1, bump_d2
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
@@ -68,6 +68,42 @@ def test_support_restricted_equals_dense(s):
 def test_python_scalar_gives_0d(v):
     for fn, dense in _PAIRS:
         _assert_same(fn(v), dense(v))
+
+
+# tables of a centred, a shifted and a narrow far-off bump
+_TAIL_BUMPS = [Bump1D(0.0, 1.0), Bump1D(-0.3, 0.45), Bump1D(1234.5, 0.001)]
+
+
+@st.composite
+def _tail_points(draw):
+    """A bump and points mixing its table nodes, their neighbours, the
+    support ends, points inside and outside the support, NaN and +-inf."""
+    f = draw(st.sampled_from(_TAIL_BUMPS))
+    f.tail_integral(0.0)
+    xs = f._tail[0]
+    lo, hi = f.support()
+    node = st.integers(0, xs.size - 1).map(lambda k: xs[k])
+    element = st.one_of(
+        node,
+        node.map(lambda v: np.nextafter(v, np.inf)),
+        node.map(lambda v: np.nextafter(v, -np.inf)),
+        st.sampled_from([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), np.nan, np.inf, -np.inf]),
+        st.floats(lo - f.radius, hi + f.radius),
+    )
+    return f, draw(arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=12), elements=element))
+
+
+@given(_tail_points())
+def test_tail_integral_equals_interp(case):
+    f, x = case
+    xs, tail = f._tail[:2]
+    _assert_same(np.asarray(f.tail_integral(x)), np.asarray(np.interp(x, xs, tail, left=tail[0], right=0.0)))
+    assert np.shape(f.tail_integral(x)) == x.shape
+
+
+def test_tail_integral_rejects_unresolvable_table():
+    with pytest.raises(ValueError, match="too far from 0"):
+        Bump1D(1e12, 1e-3).tail_integral(0.0)
 
 
 def test_bump_l1_literal_equals_quad():

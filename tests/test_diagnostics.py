@@ -375,6 +375,17 @@ class TestWeakForm:
         assert len(set(family)) == len(fs)
         assert weak_form_residual(sol, cs_general, [], 0.125, 0.5) == []
 
+    def test_window_read_with_the_solves_tolerance(self):
+        """For T > 1, s and t within 1e-9 T of a snapshot node are that
+        node, as in the solve, although the last snapshot time is below T."""
+        cs = build_from_sources("0", "0.3", "0.2", 64)
+        cfg = SolverConfig(-12.0, 12.0, 64)
+        u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
+        sol = solve(u0, cs, sample_path(1, 2, 4.0, 8), cfg, snapshot_times=[0.0, 0.5, 1.0])
+        fs = [Bump1D(0.0, 1.0)]
+        exact = weak_form_residual(sol, cs, fs, 0.5, 1.0)
+        assert _bits(weak_form_residual(sol, cs, fs, 0.5 - 3e-9, 1.0 + 3e-9)) == _bits(exact)
+
     def test_support_must_be_inside_domain(self, cs_general):
         """Checked before any other work: s = 0.3 is no snapshot time, yet
         the error is the support's."""

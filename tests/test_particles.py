@@ -41,6 +41,21 @@ def tied_blocks(draw):
     return x
 
 
+def _ranks_along_axis(x):
+    """rank_fractions as take_along_axis / put_along_axis over the last axis:
+    the reference for the flat-index version."""
+    n = x.shape[-1]
+    order = np.argsort(x, axis=-1)
+    srt = np.take_along_axis(x, order, axis=-1)
+    last = np.ones(x.shape, dtype=bool)
+    last[..., :-1] = srt[..., 1:] != srt[..., :-1]
+    ends = np.where(last, np.arange(1, n + 1), n)
+    counts = np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
+    fr = np.empty(x.shape)
+    np.put_along_axis(fr, order, counts / n, axis=-1)
+    return fr
+
+
 class TestRankFractions:
     def test_direct_count(self):
         st = ParticleState(0.0, np.array([3.0, 1.0, 2.0]))
@@ -73,6 +88,14 @@ class TestBlocks:
         assert got.tobytes() == want.tobytes()
         for row, got_row in zip(x, got):
             assert rank_fractions(ParticleState(0.0, row)).tobytes() == got_row.tobytes()
+
+    @given(tied_blocks(), st.booleans())
+    def test_rank_fractions_equal_along_axis_formula(self, x, one_row):
+        if one_row:
+            x = x[0]
+        got = rank_fractions(ParticleState(0.0, x))
+        assert got.shape == x.shape
+        assert got.tobytes() == _ranks_along_axis(x).tobytes()
 
     @given(tied_blocks(), st.integers(0, 2**32 - 1))
     def test_em_step_equals_row_steps(self, x, seed):

@@ -214,6 +214,21 @@ class TestSolve:
         with pytest.raises(ValueError, match="snapshot time = 0.25 is not a grid time"):
             off.snapshot_at(0.25)
 
+    def test_lookup_tolerance_is_the_solves(self):
+        """For T > 1 the solve snaps a snapshot time with the tolerance
+        1e-9 T of W's grid; the lookup of that time reads the same node,
+        although the last snapshot time is below T."""
+        cs = build_from_sources("0", "0.3", "0.2", 64)
+        cfg = SolverConfig(-12.0, 12.0, 64)
+        u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
+        W = sample_path(1, 2, 4.0, 8)
+        sol = solve(u0, cs, W, cfg, snapshot_times=[1.0 + 3e-9])
+        np.testing.assert_array_equal(sol.times, [1.0])
+        assert sol.snapshot_at(1.0 + 3e-9) is sol.snapshots[0]
+        assert sol.snapshot_at(1.0) is sol.snapshots[0]
+        with pytest.raises(ValueError, match="snapshot time = 1.5 is not a grid time"):
+            sol.snapshot_at(1.5)
+
     def test_domain_margin_enforced(self, cs_const):
         cfg = SolverConfig(-2.0, 2.0, 32)
         u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
