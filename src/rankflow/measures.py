@@ -6,6 +6,8 @@ centers (anchored at 0 on the left domain edge and 1 on the right).  The
 1-d Wasserstein-1 distance between probability measures equals the L1
 distance between their CDFs, which is what `w1` computes: exact piecewise
 integration of |F - G| over the merged breakpoint set.
+
+Gaussian CDFs use `ndtr`, a numpy port of Cephes.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from .randomness import STREAM_INIT, uniforms
+from .randomness import STREAM_INIT, _p1evl, _polevl, ndtri, uniforms
 
 __all__ = [
+    "ndtr",
     "StepCDF",
     "GridFunction",
     "InitialDistribution",
@@ -30,6 +32,52 @@ __all__ = [
     "gaussian",
     "mixture",
 ]
+
+
+# Cephes ndtr with its erf and erfc (Moshier, "Methods and Programs for
+# Mathematical Functions", 1989), the algorithm of scipy.special.ndtr.
+# erf(x) = x T(x^2)/U(x^2) for |x| <= 1; erfc(x) = exp(-x^2) P(x)/Q(x) for
+# 1 <= x < 8, exp(-x^2) R(x)/S(x) from 8, and 0 where x^2 > MAXLOG.
+_SQRT1_2 = 0.70710678118654752440  # 1/sqrt(2)
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _erf(x):
+    """Cephes erf on |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+
+
+def ndtr(a):
+    """The standard normal CDF Phi(a), elementwise: Cephes ndtr with its
+    erf and erfc, branch points, coefficients and Horner order.  Every
+    branch runs on every point and np.where picks one; a 0-d input gives
+    a numpy scalar."""
+    x = np.asarray(a, dtype=np.float64) * _SQRT1_2
+    z = np.abs(x)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        far = z >= 8.0
+        ratio = (np.where(far, _polevl(z, _ERFC_R), _polevl(z, _ERFC_P))
+                 / np.where(far, _p1evl(z, _ERFC_S), _p1evl(z, _ERFC_Q)))
+        erfc = np.where(z < 1.0, 1.0 - _erf(z), np.exp(-z * z) * ratio)
+        erfc = np.where(z * z > _MAXLOG, 0.0, erfc)
+        half = 0.5 * erfc
+        y = np.where(z < _SQRT1_2, 0.5 + 0.5 * _erf(x), np.where(x > 0, 1.0 - half, half))
+    return y[()]
 
 
 class EmptyInputError(ValueError):

@@ -4,7 +4,8 @@ Every random number is addressed by (seed, stream_id, counter): the Philox
 generator is keyed with (seed, stream_id) and uniforms come off fixed
 counter blocks, so regeneration is bit-identical regardless of the order
 in which streams are drawn.  Normals are produced by inverse CDF (one raw word per
-variate), which keeps the counter addressing exact.
+variate), which keeps the counter addressing exact; the inverse CDF is
+`ndtri`, a numpy port of Cephes.
 
 Philox4x64-10 is computed here on uint64 arrays, the same words as
 `np.random.Philox`, so the words of any number of streams and counters
@@ -20,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
+    "ndtri",
     "BrownianPath",
     "GridConflict",
     "grid_indices",
@@ -60,6 +61,86 @@ _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
 # 0-d arrays: cheaper ufunc operands than numpy scalars
 _LO32 = np.array(0xFFFFFFFF, dtype=np.uint64)
 _U32 = np.array(32, dtype=np.uint64)
+
+
+# Cephes ndtri (Moshier, "Methods and Programs for Mathematical Functions",
+# 1989), the algorithm of scipy.special.ndtri: a rational function of
+# y - 1/2 for e^-2 < y < 1 - e^-2, and in the tails, with x = sqrt(-2 log y),
+# x - log(x)/x minus a rational function of 1/x: (P1, Q1) for x < 8, that is
+# y > e^-32, and (P2, Q2) beyond.
+_EXP_M2 = 0.13533528323661269189  # e^-2
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x, coef):
+    """coef[0] x^N + ... + coef[N] by Horner's rule (Cephes polevl)."""
+    y = coef[0] * x + coef[1]
+    for c in coef[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _p1evl(x, coef):
+    """x^N + coef[0] x^(N-1) + ... + coef[N-1], the leading coefficient 1
+    implied (Cephes p1evl)."""
+    y = x + coef[0]
+    for c in coef[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def ndtri(p):
+    """The standard normal quantile Phi^-1(p), elementwise: Cephes ndtri
+    with its branch points, coefficients and Horner order.  -inf at 0, inf
+    at 1, NaN outside [0, 1]; a 0-d input gives a numpy scalar."""
+    p = np.asarray(p, dtype=np.float64)
+    flat = p.ravel()
+    upper = flat > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - flat, flat)
+    # the central branch runs on every point, which is cheaper than
+    # gathering them; the tail points are overwritten below.  Out-of-range
+    # values, and log 0 in the tail, stay silent.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c = y - 0.5
+        c2 = c * c
+        out = c2 * _polevl(c2, _NDTRI_P0)
+        out /= _p1evl(c2, _NDTRI_Q0)
+        out *= c
+        out += c
+        out *= _S2PI
+        tail = np.flatnonzero(~(y > _EXP_M2))
+        if tail.size:
+            yt = y[tail]
+            x = np.sqrt(-2.0 * np.log(yt))
+            x0 = x - np.log(x) / x
+            z = 1.0 / x
+            x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+            far = x >= 8.0
+            if far.any():
+                zf = z[far]
+                x1[far] = zf * _polevl(zf, _NDTRI_P2) / _p1evl(zf, _NDTRI_Q2)
+            xt = np.where(yt == 0.0, np.inf, x0 - x1)
+            out[tail] = np.where(upper[tail], xt, -xt)
+    return out.reshape(p.shape)[()]
 
 
 def _u64(x) -> np.ndarray:

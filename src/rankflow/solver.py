@@ -34,10 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .coefficients import CoefficientSet
-from .measures import GridFunction, InitialDistribution, StepCDF
+from .measures import GridFunction, InitialDistribution, StepCDF, ndtr
 from .randomness import BrownianPath, _nearest_nodes, grid_indices, refine_path
 
 __all__ = [

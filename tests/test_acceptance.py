@@ -524,9 +524,9 @@ def _csv_digests(out_root) -> dict:
 
 def test_golden_digests(tmp_path):
     """The determinism configs write the CSV bytes recorded in
-    tests/golden/digests.json.  The bytes depend on the numpy and scipy
-    builds, so the check runs only with the versions they were recorded
-    with.  A change that alters output numbers on purpose regenerates the
+    tests/golden/digests.json.  The bytes depend on the numpy build, so the
+    check runs only with the versions they were recorded with (the scipy
+    version also pins the quad check of BUMP_L1 in test_bumps.py).  A change that alters output numbers on purpose regenerates the
     file with `PYTHONPATH=src python tests/test_acceptance.py` and says why."""
     golden = json.loads(_GOLDEN.read_text())
     if golden["versions"] != _library_versions():

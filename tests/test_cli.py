@@ -388,11 +388,11 @@ class TestDiagnoseAndStability:
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # each of these pulls in scipy.sparse and scipy.linalg (tens of MB and
-    # a quarter second at start-up) and rankflow needs none of them
-    heavy = ("scipy.integrate", "scipy.sparse", "scipy.linalg", "scipy.stats")
+    # rankflow needs only numpy at run time: importing scipy.special alone
+    # costs about 0.2 s and 20 MB at start-up, and scipy.integrate,
+    # scipy.sparse, scipy.linalg and scipy.stats more
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = f"import sys, rankflow.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    code = "import sys, rankflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

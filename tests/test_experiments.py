@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import ndtri
 
 from rankflow.bumps import Bump1D
 from rankflow.coefficients import ValidationError, build_from_sources
@@ -34,6 +33,7 @@ from rankflow.randomness import (
     _raw_block,
     _to_uniform,
     make_noise_bundle,
+    ndtri,
     replica_seed,
     sample_path,
 )

@@ -7,23 +7,78 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import kstest
 
 from rankflow.randomness import (
     GridConflict,
     grid_indices,
     make_noise_bundle,
+    ndtri,
     refine_path,
     replica_seed,
     sample_path,
     STREAM_COMMON,
     STREAM_INIT,
+    _EXP_M2,
     _brownian_rows,
     _bridge_normals,
     _raw_block,
     _to_uniform,
 )
+
+
+def _ulps(a, b):
+    """Distance in units in the last place between float64 arrays of equal
+    signs."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def _neighbours(points, k=16):
+    """Each point and its k float64 neighbours on either side."""
+    out = []
+    for p in points:
+        lo = p
+        for _ in range(k):
+            lo = np.nextafter(lo, -np.inf)
+        row = [lo]
+        for _ in range(2 * k):
+            row.append(np.nextafter(row[-1], np.inf))
+        out.extend(row)
+    return np.array(out)
+
+
+class TestNdtri:
+    """The Cephes port against scipy.special.ndtri, which runs the same
+    algorithm in C: equal bits in the central branch, where only + - * /
+    are used.  The tails take log and sqrt, and numpy's SIMD log is not
+    libm's; 5 ulp is the largest difference seen on the points below, and
+    the test allows 6."""
+
+    TAIL_ULPS = 6
+
+    def test_matches_scipy_on_lattice_points(self):
+        u = _to_uniform(_raw_block(11, np.arange(250, dtype=np.uint64), 4000)).ravel()
+        # the branch points e^-2 and 1 - e^-2, x = 8 (e^-32 and its mirror),
+        # the smallest lattice point 2^-54 and the largest below 1
+        special = _neighbours([_EXP_M2, 1.0 - _EXP_M2, np.exp(-32.0), 1.0 - np.exp(-32.0),
+                               2.0**-54, 1.0 - 2.0**-53])
+        u = np.concatenate((u, special[(special > 0.0) & (special < 1.0)]))
+        assert u.size >= 10**6
+        got, want = ndtri(u), scipy_ndtri(u)
+        central = (u > _EXP_M2) & (u < 1.0 - _EXP_M2)
+        assert central.sum() > 7 * 10**5 and (~central).sum() > 2 * 10**5
+        assert got[central].tobytes() == want[central].tobytes()
+        assert _ulps(got[~central], want[~central]).max() <= self.TAIL_ULPS
+
+    def test_ends_and_shapes(self):
+        got = ndtri(np.array([[0.0, 1.0, 0.5], [-0.25, 1.5, np.nan]]))
+        assert got.shape == (2, 3)
+        assert got[0, 0] == -np.inf and got[0, 1] == np.inf and got[0, 2] == 0.0
+        assert np.isnan(got[1]).all()
+        assert isinstance(ndtri(0.25), np.float64)
+        assert ndtri(0.25) == scipy_ndtri(0.25)
+        assert ndtri(np.empty((0, 3))).shape == (0, 3)
 
 
 class TestSamplePath:
