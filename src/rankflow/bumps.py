@@ -109,8 +109,8 @@ class Bump1D:
         xs, tail, slopes = self._tail
         lo, hi = xs[0], xs[-1]
         x = np.asarray(x, dtype=np.float64)
-        # a non-finite x casts to any index, and +-inf gives NaN inside;
-        # both are replaced by the end values below
+        # a non-finite x casts to an arbitrary index: +-inf then reads the
+        # end values below, and NaN stays NaN as in np.interp
         with np.errstate(invalid="ignore"):
             j = np.clip(((x - lo) * (_TAIL_CELLS / (hi - lo))).astype(np.intp), 0, _TAIL_CELLS - 1)
             # the guess is at most one cell off: step to the last node <= x

@@ -80,8 +80,9 @@ def rank_fractions(state: ParticleState) -> np.ndarray:
     if has_tie.any():
         # the count-<= of a sorted entry is one past the last index of its
         # tie group: the smallest group end at or after it
-        last = np.ones((int(has_tie.sum()), n), dtype=bool)
-        last[:, :-1] = ~tied[has_tie]
+        tied = tied[has_tie]
+        last = np.ones((tied.shape[0], n), dtype=bool)
+        last[:, :-1] = ~tied
         ends = np.where(last, np.arange(1, n + 1), n)
         counts = counts.copy()
         counts[has_tie] = np.minimum.accumulate(ends[:, ::-1], axis=-1)[:, ::-1] / n

@@ -70,8 +70,10 @@ def test_python_scalar_gives_0d(v):
         _assert_same(fn(v), dense(v))
 
 
-# tables of a centred, a shifted and a narrow far-off bump
-_TAIL_BUMPS = [Bump1D(0.0, 1.0), Bump1D(-0.3, 0.45), Bump1D(1234.5, 0.001)]
+# tables of a centred, a shifted and a narrow far-off bump; on the tables
+# of (-0.64, 0.6) and (0, 0.36), some nodes' neighbours read a wrong value
+# when the index guess is not corrected upwards
+_TAIL_BUMPS = [Bump1D(0.0, 1.0), Bump1D(-0.64, 0.6), Bump1D(0.0, 0.36), Bump1D(1234.5, 0.001)]
 
 
 @st.composite
@@ -99,6 +101,19 @@ def test_tail_integral_equals_interp(case):
     xs, tail = f._tail[:2]
     _assert_same(np.asarray(f.tail_integral(x)), np.asarray(np.interp(x, xs, tail, left=tail[0], right=0.0)))
     assert np.shape(f.tail_integral(x)) == x.shape
+
+
+@pytest.mark.parametrize("f", _TAIL_BUMPS, ids=["centred", "shifted", "narrow", "narrow_far"])
+def test_tail_integral_equals_interp_at_every_node(f):
+    """Every table node and both its neighbours, where the index guess is
+    most often one cell off, plus a random (16, 512) block."""
+    f.tail_integral(0.0)
+    xs, tail = f._tail[:2]
+    rng = np.random.default_rng(5)
+    lo, hi = f.support()
+    for x in (xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf),
+              rng.uniform(lo - f.radius, hi + f.radius, (16, 512))):
+        _assert_same(f.tail_integral(x), np.interp(x, xs, tail, left=tail[0], right=0.0))
 
 
 def test_tail_integral_rejects_unresolvable_table():

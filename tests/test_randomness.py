@@ -63,7 +63,12 @@ class TestNdtri:
         # the smallest lattice point 2^-54 and the largest below 1
         special = _neighbours([_EXP_M2, 1.0 - _EXP_M2, np.exp(-32.0), 1.0 - np.exp(-32.0),
                                2.0**-54, 1.0 - 2.0**-53])
-        u = np.concatenate((u, special[(special > 0.0) & (special < 1.0)]))
+        # the first and last 2000 lattice points: the x >= 8 branch holds
+        # the first ~114 and their mirrors
+        k = np.arange(2000, dtype=np.uint64) << np.uint64(11)
+        ends = _to_uniform(np.concatenate((k, ~k)))
+        u = np.concatenate((u, ends, special))
+        u = u[(u > 0.0) & (u < 1.0)]
         assert u.size >= 10**6
         got, want = ndtri(u), scipy_ndtri(u)
         central = (u > _EXP_M2) & (u < 1.0 - _EXP_M2)
