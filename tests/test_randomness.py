@@ -28,24 +28,14 @@ from rankflow.randomness import (
 )
 
 
-def _ulps(a, b):
-    """Distance in units in the last place between float64 arrays of equal
-    signs."""
-    return np.abs(a.view(np.int64) - b.view(np.int64))
-
-
 def _neighbours(points, k=16):
     """Each point and its k float64 neighbours on either side."""
-    out = []
-    for p in points:
-        lo = p
-        for _ in range(k):
-            lo = np.nextafter(lo, -np.inf)
-        row = [lo]
-        for _ in range(2 * k):
-            row.append(np.nextafter(row[-1], np.inf))
-        out.extend(row)
-    return np.array(out)
+    lo = hi = np.asarray(points, dtype=np.float64)
+    out = [lo]
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return np.concatenate(out)
 
 
 class TestNdtri:
@@ -74,7 +64,8 @@ class TestNdtri:
         central = (u > _EXP_M2) & (u < 1.0 - _EXP_M2)
         assert central.sum() > 7 * 10**5 and (~central).sum() > 2 * 10**5
         assert got[central].tobytes() == want[central].tobytes()
-        assert _ulps(got[~central], want[~central]).max() <= self.TAIL_ULPS
+        ulps = np.abs(got[~central].view(np.int64) - want[~central].view(np.int64))
+        assert ulps.max() <= self.TAIL_ULPS
 
     def test_ends_and_shapes(self):
         got = ndtri(np.array([[0.0, 1.0, 0.5], [-0.25, 1.5, np.nan]]))
