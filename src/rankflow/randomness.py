@@ -114,33 +114,47 @@ def ndtri(p):
     at 1, NaN outside [0, 1]; a 0-d input gives a numpy scalar."""
     p = np.asarray(p, dtype=np.float64)
     flat = p.ravel()
-    upper = flat > 1.0 - _EXP_M2
-    y = np.where(upper, 1.0 - flat, flat)
-    # the central branch runs on every point, which is cheaper than
-    # gathering them; the tail points are overwritten below.  Out-of-range
-    # values, and log 0 in the tail, stay silent.
+    out = np.empty(flat.shape)
+    # Out-of-range values, and log 0 in the tail, stay silent.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        c = y - 0.5
-        c2 = c * c
-        out = c2 * _polevl(c2, _NDTRI_P0)
-        out /= _p1evl(c2, _NDTRI_Q0)
-        out *= c
-        out += c
-        out *= _S2PI
-        tail = np.flatnonzero(~(y > _EXP_M2))
-        if tail.size:
-            yt = y[tail]
-            x = np.sqrt(-2.0 * np.log(yt))
-            x0 = x - np.log(x) / x
-            z = 1.0 / x
-            x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
-            far = x >= 8.0
-            if far.any():
-                zf = z[far]
-                x1[far] = zf * _polevl(zf, _NDTRI_P2) / _p1evl(zf, _NDTRI_Q2)
-            xt = np.where(yt == 0.0, np.inf, x0 - x1)
-            out[tail] = np.where(upper[tail], xt, -xt)
+        for k in range(0, flat.size, _NDTRI_BLOCK):
+            _ndtri_block(flat[k:k + _NDTRI_BLOCK], out[k:k + _NDTRI_BLOCK])
     return out.reshape(p.shape)[()]
+
+
+# ndtri works through an array in blocks of this many points: its dozen
+# temporaries stay at 64 KiB each, below the size glibc serves by mmap, so
+# the allocator hands the same memory back block after block instead of
+# mapping and faulting in fresh pages on every large call
+_NDTRI_BLOCK = 8192
+
+
+def _ndtri_block(p, out):
+    """ndtri of the 1-d array p, written into out."""
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)
+    # the central branch runs on every point, which is cheaper than
+    # gathering them; the tail points are overwritten below
+    c = y - 0.5
+    c2 = c * c
+    np.multiply(c2, _polevl(c2, _NDTRI_P0), out=out)
+    out /= _p1evl(c2, _NDTRI_Q0)
+    out *= c
+    out += c
+    out *= _S2PI
+    tail = np.flatnonzero(~(y > _EXP_M2))
+    if tail.size:
+        yt = y[tail]
+        x = np.sqrt(-2.0 * np.log(yt))
+        x0 = x - np.log(x) / x
+        z = 1.0 / x
+        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+        far = x >= 8.0
+        if far.any():
+            zf = z[far]
+            x1[far] = zf * _polevl(zf, _NDTRI_P2) / _p1evl(zf, _NDTRI_Q2)
+        xt = np.where(yt == 0.0, np.inf, x0 - x1)
+        out[tail] = np.where(upper[tail], xt, -xt)
 
 
 def _u64(x) -> np.ndarray:

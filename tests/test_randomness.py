@@ -21,6 +21,7 @@ from rankflow.randomness import (
     STREAM_COMMON,
     STREAM_INIT,
     _EXP_M2,
+    _NDTRI_BLOCK,
     _brownian_rows,
     _bridge_normals,
     _raw_block,
@@ -76,6 +77,16 @@ class TestNdtri:
         assert ndtri(0.25) == scipy_ndtri(0.25)
         assert ndtri(np.empty((0, 3))).shape == (0, 3)
 
+
+    def test_blocks_do_not_change_values(self):
+        # three blocks and a part, with tail points on either side of each
+        # block edge: the same bits as short pieces that cut elsewhere
+        u = _to_uniform(_raw_block(5, 3, 7 * (3 * _NDTRI_BLOCK // 7 + 11)))
+        edges = np.arange(1, 4) * _NDTRI_BLOCK
+        u[np.concatenate((edges - 1, edges))] = [1e-300, 0.01, 0.99, 1e-20, 1.0 - 1e-9, 0.1]
+        pieces = np.concatenate([ndtri(u[k:k + 1000]) for k in range(0, u.size, 1000)])
+        assert ndtri(u).tobytes() == pieces.tobytes()
+        assert ndtri(u.reshape(7, -1)).tobytes() == pieces.tobytes()
 
 class TestSamplePath:
     def test_starts_at_zero(self):
