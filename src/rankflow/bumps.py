@@ -66,8 +66,9 @@ class Bump1D:
     _tail: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        # a negated comparison, so that NaN is rejected too
+        if not 0.0 < self.radius < np.inf:
+            raise ValueError(f"radius {self.radius} must be positive and finite")
 
     def _arg(self, x):
         return (np.asarray(x, dtype=np.float64) - self.center) / self.radius

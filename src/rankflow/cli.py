@@ -21,7 +21,6 @@ from .coefficients import ValidationError, build_from_sources
 from .config import ConfigError, RunConfig, parse_config, parse_init
 from .csvio import write_csv, write_cdf_csv, write_manifest, write_path_csv
 from .diagnostics import (
-    MIN_XI_SCALE,
     BumpTestFunction,
     chain_rule_residual,
     coarea_check,
@@ -151,7 +150,10 @@ def _cmd_converge(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
 
 def _martingale_suite(cfg: RunConfig):
     """Six (f, phi, psi) triples over bumps sized to the initial spread."""
-    return default_martingale_suite(cfg.num("f_center", 0.0), cfg.num("f_radius", 2.5))
+    try:
+        return default_martingale_suite(cfg.num("f_center", 0.0), cfg.num("f_radius", 2.5))
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _cmd_martingale(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
@@ -207,17 +209,17 @@ def _particle_inputs(ns, replicas: int, T: float, steps: int, snapshot_times, **
 
 
 def _diagnose_bumps(sc: SolverConfig, grid: np.ndarray, s: float, t: float,
-                    r_xi: float, r_x: float, ys):
+                    r_xi: float, r_x: float, etas, ys):
     """Check the diagnose parameters that would otherwise fail only after
     the solve (bump scales, weak-form supports, the window [s, t] on the
-    noise grid) and return the weak-form test functions, one per distinct
-    centre in first-seen order, and s and t as grid nodes (`grid_indices`)."""
-    if not r_xi >= MIN_XI_SCALE:
-        raise ConfigError(f"r_xi = {r_xi} is below {MIN_XI_SCALE}; the fixed 256-node "
-                          "xi quadrature cannot resolve narrower bumps")
-    if not r_x > 0:
-        raise ConfigError(f"r_x = {r_x} must be positive")
-    fs = {y: Bump1D(y, r_x) for y in ys}
+    noise grid) and return the test functions, one per (eta, y), the
+    weak-form test functions, one per distinct centre in first-seen order,
+    and s and t as grid nodes (`grid_indices`)."""
+    try:
+        tfs = [BumpTestFunction(eta=eta, y=y, r_xi=r_xi, r_x=r_x) for eta in etas for y in ys]
+        fs = {y: Bump1D(y, r_x) for y in ys}
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     for f in fs.values():
         lo, hi = f.support()
         if lo <= sc.x_min or hi >= sc.x_max:
@@ -230,7 +232,7 @@ def _diagnose_bumps(sc: SolverConfig, grid: np.ndarray, s: float, t: float,
         raise (ConfigError(str(e)) if 0.0 <= s < t <= grid[-1] else window) from None
     if not k_s < k_t:
         raise window
-    return fs, float(grid[k_s]), float(grid[k_t])
+    return tfs, fs, float(grid[k_s]), float(grid[k_t])
 
 
 def _cmd_diagnose(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
@@ -245,12 +247,11 @@ def _cmd_diagnose(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     etas = cfg.num_list("eta_list", [0.3, 0.6])
     ys = cfg.num_list("y_list", [0.0])
     W = sample_path(seed, STREAM_COMMON, T, steps)
-    fs, s, t = _diagnose_bumps(sc, W.t_grid, s, t, r_xi, r_x, ys)
+    tfs, fs, s, t = _diagnose_bumps(sc, W.t_grid, s, t, r_xi, r_x, etas, ys)
     u0 = grid_cdf(parse_init(cfg.text("init")), sc.x_min, sc.x_max, sc.cells)
     sol = solve(u0, cs, W, sc)  # snapshot every noise node
     u_t = sol.snapshot_at(t)
     w_t = sol.path.value_at(t)
-    tfs = [BumpTestFunction(eta=eta, y=y, r_xi=r_xi, r_x=r_x) for eta in etas for y in ys]
     entropy = entropy_identity_residual(sol, cs, tfs, s, t)
     chain = chain_rule_residual(u_t, cs, tfs, t, w_t)
     weak = dict(zip(fs, weak_form_residual(sol, cs, list(fs.values()), s, t)))

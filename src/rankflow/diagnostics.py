@@ -66,13 +66,14 @@ class BumpTestFunction:
     r_x: float
 
     def __post_init__(self):
-        if self.r_xi < MIN_XI_SCALE:
+        # negated comparisons, so that NaN is rejected too
+        if not MIN_XI_SCALE <= self.r_xi < np.inf:
             raise ValueError(
-                f"xi-scale {self.r_xi} below {MIN_XI_SCALE}; the fixed 256-node "
-                "quadrature cannot resolve narrower bumps"
+                f"r_xi = {self.r_xi} must be finite and at least {MIN_XI_SCALE}; the fixed "
+                "256-node xi quadrature cannot resolve narrower bumps"
             )
-        if self.r_x <= 0:
-            raise ValueError("r_x must be positive")
+        if not 0.0 < self.r_x < np.inf:
+            raise ValueError(f"r_x = {self.r_x} must be positive and finite")
 
     def _fx(self, xt):
         return bump(np.asarray(xt) / self.r_x) / (BUMP_L1 * self.r_x)
@@ -150,6 +151,61 @@ def _cell_xi_quadrature(u_vals: np.ndarray):
     return nodes, weights
 
 
+def _reach(x: np.ndarray, shift: np.ndarray, tfs: Sequence[BumpTestFunction]) -> slice:
+    """The columns [j0, j1) of the (order, cells) grid outside which every
+    x-bump of the family, fx((x_j - y) - shift_ij), is exactly zero: the
+    hull of the windows of the distinct (y, r_x), slice(0, 0) if all are
+    empty.
+
+    A window is read off the per-column range [lo_j, hi_j] of the shift.
+    Rounded subtraction and division by r_x > 0 are monotone, so the bump
+    argument s_ij = ((x_j - y) - shift_ij) / r_x lies between the same
+    expressions at hi_j and lo_j, and a column whose range misses (-1, 1)
+    has no point with |s_ij| < 1.  np.fmin/np.fmax skip a NaN shift, whose
+    bump value is 0."""
+    lo = np.fmin.reduce(shift, axis=0)
+    hi = np.fmax.reduce(shift, axis=0)
+    cols = np.zeros(x.size, dtype=bool)
+    for y, r_x in dict.fromkeys(map(_x_key, tfs)):
+        d = x - y
+        cols |= ((d - hi) / r_x < 1.0) & ((d - lo) / r_x > -1.0)
+    j = np.flatnonzero(cols)
+    return slice(int(j[0]), int(j[-1]) + 1) if j.size else slice(0, 0)
+
+
+def _windowed_quadrature(u: GridFunction, cs: CoefficientSet, tfs: Sequence[BumpTestFunction],
+                         t: float, w_t: float):
+    """The per-cell xi quadrature of u and the shift b(xi) t + gamma(xi) w_t
+    on it, kept on the columns `cols` (`_reach`) that an x-bump of the
+    family can reach: returns cols and, on them, the cell centres as a row,
+    the nodes, the weights and the shift.  Only the shift is evaluated on
+    every cell, to find cols; each value kept is bit for bit the full-grid
+    one, and nodes and weights are built contiguous from u's columns."""
+    uv = np.clip(u.values, 0.0, 1.0)
+    x = u.centers()
+    shift = _shift(cs, _NODES01[:, None] * uv[None, :], t, w_t)
+    cols = _reach(x, shift, tfs)
+    nodes, weights = _cell_xi_quadrature(uv[cols])
+    return cols, x[None, cols], nodes, weights, shift[:, cols]
+
+
+def _padded_sums(buf: np.ndarray, cols: slice, blocks, scale: float) -> list[float]:
+    """float(np.sum(full) * scale) per block, where full is the (order,
+    cells) array equal to the block on the columns `cols` and 0.0 elsewhere.
+    Each block is written into the zero buffer `buf`, which has that shape,
+    and the whole buffer is summed: numpy's pairwise summation order
+    depends on the shape alone, so every sum is bit for bit the full-grid
+    one (a sum of zeros only reads +0.0 where a negative sigma, allowed as
+    degenerate, made the full grid's zeros -0.0).  buf is zero again on
+    return."""
+    out = []
+    for block in blocks:
+        buf[:, cols] = block
+        out.append(float(np.sum(buf) * scale))
+    buf[:, cols] = 0.0
+    return out
+
+
 def _grid_sx(u: GridFunction, cs: CoefficientSet) -> np.ndarray:
     """d/dx of S(u(x)): central differences inside, one-sided at the ends."""
     su = cs.eval_transform("S", np.clip(u.values, 0.0, 1.0))
@@ -171,18 +227,21 @@ def chain_rule_forms(u: GridFunction, cs: CoefficientSet, tfs: Sequence[BumpTest
                                        - gamma(xi) w_t, xi - eta) dxi
 
     b, gamma and sigma are evaluated once per call, and each bump factor
-    once per distinct centre and radius.
+    once per distinct centre and radius.  The integrand of lhs is evaluated
+    only on the columns its x-bumps can reach (`_windowed_quadrature`) and
+    summed over the whole zero-padded (order, cells) grid (`_padded_sums`),
+    so lhs is bit for bit the full-grid value.
     """
     x = u.centers()
     uv = np.clip(u.values, 0.0, 1.0)
 
-    nodes, weights = _cell_xi_quadrature(uv)
-    shift = _shift(cs, nodes, t, w_t)
+    cols, xw, nodes, weights, shift = _windowed_quadrature(u, cs, tfs, t, w_t)
     w_sig = weights * np.asarray(cs.sigma(nodes))
-    fx1 = _shared(tfs, _x_key, lambda tf: tf._fx_d1((x[None, :] - tf.y) - shift))
+    fx1 = _shared(tfs, _x_key, lambda tf: tf._fx_d1((xw - tf.y) - shift))
     fxi = _shared(tfs, _xi_key, lambda tf: tf._fxi(nodes - tf.eta))
-    lhs = [float(np.sum(w_sig * (a * c)) * u.dx) for a, c in zip(fx1, fxi)]
-    del fx1, fxi
+    buf = np.zeros((_XI_ORDER, x.size))
+    lhs = _padded_sums(buf, cols, (w_sig * (a * c) for a, c in zip(fx1, fxi)), u.dx)
+    del fx1, fxi, buf
 
     sx = _grid_sx(u, cs)
     shift = _shift(cs, uv, t, w_t)
@@ -287,23 +346,25 @@ def _restrict(sol: SpdeSolution, s: float, t: float):
 
 
 def _entropy_terms(snap: GridFunction, r: float, w_r: float, cs: CoefficientSet,
-                   tfs: Sequence[BumpTestFunction], boundary: bool):
+                   tfs: Sequence[BumpTestFunction], boundary: bool, buf: np.ndarray):
     """Per test function, int int chi sigma^2 rho_xx at one snapshot and,
     if `boundary`, int int chi rho (else None).  The xi quadrature, shift
     and sigma^2 are built once, each bump factor once per distinct centre
-    and radius; all of them are dropped on return."""
-    x = snap.centers()[None, :]
-    nodes, weights = _cell_xi_quadrature(np.clip(snap.values, 0.0, 1.0))
-    shift = _shift(cs, nodes, r, w_r)
+    and radius; all of them are dropped on return.  Both integrands carry
+    an x-bump: they are evaluated only on the columns it can reach
+    (`_windowed_quadrature`) and summed in the zero (order, cells) buffer
+    `buf` (`_padded_sums`), bit for bit the full-grid sums."""
+    cols, x, nodes, weights, shift = _windowed_quadrature(snap, cs, tfs, r, w_r)
     sig2 = np.asarray(cs.sigma(nodes)) ** 2
     fxi = _shared(tfs, _xi_key, lambda tf: tf._fxi(nodes - tf.eta))
     fx_d2 = _shared(tfs, _x_key, lambda tf: tf._fx_d2((x - tf.y) - shift))
-    diffusion = [float(np.sum(weights * (sig2 * (a * c))) * snap.dx) for a, c in zip(fx_d2, fxi)]
+    diffusion = _padded_sums(buf, cols, (weights * (sig2 * (a * c)) for a, c in zip(fx_d2, fxi)),
+                             snap.dx)
     if not boundary:
         return diffusion, None
     del fx_d2
     fx = _shared(tfs, _x_key, lambda tf: tf._fx((x - tf.y) - shift))
-    return diffusion, [float(np.sum(weights * (a * c)) * snap.dx) for a, c in zip(fx, fxi)]
+    return diffusion, _padded_sums(buf, cols, (weights * (a * c) for a, c in zip(fx, fxi)), snap.dx)
 
 
 def entropy_identity_residual(sol: SpdeSolution, cs: CoefficientSet,
@@ -325,8 +386,9 @@ def entropy_identity_residual(sol: SpdeSolution, cs: CoefficientSet,
     last = len(times) - 1
     diffusion = []  # per snapshot, per test function
     boundary = []   # at s and at t, per test function
+    buf = np.zeros((_XI_ORDER, sub.snapshots[0].cells))
     for k, (snap, r, w_r) in enumerate(zip(sub.snapshots, times, w)):
-        diff_k, bnd_k = _entropy_terms(snap, float(r), float(w_r), cs, tfs, k in (0, last))
+        diff_k, bnd_k = _entropy_terms(snap, float(r), float(w_r), cs, tfs, k in (0, last), buf)
         diffusion.append(diff_k)
         if bnd_k is not None:
             boundary.append(bnd_k)

@@ -116,6 +116,13 @@ def test_tail_integral_equals_interp_at_every_node(f):
         _assert_same(f.tail_integral(x), np.interp(x, xs, tail, left=tail[0], right=0.0))
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_radius_must_be_positive_and_finite(radius):
+    # Bump1D(0, nan) was once accepted and evaluated to NaN everywhere
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        Bump1D(0.0, radius)
+
+
 def test_tail_integral_rejects_unresolvable_table():
     with pytest.raises(ValueError, match="too far from 0"):
         Bump1D(1e12, 1e-3).tail_integral(0.0)

@@ -20,7 +20,8 @@ from rankflow.diagnostics import (
     eval_rho,
     weak_form_residual,
 )
-from rankflow.diagnostics import _grid_sx
+from rankflow import diagnostics
+from rankflow.diagnostics import _cell_xi_quadrature, _entropy_terms, _grid_sx, _reach, _shift
 from rankflow.measures import GridFunction, grid_cdf, point_mass, gaussian
 from rankflow.randomness import sample_path, STREAM_COMMON
 from rankflow.solver import SolverConfig, SpdeSolution, solve
@@ -134,6 +135,16 @@ class TestEvalRho:
     def test_narrow_xi_scale_rejected(self):
         with pytest.raises(ValueError):
             BumpTestFunction(eta=0.5, y=0.0, r_xi=0.01, r_x=1.0)
+
+    @pytest.mark.parametrize("r_xi", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_xi_scale_not_positive_or_not_finite_rejected(self, r_xi):
+        with pytest.raises(ValueError, match="r_xi"):
+            BumpTestFunction(eta=0.5, y=0.0, r_xi=r_xi, r_x=1.0)
+
+    @pytest.mark.parametrize("r_x", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_x_scale_not_positive_or_not_finite_rejected(self, r_x):
+        with pytest.raises(ValueError, match="r_x"):
+            BumpTestFunction(eta=0.5, y=0.0, r_xi=0.3, r_x=r_x)
 
 
 class TestChainRule:
@@ -322,6 +333,125 @@ class TestEntropyIdentity:
         assert _bits(family) == _bits(singles)
         assert len(set(family)) == len(tfs)
         assert entropy_identity_residual(sol, cs_general, [], 0.125, 0.5) == []
+
+
+def _entropy_terms_full_grid(snap, r, w_r, cs, tfs):
+    """The reference: _entropy_terms evaluated on every node of the (256,
+    cells) quadrature, as it was before the column window."""
+    x = snap.centers()[None, :]
+    nodes, weights = _cell_xi_quadrature(np.clip(snap.values, 0.0, 1.0))
+    shift = _shift(cs, nodes, r, w_r)
+    sig2 = np.asarray(cs.sigma(nodes)) ** 2
+    diffusion, boundary = [], []
+    for tf in tfs:
+        xt, fxi = (x - tf.y) - shift, tf._fxi(nodes - tf.eta)
+        diffusion.append(float(np.sum(weights * (sig2 * (tf._fx_d2(xt) * fxi))) * snap.dx))
+        boundary.append(float(np.sum(weights * (tf._fx(xt) * fxi)) * snap.dx))
+    return diffusion, boundary
+
+
+def _chain_lhs_full_grid(u, cs, tfs, t, w_t):
+    """The reference: the lhs of chain_rule_forms on every quadrature node."""
+    x = u.centers()
+    nodes, weights = _cell_xi_quadrature(np.clip(u.values, 0.0, 1.0))
+    shift = _shift(cs, nodes, t, w_t)
+    w_sig = weights * np.asarray(cs.sigma(nodes))
+    return [float(np.sum(w_sig * (tf._fx_d1((x[None, :] - tf.y) - shift) * tf._fxi(nodes - tf.eta)))
+                  * u.dx) for tf in tfs]
+
+
+class TestColumnWindow:
+    """The entropy and chain-rule quadratures run only on the columns the
+    x-bumps can reach; each value equals the full-grid one bit for bit."""
+
+    DOMAIN = (-4.0, 4.0)
+
+    @pytest.fixture(scope="class")
+    def cs(self):
+        # sigma through sin, so that an evaluation of the coefficient that
+        # rounds differently on the window could show in the bits
+        return build_from_sources("a - 0.5", "1 + 0.3*sin(5*a)", "0.5*(1 + a)", 64)
+
+    @pytest.fixture(scope="class")
+    def snaps(self):
+        """u = 0 on the left cells and u = 1 on the right ones (a ramp), a
+        state that is 0 everywhere, and a smooth CDF."""
+        x_min, x_max = self.DOMAIN
+        J = 80
+        centers = x_min + (np.arange(J) + 0.5) * (x_max - x_min) / J
+        return {
+            "ramp": GridFunction(x_min, x_max, np.clip((centers + 1.0) / 2.0, 0.0, 1.0)),
+            "zero": GridFunction(x_min, x_max, np.zeros(J)),
+            "smooth": GridFunction(x_min, x_max, gaussian(0.2, 0.8).cdf(centers)),
+        }
+
+    def _cases(self):
+        edge = [BumpTestFunction(eta=0.1, y=y, r_xi=0.3, r_x=1.0) for y in (-3.9, 3.9)]
+        empty = BumpTestFunction(eta=0.6, y=40.0, r_xi=0.3, r_x=0.5)
+        wide = BumpTestFunction(eta=0.5, y=0.0, r_xi=0.25, r_x=50.0)
+        inner = [BumpTestFunction(eta=eta, y=y, r_xi=0.3, r_x=1.0) for eta in (0.2, 0.5) for y in (-0.5, 0.5)]
+        return {
+            "edges": edge, "empty": [empty], "wide": [wide], "single": inner[:1], "none": [],
+            "family": edge + [empty, wide] + inner,
+        }
+
+    @pytest.mark.parametrize("case", ["edges", "empty", "wide", "single", "none", "family"])
+    @pytest.mark.parametrize("name", ["ramp", "zero", "smooth"])
+    def test_entropy_terms_equal_full_grid(self, cs, snaps, name, case):
+        snap, tfs = snaps[name], self._cases()[case]
+        buf = np.zeros((256, snap.cells))
+        for r, w_r in ((0.0, 0.0), (0.3, -0.7), (0.8, 1.9)):
+            got = _entropy_terms(snap, r, w_r, cs, tfs, True, buf)
+            assert got == _entropy_terms_full_grid(snap, r, w_r, cs, tfs)
+            assert not buf.any()  # zero again for the next snapshot
+            diffusion, none = _entropy_terms(snap, r, w_r, cs, tfs, False, buf)
+            assert diffusion == got[0] and none is None
+
+    @pytest.mark.parametrize("case", ["edges", "empty", "wide", "single", "none", "family"])
+    @pytest.mark.parametrize("name", ["ramp", "zero", "smooth"])
+    def test_chain_rule_lhs_equals_full_grid(self, cs, snaps, name, case):
+        u, tfs = snaps[name], self._cases()[case]
+        for t, w_t in ((0.0, 0.0), (0.3, -0.7), (0.8, 1.9)):
+            lhs = [form[0] for form in chain_rule_forms(u, cs, tfs, t, w_t)]
+            assert lhs == _chain_lhs_full_grid(u, cs, tfs, t, w_t)
+
+    def test_windows(self, cs, snaps):
+        """The edge bumps reach the first and the last cell, the far bump
+        none, the wide bump all; the nonzero cases above are not vacuous."""
+        snap, cases = snaps["smooth"], self._cases()
+        x = snap.centers()
+        nodes, _ = _cell_xi_quadrature(snap.values)
+        shift = _shift(cs, nodes, 0.3, -0.7)
+        J = snap.cells
+        assert _reach(x, shift, cases["empty"]) == slice(0, 0)
+        assert _reach(x, shift, cases["none"]) == slice(0, 0)
+        assert _reach(x, shift, cases["wide"]) == slice(0, J)
+        assert _reach(x, shift, cases["edges"][:1]).start == 0
+        assert _reach(x, shift, cases["edges"][1:]).stop == J
+        inner = _reach(x, shift, cases["single"])
+        assert 0 < inner.start and inner.stop < J
+        diffusion, boundary = _entropy_terms(snap, 0.3, -0.7, cs, cases["family"], True,
+                                             np.zeros((256, J)))
+        assert diffusion[2] == boundary[2] == 0.0  # the far bump
+        assert all(v != 0.0 for k, v in enumerate(diffusion + boundary) if k % len(diffusion) != 2)
+
+
+def test_entropy_bump_d2_points_on_the_window_only(cs_general, monkeypatch):
+    """The entropy pass evaluates bump_d2 on at most a quarter of the full
+    (snapshots x distinct (y, r_x) x 256 x cells) grid on a diagnose-like
+    run; a pass that drops the column window evaluates all of it."""
+    cfg = SolverConfig(-16.0, 16.0, 128)
+    u0 = grid_cdf(gaussian(0.0, 1.0), cfg.x_min, cfg.x_max, cfg.cells)
+    sol = solve(u0, cs_general, sample_path(5, STREAM_COMMON, 0.5, 16), cfg)
+    tfs = [BumpTestFunction(eta=eta, y=y, r_xi=0.3, r_x=1.5)
+           for eta in (0.3, 0.5, 0.7) for y in (-0.5, 0.0, 0.5)]
+    points = []
+    bump_d2 = diagnostics.bump_d2
+    monkeypatch.setattr(diagnostics, "bump_d2", lambda s: points.append(np.size(s)) or bump_d2(s))
+    entropy_identity_residual(sol, cs_general, tfs, 0.25, 0.5)
+    full_grid = 9 * 3 * 256 * cfg.cells  # snapshots 0.25 ... 0.5, distinct y
+    assert len(points) == 9 * 3
+    assert 0 < sum(points) <= full_grid / 4
 
 
 class TestWeakForm:
