@@ -62,6 +62,7 @@ from .solver import (
     SpdeSolution,
     analytic_constant_solution,
     solve,
+    solve_paths,
     spde_step,
 )
 

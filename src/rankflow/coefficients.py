@@ -98,22 +98,24 @@ class CoefficientSet:
     def eval_transform(self, which: str, r):
         """Continuous evaluation of a transform at r in [0,1].
 
-        Accepts scalars or arrays; values within 1e-12 outside [0,1] are
-        clamped, anything further raises DomainError.
+        Accepts a scalar, which gives a float, or an array of any shape,
+        which gives an array of that shape; each entry is evaluated on its
+        own.  Values within 1e-12 outside [0,1] are clamped; anything
+        further, or NaN, raises DomainError.
         """
         if which not in _INTEGRANDS:
             raise KeyError(f"unknown transform {which!r}; expected one of {TRANSFORMS}")
-        scalar = np.ndim(r) == 0
-        r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-        if np.any(r < -_DOMAIN_TOL) or np.any(r > 1.0 + _DOMAIN_TOL):
-            bad = r[(r < -_DOMAIN_TOL) | (r > 1.0 + _DOMAIN_TOL)][0]
-            raise DomainError(f"transform argument {bad!r} outside [0,1]")
+        shape = np.shape(r)
+        r = np.asarray(r, dtype=np.float64).ravel()
+        inside = (r >= -_DOMAIN_TOL) & (r <= 1.0 + _DOMAIN_TOL)
+        if not inside.all():
+            raise DomainError(f"transform argument {r[~inside][0]!r} outside [0,1]")
         r = np.clip(r, 0.0, 1.0)
         K = self.table_resolution
         k = np.minimum((r * K).astype(np.int64), K - 1)
         lo = k / K
         out = self.tables[which][k] + _gauss_legendre(self, which, lo, r - lo)
-        return float(out[0]) if scalar else out
+        return float(out[0]) if not shape else out.reshape(shape)
 
 
 def _gauss_legendre(cs: CoefficientSet, which: str, lo: np.ndarray, width: np.ndarray) -> np.ndarray:

@@ -33,7 +33,8 @@ from .randomness import (
     replica_seed,
     sample_path,
 )
-from .solver import SolverConfig, analytic_constant_solution, solve
+from .solver import SolverConfig, analytic_constant_solution, solve_paths
+from .solver import solve  # noqa: F401  (the benchmark traces rankflow.experiments.solve)
 
 __all__ = [
     "ExperimentReport",
@@ -88,9 +89,10 @@ def convergence_study(
     reference: the mesh solution of the SPDE (reference="spde") or the exact
     constant-coefficient law (reference="analytic").  The error for (n,
     replica) is the max over snapshot times of the L1 distance between the
-    empirical CDF and the reference CDF.  For each n all replicas are
-    simulated in lock-step, one (replicas, n) block.  Both are read at the
-    step-grid nodes of the snapshot times (`snapshot_indices`).
+    empirical CDF and the reference CDF.  Both sides march all replicas in
+    lock-step: the mesh solves as one (replicas, J) block of `solve_paths`,
+    and for each n the particles as one (replicas, n) block.  Both are read
+    at the step-grid nodes of the snapshot times (`snapshot_indices`).
     """
     n_list = _particle_counts(n_list)
     steps_grid = np.linspace(0.0, T, steps + 1)
@@ -110,15 +112,14 @@ def convergence_study(
         raise ValueError(f"unknown reference {reference!r}")
 
     seeds = np.array([replica_seed(seed, r) for r in range(replicas)], dtype=np.uint64)
-    refs = []  # per replica, the reference CDF at each snapshot time
-    for seed_r in seeds.tolist():
-        W = sample_path(seed_r, STREAM_COMMON, T, steps)
-        if reference == "spde":
-            refs.append(solve(u0, cs, W, solver_config, snapshot_times=snapshot_times).snapshots)
-        else:
-            b0, s0, g0 = consts
-            refs.append([analytic_constant_solution(init, b0, s0, g0, t, W.values[k], solver_config)
-                         for t, k in zip(snapshot_times, snap_idx)])
+    paths = [sample_path(seed_r, STREAM_COMMON, T, steps) for seed_r in seeds.tolist()]
+    # per replica, the reference CDF at each snapshot time
+    if reference == "spde":
+        refs = [sol.snapshots for sol in solve_paths(u0, cs, paths, solver_config, snapshot_times)]
+    else:
+        b0, s0, g0 = consts
+        refs = [[analytic_constant_solution(init, b0, s0, g0, t, W.values[k], solver_config)
+                 for t, k in zip(snapshot_times, snap_idx)] for W in paths]
 
     # per n, all replicas march in lock-step, each row on its replica's
     # common path; errors[j, r] is the error of (n_list[j], replica r)
@@ -443,19 +444,20 @@ def stability_experiment(
     """Pathwise stability: solve with the base path and with base + eps t/T
     (a ramp keeps the sup-distance between signals exactly eps), and record
     D(eps) = max over snapshots of the L1 distance between the solutions.
-    The implied constant is D / (sqrt(eps) + eps)."""
+    The base path and every perturbed path are solved in lock-step, one
+    block of 1 + len(epsilons) rows of `solve_paths`.  The implied constant
+    is D / (sqrt(eps) + eps)."""
     epsilons = [float(e) for e in epsilons]
     if any(e < 0 for e in epsilons) or sorted(epsilons) != epsilons:
         raise ValueError("epsilons must be nonnegative and increasing")
     T = base_path.T
     if snapshot_times is None:
         snapshot_times = [T]
-    base_sol = solve(u0, cs, base_path, config, snapshot_times=snapshot_times)
+    paths = [base_path] + [base_path.shifted(lambda tt, e=eps: e * tt / T) for eps in epsilons]
+    base_sol, *sols = solve_paths(u0, cs, paths, config, snapshot_times)
 
     rows = []
-    for eps in epsilons:
-        pert = base_path.shifted(lambda tt, e=eps: e * tt / T)
-        sol = solve(u0, cs, pert, config, snapshot_times=snapshot_times)
+    for eps, sol in zip(epsilons, sols):
         D = max(
             w1(a, b) for a, b in zip(base_sol.snapshots, sol.snapshots)
         )

@@ -287,7 +287,7 @@ def evaluate(node: Node, a):
     """Evaluate at `a` (scalar or ndarray). May produce nan/inf for
     expressions that are undefined at `a`; validation rejects those."""
     if isinstance(node, Const):
-        return np.broadcast_to(np.float64(node.value), np.shape(a)).copy() if np.ndim(a) else node.value
+        return np.full(np.shape(a), node.value, dtype=np.float64) if np.ndim(a) else node.value
     if isinstance(node, Var):
         return np.asarray(a, dtype=np.float64) if np.ndim(a) else float(a)
     if isinstance(node, Add):

@@ -27,6 +27,15 @@ There is no noise CFL condition, so W's grid is marched as it stands.  A
 snapshot time on W's grid (`randomness.grid_indices`) is read at its node;
 only the others are inserted, by Brownian-bridge refinement
 (`randomness.refine_path`).
+
+`solve_paths` is the one marcher: paths that share one time grid march in
+lock-step as one (R, J + 2) block with ghost columns.  A step makes one
+Sigma evaluation per diffusion substep and one sort of positions and one of
+levels for the whole block; b and gamma at the quantile levels are
+evaluated once per solve.  Each row is interpolated on its own, so row r
+equals a solve along path r alone, bit for bit.  `solve` and `spde_step`
+are its one-row forms.  Noise with a non-finite dt or dW raises ValueError
+before the march.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ __all__ = [
     "DomainMarginError",
     "spde_step",
     "solve",
+    "solve_paths",
     "analytic_constant_solution",
     "required_margin",
 ]
@@ -98,24 +108,72 @@ class SpdeSolution:
         return self.snapshots[self.snapshot_index(t)]
 
 
+class _Block:
+    """The state of R rows marched in lock-step on one noise grid: u with
+    its ghost cells, one (R, J + 2) array, and the buffers of the
+    transport-collapse.  b and gamma at the 4J quantile levels are
+    evaluated once, here; each step reads them."""
+
+    def __init__(self, cs: CoefficientSet, x_min: float, dx: float, values: np.ndarray, rows: int):
+        J = values.size
+        self.cs, self.dx = cs, dx
+        self.ue = np.empty((rows, J + 2))
+        self.ue[:, 0], self.ue[:, 1:-1], self.ue[:, -1] = 0.0, values, 1.0
+        self.xe = x_min + (np.arange(-1, J + 1) + 0.5) * dx
+        self.xi = (np.arange(4 * J) + 0.5) / (4 * J)
+        self.b_xi, self.g_xi = cs.b(self.xi), cs.gamma(self.xi)
+        # per row: the cell values then the quantile levels, and the
+        # positions of both on the graph of u
+        self.levels = np.empty((rows, 5 * J + 2))
+        self.pos = np.empty((rows, 5 * J + 2))
+
+    def step(self, dt, dW: np.ndarray):
+        """One split step of every row over the interval (dt, dW[r]):
+        diffusion substeps within CFL_TARGET, then transport-collapse.
+        Each row is sorted and interpolated on its own, so a row's bits do
+        not depend on the others."""
+        cs, dx, ue = self.cs, self.dx, self.ue
+        J = ue.shape[1] - 2
+        m = int(np.ceil(cs.report.sup_abs_sigma**2 * dt / (CFL_TARGET * dx**2)))
+        for _ in range(m):
+            S = cs.eval_transform("Sigma", ue)
+            ue[:, 1:-1] += (dt / m) / dx**2 * (S[:, 2:] - 2.0 * S[:, 1:-1] + S[:, :-2])
+        levels, pos, dW = self.levels, self.pos, dW[:, None]
+        levels[:, :J + 2], levels[:, J + 2:] = ue, self.xi
+        pos[:, :J + 2] = self.xe + cs.b(ue) * dt + cs.gamma(ue) * dW
+        for r in range(ue.shape[0]):
+            pos[r, J + 2:] = np.interp(self.xi, ue[r], self.xe)
+        pos[:, J + 2:] += self.b_xi * dt
+        pos[:, J + 2:] += self.g_xi * dW
+        pos.sort(axis=1)
+        levels.sort(axis=1)
+        for r in range(ue.shape[0]):
+            ue[r, 1:-1] = np.interp(self.xe[1:-1], pos[r], levels[r])
+
+
+def _check_noise(t_grid: np.ndarray, dt: np.ndarray, dW: np.ndarray):
+    """Reject a noise interval whose dt or dW (one row per path) is not
+    finite, naming the first, before any step is taken."""
+    bad = ~(np.isfinite(dt) & np.isfinite(dW))
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=0)))
+        r = int(np.argmax(bad[:, k]))
+        raise ValueError(
+            f"path {r}: noise interval {k} [{float(t_grid[k])!r}, {float(t_grid[k + 1])!r}] "
+            f"has dt = {float(dt[k])!r}, dW = {float(dW[r, k])!r}; the solver needs finite noise"
+        )
+
+
 def spde_step(u: GridFunction, cs: CoefficientSet, dt: float, dW: float) -> GridFunction:
-    """One split step over a noise interval (dt, dW): diffusion substeps
-    within CFL_TARGET, then transport-collapse."""
-    if dt <= 0:
+    """One split step over a noise interval (dt, dW): one row of the block
+    step of `solve_paths`."""
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    dx, J = u.dx, u.cells
-    m = int(np.ceil(cs.report.sup_abs_sigma**2 * dt / (CFL_TARGET * dx**2)))
-    ue = np.concatenate(([0.0], u.values, [1.0]))
-    for _ in range(m):
-        S = cs.eval_transform("Sigma", ue)
-        ue[1:-1] += (dt / m) / dx**2 * (S[2:] - 2.0 * S[1:-1] + S[:-2])
-    xe = u.x_min + (np.arange(-1, J + 1) + 0.5) * dx
-    xi = (np.arange(4 * J) + 0.5) / (4 * J)
-    levels = np.concatenate((ue, xi))
-    pos = np.concatenate((xe, np.interp(xi, ue, xe)))
-    pos = pos + cs.b(levels) * dt + cs.gamma(levels) * dW
-    new = np.interp(xe[1:-1], np.sort(pos), np.sort(levels))
-    return GridFunction(u.x_min, u.x_max, new, validate=False)
+    if not (np.isfinite(dt) and np.isfinite(dW)):
+        raise ValueError(f"noise interval has dt = {dt!r}, dW = {dW!r}; the solver needs finite noise")
+    block = _Block(cs, u.x_min, u.dx, u.values, 1)
+    block.step(dt, np.array([dW], dtype=np.float64))
+    return GridFunction(u.x_min, u.x_max, block.ue[0, 1:-1], validate=False)
 
 
 def required_margin(cs: CoefficientSet, T: float) -> float:
@@ -144,33 +202,54 @@ def _check_margin(u0: GridFunction, cs: CoefficientSet, T: float):
         )
 
 
-def solve(u0: GridFunction, cs: CoefficientSet, W: BrownianPath,
-          config: SolverConfig, snapshot_times=None) -> SpdeSolution:
-    """March spde_step over W's grid, after inserting the snapshot times
-    off that grid (`grid_indices`) with `refine_path`; a snapshot time on
-    the grid is its node.  Snapshots are recorded at the snapshot times, and
-    the refined path is returned as the path the solver consumed."""
+def solve_paths(u0: GridFunction, cs: CoefficientSet, paths, config: SolverConfig,
+                snapshot_times=None) -> tuple[SpdeSolution, ...]:
+    """Solve from u0 along each of `paths`, which share one time grid, all
+    in lock-step as one (R, J + 2) block: the one marcher.  Snapshot times
+    off that grid (`grid_indices`) are inserted into every path with
+    `refine_path`, so the refined grids coincide; a snapshot time on the
+    grid is its node.  Solution r records its snapshots at the snapshot
+    times and returns its refined path as the path it consumed; it equals a
+    solve along paths[r] alone bit for bit."""
     if u0.cells != config.cells or u0.x_min != config.x_min or u0.x_max != config.x_max:
         raise ValueError("initial data grid does not match the solver config")
-    T = W.T
-    times = np.unique(np.asarray(W.t_grid if snapshot_times is None else snapshot_times, dtype=np.float64))
-    node, on_grid = _nearest_nodes(W.t_grid, times)
+    paths = list(paths)
+    if not paths:
+        raise ValueError("need at least one path")
+    t_grid = paths[0].t_grid
+    if not all(np.array_equal(W.t_grid, t_grid) for W in paths[1:]):
+        raise ValueError("the paths of one block must share one time grid")
+    T = paths[0].T
+    times = np.unique(np.asarray(t_grid if snapshot_times is None else snapshot_times, dtype=np.float64))
+    node, on_grid = _nearest_nodes(t_grid, times)
     inserts = times[~on_grid]
     if not np.all((inserts > 0.0) & (inserts < T)):
         raise ValueError("snapshot times must lie in [0, T]")
-    times = np.where(on_grid, W.t_grid[node], times)
+    times = np.where(on_grid, t_grid[node], times)
     if T > 0:
         _check_margin(u0, cs, T)
-        W = refine_path(W, inserts)
+        paths = [refine_path(W, inserts) for W in paths]
+    t_grid = paths[0].t_grid
+    dt = np.diff(t_grid)
+    dW = np.diff(np.stack([W.values for W in paths]), axis=1)
+    _check_noise(t_grid, dt, dW)
 
-    u = u0
-    record = np.isin(W.t_grid, times)
-    snapshots = [u] if record[0] else []
-    for i, (dt, dw) in enumerate(zip(np.diff(W.t_grid), np.diff(W.values))):
-        u = spde_step(u, cs, dt, dw)
+    block = _Block(cs, config.x_min, config.dx, u0.values, len(paths))
+    record = np.isin(t_grid, times)
+    snapshots = [[u0] if record[0] else [] for _ in paths]
+    for i in range(dt.size):
+        block.step(dt[i], dW[:, i])
         if record[i + 1]:
-            snapshots.append(u)
-    return SpdeSolution(W.t_grid[record].copy(), tuple(snapshots), W)
+            for snaps, row in zip(snapshots, block.ue[:, 1:-1]):
+                snaps.append(GridFunction(config.x_min, config.x_max, row.copy(), validate=False))
+    return tuple(SpdeSolution(t_grid[record].copy(), tuple(snaps), W)
+                 for snaps, W in zip(snapshots, paths))
+
+
+def solve(u0: GridFunction, cs: CoefficientSet, W: BrownianPath,
+          config: SolverConfig, snapshot_times=None) -> SpdeSolution:
+    """Solve from u0 along W: `solve_paths` on the one path W."""
+    return solve_paths(u0, cs, [W], config, snapshot_times)[0]
 
 
 def analytic_constant_solution(u0, b0: float, sigma0: float, gamma0: float,

@@ -116,6 +116,29 @@ class TestEvalTransform:
         with pytest.raises(DomainError):
             cs.eval_transform("Sigma", -0.001)
 
+    def test_nan_raises_domain_error(self):
+        cs = build_from_sources("0", "1", "1", 16)
+        with pytest.raises(DomainError, match="nan"):
+            cs.eval_transform("Sigma", np.nan)
+        with pytest.raises(DomainError, match="nan"):
+            cs.eval_transform("G", np.array([[0.5, 0.25], [np.nan, 1.0]]))
+
+    @pytest.mark.parametrize("which", TRANSFORMS)
+    def test_block_equals_row_calls(self, which):
+        """An (R, J) block, and a 3-d one, give the row-by-row 1-d values
+        bit for bit, in the argument's shape."""
+        cs = build_from_sources("exp(a) - 1.5", "1 + 0.5*sin(3*a)", "2 - cos(a)^2", 32)
+        rng = np.random.default_rng(7)
+        block = rng.uniform(0.0, 1.0, (4, 37))
+        block[0, :4] = [0.0, 1.0, -5e-13, 1.0 + 5e-13]
+        out = cs.eval_transform(which, block)
+        assert out.shape == block.shape
+        rows = np.stack([cs.eval_transform(which, row) for row in block])
+        assert out.tobytes() == rows.tobytes()
+        cube = block.reshape(2, 2, 37)
+        assert cs.eval_transform(which, cube).tobytes() == out.tobytes()
+        assert cs.eval_transform(which, block[1:2, 5:6]).shape == (1, 1)
+
     def test_clamp_within_tolerance(self):
         cs = build_from_sources("0", "1", "1", 16)
         assert cs.eval_transform("Sigma", 1.0 + 5e-13) == pytest.approx(0.5)

@@ -14,6 +14,7 @@ from rankflow.solver import (
     SolverConfig,
     analytic_constant_solution,
     solve,
+    solve_paths,
     spde_step,
 )
 
@@ -260,6 +261,102 @@ class TestSolve:
         su = solve(u0, cs_general, W, cfg, snapshot_times=[0.5])
         sv = solve(v0, cs_general, W, cfg, snapshot_times=[0.5])
         assert np.all(sv.snapshots[-1].values >= su.snapshots[-1].values - 1e-12)
+
+
+def _reference_solve(u0, cs, W, cfg, times):
+    """One path marched with the per-path step the block step replaced:
+    b and gamma evaluated on the cell values and the 4J quantile levels
+    together, every step, on 1-d arrays.  `times` are snapshot times, with
+    off-grid ones inserted by refine_path.  Returns the snapshot values."""
+    W = refine_path(W, [t for t in times if not np.isclose(W.t_grid, t, rtol=0, atol=1e-9).any()])
+    dx, J = cfg.dx, cfg.cells
+    xe = cfg.x_min + (np.arange(-1, J + 1) + 0.5) * dx
+    xi = (np.arange(4 * J) + 0.5) / (4 * J)
+    u, out = u0.values, []
+    for t, dt, dw in zip(W.t_grid[1:], np.diff(W.t_grid), np.diff(W.values)):
+        m = int(np.ceil(cs.report.sup_abs_sigma**2 * dt / (CFL_TARGET * dx**2)))
+        ue = np.concatenate(([0.0], u, [1.0]))
+        for _ in range(m):
+            S = cs.eval_transform("Sigma", ue)
+            ue[1:-1] += (dt / m) / dx**2 * (S[2:] - 2.0 * S[1:-1] + S[:-2])
+        levels = np.concatenate((ue, xi))
+        pos = np.concatenate((xe, np.interp(xi, ue, xe)))
+        pos = pos + cs.b(levels) * dt + cs.gamma(levels) * dw
+        u = np.interp(xe[1:-1], np.sort(pos), np.sort(levels))
+        if np.isclose(times, t, rtol=0, atol=1e-9).any():
+            out.append(u)
+    return W, out
+
+
+class TestSolvePaths:
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("times", [[0.25, 0.5, 1.0], [0.13, 0.5, 0.6, 1.0]],
+                             ids=["on_grid", "off_grid"])
+    def test_rows_equal_per_path_solves(self, cs_general, R, times):
+        """Row r of the block equals a solve along paths[r] alone, and the
+        per-path reference march, bit for bit: snapshots, times and the
+        refined path; the rows differ, so a row paired with another row's
+        noise fails here."""
+        cfg = SolverConfig(-14.0, 14.0, 64)
+        u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
+        paths = [sample_path(40 + r, STREAM_COMMON, 1.0, 16) for r in range(R)]
+        block = solve_paths(u0, cs_general, paths, cfg, snapshot_times=times)
+        assert len(block) == R
+        for W, sol in zip(paths, block):
+            one = solve(u0, cs_general, W, cfg, snapshot_times=times)
+            ref_path, ref = _reference_solve(u0, cs_general, W, cfg, times)
+            np.testing.assert_array_equal(sol.times, times)
+            assert sol.times.tobytes() == one.times.tobytes()
+            assert sol.path.t_grid.tobytes() == one.path.t_grid.tobytes() == ref_path.t_grid.tobytes()
+            assert sol.path.values.tobytes() == one.path.values.tobytes() == ref_path.values.tobytes()
+            got = [g.values.tobytes() for g in sol.snapshots]
+            assert got == [g.values.tobytes() for g in one.snapshots]
+            assert got == [v.tobytes() for v in ref]
+        finals = {sol.snapshots[-1].values.tobytes() for sol in block}
+        assert len(finals) == R
+
+    def test_shifted_family_rows_equal_per_path_solves(self, cs_general):
+        """stability_experiment's family: a base path and its ramps
+        base + eps t/T, one block, each row as its own solve."""
+        cfg = SolverConfig(-18.0, 18.0, 96)
+        u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
+        base = sample_path(11, STREAM_COMMON, 1.0, 24)
+        paths = [base] + [base.shifted(lambda t, e=eps: e * t) for eps in (0.0, 0.04, 0.64)]
+        times = [0.3, 1.0]
+        block = solve_paths(u0, cs_general, paths, cfg, snapshot_times=times)
+        for W, sol in zip(paths, block):
+            _, ref = _reference_solve(u0, cs_general, W, cfg, times)
+            assert [g.values.tobytes() for g in sol.snapshots] == [v.tobytes() for v in ref]
+        assert [g.values.tobytes() for g in block[0].snapshots] == \
+            [g.values.tobytes() for g in block[1].snapshots]
+
+    def test_paths_on_different_grids_raise(self, cs_general):
+        cfg = SolverConfig(-14.0, 14.0, 64)
+        u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
+        paths = [sample_path(1, STREAM_COMMON, 1.0, 16), sample_path(2, STREAM_COMMON, 1.0, 8)]
+        with pytest.raises(ValueError, match="share one time grid"):
+            solve_paths(u0, cs_general, paths, cfg)
+        with pytest.raises(ValueError, match="at least one path"):
+            solve_paths(u0, cs_general, [], cfg)
+
+    def test_nonfinite_dw_in_a_step_raises(self, cs_general):
+        cfg = SolverConfig(-3.0, 3.0, 64)
+        u = _heaviside(cfg)
+        for dt, dw in ((0.01, np.nan), (0.01, np.inf), (np.inf, 0.1)):
+            with pytest.raises(ValueError, match="finite noise"):
+                spde_step(u, cs_general, dt, dw)
+
+    def test_inf_path_raises_naming_its_interval(self, cs_general):
+        cfg = SolverConfig(-14.0, 14.0, 64)
+        u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
+        W = sample_path(1, STREAM_COMMON, 1.0, 8)
+        values = W.values.copy()
+        values[3] = np.inf
+        bad = BrownianPath(W.t_grid, values, W.seed, W.stream_id)
+        with pytest.raises(ValueError, match=r"path 0: noise interval 2 \[0.25, 0.375\]"):
+            solve(u0, cs_general, bad, cfg)
+        with pytest.raises(ValueError, match=r"path 1: noise interval 2 "):
+            solve_paths(u0, cs_general, [W, bad], cfg)
 
 
 class TestAnalyticConstantSolution:
