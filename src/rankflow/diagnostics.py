@@ -151,7 +151,7 @@ def _cell_xi_quadrature(u_vals: np.ndarray):
     return nodes, weights
 
 
-def _reach(x: np.ndarray, shift: np.ndarray, tfs: Sequence[BumpTestFunction]) -> slice:
+def _reach(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, tfs: Sequence[BumpTestFunction]) -> slice:
     """The columns [j0, j1) of the (order, cells) grid outside which every
     x-bump of the family, fx((x_j - y) - shift_ij), is exactly zero: the
     hull of the windows of the distinct (y, r_x), slice(0, 0) if all are
@@ -161,10 +161,7 @@ def _reach(x: np.ndarray, shift: np.ndarray, tfs: Sequence[BumpTestFunction]) ->
     Rounded subtraction and division by r_x > 0 are monotone, so the bump
     argument s_ij = ((x_j - y) - shift_ij) / r_x lies between the same
     expressions at hi_j and lo_j, and a column whose range misses (-1, 1)
-    has no point with |s_ij| < 1.  np.fmin/np.fmax skip a NaN shift, whose
-    bump value is 0."""
-    lo = np.fmin.reduce(shift, axis=0)
-    hi = np.fmax.reduce(shift, axis=0)
+    has no point with |s_ij| < 1."""
     cols = np.zeros(x.size, dtype=bool)
     for y, r_x in dict.fromkeys(map(_x_key, tfs)):
         d = x - y
@@ -173,20 +170,33 @@ def _reach(x: np.ndarray, shift: np.ndarray, tfs: Sequence[BumpTestFunction]) ->
     return slice(int(j[0]), int(j[-1]) + 1) if j.size else slice(0, 0)
 
 
+# the column window is searched this many columns at a time: the (order,
+# block) shift and its temporaries stay at 64 KiB each, below the size glibc
+# serves by mmap, so no fresh pages are faulted in block after block
+_WINDOW_BLOCK = 32
+
+
 def _windowed_quadrature(u: GridFunction, cs: CoefficientSet, tfs: Sequence[BumpTestFunction],
                          t: float, w_t: float):
     """The per-cell xi quadrature of u and the shift b(xi) t + gamma(xi) w_t
     on it, kept on the columns `cols` (`_reach`) that an x-bump of the
     family can reach: returns cols and, on them, the cell centres as a row,
-    the nodes, the weights and the shift.  Only the shift is evaluated on
-    every cell, to find cols; each value kept is bit for bit the full-grid
-    one, and nodes and weights are built contiguous from u's columns."""
+    the nodes, the weights and the shift.  The per-column range of the
+    shift is taken block by block over every cell, np.fmin/np.fmax skipping
+    a NaN shift, whose bump value is 0; the shift kept is evaluated on the
+    window alone.  Each value kept is bit for bit the full-grid one, and
+    nodes and weights are built contiguous from u's columns."""
     uv = np.clip(u.values, 0.0, 1.0)
     x = u.centers()
-    shift = _shift(cs, _NODES01[:, None] * uv[None, :], t, w_t)
-    cols = _reach(x, shift, tfs)
+    lo, hi = np.empty(x.size), np.empty(x.size)
+    for j in range(0, x.size, _WINDOW_BLOCK):
+        block = slice(j, j + _WINDOW_BLOCK)
+        shift = _shift(cs, _NODES01[:, None] * uv[None, block], t, w_t)
+        np.fmin.reduce(shift, axis=0, out=lo[block])
+        np.fmax.reduce(shift, axis=0, out=hi[block])
+    cols = _reach(x, lo, hi, tfs)
     nodes, weights = _cell_xi_quadrature(uv[cols])
-    return cols, x[None, cols], nodes, weights, shift[:, cols]
+    return cols, x[None, cols], nodes, weights, _shift(cs, nodes, t, w_t)
 
 
 def _padded_sums(buf: np.ndarray, cols: slice, blocks, scale: float) -> list[float]:

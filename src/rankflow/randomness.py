@@ -1,15 +1,20 @@
 """Reproducible Brownian paths from counter-based random streams.
 
-Every random number is addressed by (seed, stream_id, counter): the Philox
-generator is keyed with (seed, stream_id) and uniforms come off fixed
-counter blocks, so regeneration is bit-identical regardless of the order
-in which streams are drawn.  Normals are produced by inverse CDF (one raw word per
-variate), which keeps the counter addressing exact; the inverse CDF is
-`ndtri`, a numpy port of Cephes.
+Every random word is a word of numpy's Philox4x64-10 (`np.random.Philox`;
+Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
+addressed by a key and a counter, so regeneration is bit-identical
+regardless of the order in which words are drawn.  A call draws all its
+words from one generator: for each (key, start counter) lane it sets the
+generator's state and calls `random_raw`.  Normals are produced by inverse
+CDF (one raw word per variate); the inverse CDF is `ndtri`, a numpy port of
+Cephes.
 
-Philox4x64-10 is computed here on uint64 arrays, the same words as
-`np.random.Philox`, so the words of any number of streams and counters
-come out of one array operation.
+A path keyed (seed, stream_id) reads the counter blocks after (0, word1, 0,
+block).  Every particle of a run shares the key (seed, STREAM_PARTICLES),
+and block c of particle i is the block after counter word 0 = c 2^32 + i,
+so one draw of 4n words gives block c of n particles.  Any injective
+counter map gives independent streams, and word k of particle i depends
+only on (seed, i, k).
 
 Bridge refinement draws are keyed by the bit pattern of the inserted time
 in a counter block disjoint from the main increment block, so two solver
@@ -34,13 +39,16 @@ __all__ = [
     "replica_seed",
     "STREAM_COMMON",
     "STREAM_INIT",
+    "STREAM_PARTICLES",
 ]
 
 _MASK64 = (1 << 64) - 1
 
-# stream ids reserved for non-particle uses; particle i uses stream_id = i
+# reserved stream ids: the common path, the initial sample and the key of
+# every particle (`make_noise_bundle`)
 STREAM_COMMON = 1 << 62
 STREAM_INIT = (1 << 62) + 1
+STREAM_PARTICLES = (1 << 62) + 2
 
 # counter word 3 partitions each stream into disjoint blocks
 _BLOCK_MAIN = 0
@@ -50,17 +58,6 @@ _BLOCK_SAMPLING = 2
 
 class GridConflict(ValueError):
     """An insert time duplicates an existing grid node."""
-
-
-# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-# 3", SC'11): round multipliers and Weyl key increments.  The rounds treat
-# counter words (0, 2) alike, words (1, 3) alike and the two key words
-# alike, so each pair is held stacked along a leading axis of length 2.
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
-# 0-d arrays: cheaper ufunc operands than numpy scalars
-_LO32 = np.array(0xFFFFFFFF, dtype=np.uint64)
-_U32 = np.array(32, dtype=np.uint64)
 
 
 # Cephes ndtri (Moshier, "Methods and Programs for Mathematical Functions",
@@ -166,64 +163,32 @@ def _u64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.uint64)
 
 
-def _philox_block(seed, stream_id, c, word1=0, block=_BLOCK_MAIN) -> np.ndarray:
-    """The four words of counter block c of the stream keyed (seed,
-    stream_id), i.e. words 4c .. 4c+3 of
-    `np.random.Philox(counter=[0, word1, 0, block], key=[seed, stream_id])`,
-    which increments its counter before each block: block c is Philox4x64-10
-    of the counter (c + 1, word1, 0, block).  Broadcasts over its arguments;
-    the four words run along a new last axis."""
-    k0, k1, c0, c1, c3 = np.broadcast_arrays(
-        _u64(seed), _u64(stream_id), _u64(c) + np.uint64(1), _u64(word1), _u64(block))
-    key, even, odd = np.stack((k0, k1)), np.stack((c0, np.zeros_like(c0))), np.stack((c1, c3))
-    pair = (2,) + (1,) * c0.ndim
-    m, w = _PHILOX_M.reshape(pair), _PHILOX_W.reshape(pair)
-    m_lo, m_hi = m & _LO32, m >> _U32
-    # the round runs in place on four scratch pairs, so a lane holds 14
-    # words, not the 20 of fresh temporaries
-    x_lo, x_hi, u, v = (np.empty_like(even) for _ in range(4))
-    with np.errstate(over="ignore"):  # key words wrap mod 2**64
-        for rnd in range(10):
-            if rnd:
-                key += w
-            # hi = the high word of m * even from 32-bit halves, where no
-            # partial sum overflows (Warren, Hacker's Delight, mulhu)
-            np.bitwise_and(even, _LO32, out=x_lo)
-            np.right_shift(even, _U32, out=x_hi)
-            np.multiply(x_hi, m_lo, out=u)
-            np.multiply(x_lo, m_lo, out=v)
-            v >>= _U32
-            u += v
-            np.multiply(x_lo, m_hi, out=v)
-            np.bitwise_and(u, _LO32, out=x_lo)
-            v += x_lo
-            x_hi *= m_hi  # hi
-            u >>= _U32
-            x_hi += u
-            v >>= _U32
-            x_hi += v
-            # even, odd = hi[::-1] ^ odd ^ key, (even * m)[::-1]
-            even *= m
-            np.bitwise_xor(x_hi[::-1], odd, out=odd)
-            odd ^= key
-            even, odd = odd, even[::-1]
-    del x_lo, x_hi, u, v, key
-    return np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
-
-
-def _raw_block(seed, stream_id, n: int, word1=0, block=_BLOCK_MAIN) -> np.ndarray:
-    """Words 0 .. n-1 of the stream keyed (seed, stream_id) at counter words
-    (word1, block), all streams in one call.  Broadcasts over seed,
-    stream_id, word1 and block; the words run along a new last axis."""
-    shape = np.broadcast_shapes(*(np.shape(a) for a in (seed, stream_id, word1, block)))
-    seed, stream_id, word1, block = (np.expand_dims(_u64(a), -1) for a in (seed, stream_id, word1, block))
-    words = _philox_block(seed, stream_id, np.arange(-(-n // 4)), word1, block)
-    return words.reshape(shape + (-1,))[..., :n]
+def _raw_block(seed, stream_id, n: int, word0=0, word1=0, block=_BLOCK_MAIN) -> np.ndarray:
+    """Words 0 .. n-1 of `np.random.Philox(key=[seed, stream_id],
+    counter=[word0, word1, 0, block])`, which increments its counter before
+    each block of four, for every lane of the broadcast of the five
+    arguments; the words run along a new last axis.  One generator draws
+    every lane: setting its state to the lane's key and counter costs a
+    tenth of building a generator."""
+    lanes = np.broadcast_arrays(*(_u64(a) for a in (seed, stream_id, word0, word1, block)))
+    out = np.empty(lanes[0].shape + (n,), dtype=np.uint64)
+    bg = np.random.Philox(key=0)
+    # a fresh generator's state holds no buffered words, so every lane set
+    # from it starts at a block
+    state = bg.state
+    rows = out.reshape(lanes[0].size, n)
+    for row, (k0, k1, c0, c1, c3) in zip(rows, zip(*(a.ravel().tolist() for a in lanes))):
+        state["state"] = {"counter": [c0, c1, 0, c3], "key": [k0, k1]}
+        bg.state = state
+        row[:] = bg.random_raw(n)
+    return out
 
 
 def _to_uniform(raw: np.ndarray) -> np.ndarray:
-    # 53-bit mantissa, offset by half an ulp so values lie strictly in (0,1)
-    return (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    """(2k + 1) 2^-53 for the top 52 bits k of each word: every value is
+    exact, so the lattice lies strictly inside (0, 1) and its points stay
+    distinct."""
+    return (raw >> np.uint64(12)).astype(np.float64) * 2.0**-52 + 2.0**-53
 
 
 def uniforms(seed, stream_id, n: int) -> np.ndarray:
@@ -376,23 +341,26 @@ def make_noise_bundle(seeds, n: int, T: float, steps: int):
     (steps + 1,) for one seed and (R, steps + 1) for R seeds; row r equals
     `sample_path(seeds[r], STREAM_COMMON, T, steps).values` bit for bit.  dB
     yields, for each step k, the (n,) or (R, n) array of the particles'
-    increments: particle i draws from stream i, its increment k is
-    sqrt(T/steps) times the normal of word k, and the cumulative sum of its
-    increments equals `sample_path(seed, i, T, steps).values[1:]` bit for
-    bit.  dB draws one Philox counter block (four steps of every stream) at
-    a time, so only O(R n) noise is alive."""
+    increments: particle i's increment k is sqrt(T/steps) times the normal
+    of its word k, word k % 4 of `np.random.Philox(key=[seed,
+    STREAM_PARTICLES], counter=[c 2^32 + i, 0, 0, 0])` with c = k // 4
+    (n < 2^32).  So it depends only on (seed, i, k), not on n, on the other
+    seeds or on the order of the draws.  dB draws one counter block (four
+    steps of every particle) at a time, one `random_raw` of 4n words per
+    seed, so only O(R n) noise is alive."""
     seeds = _u64(seeds)
     rows = _brownian_rows(seeds, STREAM_COMMON, T, steps)
     W = np.concatenate((np.zeros(seeds.shape + (1,)), rows), axis=-1)
     scale = np.sqrt(T / steps)
 
     def increments():
-        keys = np.expand_dims(seeds, -1), np.arange(n, dtype=np.uint64)
         for c in range(-(-steps // 4)):
-            z = scale * ndtri(_to_uniform(_philox_block(*keys, c)))
+            raw = _raw_block(seeds, STREAM_PARTICLES, 4 * n, word0=c << 32)
+            z = ndtri(_to_uniform(raw.reshape(seeds.shape + (n, 4))))
+            z *= scale
             for j in range(min(4, steps - 4 * c)):
                 yield z[..., j]
-            del z  # free this block before the next is drawn
+            del raw, z  # free this block before the next is drawn
 
     return W, increments()
 

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, error messages, output schemas, determinism."""
 
+import ast
 import csv
 import hashlib
 import json
@@ -389,12 +390,26 @@ class TestDiagnoseAndStability:
         assert rows[2]["f_id"] == "bump(0,2.5)+bump(1.25,2.5)"
 
 
+def _modules_after_cli_import(package: str) -> list:
+    """The modules of `package` that `import rankflow.cli` loads in a fresh
+    interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, rankflow.cli; "
+            f"print([m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return ast.literal_eval(out.stdout.strip())
+
+
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     # rankflow needs only numpy at run time: importing scipy.special alone
     # costs about 0.2 s and 20 MB at start-up, and scipy.integrate,
     # scipy.sparse, scipy.linalg and scipy.stats more
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, rankflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _modules_after_cli_import("scipy") == []
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random is loaded by the first draw, not at import: loading it
+    # adds about 2 MB of RSS and about 15 ms, which every command would
+    # otherwise pay before its config is read
+    assert _modules_after_cli_import("numpy.random") == []

@@ -21,7 +21,8 @@ from rankflow.diagnostics import (
     weak_form_residual,
 )
 from rankflow import diagnostics
-from rankflow.diagnostics import _cell_xi_quadrature, _entropy_terms, _grid_sx, _reach, _shift
+from rankflow.diagnostics import (_WINDOW_BLOCK, _cell_xi_quadrature, _entropy_terms, _grid_sx, _reach, _shift,
+                                 _windowed_quadrature)
 from rankflow.measures import GridFunction, grid_cdf, point_mass, gaussian
 from rankflow.randomness import sample_path, STREAM_COMMON
 from rankflow.solver import SolverConfig, SpdeSolution, solve
@@ -362,7 +363,9 @@ def _chain_lhs_full_grid(u, cs, tfs, t, w_t):
 
 class TestColumnWindow:
     """The entropy and chain-rule quadratures run only on the columns the
-    x-bumps can reach; each value equals the full-grid one bit for bit."""
+    x-bumps can reach; each value equals the full-grid one bit for bit.
+    The window is searched in blocks of _WINDOW_BLOCK columns, and J = 80
+    ends in a partial block."""
 
     DOMAIN = (-4.0, 4.0)
 
@@ -422,14 +425,22 @@ class TestColumnWindow:
         x = snap.centers()
         nodes, _ = _cell_xi_quadrature(snap.values)
         shift = _shift(cs, nodes, 0.3, -0.7)
+        lo, hi = shift.min(axis=0), shift.max(axis=0)
         J = snap.cells
-        assert _reach(x, shift, cases["empty"]) == slice(0, 0)
-        assert _reach(x, shift, cases["none"]) == slice(0, 0)
-        assert _reach(x, shift, cases["wide"]) == slice(0, J)
-        assert _reach(x, shift, cases["edges"][:1]).start == 0
-        assert _reach(x, shift, cases["edges"][1:]).stop == J
-        inner = _reach(x, shift, cases["single"])
+        assert _reach(x, lo, hi, cases["empty"]) == slice(0, 0)
+        assert _reach(x, lo, hi, cases["none"]) == slice(0, 0)
+        assert _reach(x, lo, hi, cases["wide"]) == slice(0, J)
+        assert _reach(x, lo, hi, cases["edges"][:1]).start == 0
+        assert _reach(x, lo, hi, cases["edges"][1:]).stop == J
+        inner = _reach(x, lo, hi, cases["single"])
         assert 0 < inner.start and inner.stop < J
+        # the block search finds the window of the full-grid range, and the
+        # shift evaluated on the window alone is the full grid's there
+        assert J % _WINDOW_BLOCK
+        for tfs in cases.values():
+            cols, _, _, _, got = _windowed_quadrature(snap, cs, tfs, 0.3, -0.7)
+            assert cols == _reach(x, lo, hi, tfs)
+            assert got.tobytes() == np.ascontiguousarray(shift[:, cols]).tobytes()
         diffusion, boundary = _entropy_terms(snap, 0.3, -0.7, cs, cases["family"], True,
                                              np.zeros((256, J)))
         assert diffusion[2] == boundary[2] == 0.0  # the far bump

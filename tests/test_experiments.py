@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import particle_increments
 from rankflow.bumps import Bump1D
 from rankflow.coefficients import ValidationError, build_from_sources
 from rankflow.experiments import (
@@ -28,15 +29,7 @@ from rankflow.experiments import (
 )
 from rankflow.measures import empirical_cdf, gaussian, grid_cdf, l1_cdf_distance, point_mass, w1
 from rankflow.particles import ParticleState, march
-from rankflow.randomness import (
-    STREAM_COMMON,
-    _raw_block,
-    _to_uniform,
-    make_noise_bundle,
-    ndtri,
-    replica_seed,
-    sample_path,
-)
+from rankflow.randomness import STREAM_COMMON, make_noise_bundle, replica_seed, sample_path
 from rankflow.solver import SolverConfig, solve
 
 
@@ -100,7 +93,7 @@ class TestConvergenceStudy:
 
     def test_rows_equal_per_replica_loop(self):
         """The lock-step study writes the rows of one particle run per
-        (replica, n), each on its own streams' paths, bit for bit."""
+        (replica, n), each on its own particles' words, bit for bit."""
         cs = build_from_sources("a - 0.5", "1", "0.5*(1 + a)", 32)
         init, sc, times = gaussian(0, 1), SolverConfig(-11.0, 11.0, 48), [0.125, 0.25]
         n_list, replicas, T, steps = [8, 32], 3, 0.25, 8
@@ -114,8 +107,7 @@ class TestConvergenceStudy:
             W = sample_path(seed_r, STREAM_COMMON, T, steps)
             sol = solve(u0, cs, W, sc, snapshot_times=times)
             for n in n_list:
-                dB = np.stack([np.sqrt(T / steps) * ndtri(_to_uniform(_raw_block(seed_r, i, steps)))
-                               for i in range(n)], axis=1)
+                dB = particle_increments(seed_r, n, T, steps).T
                 state = ParticleState(0.0, init.sample(n, seed_r))
                 states = dict(zip(grid[1:], march(state, cs, grid, dB, W.increments())))
                 errors[n, r] = max(l1_cdf_distance(sol.snapshot_at(t), empirical_cdf(states[t].positions))

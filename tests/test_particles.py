@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import particle_increments
 from rankflow.coefficients import build_from_sources
 from rankflow.measures import empirical_cdf, point_mass, w1
 from rankflow.particles import (
@@ -189,7 +190,7 @@ class TestSimulate:
                         snapshot_times=[0.0, 2.0])
         x0 = traj.states[0].positions
         xt = traj.states[-1].positions
-        bt = np.array([sample_path(77, i, 2.0, 50).values[-1] for i in range(8)])
+        bt = np.cumsum(particle_increments(77, 8, 2.0, 50), axis=-1)[:, -1]
         wt = noise[0][-1]
         np.testing.assert_allclose(xt, x0 + 2.0 + bt + 0.5 * wt, atol=2e-14)
 
@@ -224,7 +225,7 @@ class TestSimulate:
         x0 = point_mass(0.0).sample(64, 33)
         traj = simulate(x0, cs_const, 1.0, 32, noise, snapshot_times=[1.0])
         shifted = traj.states[-1].positions - (1.0 + 0.5 * noise[0][-1])
-        target = x0 + np.array([sample_path(33, i, 1.0, 32).values[-1] for i in range(64)])
+        target = x0 + np.cumsum(particle_increments(33, 64, 1.0, 32), axis=-1)[:, -1]
         assert w1(empirical_cdf(shifted), empirical_cdf(target)) < 1e-13
 
     def test_snapshot_off_grid_rejected(self, cs_const):

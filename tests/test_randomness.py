@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import kstest
 
+from conftest import particle_increments
 from rankflow.randomness import (
     GridConflict,
     grid_indices,
@@ -51,12 +52,12 @@ class TestNdtri:
     def test_matches_scipy_on_lattice_points(self):
         u = _to_uniform(_raw_block(11, np.arange(250, dtype=np.uint64), 4000)).ravel()
         # the branch points e^-2 and 1 - e^-2, x = 8 (e^-32 and its mirror),
-        # the smallest lattice point 2^-54 and the largest below 1
+        # the smallest lattice point 2^-53 and the largest, 1 - 2^-53
         special = _neighbours([_EXP_M2, 1.0 - _EXP_M2, np.exp(-32.0), 1.0 - np.exp(-32.0),
-                               2.0**-54, 1.0 - 2.0**-53])
+                               2.0**-53, 1.0 - 2.0**-53])
         # the first and last 2000 lattice points: the x >= 8 branch holds
-        # the first ~114 and their mirrors
-        k = np.arange(2000, dtype=np.uint64) << np.uint64(11)
+        # the first ~57 and their mirrors
+        k = np.arange(2000, dtype=np.uint64) << np.uint64(12)
         ends = _to_uniform(np.concatenate((k, ~k)))
         u = np.concatenate((u, ends, special))
         u = u[(u > 0.0) & (u < 1.0)]
@@ -87,6 +88,23 @@ class TestNdtri:
         pieces = np.concatenate([ndtri(u[k:k + 1000]) for k in range(0, u.size, 1000)])
         assert ndtri(u).tobytes() == pieces.tobytes()
         assert ndtri(u.reshape(7, -1)).tobytes() == pieces.tobytes()
+
+
+def test_uniform_lattice_strictly_inside_unit_interval():
+    """The smallest and largest words map strictly inside (0, 1), to
+    2^-53 and 1 - 2^-53, where ndtri is finite, and the lattice points next
+    to either end, and next to 1/2, stay distinct."""
+    k = np.arange(64, dtype=np.uint64) << np.uint64(12)
+    half = np.uint64(1 << 63)
+    words = np.concatenate((k, ~k, half - k - np.uint64(1 << 12), half + k))
+    u = _to_uniform(words)
+    assert u.min() == 2.0**-53 and u.max() == 1.0 - 2.0**-53
+    assert (u > 0.0).all() and (u < 1.0).all()
+    assert np.isfinite(ndtri(u)).all()
+    assert np.unique(u).size == u.size
+    # the low 12 bits of a word do not move it
+    assert (_to_uniform(words | np.uint64(0xFFF)) == u).all()
+
 
 class TestSamplePath:
     def test_starts_at_zero(self):
@@ -247,9 +265,9 @@ class TestNoiseBundle:
     )
     def test_batched_rows_equal_per_stream_paths(self, case, T):
         """For one seed and for a seed array, the common path equals
-        `sample_path` of its stream, and the cumulative sum of every
-        particle's streamed increments equals the values of `sample_path` of
-        the particle's stream, bit for bit."""
+        `sample_path` of its stream, and particle i's increment k is
+        sqrt(T/steps) times the normal of its word k, block k // 4 of the
+        particle key at counter word 0 = (k // 4) 2^32 + i, bit for bit."""
         seeds, n, steps = case
         W, dB = make_noise_bundle(seeds, n, T, steps)
         steps_drawn = np.stack(list(dB), axis=-1)   # (n, steps) or (R, n, steps)
@@ -260,11 +278,7 @@ class TestNoiseBundle:
         assert steps_drawn.shape == (len(seeds), n, steps)
         for w, drawn, seed in zip(W, steps_drawn, seeds):
             assert w.tobytes() == sample_path(seed, STREAM_COMMON, T, steps).values.tobytes()
-            ref = np.stack([sample_path(seed, i, T, steps).values[1:] for i in range(n)])
-            assert np.cumsum(drawn, axis=-1).tobytes() == ref.tobytes()
-            # and increment k is sqrt(T/steps) times the normal of word k
-            z = ndtri(_to_uniform(_raw_block(seed, np.arange(n, dtype=np.uint64), steps)))
-            assert drawn.tobytes() == (np.sqrt(T / steps) * z).tobytes()
+            assert drawn.tobytes() == particle_increments(seed, n, T, steps).tobytes()
 
 
 @given(
@@ -306,6 +320,20 @@ def test_replica_noise_equals_bundles(seeds, n, steps, T):
         W1, dB1 = make_noise_bundle(seed, n, T, steps)
         assert W[r].tobytes() == W1.tobytes()
         assert steps_drawn[r].tobytes() == np.stack(list(dB1), axis=-1).tobytes()
+
+
+@given(
+    seeds=st.one_of(_U64, st.lists(_U64, min_size=1, max_size=3)),
+    n=st.integers(1, 9),
+    more=st.integers(1, 9),
+    steps=st.integers(1, 13),
+)
+def test_particle_noise_is_a_prefix_in_n(seeds, n, more, steps):
+    """The increments of an n-particle bundle are those of the first n
+    particles of a larger one: a particle's words do not depend on n."""
+    small = np.stack(list(make_noise_bundle(seeds, n, 1.0, steps)[1]), axis=-1)
+    large = np.stack(list(make_noise_bundle(seeds, n + more, 1.0, steps)[1]), axis=-1)
+    assert small.tobytes() == np.ascontiguousarray(large[..., :n, :]).tobytes()
 
 
 def test_initial_samples_per_seed_row():
