@@ -76,15 +76,21 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
     )
 
 
-def _cmd_solve(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
+def _mesh_inputs(cfg: RunConfig, seed: int):
+    """The inputs of a mesh command: the coefficient set, the mesh, the
+    horizon T, the common-noise path W on `steps` steps and the initial
+    CDF on the mesh."""
     cs = _coefficients(cfg)
     sc = _solver_config(cfg)
     T = cfg.num("T")
-    steps = cfg.integer("steps")
-    snap = cfg.num_list("snapshot_times", [T])
-    W = sample_path(seed, STREAM_COMMON, T, steps)
+    W = sample_path(seed, STREAM_COMMON, T, cfg.integer("steps"))
     u0 = grid_cdf(parse_init(cfg.text("init")), sc.x_min, sc.x_max, sc.cells)
-    sol = solve(u0, cs, W, sc, snapshot_times=snap)
+    return cs, sc, T, W, u0
+
+
+def _cmd_solve(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
+    cs, sc, T, W, u0 = _mesh_inputs(cfg, seed)
+    sol = solve(u0, cs, W, sc, snapshot_times=cfg.num_list("snapshot_times", [T]))
     centers = sc.centers()
     rows = [
         (t, x, u)
@@ -172,18 +178,9 @@ def _cmd_martingale(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
 
 
 def _cmd_stability(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
-    cs = _coefficients(cfg)
-    sc = _solver_config(cfg)
-    T = cfg.num("T")
-    W = sample_path(seed, STREAM_COMMON, T, cfg.integer("steps"))
-    rep = stability_experiment(
-        cs,
-        grid_cdf(parse_init(cfg.text("init")), sc.x_min, sc.x_max, sc.cells),
-        W,
-        cfg.num_list("epsilons"),
-        sc,
-        snapshot_times=cfg.num_list("snapshot_times", [T]),
-    )
+    cs, sc, T, W, u0 = _mesh_inputs(cfg, seed)
+    rep = stability_experiment(cs, u0, W, cfg.num_list("epsilons"), sc,
+                               snapshot_times=cfg.num_list("snapshot_times", [T]))
     outputs = [write_csv(out / "stability.csv", rep.columns, rep.rows)]
     return outputs, f"stability: implied-C spread {rep.summary['implied_C_spread']:.3g}"
 
@@ -236,19 +233,10 @@ def _diagnose_bumps(sc: SolverConfig, grid: np.ndarray, s: float, t: float,
 
 
 def _cmd_diagnose(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
-    cs = _coefficients(cfg)
-    sc = _solver_config(cfg)
-    T = cfg.num("T")
-    steps = cfg.integer("steps")
-    s = cfg.num("s", 0.0)
-    t = cfg.num("t", T)
-    r_xi = cfg.num("r_xi", 0.25)
-    r_x = cfg.num("r_x", 1.0)
-    etas = cfg.num_list("eta_list", [0.3, 0.6])
-    ys = cfg.num_list("y_list", [0.0])
-    W = sample_path(seed, STREAM_COMMON, T, steps)
-    tfs, fs, s, t = _diagnose_bumps(sc, W.t_grid, s, t, r_xi, r_x, etas, ys)
-    u0 = grid_cdf(parse_init(cfg.text("init")), sc.x_min, sc.x_max, sc.cells)
+    cs, sc, T, W, u0 = _mesh_inputs(cfg, seed)
+    tfs, fs, s, t = _diagnose_bumps(sc, W.t_grid, cfg.num("s", 0.0), cfg.num("t", T),
+                                    cfg.num("r_xi", 0.25), cfg.num("r_x", 1.0),
+                                    cfg.num_list("eta_list", [0.3, 0.6]), cfg.num_list("y_list", [0.0]))
     sol = solve(u0, cs, W, sc)  # snapshot every noise node
     u_t = sol.snapshot_at(t)
     w_t = sol.path.value_at(t)

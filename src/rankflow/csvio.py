@@ -49,14 +49,12 @@ def write_cdf_csv(path, xs, fs):
 
 
 def write_manifest(path, *, command: str, config_sha256: str, seed: int,
-                   outputs: list, extra: dict | None = None):
+                   outputs: list):
     payload = {
         "command": command,
         "config_sha256": config_sha256,
         "seed": seed,
         "outputs": sorted(str(o) for o in outputs),
     }
-    if extra:
-        payload.update(extra)
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path

@@ -12,12 +12,13 @@ snapshots were produced.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bumps import BUMP_L1, Bump1D, bump, bump_d1, bump_d2
+from .bumps import Bump1D
+from .bumps import bump, bump_d1, bump_d2  # noqa: F401  (the benchmark traces rankflow.diagnostics.bump*)
 from .coefficients import CoefficientSet
 from .measures import GridFunction
 from .randomness import grid_indices
@@ -58,12 +59,16 @@ def chi(xi, u):
 @dataclass(frozen=True)
 class BumpTestFunction:
     """Tensorized bump rho0(x~, xi~) = psi_{r_x}(x~) psi_{r_xi}(xi~),
-    centered at (y, eta); each factor has unit integral."""
+    centered at (y, eta); each factor is a unit-mass `Bump1D` centred at 0,
+    `fx` of radius r_x and `fxi` of radius r_xi, evaluated at the offsets
+    x~ = (x - y) - shift and xi~ = xi - eta."""
 
     eta: float
     y: float
     r_xi: float
     r_x: float
+    fx: Bump1D = field(init=False, repr=False, compare=False)
+    fxi: Bump1D = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # negated comparisons, so that NaN is rejected too
@@ -74,24 +79,11 @@ class BumpTestFunction:
             )
         if not 0.0 < self.r_x < np.inf:
             raise ValueError(f"r_x = {self.r_x} must be positive and finite")
-
-    def _fx(self, xt):
-        return bump(np.asarray(xt) / self.r_x) / (BUMP_L1 * self.r_x)
-
-    def _fx_d1(self, xt):
-        return bump_d1(np.asarray(xt) / self.r_x) / (BUMP_L1 * self.r_x**2)
-
-    def _fx_d2(self, xt):
-        return bump_d2(np.asarray(xt) / self.r_x) / (BUMP_L1 * self.r_x**3)
-
-    def _fxi(self, xit):
-        return bump(np.asarray(xit) / self.r_xi) / (BUMP_L1 * self.r_xi)
-
-    def _fxi_d1(self, xit):
-        return bump_d1(np.asarray(xit) / self.r_xi) / (BUMP_L1 * self.r_xi**2)
+        object.__setattr__(self, "fx", Bump1D(0.0, self.r_x))
+        object.__setattr__(self, "fxi", Bump1D(0.0, self.r_xi))
 
     def rho0(self, xt, xit):
-        return self._fx(xt) * self._fxi(xit)
+        return self.fx(xt) * self.fxi(xit)
 
 
 @dataclass(frozen=True)
@@ -134,11 +126,11 @@ def eval_rho(tf: BumpTestFunction, cs: CoefficientSet, xi, t, x, z_t) -> RhoValu
     xt = x - tf.y - shift
     xit = xi - tf.eta
     d_shift = np.asarray(cs.b_prime(xi)) * t + np.asarray(cs.gamma_prime(xi)) * z_t
-    fx = tf._fx(xt)
-    fxi = tf._fxi(xit)
+    fx = tf.fx(xt)
+    fxi = tf.fxi(xit)
     return RhoValues(
         value=fx * fxi,
-        dxi=tf._fx_d1(xt) * (-d_shift) * fxi + fx * tf._fxi_d1(xit),
+        dxi=tf.fx.d1(xt) * (-d_shift) * fxi + fx * tf.fxi.d1(xit),
     )
 
 
@@ -247,23 +239,23 @@ def chain_rule_forms(u: GridFunction, cs: CoefficientSet, tfs: Sequence[BumpTest
 
     cols, xw, nodes, weights, shift = _windowed_quadrature(u, cs, tfs, t, w_t)
     w_sig = weights * np.asarray(cs.sigma(nodes))
-    fx1 = _shared(tfs, _x_key, lambda tf: tf._fx_d1((xw - tf.y) - shift))
-    fxi = _shared(tfs, _xi_key, lambda tf: tf._fxi(nodes - tf.eta))
+    fx1 = _shared(tfs, _x_key, lambda tf: tf.fx.d1((xw - tf.y) - shift))
+    fxi = _shared(tfs, _xi_key, lambda tf: tf.fxi(nodes - tf.eta))
     buf = np.zeros((_XI_ORDER, x.size))
     lhs = _padded_sums(buf, cols, (w_sig * (a * c) for a, c in zip(fx1, fxi)), u.dx)
     del fx1, fxi, buf
 
     sx = _grid_sx(u, cs)
     shift = _shift(cs, uv, t, w_t)
-    fx = _shared(tfs, _x_key, lambda tf: tf._fx((x - tf.y) - shift))
-    fxi = _shared(tfs, _xi_key, lambda tf: tf._fxi(uv - tf.eta))
+    fx = _shared(tfs, _x_key, lambda tf: tf.fx((x - tf.y) - shift))
+    fxi = _shared(tfs, _xi_key, lambda tf: tf.fxi(uv - tf.eta))
     rhs = [float(-np.sum(sx * (a * c)) * u.dx) for a, c in zip(fx, fxi)]
 
     q = u.quantiles(_NODES01)
     shift = _shift(cs, _NODES01, t, w_t)
     w_sig = _WEIGHTS01 * np.asarray(cs.sigma(_NODES01))
-    fx = _shared(tfs, _x_key, lambda tf: tf._fx((q - tf.y) - shift))
-    fxi = _shared(tfs, _xi_key, lambda tf: tf._fxi(_NODES01 - tf.eta))
+    fx = _shared(tfs, _x_key, lambda tf: tf.fx((q - tf.y) - shift))
+    fxi = _shared(tfs, _xi_key, lambda tf: tf.fxi(_NODES01 - tf.eta))
     qform = [float(-np.sum(w_sig * (a * c))) for a, c in zip(fx, fxi)]
     return list(zip(lhs, rhs, qform))
 
@@ -366,14 +358,14 @@ def _entropy_terms(snap: GridFunction, r: float, w_r: float, cs: CoefficientSet,
     `buf` (`_padded_sums`), bit for bit the full-grid sums."""
     cols, x, nodes, weights, shift = _windowed_quadrature(snap, cs, tfs, r, w_r)
     sig2 = np.asarray(cs.sigma(nodes)) ** 2
-    fxi = _shared(tfs, _xi_key, lambda tf: tf._fxi(nodes - tf.eta))
-    fx_d2 = _shared(tfs, _x_key, lambda tf: tf._fx_d2((x - tf.y) - shift))
+    fxi = _shared(tfs, _xi_key, lambda tf: tf.fxi(nodes - tf.eta))
+    fx_d2 = _shared(tfs, _x_key, lambda tf: tf.fx.d2((x - tf.y) - shift))
     diffusion = _padded_sums(buf, cols, (weights * (sig2 * (a * c)) for a, c in zip(fx_d2, fxi)),
                              snap.dx)
     if not boundary:
         return diffusion, None
     del fx_d2
-    fx = _shared(tfs, _x_key, lambda tf: tf._fx((x - tf.y) - shift))
+    fx = _shared(tfs, _x_key, lambda tf: tf.fx((x - tf.y) - shift))
     return diffusion, _padded_sums(buf, cols, (weights * (a * c) for a, c in zip(fx, fxi)), snap.dx)
 
 

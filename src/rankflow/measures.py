@@ -172,10 +172,8 @@ class GridFunction:
 
 
 def empirical_cdf(positions) -> StepCDF:
-    """Step CDF of a particle cloud; ties share the count-<= value."""
-    positions = np.asarray(positions, dtype=np.float64)
-    if positions.size == 0:
-        raise EmptyInputError("no particle positions given")
+    """Step CDF of a particle cloud; ties share the count-<= value.  No
+    positions raise EmptyInputError (`StepCDF`)."""
     return StepCDF(positions)
 
 

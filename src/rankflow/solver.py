@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .measures import GridFunction, InitialDistribution, StepCDF, ndtr
+from .measures import GridFunction, InitialDistribution
 from .randomness import BrownianPath, _nearest_nodes, grid_indices, refine_path
 
 __all__ = [
@@ -252,25 +252,14 @@ def solve(u0: GridFunction, cs: CoefficientSet, W: BrownianPath,
     return solve_paths(u0, cs, [W], config, snapshot_times)[0]
 
 
-def analytic_constant_solution(u0, b0: float, sigma0: float, gamma0: float,
+def analytic_constant_solution(u0: InitialDistribution, b0: float, sigma0: float, gamma0: float,
                                t: float, w_t: float, config: SolverConfig) -> GridFunction:
-    """Exact conditional CDF for constant coefficients: the initial CDF
-    convolved with a centered Gaussian of variance sigma0^2 t, translated
-    by b0 t + gamma0 W_t.  For a Heaviside initial condition this is
+    """Exact conditional CDF for constant coefficients: the CDF of u0
+    convolved with a centered Gaussian of variance sigma0^2 t
+    (`InitialDistribution.smoothed_cdf`), translated by b0 t + gamma0 W_t.
+    For a Heaviside initial condition this is
     Phi((x - b0 t - gamma0 W_t) / (sigma0 sqrt(t)))."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    centers = config.centers()
-    shift = b0 * t + gamma0 * w_t
-    s = sigma0 * np.sqrt(t)
-    x = centers - shift
-    if isinstance(u0, InitialDistribution):
-        vals = u0.smoothed_cdf(x, s)
-    elif isinstance(u0, StepCDF):
-        if s == 0.0:
-            vals = u0.value(x)
-        else:
-            vals = np.mean(ndtr((x[:, None] - u0.points[None, :]) / s), axis=1)
-    else:
-        raise TypeError("u0 must be an InitialDistribution or StepCDF")
-    return GridFunction(config.x_min, config.x_max, vals)
+    x = config.centers() - (b0 * t + gamma0 * w_t)
+    return GridFunction(config.x_min, config.x_max, u0.smoothed_cdf(x, sigma0 * np.sqrt(t)))

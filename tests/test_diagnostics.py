@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.integrate import quad
 
-from rankflow.bumps import Bump1D
+from rankflow import bumps
+from rankflow.bumps import BUMP_L1, Bump1D, bump, bump_d1, bump_d2
 from rankflow.coefficients import build_from_sources
 from rankflow.diagnostics import (
     BumpTestFunction,
@@ -20,7 +24,6 @@ from rankflow.diagnostics import (
     eval_rho,
     weak_form_residual,
 )
-from rankflow import diagnostics
 from rankflow.diagnostics import (_WINDOW_BLOCK, _cell_xi_quadrature, _entropy_terms, _grid_sx, _reach, _shift,
                                  _windowed_quadrature)
 from rankflow.measures import GridFunction, grid_cdf, point_mass, gaussian
@@ -89,6 +92,59 @@ class TestChi:
         for u in (0.0, 0.15, 0.5, 0.97, 1.0):
             val = np.trapezoid(chi(xs, u), xs)
             assert val == pytest.approx(u, abs=1e-5)
+
+
+# the closed forms the factors had before they were Bump1D(0, r): bump(x /
+# r) / (BUMP_L1 r^k), k = 1, 2, 3
+_OLD_FACTORS = (
+    ("fx", "r_x", lambda x, r: bump(np.asarray(x) / r) / (BUMP_L1 * r)),
+    ("fx.d1", "r_x", lambda x, r: bump_d1(np.asarray(x) / r) / (BUMP_L1 * r**2)),
+    ("fx.d2", "r_x", lambda x, r: bump_d2(np.asarray(x) / r) / (BUMP_L1 * r**3)),
+    ("fxi", "r_xi", lambda x, r: bump(np.asarray(x) / r) / (BUMP_L1 * r)),
+    ("fxi.d1", "r_xi", lambda x, r: bump_d1(np.asarray(x) / r) / (BUMP_L1 * r**2)),
+)
+
+
+def _factor_points(r):
+    """Points inside the support, at +-r and their neighbours, +-0, NaN,
+    +-inf and anywhere."""
+    return st.one_of(
+        st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True).map(lambda s: s * r),
+        st.sampled_from([r, -r, np.nextafter(r, 0.0), np.nextafter(r, np.inf),
+                         np.nextafter(-r, 0.0), np.nextafter(-r, -np.inf),
+                         0.0, -0.0, np.nan, np.inf, -np.inf]),
+        st.floats(),
+    )
+
+
+@st.composite
+def _factor_cases(draw):
+    radius = st.one_of(st.floats(0.05, 100.0), st.sampled_from([0.05, 0.3, 1.0, 1.5]))
+    tf = BumpTestFunction(eta=0.5, y=0.0, r_xi=draw(radius), r_x=draw(radius))
+    cases = []
+    for name, r_name, old in _OLD_FACTORS:
+        points = _factor_points(getattr(tf, r_name))
+        shape = array_shapes(min_dims=0, max_dims=2, max_side=8)
+        cases.append((name, old, getattr(tf, r_name), draw(arrays(np.float64, shape, elements=points))))
+        cases.append((name, old, getattr(tf, r_name), draw(points)))  # a Python scalar
+    return tf, cases
+
+
+@given(_factor_cases())
+def test_bump1d_factors_equal_the_old_closed_forms(case):
+    """tf.fx, tf.fx.d1, tf.fx.d2, tf.fxi and tf.fxi.d1 are bit for bit the
+    closed forms they replaced, in value, type, shape and dtype."""
+    tf, cases = case
+    for name, old, r, x in cases:
+        factor = tf
+        for attr in name.split("."):
+            factor = getattr(factor, attr)
+        with np.errstate(over="ignore"):  # x / r of a huge x, on both sides
+            got, want = factor(x), old(x, r)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestEvalRho:
@@ -345,9 +401,9 @@ def _entropy_terms_full_grid(snap, r, w_r, cs, tfs):
     sig2 = np.asarray(cs.sigma(nodes)) ** 2
     diffusion, boundary = [], []
     for tf in tfs:
-        xt, fxi = (x - tf.y) - shift, tf._fxi(nodes - tf.eta)
-        diffusion.append(float(np.sum(weights * (sig2 * (tf._fx_d2(xt) * fxi))) * snap.dx))
-        boundary.append(float(np.sum(weights * (tf._fx(xt) * fxi)) * snap.dx))
+        xt, fxi = (x - tf.y) - shift, tf.fxi(nodes - tf.eta)
+        diffusion.append(float(np.sum(weights * (sig2 * (tf.fx.d2(xt) * fxi))) * snap.dx))
+        boundary.append(float(np.sum(weights * (tf.fx(xt) * fxi)) * snap.dx))
     return diffusion, boundary
 
 
@@ -357,7 +413,7 @@ def _chain_lhs_full_grid(u, cs, tfs, t, w_t):
     nodes, weights = _cell_xi_quadrature(np.clip(u.values, 0.0, 1.0))
     shift = _shift(cs, nodes, t, w_t)
     w_sig = weights * np.asarray(cs.sigma(nodes))
-    return [float(np.sum(w_sig * (tf._fx_d1((x[None, :] - tf.y) - shift) * tf._fxi(nodes - tf.eta)))
+    return [float(np.sum(w_sig * (tf.fx.d1((x[None, :] - tf.y) - shift) * tf.fxi(nodes - tf.eta)))
                   * u.dx) for tf in tfs]
 
 
@@ -457,8 +513,7 @@ def test_entropy_bump_d2_points_on_the_window_only(cs_general, monkeypatch):
     tfs = [BumpTestFunction(eta=eta, y=y, r_xi=0.3, r_x=1.5)
            for eta in (0.3, 0.5, 0.7) for y in (-0.5, 0.0, 0.5)]
     points = []
-    bump_d2 = diagnostics.bump_d2
-    monkeypatch.setattr(diagnostics, "bump_d2", lambda s: points.append(np.size(s)) or bump_d2(s))
+    monkeypatch.setattr(bumps, "bump_d2", lambda s: points.append(np.size(s)) or bump_d2(s))
     entropy_identity_residual(sol, cs_general, tfs, 0.25, 0.5)
     full_grid = 9 * 3 * 256 * cfg.cells  # snapshots 0.25 ... 0.5, distinct y
     assert len(points) == 9 * 3
