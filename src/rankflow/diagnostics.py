@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -20,6 +21,7 @@ from numpy.polynomial.legendre import leggauss
 from .bumps import Bump1D
 from .bumps import bump, bump_d1, bump_d2  # noqa: F401  (the benchmark traces rankflow.diagnostics.bump*)
 from .coefficients import CoefficientSet
+from .expr import CoefficientExpr
 from .measures import GridFunction
 from .randomness import grid_indices
 from .solver import SpdeSolution
@@ -39,12 +41,32 @@ __all__ = [
 ]
 
 _XI_ORDER = 256
-_gl_nodes, _gl_weights = leggauss(_XI_ORDER)
-# mapped to [0, 1]
-_NODES01 = 0.5 * (_gl_nodes + 1.0)
-_WEIGHTS01 = 0.5 * _gl_weights
 
 MIN_XI_SCALE = 0.05
+
+# the transforms of the weak form and the dissipation measure are evaluated
+# on groups of consecutive snapshots of at most this many points, one call
+# per group.  On configs/diagnose.cfg (33 snapshots of 256 cells), against
+# one call per snapshot, one call on all of them raised the peak RSS of a
+# run by 1.6 MB and groups of 4096 points by 0.5 MB; groups of 2048 did not
+_GROUP_POINTS = 2048
+
+# b and gamma are enclosed once per expression on each of this many equal
+# pieces of [0, 1]; the shift interval of a column is the hull of those of
+# the pieces that meet [0, u_j], at most one piece wider than [0, u_j]
+_SHIFT_PIECES = 256
+
+
+@cache
+def _xi_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _XI_ORDER-node Gauss-Legendre rule mapped to
+    [0, 1], read-only.  Computed on first use: leggauss(256) takes about
+    7 ms, which every import would pay, and only the diagnostics read it."""
+    gl_nodes, gl_weights = leggauss(_XI_ORDER)
+    nodes01, weights01 = 0.5 * (gl_nodes + 1.0), 0.5 * gl_weights
+    nodes01.setflags(write=False)
+    weights01.setflags(write=False)
+    return nodes01, weights01
 
 
 def chi(xi, u):
@@ -138,8 +160,9 @@ def _cell_xi_quadrature(u_vals: np.ndarray):
     """Nodes/weights of per-cell Gauss-Legendre on [0, u_j]: shape
     (order, cells).  Integrands are smooth there, unlike on [0,1] where
     the kinetic cutoff at xi = u_j would cost accuracy."""
-    nodes = _NODES01[:, None] * u_vals[None, :]
-    weights = _WEIGHTS01[:, None] * u_vals[None, :]
+    nodes01, weights01 = _xi_rule()
+    nodes = nodes01[:, None] * u_vals[None, :]
+    weights = weights01[:, None] * u_vals[None, :]
     return nodes, weights
 
 
@@ -149,11 +172,12 @@ def _reach(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, tfs: Sequence[BumpTest
     hull of the windows of the distinct (y, r_x), slice(0, 0) if all are
     empty.
 
-    A window is read off the per-column range [lo_j, hi_j] of the shift.
-    Rounded subtraction and division by r_x > 0 are monotone, so the bump
-    argument s_ij = ((x_j - y) - shift_ij) / r_x lies between the same
-    expressions at hi_j and lo_j, and a column whose range misses (-1, 1)
-    has no point with |s_ij| < 1."""
+    A window is read off an interval [lo_j, hi_j] per column that holds
+    every shift of the column (`_shift_range`; infinite ends make it
+    reachable).  Rounded subtraction and division by r_x > 0 are monotone,
+    so the bump argument s_ij = ((x_j - y) - shift_ij) / r_x lies between
+    the same expressions at hi_j and lo_j, and a column whose interval
+    misses (-1, 1) has no point with |s_ij| < 1."""
     cols = np.zeros(x.size, dtype=bool)
     for y, r_x in dict.fromkeys(map(_x_key, tfs)):
         d = x - y
@@ -162,10 +186,42 @@ def _reach(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, tfs: Sequence[BumpTest
     return slice(int(j[0]), int(j[-1]) + 1) if j.size else slice(0, 0)
 
 
-# the column window is searched this many columns at a time: the (order,
-# block) shift and its temporaries stay at 64 KiB each, below the size glibc
-# serves by mmap, so no fresh pages are faulted in block after block
-_WINDOW_BLOCK = 32
+@lru_cache(maxsize=16)
+def _piece_enclosures(expr: CoefficientExpr) -> tuple[np.ndarray, np.ndarray]:
+    """expr enclosed on each piece [k, k + 1] / _SHIFT_PIECES of [0, 1]
+    (`CoefficientExpr.enclose`), read-only; the cuts k / _SHIFT_PIECES are
+    exact, _SHIFT_PIECES being a power of two."""
+    cuts = np.arange(_SHIFT_PIECES + 1) / _SHIFT_PIECES
+    lo, hi = expr.enclose(cuts[:-1], cuts[1:])
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    return lo, hi
+
+
+def _shift_range(cs: CoefficientSet, uv: np.ndarray, t: float, w_t: float):
+    """Per column j, an interval [lo_j, hi_j] that holds every float shift
+    `_shift` gives at a node of the column, all of which lie in [0, u_j].
+
+    On piece k of [0, 1] (`_piece_enclosures`) the shift lies in
+    t B_k + w_t G_k, where B_k and G_k enclose b and gamma: rounded products
+    and sums are monotone in each operand, so the same operations on the
+    ends bound it, and an end that comes out NaN, as 0 * inf does, becomes
+    infinite.  Column j takes the hull over the pieces that meet [0, u_j],
+    read off running minima and maxima, in O(cells) work; a NaN u_j gives
+    (-inf, inf)."""
+    ends = []
+    with np.errstate(invalid="ignore"):
+        for expr, scale in ((cs.b, t), (cs.gamma, w_t)):
+            lo, hi = _piece_enclosures(expr)
+            ends.append((np.minimum(lo * scale, hi * scale), np.maximum(lo * scale, hi * scale)))
+        (b_lo, b_hi), (g_lo, g_hi) = ends
+        # np.fmax(x, -inf) is x, and -inf where x is NaN
+        lo = np.minimum.accumulate(np.fmax(b_lo + g_lo, -np.inf))
+        hi = np.maximum.accumulate(np.fmin(b_hi + g_hi, np.inf))
+    nan = np.isnan(uv)
+    # pieces 0 .. last meet [0, u_j]: u_j * _SHIFT_PIECES is exact
+    last = np.maximum(np.ceil(np.where(nan, 1.0, uv) * _SHIFT_PIECES).astype(np.intp) - 1, 0)
+    return np.where(nan, -np.inf, lo[last]), np.where(nan, np.inf, hi[last])
 
 
 def _windowed_quadrature(u: GridFunction, cs: CoefficientSet, tfs: Sequence[BumpTestFunction],
@@ -173,20 +229,15 @@ def _windowed_quadrature(u: GridFunction, cs: CoefficientSet, tfs: Sequence[Bump
     """The per-cell xi quadrature of u and the shift b(xi) t + gamma(xi) w_t
     on it, kept on the columns `cols` (`_reach`) that an x-bump of the
     family can reach: returns cols and, on them, the cell centres as a row,
-    the nodes, the weights and the shift.  The per-column range of the
-    shift is taken block by block over every cell, np.fmin/np.fmax skipping
-    a NaN shift, whose bump value is 0; the shift kept is evaluated on the
-    window alone.  Each value kept is bit for bit the full-grid one, and
-    nodes and weights are built contiguous from u's columns."""
+    the nodes, the weights and the shift.  The window is read off the
+    certified shift interval of each column (`_shift_range`), in O(cells)
+    work, so it holds every column the full grid's shift reaches and may
+    hold a few more; the shift kept is evaluated on the window alone.  Each
+    value kept is bit for bit the full-grid one, and nodes and weights are
+    built contiguous from u's columns."""
     uv = np.clip(u.values, 0.0, 1.0)
     x = u.centers()
-    lo, hi = np.empty(x.size), np.empty(x.size)
-    for j in range(0, x.size, _WINDOW_BLOCK):
-        block = slice(j, j + _WINDOW_BLOCK)
-        shift = _shift(cs, _NODES01[:, None] * uv[None, block], t, w_t)
-        np.fmin.reduce(shift, axis=0, out=lo[block])
-        np.fmax.reduce(shift, axis=0, out=hi[block])
-    cols = _reach(x, lo, hi, tfs)
+    cols = _reach(x, *_shift_range(cs, uv, t, w_t), tfs)
     nodes, weights = _cell_xi_quadrature(uv[cols])
     return cols, x[None, cols], nodes, weights, _shift(cs, nodes, t, w_t)
 
@@ -208,10 +259,19 @@ def _padded_sums(buf: np.ndarray, cols: slice, blocks, scale: float) -> list[flo
     return out
 
 
-def _grid_sx(u: GridFunction, cs: CoefficientSet) -> np.ndarray:
-    """d/dx of S(u(x)): central differences inside, one-sided at the ends."""
-    su = cs.eval_transform("S", np.clip(u.values, 0.0, 1.0))
-    return np.gradient(su, u.dx)
+def _grid_sx(values: np.ndarray, dx: float, cs: CoefficientSet) -> np.ndarray:
+    """d/dx of S(u(x)) along the last axis of `values`, one state or a stack
+    of them on cells of width dx: central differences inside, one-sided at
+    the ends, in one transform call."""
+    su = cs.eval_transform("S", np.clip(values, 0.0, 1.0))
+    return np.gradient(su, dx, axis=-1)
+
+
+def _row_groups(rows: int, cells: int) -> list[slice]:
+    """Consecutive slices of `rows` stacked states of `cells` points each,
+    _GROUP_POINTS points or one row at most per slice."""
+    step = max(1, _GROUP_POINTS // cells)
+    return [slice(i, i + step) for i in range(0, rows, step)]
 
 
 def _grid_ux(u: GridFunction) -> np.ndarray:
@@ -245,17 +305,18 @@ def chain_rule_forms(u: GridFunction, cs: CoefficientSet, tfs: Sequence[BumpTest
     lhs = _padded_sums(buf, cols, (w_sig * (a * c) for a, c in zip(fx1, fxi)), u.dx)
     del fx1, fxi, buf
 
-    sx = _grid_sx(u, cs)
+    sx = _grid_sx(u.values, u.dx, cs)
     shift = _shift(cs, uv, t, w_t)
     fx = _shared(tfs, _x_key, lambda tf: tf.fx((x - tf.y) - shift))
     fxi = _shared(tfs, _xi_key, lambda tf: tf.fxi(uv - tf.eta))
     rhs = [float(-np.sum(sx * (a * c)) * u.dx) for a, c in zip(fx, fxi)]
 
-    q = u.quantiles(_NODES01)
-    shift = _shift(cs, _NODES01, t, w_t)
-    w_sig = _WEIGHTS01 * np.asarray(cs.sigma(_NODES01))
+    nodes01, weights01 = _xi_rule()
+    q = u.quantiles(nodes01)
+    shift = _shift(cs, nodes01, t, w_t)
+    w_sig = weights01 * np.asarray(cs.sigma(nodes01))
     fx = _shared(tfs, _x_key, lambda tf: tf.fx((q - tf.y) - shift))
-    fxi = _shared(tfs, _xi_key, lambda tf: tf.fxi(_NODES01 - tf.eta))
+    fxi = _shared(tfs, _xi_key, lambda tf: tf.fxi(nodes01 - tf.eta))
     qform = [float(-np.sum(w_sig * (a * c))) for a, c in zip(fx, fxi)]
     return list(zip(lhs, rhs, qform))
 
@@ -272,8 +333,9 @@ def coarea_check(u: GridFunction, cs: CoefficientSet, g) -> float:
     uv = np.clip(u.values, 0.0, 1.0)
     ux = _grid_ux(u)
     lhs = float(np.sum(np.asarray(g(centers, uv)) * np.asarray(cs.gamma(uv)) * ux) * u.dx)
-    q = u.quantiles(_NODES01)
-    rhs = float(np.sum(_WEIGHTS01 * np.asarray(g(q, _NODES01)) * np.asarray(cs.gamma(_NODES01))))
+    nodes01, weights01 = _xi_rule()
+    q = u.quantiles(nodes01)
+    rhs = float(np.sum(weights01 * np.asarray(g(q, nodes01)) * np.asarray(cs.gamma(nodes01))))
     return abs(lhs - rhs)
 
 
@@ -313,7 +375,9 @@ class KineticMeasureEstimate:
 def dissipation_measure(sol: SpdeSolution, cs: CoefficientSet, xi_bins: int = 256) -> KineticMeasureEstimate:
     """Deposit (1/2)(S(u)_x)^2 dx dt per (cell, snapshot) into the one of
     `xi_bins` equal bins of [0, 1] that holds u(t, x); the snapshot times
-    must be the nodes of a uniform grid (`grid_indices`)."""
+    must be the nodes of a uniform grid (`grid_indices`).  S is evaluated
+    on groups of stacked snapshots (`_row_groups`), bit for bit the values
+    of one call per snapshot."""
     times = np.asarray(sol.times)
     if times.size < 2:
         raise ValueError("need at least two snapshots")
@@ -326,11 +390,12 @@ def dissipation_measure(sol: SpdeSolution, cs: CoefficientSet, xi_bins: int = 25
     first = sol.snapshots[0]
     dx = first.dx
     bin_idx = np.empty((times.size, first.cells), dtype=np.int32)
-    masses = np.empty_like(bin_idx, dtype=np.float64)
-    for k, snap in enumerate(sol.snapshots):
-        sx = _grid_sx(snap, cs)
-        masses[k] = 0.5 * sx * sx * dx * dt
-        bin_idx[k] = np.clip(np.digitize(snap.values, edges) - 1, 0, xi_bins - 1)
+    masses = np.empty(bin_idx.shape)
+    for rows in _row_groups(*bin_idx.shape):
+        values = np.stack([snap.values for snap in sol.snapshots[rows]])
+        sx = _grid_sx(values, dx, cs)
+        masses[rows] = 0.5 * sx * sx * dx * dt
+        bin_idx[rows] = np.clip(np.digitize(values, edges) - 1, 0, xi_bins - 1)
     return KineticMeasureEstimate(
         xi_edges=edges, times=times, x_centers=first.centers(),
         bin_idx=bin_idx, masses=masses, dx=dx, dt=dt,
@@ -408,8 +473,9 @@ def weak_form_residual(sol: SpdeSolution, cs: CoefficientSet, fs: Sequence[Bump1
     """Residual of the weak (distributional) form over [s, t] against each
     compactly supported f of the family `fs`, in order: time integrals by
     trapezoid on the snapshot grid, the noise integral as a left-endpoint
-    Ito sum.  B, Sigma + Gamma and G are evaluated once per snapshot for
-    the whole family, G only where the Ito sum reads it: not at t."""
+    Ito sum.  B, Sigma + Gamma and G are evaluated for the whole family on
+    groups of stacked snapshots (`_row_groups`), bit for bit the values of
+    one call per snapshot, G only where the Ito sum reads it: not at t."""
     first = sol.snapshots[0]
     for f in fs:
         lo, hi = f.support()
@@ -424,14 +490,16 @@ def weak_form_residual(sol: SpdeSolution, cs: CoefficientSet, fs: Sequence[Bump1
     dw = np.diff(w)
     drift = np.empty((times.size, len(fs)))         # per snapshot, per f
     noise_coef = np.empty((times.size - 1, len(fs)))  # per left endpoint, per f
-    for i, snap in enumerate(sub.snapshots):
-        uv = np.clip(snap.values, 0.0, 1.0)
+    for rows in _row_groups(times.size, first.cells):
+        uv = np.clip(np.stack([snap.values for snap in sub.snapshots[rows]]), 0.0, 1.0)
         Bu = cs.eval_transform("B", uv)
         Du = cs.eval_transform("Sigma", uv) + cs.eval_transform("Gamma", uv)
-        drift[i] = [float(np.sum(Bu * f1 + Du * f2) * dx) for f1, f2 in derivs]
-        if i < dw.size:
-            Gu = cs.eval_transform("G", uv)
-            noise_coef[i] = [float(np.sum(Gu * f1) * dx) for f1, _ in derivs]
+        for i, (b_row, d_row) in enumerate(zip(Bu, Du), rows.start):
+            drift[i] = [float(np.sum(b_row * f1 + d_row * f2) * dx) for f1, f2 in derivs]
+        if rows.start < dw.size:
+            Gu = cs.eval_transform("G", uv[:dw.size - rows.start])
+            for i, g_row in enumerate(Gu, rows.start):
+                noise_coef[i] = [float(np.sum(g_row * f1) * dx) for f1, _ in derivs]
 
     u_s, u_t = sub.snapshots[0].values, sub.snapshots[-1].values
     out = []

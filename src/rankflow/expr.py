@@ -3,13 +3,15 @@
 Model coefficients are supplied as text like ``"0.5*(1 + a)"`` and parsed
 into a small AST supporting +, -, *, /, ^ with integer exponents, unary
 minus, and the functions exp, sqrt, sin, cos.  Evaluation is vectorized
-over numpy arrays; exact derivatives are produced symbolically.
+over numpy arrays; exact derivatives are produced symbolically, and
+`enclose` bounds the float values over intervals by interval arithmetic.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -283,6 +285,13 @@ def to_source(node: Node) -> str:
 _FUNCS = {"exp": np.exp, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos}
 
 
+def _power(base, k: int):
+    """base^k as `evaluate` computes it: np.power with the integer k, or
+    with float(k) when k < 0, where an integer power of 0 would raise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.power(base, k) if k >= 0 else np.power(base, float(k))
+
+
 def evaluate(node: Node, a):
     """Evaluate at `a` (scalar or ndarray). May produce nan/inf for
     expressions that are undefined at `a`; validation rejects those."""
@@ -302,13 +311,103 @@ def evaluate(node: Node, a):
     if isinstance(node, Neg):
         return -evaluate(node.child, a)
     if isinstance(node, Pow):
-        base = evaluate(node.base, a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.power(base, node.exponent) if node.exponent >= 0 else np.power(base, float(node.exponent))
+        return _power(evaluate(node.base, a), node.exponent)
     if isinstance(node, Call):
         arg = evaluate(node.arg, a)
         with np.errstate(invalid="ignore"):
             return _FUNCS[node.name](arg)
+    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+
+
+# an endpoint of exp, sin, cos or an integer power moves outward by this many
+# ulps: numpy's float64 values of these lie within 2 ulps of the real
+# function (tests/test_expr.py checks them against the math module), so the
+# value at an interior point and the one at an endpoint bracket the real
+# range with room to spare
+_FUNC_ULPS = 4
+# a maximum and a minimum of sin and of cos; each recurs every 2 pi
+_PEAKS = {"sin": (0.5 * np.pi, -0.5 * np.pi), "cos": (0.0, np.pi)}
+# sin and cos of wider arguments are enclosed by [-1, 1]; up to it, the
+# rounding of the peak search stays far inside its margin of 1e-6 period
+_TRIG_RANGE = 2.0 ** 20
+
+
+def _outward(lo, hi, ulps: int, whole=False):
+    """[lo, hi] moved `ulps` ulps outward, and (-inf, inf) where `whole` or
+    where either end is NaN."""
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    whole = whole | np.isnan(lo) | np.isnan(hi)
+    if np.any(whole):
+        lo, hi = np.where(whole, -np.inf, lo), np.where(whole, np.inf, hi)
+    return lo, hi
+
+
+def _peak_inside(lo, hi, peak: float):
+    """Where [lo, hi] may hold peak + 2 pi k for an integer k."""
+    period = 2.0 * np.pi
+    return np.floor((hi - peak) / period + 1e-6) >= np.ceil((lo - peak) / period - 1e-6)
+
+
+def enclose(node: Node, lo, hi):
+    """Interval enclosure of `evaluate` (Moore, *Interval Analysis*, 1966).
+
+    Elementwise over the broadcast endpoint arrays lo <= hi, returns arrays
+    (lo', hi') such that every finite float evaluate(node, a) with
+    lo <= a <= hi lies in [lo', hi'].  Each operation rounds its endpoints
+    outward with np.nextafter: one ulp after + - * / and sqrt, _FUNC_ULPS
+    after exp, sin, cos and integer powers.  A divisor interval that holds
+    0, or a NaN endpoint, gives (-inf, inf), never an error.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64))
+    lo, hi = _outward(lo, hi, 0)
+    with np.errstate(all="ignore"):
+        return _enclose(node, lo, hi)
+
+
+def _enclose(node: Node, lo, hi):
+    if isinstance(node, Const):
+        return np.full(lo.shape, node.value), np.full(lo.shape, node.value)
+    if isinstance(node, Var):
+        return lo, hi
+    if isinstance(node, Neg):
+        l, h = _enclose(node.child, lo, hi)
+        return -h, -l
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        (al, ah), (bl, bh) = _enclose(node.left, lo, hi), _enclose(node.right, lo, hi)
+        if isinstance(node, Add):
+            return _outward(al + bl, ah + bh, 1)
+        if isinstance(node, Sub):
+            return _outward(al - bh, ah - bl, 1)
+        # a product or quotient of intervals takes its extremes at corners
+        op = np.multiply if isinstance(node, Mul) else np.divide
+        corners = [op(a, b) for a in (al, ah) for b in (bl, bh)]
+        pole = isinstance(node, Div) & (bl <= 0.0) & (bh >= 0.0)
+        return _outward(reduce(np.minimum, corners), reduce(np.maximum, corners), 1, pole)
+    if isinstance(node, Pow):
+        bl, bh = _enclose(node.base, lo, hi)
+        k = node.exponent
+        pl, ph = _power(bl, k), _power(bh, k)
+        # monotone on each side of 0: an even power across 0 reaches 0, a
+        # negative power at 0 has a pole
+        l = np.minimum(pl, ph)
+        if k > 0 and k % 2 == 0:
+            l = np.where((bl < 0.0) & (bh > 0.0), 0.0, l)
+        pole = k < 0 and (bl <= 0.0) & (bh >= 0.0)
+        return _outward(l, np.maximum(pl, ph), _FUNC_ULPS, pole)
+    if isinstance(node, Call):
+        al, ah = _enclose(node.arg, lo, hi)
+        f = _FUNCS[node.name]
+        fl, fh = f(al), f(ah)
+        if node.name == "sqrt":
+            return _outward(fl, fh, 1)  # below 0 an end is NaN
+        if node.name == "exp":
+            return _outward(fl, fh, _FUNC_ULPS)
+        top, bottom = _PEAKS[node.name]
+        near = (np.abs(al) <= _TRIG_RANGE) & (np.abs(ah) <= _TRIG_RANGE)
+        l = np.where(near & ~_peak_inside(al, ah, bottom), np.minimum(fl, fh), -1.0)
+        h = np.where(near & ~_peak_inside(al, ah, top), np.maximum(fl, fh), 1.0)
+        return _outward(l, h, _FUNC_ULPS)
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
 
@@ -406,6 +505,10 @@ class CoefficientExpr:
 
     def __call__(self, a):
         return evaluate(self.ast, a)
+
+    def enclose(self, lo, hi):
+        """`enclose` of this expression over [lo, hi], elementwise."""
+        return enclose(self.ast, lo, hi)
 
     def derivative(self) -> "CoefficientExpr":
         d = differentiate(self.ast)

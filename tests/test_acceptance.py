@@ -214,7 +214,7 @@ def test_criterion_6_entropy_structure():
     sol = solve(u0, cs_heat, Wh, cfg, snapshot_times=mids)
     est = dissipation_measure(sol, cs_heat, 256)
     book = sum(
-        0.5 * float(np.sum(_grid_sx(s, cs_heat) ** 2)) * s.dx * est.dt for s in sol.snapshots
+        0.5 * float(np.sum(_grid_sx(s.values, s.dx, cs_heat) ** 2)) * s.dx * est.dt for s in sol.snapshots
     )
     closed = np.sqrt(T / (2 * np.pi))
     book_ok = abs(est.total_mass() - book) <= 1e-10

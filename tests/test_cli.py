@@ -390,15 +390,20 @@ class TestDiagnoseAndStability:
         assert rows[2]["f_id"] == "bump(0,2.5)+bump(1.25,2.5)"
 
 
+def _after_cli_import(expression: str):
+    """The value of `expression` after `import rankflow.cli` in a fresh
+    interpreter, read back from its repr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys, rankflow.cli; print(repr({expression}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return ast.literal_eval(out.stdout.strip())
+
+
 def _modules_after_cli_import(package: str) -> list:
     """The modules of `package` that `import rankflow.cli` loads in a fresh
     interpreter."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, rankflow.cli; "
-            f"print([m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return ast.literal_eval(out.stdout.strip())
+    return _after_cli_import(f"[m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})]")
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
@@ -413,3 +418,9 @@ def test_cli_import_leaves_numpy_random_unloaded():
     # adds about 2 MB of RSS and about 15 ms, which every command would
     # otherwise pay before its config is read
     assert _modules_after_cli_import("numpy.random") == []
+
+
+def test_cli_import_leaves_the_xi_rule_uncomputed():
+    # leggauss(256), the diagnostics' xi rule, takes 7-17 ms; only diagnose
+    # reads it, so it is computed on first use, not at import
+    assert _after_cli_import("sys.modules['rankflow.diagnostics']._xi_rule.cache_info().currsize") == 0

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 from rankflow import bumps
 from rankflow.bumps import BUMP_L1, Bump1D, bump, bump_d1, bump_d2
-from rankflow.coefficients import build_from_sources
+from rankflow.coefficients import CoefficientSet, build_from_sources
 from rankflow.diagnostics import (
     BumpTestFunction,
     chain_rule_forms,
@@ -24,8 +24,8 @@ from rankflow.diagnostics import (
     eval_rho,
     weak_form_residual,
 )
-from rankflow.diagnostics import (_WINDOW_BLOCK, _cell_xi_quadrature, _entropy_terms, _grid_sx, _reach, _shift,
-                                 _windowed_quadrature)
+from rankflow.diagnostics import (_GROUP_POINTS, _XI_ORDER, _cell_xi_quadrature, _entropy_terms, _grid_sx, _reach,
+                                 _restrict, _row_groups, _shift, _shift_range, _windowed_quadrature, _xi_rule)
 from rankflow.measures import GridFunction, grid_cdf, point_mass, gaussian
 from rankflow.randomness import sample_path, STREAM_COMMON
 from rankflow.solver import SolverConfig, SpdeSolution, solve
@@ -299,7 +299,7 @@ class TestDissipationMeasure:
         assert np.all(est.masses >= 0.0)
         book = 0.0
         for snap in sol.snapshots:
-            sx = _grid_sx(snap, cs)
+            sx = _grid_sx(snap.values, snap.dx, cs)
             book += 0.5 * float(np.sum(sx * sx)) * snap.dx * est.dt
         assert abs(est.total_mass() - book) <= 1e-10
 
@@ -417,11 +417,28 @@ def _chain_lhs_full_grid(u, cs, tfs, t, w_t):
                   * u.dx) for tf in tfs]
 
 
+# b and gamma of the column-window tests beyond affine ones; sigma is the
+# affine case's
+_WINDOW_COEFFICIENTS = {
+    # through sin, exp, ^3, ^-2, / and sqrt
+    "nonaffine": ("sin(6*a)*exp(a) - a^3/(1.5 - a)", "sqrt(0.2 + a)*(1 + a)^-2 + 0.3*cos(4*a)"),
+    # a pole of b at 0.30078125 = 192.5/640, between the points k/640 on
+    # which validation samples b at K = 64: the build accepts it
+    "pole": ("0.1/(a - 0.30078125)", "0.5*(1 + a)"),
+}
+
+
+def _window_cs(name):
+    b, gamma = _WINDOW_COEFFICIENTS[name]
+    return build_from_sources(b, "1 + 0.3*sin(5*a)", gamma, 64)
+
+
 class TestColumnWindow:
     """The entropy and chain-rule quadratures run only on the columns the
     x-bumps can reach; each value equals the full-grid one bit for bit.
-    The window is searched in blocks of _WINDOW_BLOCK columns, and J = 80
-    ends in a partial block."""
+    The window is read off certified enclosures of b and gamma, so it holds
+    every column the full grid's shift reaches; it is checked on affine,
+    non-affine and pole-carrying coefficients."""
 
     DOMAIN = (-4.0, 4.0)
 
@@ -431,17 +448,24 @@ class TestColumnWindow:
         # rounds differently on the window could show in the bits
         return build_from_sources("a - 0.5", "1 + 0.3*sin(5*a)", "0.5*(1 + a)", 64)
 
+    @pytest.fixture(scope="class", params=sorted(_WINDOW_COEFFICIENTS))
+    def cs_nonaffine(self, request):
+        return _window_cs(request.param)
+
     @pytest.fixture(scope="class")
     def snaps(self):
         """u = 0 on the left cells and u = 1 on the right ones (a ramp), a
-        state that is 0 everywhere, and a smooth CDF."""
+        state that is 0 everywhere, a smooth CDF, and a smooth CDF from 0.5
+        to 1, past the pole of `_WINDOW_COEFFICIENTS["pole"]` everywhere."""
         x_min, x_max = self.DOMAIN
         J = 80
         centers = x_min + (np.arange(J) + 0.5) * (x_max - x_min) / J
+        smooth = gaussian(0.2, 0.8).cdf(centers)
         return {
             "ramp": GridFunction(x_min, x_max, np.clip((centers + 1.0) / 2.0, 0.0, 1.0)),
             "zero": GridFunction(x_min, x_max, np.zeros(J)),
-            "smooth": GridFunction(x_min, x_max, gaussian(0.2, 0.8).cdf(centers)),
+            "smooth": GridFunction(x_min, x_max, smooth),
+            "high": GridFunction(x_min, x_max, 0.5 + 0.5 * smooth),
         }
 
     def _cases(self):
@@ -454,10 +478,8 @@ class TestColumnWindow:
             "family": edge + [empty, wide] + inner,
         }
 
-    @pytest.mark.parametrize("case", ["edges", "empty", "wide", "single", "none", "family"])
-    @pytest.mark.parametrize("name", ["ramp", "zero", "smooth"])
-    def test_entropy_terms_equal_full_grid(self, cs, snaps, name, case):
-        snap, tfs = snaps[name], self._cases()[case]
+    @staticmethod
+    def _check_entropy_terms(snap, cs, tfs):
         buf = np.zeros((256, snap.cells))
         for r, w_r in ((0.0, 0.0), (0.3, -0.7), (0.8, 1.9)):
             got = _entropy_terms(snap, r, w_r, cs, tfs, True, buf)
@@ -466,13 +488,46 @@ class TestColumnWindow:
             diffusion, none = _entropy_terms(snap, r, w_r, cs, tfs, False, buf)
             assert diffusion == got[0] and none is None
 
-    @pytest.mark.parametrize("case", ["edges", "empty", "wide", "single", "none", "family"])
-    @pytest.mark.parametrize("name", ["ramp", "zero", "smooth"])
-    def test_chain_rule_lhs_equals_full_grid(self, cs, snaps, name, case):
-        u, tfs = snaps[name], self._cases()[case]
+    @staticmethod
+    def _check_chain_rule_lhs(u, cs, tfs):
         for t, w_t in ((0.0, 0.0), (0.3, -0.7), (0.8, 1.9)):
             lhs = [form[0] for form in chain_rule_forms(u, cs, tfs, t, w_t)]
             assert lhs == _chain_lhs_full_grid(u, cs, tfs, t, w_t)
+
+    @pytest.mark.parametrize("case", ["edges", "empty", "wide", "single", "none", "family"])
+    @pytest.mark.parametrize("name", ["ramp", "zero", "smooth"])
+    def test_entropy_terms_equal_full_grid(self, cs, snaps, name, case):
+        self._check_entropy_terms(snaps[name], cs, self._cases()[case])
+
+    @pytest.mark.parametrize("case", ["edges", "empty", "wide", "single", "none", "family"])
+    @pytest.mark.parametrize("name", ["ramp", "zero", "smooth"])
+    def test_chain_rule_lhs_equals_full_grid(self, cs, snaps, name, case):
+        self._check_chain_rule_lhs(snaps[name], cs, self._cases()[case])
+
+    @pytest.mark.parametrize("case", ["empty", "single", "family"])
+    @pytest.mark.parametrize("name", ["ramp", "smooth", "high"])
+    def test_nonaffine_entropy_terms_equal_full_grid(self, cs_nonaffine, snaps, name, case):
+        self._check_entropy_terms(snaps[name], cs_nonaffine, self._cases()[case])
+
+    @pytest.mark.parametrize("case", ["empty", "single", "family"])
+    @pytest.mark.parametrize("name", ["ramp", "smooth", "high"])
+    def test_nonaffine_chain_rule_lhs_equals_full_grid(self, cs_nonaffine, snaps, name, case):
+        self._check_chain_rule_lhs(snaps[name], cs_nonaffine, self._cases()[case])
+
+    @staticmethod
+    def _check_window_holds_exact(snap, cs, tfs, t, w_t):
+        """The window holds the one read off the full grid's shift range
+        (np.fmin/np.fmax skip a NaN shift, whose bump value is 0), and the
+        shift kept on it is the full grid's there, byte for byte."""
+        x = snap.centers()
+        nodes, _ = _cell_xi_quadrature(np.clip(snap.values, 0.0, 1.0))
+        shift = _shift(cs, nodes, t, w_t)
+        exact = _reach(x, np.fmin.reduce(shift, axis=0), np.fmax.reduce(shift, axis=0), tfs)
+        cols, _, _, _, got = _windowed_quadrature(snap, cs, tfs, t, w_t)
+        if exact.stop > exact.start:
+            assert cols.start <= exact.start and exact.stop <= cols.stop
+        assert got.tobytes() == np.ascontiguousarray(shift[:, cols]).tobytes()
+        return cols, exact
 
     def test_windows(self, cs, snaps):
         """The edge bumps reach the first and the last cell, the far bump
@@ -490,17 +545,37 @@ class TestColumnWindow:
         assert _reach(x, lo, hi, cases["edges"][1:]).stop == J
         inner = _reach(x, lo, hi, cases["single"])
         assert 0 < inner.start and inner.stop < J
-        # the block search finds the window of the full-grid range, and the
-        # shift evaluated on the window alone is the full grid's there
-        assert J % _WINDOW_BLOCK
+        # the window holds the exact one read off the full-grid range, and
+        # the shift evaluated on the window alone is the full grid's there;
+        # for affine b and gamma it is at most two columns wider per side
         for tfs in cases.values():
-            cols, _, _, _, got = _windowed_quadrature(snap, cs, tfs, 0.3, -0.7)
-            assert cols == _reach(x, lo, hi, tfs)
-            assert got.tobytes() == np.ascontiguousarray(shift[:, cols]).tobytes()
+            cols, exact = self._check_window_holds_exact(snap, cs, tfs, 0.3, -0.7)
+            assert cols == exact or (exact.start - cols.start <= 2 and cols.stop - exact.stop <= 2)
+        assert _windowed_quadrature(snap, cs, cases["empty"], 0.3, -0.7)[0] == slice(0, 0)
         diffusion, boundary = _entropy_terms(snap, 0.3, -0.7, cs, cases["family"], True,
                                              np.zeros((256, J)))
         assert diffusion[2] == boundary[2] == 0.0  # the far bump
         assert all(v != 0.0 for k, v in enumerate(diffusion + boundary) if k % len(diffusion) != 2)
+
+    @pytest.mark.parametrize("name", ["ramp", "zero", "smooth", "high"])
+    def test_nonaffine_windows_hold_the_exact_window(self, cs_nonaffine, snaps, name):
+        for tfs in self._cases().values():
+            for t, w_t in ((0.0, 0.0), (0.3, -0.7), (0.8, 1.9)):
+                self._check_window_holds_exact(snaps[name], cs_nonaffine, tfs, t, w_t)
+
+    def test_pole_gives_the_full_window(self, snaps):
+        """Where [0, u_j] holds the pole of b, the column's shift interval is
+        (-inf, inf), also at t = 0, where 0 * inf is NaN: every column of
+        the state past the pole is in the window, even for the far bump,
+        and nothing raises."""
+        cs, snap = _window_cs("pole"), snaps["high"]
+        uv = np.clip(snap.values, 0.0, 1.0)
+        for t, w_t in ((0.0, 0.0), (0.3, -0.7)):
+            lo, hi = _shift_range(cs, uv, t, w_t)
+            assert np.all(lo == -np.inf) and np.all(hi == np.inf)
+            for tfs in self._cases().values():
+                cols = _windowed_quadrature(snap, cs, tfs, t, w_t)[0]
+                assert cols == (slice(0, snap.cells) if tfs else slice(0, 0))
 
 
 def test_entropy_bump_d2_points_on_the_window_only(cs_general, monkeypatch):
@@ -518,6 +593,116 @@ def test_entropy_bump_d2_points_on_the_window_only(cs_general, monkeypatch):
     full_grid = 9 * 3 * 256 * cfg.cells  # snapshots 0.25 ... 0.5, distinct y
     assert len(points) == 9 * 3
     assert 0 < sum(points) <= full_grid / 4
+
+
+def test_xi_rule_is_leggauss_256_mapped_to_the_unit_interval():
+    """The cached rule is leggauss(256) mapped to [0, 1] bit for bit, one
+    read-only pair shared by every caller."""
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(256)
+    nodes01, weights01 = _xi_rule()
+    assert _XI_ORDER == 256
+    assert nodes01.tobytes() == (0.5 * (gl_nodes + 1.0)).tobytes()
+    assert weights01.tobytes() == (0.5 * gl_weights).tobytes()
+    assert not nodes01.flags.writeable and not weights01.flags.writeable
+    assert _xi_rule()[0] is nodes01
+
+
+def _weak_form_per_snapshot(sol, cs, fs, s, t):
+    """The reference: weak_form_residual with one transform call per
+    snapshot, as before the snapshots were grouped."""
+    first = sol.snapshots[0]
+    sub, w = _restrict(sol, s, t)
+    centers, dx = first.centers(), first.dx
+    derivs = [(f.d1(centers), f.d2(centers)) for f in fs]
+    times, dw = sub.times, np.diff(w)
+    drift = np.empty((times.size, len(fs)))
+    noise_coef = np.empty((times.size - 1, len(fs)))
+    for i, snap in enumerate(sub.snapshots):
+        uv = np.clip(snap.values, 0.0, 1.0)
+        Bu = cs.eval_transform("B", uv)
+        Du = cs.eval_transform("Sigma", uv) + cs.eval_transform("Gamma", uv)
+        drift[i] = [float(np.sum(Bu * f1 + Du * f2) * dx) for f1, f2 in derivs]
+        if i < dw.size:
+            Gu = cs.eval_transform("G", uv)
+            noise_coef[i] = [float(np.sum(Gu * f1) * dx) for f1, _ in derivs]
+    out = []
+    for f, drift_f, noise_f in zip(fs, drift.T, noise_coef.T):
+        fv = f(centers)
+        pairing_s = float(np.sum(sub.snapshots[0].values * fv) * dx)
+        pairing_t = float(np.sum(sub.snapshots[-1].values * fv) * dx)
+        out.append(abs(pairing_t - pairing_s - float(np.trapezoid(drift_f, times)) - float(np.sum(noise_f * dw))))
+    return out
+
+
+def _dissipation_per_snapshot(sol, cs, xi_bins):
+    """The reference: the masses and bin indices of dissipation_measure
+    with one S call per snapshot, as before the snapshots were grouped."""
+    edges = np.linspace(0.0, 1.0, xi_bins + 1)
+    dt = float(sol.times[1] - sol.times[0])
+    masses, bins = [], []
+    for snap in sol.snapshots:
+        sx = np.gradient(cs.eval_transform("S", np.clip(snap.values, 0.0, 1.0)), snap.dx)
+        masses.append(0.5 * sx * sx * snap.dx * dt)
+        bins.append(np.clip(np.digitize(snap.values, edges) - 1, 0, xi_bins - 1))
+    return np.array(masses), np.array(bins, dtype=np.int32)
+
+
+class TestGroupedTransforms:
+    """The weak form and the dissipation measure evaluate each transform on
+    groups of stacked snapshots, one call per group, bit for bit the values
+    of one call per snapshot.  33 snapshots at J = 64 are a group of 32 and
+    one of the t snapshot alone, where the weak form reads no G; at J = 96
+    they are a group of 21 and a partial one of 12."""
+
+    @staticmethod
+    def _solution(cs, J):
+        cfg = SolverConfig(-16.0, 16.0, J)
+        u0 = grid_cdf(gaussian(0.0, 1.0), cfg.x_min, cfg.x_max, J)
+        return solve(u0, cs, sample_path(5, STREAM_COMMON, 0.5, 32), cfg)
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {}
+        plain = CoefficientSet.eval_transform
+
+        def counted(cs, which, r):
+            calls[which] = calls.get(which, 0) + 1
+            return plain(cs, which, r)
+
+        monkeypatch.setattr(CoefficientSet, "eval_transform", counted)
+        return calls
+
+    @pytest.mark.parametrize("J", [64, 96])
+    def test_weak_form_equals_per_snapshot_calls(self, cs_general, J, monkeypatch):
+        sol = self._solution(cs_general, J)
+        assert len(sol.snapshots) == 33
+        fs = [Bump1D(y, r) for y in (-0.5, 0.5) for r in (1.0, 1.5)]
+        for s, t in ((0.0, 0.5), (0.125, 0.375)):
+            ref = _weak_form_per_snapshot(sol, cs_general, fs, s, t)
+            calls = self._count_calls(monkeypatch)
+            assert _bits(weak_form_residual(sol, cs_general, fs, s, t)) == _bits(ref)
+            monkeypatch.undo()
+            rows = _GROUP_POINTS // J
+            snapshots = round((t - s) * 64) + 1
+            groups, g_groups = -(-snapshots // rows), -(-(snapshots - 1) // rows)
+            assert calls == {"B": groups, "Sigma": groups, "Gamma": groups, "G": g_groups}
+
+    @pytest.mark.parametrize("J", [64, 96])
+    def test_dissipation_measure_equals_per_snapshot_calls(self, cs_general, J, monkeypatch):
+        sol = self._solution(cs_general, J)
+        masses, bins = _dissipation_per_snapshot(sol, cs_general, 64)
+        calls = self._count_calls(monkeypatch)
+        est = dissipation_measure(sol, cs_general, 64)
+        assert est.masses.tobytes() == masses.tobytes()
+        assert est.bin_idx.dtype == np.int32 and np.array_equal(est.bin_idx, bins)
+        assert calls == {"S": -(-33 // (_GROUP_POINTS // J))}
+
+    def test_row_groups(self):
+        assert _row_groups(33, 64) == [slice(0, 32), slice(32, 64)]
+        assert _row_groups(33, 96) == [slice(0, 21), slice(21, 42)]
+        assert _row_groups(32, 64) == [slice(0, 32)]
+        # a state wider than a group is a group of its own
+        assert _row_groups(3, _GROUP_POINTS + 1) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 class TestWeakForm:

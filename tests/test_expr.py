@@ -1,12 +1,18 @@
 """Parser, printer, and symbolic derivative tests."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankflow.expr import (
+    _FUNC_ULPS,
     Add,
     Call,
     Const,
+    Div,
     ExpressionSyntaxError,
     Mul,
     Neg,
@@ -15,6 +21,7 @@ from rankflow.expr import (
     UnknownIdentifierError,
     Var,
     differentiate,
+    enclose,
     evaluate,
     parse_ast,
     parse_coefficient,
@@ -248,3 +255,142 @@ def test_vectorized_evaluation():
             for f in (e, e.derivative()):
                 out = f(a)
                 assert isinstance(out, np.ndarray) and out.shape == a.shape, (src, f.source)
+
+
+# --- property tests: Hypothesis draws trees over the whole grammar ---
+
+
+def _trees(constants):
+    """Trees over + - * / ^int, unary minus, exp, sqrt, sin, cos and `a`.
+    The leaves a - c and c*a make zero crossings, poles and the peaks of
+    sin and cos inside the interval common."""
+    leaves = st.one_of(st.just(Var()), constants.map(Const),
+                       constants.map(lambda c: Sub(Var(), Const(c))),
+                       constants.map(lambda c: Mul(Const(c), Var())))
+    binary = st.sampled_from([Add, Sub, Mul, Div])
+
+    def extend(children):
+        return st.one_of(
+            st.builds(lambda op, l, r: op(l, r), binary, children, children),
+            st.builds(Neg, children),
+            st.builds(Pow, children, st.integers(-3, 4)),
+            st.builds(Call, st.sampled_from(["exp", "sqrt", "sin", "cos"]), children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@given(_trees(st.floats(0.0, 1e6, allow_nan=False).map(abs)))
+def test_parse_of_to_source_round_trips(tree):
+    """Negative constants are Neg(Const) in the tree, so the constants drawn
+    are nonnegative; every other tree prints and re-parses to itself."""
+    assert parse_ast(to_source(tree)) == tree
+
+
+_SMALL_CONSTANTS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 0.1, 0.7, 7.0, 10.0])
+
+
+@settings(max_examples=300)
+@given(tree=_trees(_SMALL_CONSTANTS),
+       ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+       inner=st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_enclosure_holds_every_finite_value(tree, ends, inner):
+    """Every finite value evaluate gives at a point of [lo, hi], the ends
+    included, lies in enclose(tree, lo, hi)."""
+    lo, hi = ends
+    fractions = np.concatenate((np.linspace(0.0, 1.0, 33), inner))
+    points = np.concatenate(([lo, hi], np.clip(lo + (hi - lo) * fractions, lo, hi)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, inf * 0
+        values = evaluate(tree, points)
+    e_lo, e_hi = enclose(tree, lo, hi)
+    finite = values[np.isfinite(values)]
+    assert np.all((e_lo <= finite) & (finite <= e_hi)), (to_source(tree), lo, hi)
+
+
+@given(tree=_trees(_SMALL_CONSTANTS),
+       ends=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted), min_size=1, max_size=6))
+def test_enclosure_is_elementwise(tree, ends):
+    """An array of intervals gives, entry by entry, the bits of one
+    enclosure per interval."""
+    lo, hi = np.array(ends).T
+    e_lo, e_hi = enclose(tree, lo, hi)
+    for k, (l, h) in enumerate(ends):
+        one = enclose(tree, l, h)
+        assert (e_lo[k].tobytes(), e_hi[k].tobytes()) == (one[0].tobytes(), one[1].tobytes())
+
+
+class TestEnclose:
+    def test_affine_coefficients_are_tight(self):
+        b = parse_coefficient("a - 0.5")
+        lo, hi = b.enclose(0.0, np.array([0.0, 0.5, 1.0]))
+        np.testing.assert_array_equal(lo, np.nextafter(-0.5, -np.inf))
+        np.testing.assert_array_equal(hi, np.nextafter(np.array([-0.5, 0.0, 0.5]), np.inf))
+
+    def test_divisor_holding_zero_gives_the_whole_line(self):
+        lo, hi = parse_coefficient("1/(a - 0.3)").enclose([0.0, 0.0, 0.5], [0.2, 0.5, 1.0])
+        assert -10.0 > lo[0] > -10.0 - 1e-14 and -10.0 / 3.0 < hi[0] < 0.0
+        assert (lo[1], hi[1]) == (-np.inf, np.inf)
+        assert 1.0 / 0.7 > lo[2] > 1.0 / 0.7 - 1e-14 and 5.0 < hi[2] < 5.0 + 1e-14
+
+    def test_negative_power_pole_and_even_power_across_zero(self):
+        lo, hi = parse_coefficient("(a - 0.5)^-2").enclose(0.0, [0.25, 1.0])
+        assert 4.0 - 1e-14 < lo[0] <= 4.0 and 16.0 <= hi[0] < 16.0 + 1e-13
+        assert (lo[1], hi[1]) == (-np.inf, np.inf)
+        lo, hi = parse_coefficient("(a - 0.5)^2").enclose(0.0, 1.0)
+        assert -1e-300 < lo <= 0.0 and 0.25 <= hi < 0.25 + 1e-15
+
+    def test_nan_end_gives_the_whole_line(self):
+        # sqrt below 0 is NaN, and so is an end given as NaN
+        assert parse_coefficient("sqrt(a - 0.5)").enclose(0.0, 1.0) == (-np.inf, np.inf)
+        assert parse_coefficient("a").enclose(0.0, np.nan) == (-np.inf, np.inf)
+
+    def test_sin_and_cos_peaks(self):
+        # sin(2a) on [0, 1] holds the maximum at a = pi/4; cos on [0, 1] is
+        # monotone; a range beyond 2^20 is enclosed by [-1, 1]
+        lo, hi = parse_coefficient("sin(2*a)").enclose(0.0, 1.0)
+        assert 1.0 <= hi < 1.0 + 1e-15 and -1e-300 < lo <= 0.0
+        lo, hi = parse_coefficient("cos(a)").enclose(0.0, 1.0)
+        assert math.cos(1.0) - 1e-15 < lo <= math.cos(1.0) and 1.0 <= hi < 1.0 + 1e-15
+        lo, hi = parse_coefficient("sin(1e7*a)").enclose(0.5, 0.5)
+        assert lo <= -1.0 and 1.0 <= hi
+
+
+def _spacing(x):
+    return np.abs(np.spacing(np.asarray(x, dtype=np.float64)))
+
+
+_LIBM_CASES = [
+    ("exp", np.exp, math.exp, (-700.0, 700.0)),
+    ("exp", np.exp, math.exp, (-2.0, 2.0)),
+    ("sin", np.sin, math.sin, (-8.0, 8.0)),
+    ("sin", np.sin, math.sin, (-2.0 ** 20, 2.0 ** 20)),
+    ("cos", np.cos, math.cos, (-8.0, 8.0)),
+    ("cos", np.cos, math.cos, (-2.0 ** 20, 2.0 ** 20)),
+]
+
+
+@pytest.mark.parametrize("name, np_fn, libm_fn, bounds", _LIBM_CASES)
+def test_numpy_functions_within_one_ulp_of_libm(name, np_fn, libm_fn, bounds):
+    """The _FUNC_ULPS widening of enclose rests on numpy's float64 exp, sin
+    and cos lying within 2 ulps of the real function: here within 1 ulp of
+    the math module's value, itself within 1 ulp, in the array loop and in
+    the scalar path alike."""
+    assert _FUNC_ULPS >= 4
+    x = np.random.default_rng(17).uniform(*bounds, 20000)
+    ref = np.array([libm_fn(v) for v in x])
+    assert np.all(np.abs(np_fn(x) - ref) <= _spacing(ref)), name
+    scalar = np.array([np_fn(np.float64(v)) for v in x[:1000]])
+    assert np.all(np.abs(scalar - ref[:1000]) <= _spacing(ref[:1000])), name
+
+
+@pytest.mark.parametrize("k", [-3, -2, -1, 2, 3, 4])
+def test_integer_powers_within_one_ulp_of_libm(k):
+    """The same for the integer powers of the grammar, as evaluate computes
+    them, against math.pow."""
+    x = np.random.default_rng(18).uniform(-3.0, 3.0, 20000)
+    x = x[np.abs(x) > 1e-3]
+    ref = np.array([math.pow(v, k) for v in x])
+    tree = Pow(Var(), k)
+    assert np.all(np.abs(evaluate(tree, x) - ref) <= _spacing(ref))
+    scalar = np.array([evaluate(tree, float(v)) for v in x[:1000]])
+    assert np.all(np.abs(scalar - ref[:1000]) <= _spacing(ref[:1000]))
