@@ -18,11 +18,12 @@ for polynomial integrands up to degree 15 and bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .expr import CoefficientExpr, parse_coefficient
+from .expr import CoefficientExpr, enclose, parse_coefficient
 
 __all__ = [
     "CoefficientSet",
@@ -34,8 +35,9 @@ __all__ = [
     "build_coefficient_set",
     "build_from_sources",
     "validate",
-    "sample_finite",
+    "bounds",
     "parse_coefficient",
+    "PIECES",
     "TRANSFORMS",
 ]
 
@@ -53,6 +55,10 @@ TRANSFORMS = tuple(_INTEGRANDS)
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
 
 _DOMAIN_TOL = 1e-12
+
+# `bounds` encloses a coefficient on this many equal pieces of [0, 1]; a power
+# of two, so that the cuts k / PIECES and the products u * PIECES are exact
+PIECES = 1024
 
 
 class ValidationError(ValueError):
@@ -94,6 +100,15 @@ class CoefficientSet:
     b_prime: CoefficientExpr = field(repr=False)
     gamma_prime: CoefficientExpr = field(repr=False)
     report: ValidationReport = field(repr=False)
+    enclosures: dict = field(repr=False)  # "b", "sigma", "gamma" -> `bounds`
+
+    @cached_property
+    def lipschitz(self) -> tuple[float, float, float]:
+        """sup |b'|, sup |gamma'| and sup |sigma'| on [0, 1], read off the
+        `bounds` of the symbolic derivatives on first use; a derivative
+        unbounded on a piece raises ValidationError."""
+        return tuple(float(np.max(np.abs(bounds(e, nm)))) for e, nm in (
+            (self.b_prime, "b'"), (self.gamma_prime, "gamma'"), (self.sigma.derivative(), "sigma'")))
 
     def eval_transform(self, which: str, r):
         """Continuous evaluation of a transform at r in [0,1].
@@ -125,56 +140,51 @@ def _gauss_legendre(cs: CoefficientSet, which: str, lo: np.ndarray, width: np.nd
     return (0.5 * width) * np.einsum("i,ij->j", _GL_WEIGHTS, _INTEGRANDS[which](cs, nodes))
 
 
-def _dense_grid(K: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, 10 * K + 1)
-
-
-def sample_finite(expr: CoefficientExpr, grid: np.ndarray, name: str) -> np.ndarray:
-    """Sample expr on grid; a non-finite sample raises ValidationError
-    naming the expression."""
-    vals = np.asarray(expr(grid), dtype=np.float64)
-    if not np.all(np.isfinite(vals)):
-        bad = grid[~np.isfinite(vals)][0]
+def bounds(expr: CoefficientExpr, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (lo, hi) with lo[k] <= expr(a) <= hi[k] at every float a of
+    piece k, [k, k + 1] / PIECES, by `expr.enclose`.  A piece whose bounds
+    are not finite (a pole, a root of a negative, an overflow) raises
+    ValidationError naming expr and the piece."""
+    cuts = np.arange(PIECES + 1) / PIECES
+    lo, hi = enclose(expr.ast, cuts[:-1], cuts[1:])
+    bad = ~(np.isfinite(lo) & np.isfinite(hi))
+    if bad.any():
+        k = int(np.argmax(bad))
         raise ValidationError(
-            f"coefficient {name} = {expr.source!r} is not finite at a = {bad:.6g}"
+            f"coefficient {name} = {expr.source!r} is not bounded on piece {k} of {PIECES}, "
+            f"[{cuts[k]:.8g}, {cuts[k + 1]:.8g}]"
         )
-    return vals
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    return lo, hi
 
 
 def validate(cs: CoefficientSet, allow_degenerate: bool = False) -> ValidationReport:
-    """Sample coefficients on a dense grid (resolution 10*K), report the
-    extremes, and enforce non-degeneracy of sigma and positivity of gamma.
+    """Report bounds of b, sigma and gamma read off their enclosures
+    (`bounds`, stored on cs), and enforce non-degeneracy of sigma and
+    positivity of gamma on the certified lower bounds.
 
     With allow_degenerate=True the two positivity failures become warnings
     in the report; needed for the closed-form oracle cases (pure heat has
     gamma = 0, pure transport has sigma -> 0).
     """
-    grid = _dense_grid(cs.table_resolution)
-    b_vals = sample_finite(cs.b, grid, "b")
-    s_vals = sample_finite(cs.sigma, grid, "sigma")
-    g_vals = sample_finite(cs.gamma, grid, "gamma")
-
-    inf_sigma = float(np.min(s_vals))
-    inf_gamma = float(np.min(g_vals))
+    b, sigma, gamma = (cs.enclosures[name] for name in ("b", "sigma", "gamma"))
+    inf_sigma, inf_gamma = float(sigma[0].min()), float(gamma[0].min())
     warnings = []
-    if inf_sigma <= 0.0:
-        msg = f"sigma is degenerate: sampled inf sigma = {inf_sigma:.6g} <= 0"
-        if allow_degenerate:
+    for inf, error, what in ((inf_sigma, NondegeneracyViolated, "sigma is degenerate"),
+                             (inf_gamma, PositivityViolated, "gamma is not strictly positive")):
+        if inf <= 0.0:
+            msg = f"{what}: its lower bound {inf:.6g} <= 0"
+            if not allow_degenerate:
+                raise error(msg)
             warnings.append(msg)
-        else:
-            raise NondegeneracyViolated(msg)
-    if inf_gamma <= 0.0:
-        msg = f"gamma is not strictly positive: sampled inf gamma = {inf_gamma:.6g} <= 0"
-        if allow_degenerate:
-            warnings.append(msg)
-        else:
-            raise PositivityViolated(msg)
+    # lo <= hi, so the max of |lo| and |hi| is max(hi.max(), -lo.min())
     return ValidationReport(
         inf_sigma=inf_sigma,
         inf_gamma=inf_gamma,
-        sup_abs_b=float(np.max(np.abs(b_vals))),
-        sup_abs_sigma=float(np.max(np.abs(s_vals))),
-        sup_abs_gamma=float(np.max(np.abs(g_vals))),
+        sup_abs_b=float(np.max(np.abs(b))),
+        sup_abs_sigma=float(np.max(np.abs(sigma))),
+        sup_abs_gamma=float(np.max(np.abs(gamma))),
         warnings=tuple(warnings),
     )
 
@@ -199,6 +209,7 @@ def build_coefficient_set(
         b_prime=b.derivative(),
         gamma_prime=gamma.derivative(),
         report=ValidationReport(0, 0, 0, 0, 0),
+        enclosures={name: bounds(e, name) for name, e in (("b", b), ("sigma", sigma), ("gamma", gamma))},
     )
     report = validate(cs, allow_degenerate=allow_degenerate)
 

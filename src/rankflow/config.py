@@ -10,6 +10,7 @@ distributions are written as e.g. "gaussian(0,1)", "point_mass(0)",
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -97,7 +98,7 @@ class RunConfig:
         v = self._get(key, default)
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"key {key!r} must be a number, got {v!r}")
-        return float(v)
+        return _finite(key, v)
 
     def integer(self, key: str, default=_REQUIRED) -> int:
         v = self._get(key, default)
@@ -121,13 +122,19 @@ class RunConfig:
         v = self._get(key, default)
         if not isinstance(v, list) or any(isinstance(x, (str, bool)) for x in v):
             raise ConfigError(f"key {key!r} must be a list of numbers, got {v!r}")
-        return [float(x) for x in v]
+        return [_finite(key, x) for x in v]
 
     def int_list(self, key: str, default=_REQUIRED) -> list:
         v = self._get(key, default)
         if not isinstance(v, list) or any(not isinstance(x, int) or isinstance(x, bool) for x in v):
             raise ConfigError(f"key {key!r} must be a list of integers, got {v!r}")
         return list(v)
+
+
+def _finite(key: str, v) -> float:
+    if not math.isfinite(v):  # a literal such as 1e400 reads as inf
+        raise ConfigError(f"key {key!r} must be finite, got {float(v)!r}")
+    return float(v)
 
 
 _INIT_TOKEN = re.compile(r"\s*([A-Za-z_]+|\(|\)|,|[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?)")
@@ -154,10 +161,11 @@ def parse_init(spec: str) -> InitialDistribution:
     def number() -> float:
         if not tokens:
             raise ConfigError(f"init spec {spec!r} ended unexpectedly")
-        try:
-            return float(tokens.pop(0))
-        except ValueError:
-            raise ConfigError(f"expected a number in init spec {spec!r}") from None
+        tok = tokens.pop(0)
+        # float() would also read the names nan, inf and infinity
+        if not _NUM_RE.match(tok) or not math.isfinite(float(tok)):
+            raise ConfigError(f"expected a finite number in init spec {spec!r}, got {tok!r}")
+        return float(tok)
 
     def dist() -> InitialDistribution:
         if not tokens:

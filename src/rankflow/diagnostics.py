@@ -13,15 +13,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bumps import Bump1D
 from .bumps import bump, bump_d1, bump_d2  # noqa: F401  (the benchmark traces rankflow.diagnostics.bump*)
-from .coefficients import CoefficientSet
-from .expr import CoefficientExpr
+from .coefficients import PIECES, CoefficientSet
 from .measures import GridFunction
 from .randomness import grid_indices
 from .solver import SpdeSolution
@@ -50,11 +49,6 @@ MIN_XI_SCALE = 0.05
 # one call per snapshot, one call on all of them raised the peak RSS of a
 # run by 1.6 MB and groups of 4096 points by 0.5 MB; groups of 2048 did not
 _GROUP_POINTS = 2048
-
-# b and gamma are enclosed once per expression on each of this many equal
-# pieces of [0, 1]; the shift interval of a column is the hull of those of
-# the pieces that meet [0, u_j], at most one piece wider than [0, u_j]
-_SHIFT_PIECES = 256
 
 
 @cache
@@ -186,41 +180,29 @@ def _reach(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, tfs: Sequence[BumpTest
     return slice(int(j[0]), int(j[-1]) + 1) if j.size else slice(0, 0)
 
 
-@lru_cache(maxsize=16)
-def _piece_enclosures(expr: CoefficientExpr) -> tuple[np.ndarray, np.ndarray]:
-    """expr enclosed on each piece [k, k + 1] / _SHIFT_PIECES of [0, 1]
-    (`CoefficientExpr.enclose`), read-only; the cuts k / _SHIFT_PIECES are
-    exact, _SHIFT_PIECES being a power of two."""
-    cuts = np.arange(_SHIFT_PIECES + 1) / _SHIFT_PIECES
-    lo, hi = expr.enclose(cuts[:-1], cuts[1:])
-    lo.setflags(write=False)
-    hi.setflags(write=False)
-    return lo, hi
-
-
 def _shift_range(cs: CoefficientSet, uv: np.ndarray, t: float, w_t: float):
     """Per column j, an interval [lo_j, hi_j] that holds every float shift
     `_shift` gives at a node of the column, all of which lie in [0, u_j].
 
-    On piece k of [0, 1] (`_piece_enclosures`) the shift lies in
-    t B_k + w_t G_k, where B_k and G_k enclose b and gamma: rounded products
+    On piece k of [0, 1] the shift lies in t B_k + w_t G_k, where B_k and
+    G_k are the enclosures of b and gamma stored on cs: rounded products
     and sums are monotone in each operand, so the same operations on the
     ends bound it, and an end that comes out NaN, as 0 * inf does, becomes
     infinite.  Column j takes the hull over the pieces that meet [0, u_j],
-    read off running minima and maxima, in O(cells) work; a NaN u_j gives
-    (-inf, inf)."""
+    at most one piece wider than [0, u_j], read off running minima and
+    maxima, in O(cells) work; a NaN u_j gives (-inf, inf)."""
     ends = []
     with np.errstate(invalid="ignore"):
-        for expr, scale in ((cs.b, t), (cs.gamma, w_t)):
-            lo, hi = _piece_enclosures(expr)
+        for name, scale in (("b", t), ("gamma", w_t)):
+            lo, hi = cs.enclosures[name]
             ends.append((np.minimum(lo * scale, hi * scale), np.maximum(lo * scale, hi * scale)))
         (b_lo, b_hi), (g_lo, g_hi) = ends
         # np.fmax(x, -inf) is x, and -inf where x is NaN
         lo = np.minimum.accumulate(np.fmax(b_lo + g_lo, -np.inf))
         hi = np.maximum.accumulate(np.fmin(b_hi + g_hi, np.inf))
     nan = np.isnan(uv)
-    # pieces 0 .. last meet [0, u_j]: u_j * _SHIFT_PIECES is exact
-    last = np.maximum(np.ceil(np.where(nan, 1.0, uv) * _SHIFT_PIECES).astype(np.intp) - 1, 0)
+    # pieces 0 .. last meet [0, u_j]: u_j * PIECES is exact
+    last = np.maximum(np.ceil(np.where(nan, 1.0, uv) * PIECES).astype(np.intp) - 1, 0)
     return np.where(nan, -np.inf, lo[last]), np.where(nan, np.inf, hi[last])
 
 

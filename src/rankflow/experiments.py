@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bumps import Bump1D
-from .coefficients import CoefficientSet, sample_finite
+from .coefficients import CoefficientSet
 from .measures import (
     GridFunction,
     InitialDistribution,
@@ -99,13 +99,10 @@ def convergence_study(
     snap_idx = snapshot_indices(snapshot_times, steps_grid)
     snapshot_times = steps_grid[snap_idx]
     if reference == "analytic":
-        grid = np.linspace(0.0, 1.0, 2001)
-        consts = []
-        for e, nm in ((cs.b, "b"), (cs.sigma, "sigma"), (cs.gamma, "gamma")):
-            vals = sample_finite(e, grid, nm)
-            if vals.max() - vals.min() > 1e-12:
+        for nm, (lo, hi) in cs.enclosures.items():
+            if hi.max() - lo.min() > 1e-12:
                 raise ValueError(f"analytic reference needs constant coefficients; {nm} varies")
-            consts.append(float(vals[0]))
+        b0, s0, g0 = (float(e(0.0)) for e in (cs.b, cs.sigma, cs.gamma))
     elif reference == "spde":
         u0 = grid_cdf(init, solver_config.x_min, solver_config.x_max, solver_config.cells)
     else:
@@ -117,7 +114,6 @@ def convergence_study(
     if reference == "spde":
         refs = [sol.snapshots for sol in solve_paths(u0, cs, paths, solver_config, snapshot_times)]
     else:
-        b0, s0, g0 = consts
         refs = [[analytic_constant_solution(init, b0, s0, g0, t, W.values[k], solver_config)
                  for t, k in zip(snapshot_times, snap_idx)] for W in paths]
 
@@ -291,14 +287,11 @@ def bias_allowance(cs: CoefficientSet, f_list, phi, s: float, t: float) -> float
     (1/2n) sum_ij d_ij phi <nu, f_i f_j sigma^2> plus the rank-sum versus
     antiderivative discrepancies, all bounded through the exact symbolic
     derivatives of the coefficients; a factor 2 of headroom is included.
-    A coefficient or derivative that is not finite on the sampling grid
-    leaves no budget and raises ValidationError."""
-    grid = np.linspace(0.0, 1.0, 4001)
-    sup_sigma, sup_gamma, lip_b, lip_gamma, lip_sigma = (
-        float(np.max(np.abs(sample_finite(e, grid, nm)))) for e, nm in (
-            (cs.sigma, "sigma"), (cs.gamma, "gamma"), (cs.b_prime, "b'"),
-            (cs.gamma_prime, "gamma'"), (cs.sigma.derivative(), "sigma'"))
-    )
+    The sups are the certified ones of `cs.report` and `cs.lipschitz`: a
+    derivative unbounded on a piece of [0, 1] leaves no budget and raises
+    ValidationError."""
+    sup_sigma, sup_gamma = cs.report.sup_abs_sigma, cs.report.sup_abs_gamma
+    lip_b, lip_gamma, lip_sigma = cs.lipschitz
     lip_s2g2 = 2.0 * (sup_sigma * lip_sigma + sup_gamma * lip_gamma)
 
     f_sup, f1_l1, f2_l1 = 0.0, 0.0, 0.0

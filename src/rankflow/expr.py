@@ -357,7 +357,9 @@ def enclose(node: Node, lo, hi):
     lo <= a <= hi lies in [lo', hi'].  Each operation rounds its endpoints
     outward with np.nextafter: one ulp after + - * / and sqrt, _FUNC_ULPS
     after exp, sin, cos and integer powers.  A divisor interval that holds
-    0, or a NaN endpoint, gives (-inf, inf), never an error.
+    0, a NaN endpoint, or sin or cos of an argument interval with an
+    infinite end, gives (-inf, inf), never an error; so a finite enclosure
+    also certifies that evaluate is finite on the interval.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64))
     lo, hi = _outward(lo, hi, 0)
@@ -407,7 +409,8 @@ def _enclose(node: Node, lo, hi):
         near = (np.abs(al) <= _TRIG_RANGE) & (np.abs(ah) <= _TRIG_RANGE)
         l = np.where(near & ~_peak_inside(al, ah, bottom), np.minimum(fl, fh), -1.0)
         h = np.where(near & ~_peak_inside(al, ah, top), np.maximum(fl, fh), 1.0)
-        return _outward(l, h, _FUNC_ULPS)
+        # sin and cos of an infinite argument are NaN
+        return _outward(l, h, _FUNC_ULPS, ~(np.isfinite(al) & np.isfinite(ah)))
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
 
@@ -505,10 +508,6 @@ class CoefficientExpr:
 
     def __call__(self, a):
         return evaluate(self.ast, a)
-
-    def enclose(self, lo, hi):
-        """`enclose` of this expression over [lo, hi], elementwise."""
-        return enclose(self.ast, lo, hi)
 
     def derivative(self) -> "CoefficientExpr":
         d = differentiate(self.ast)

@@ -127,9 +127,10 @@ class GridFunction:
                 raise ValueError("x_min must be below x_max")
             if vals.ndim != 1 or vals.size < 1:
                 raise ValueError("values must be a nonempty 1-d array")
-            if np.any(vals < -1e-9) or np.any(vals > 1.0 + 1e-9):
+            # negated comparisons, so that NaN fails them
+            if not np.all((vals >= -1e-9) & (vals <= 1.0 + 1e-9)):
                 raise ValueError("CDF values must lie in [0, 1]")
-            if np.any(np.diff(vals) < -1e-9):
+            if not np.all(np.diff(vals) >= -1e-9):
                 raise ValueError("CDF values must be nondecreasing")
             vals = np.clip(vals, 0.0, 1.0)
         # validate=False stores values verbatim so solver output can be
@@ -230,12 +231,15 @@ class InitialDistribution:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown initial distribution kind {self.kind!r}")
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError(f"{self.kind} parameters {self.params} must be finite")
         if self.kind == "mixture":
             if len(self.components) != len(self.weights) or not self.components:
                 raise ValueError("mixture needs matching components and weights")
             w = np.asarray(self.weights, dtype=np.float64)
-            if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError("mixture weights must be nonnegative and sum to 1")
+            # negated comparisons, so that NaN and inf fail them
+            if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
+                raise ValueError("mixture weights must be finite, nonnegative and sum to 1")
         elif self.kind == "uniform":
             a, b = self.params
             if not a < b:

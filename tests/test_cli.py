@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankflow.cli import run
+from rankflow.cli import _coefficients, run
 from rankflow.config import ConfigError, parse_config, parse_init
 from rankflow.experiments import default_martingale_suite
 from rankflow.measures import InitialDistribution
@@ -59,6 +59,7 @@ CONVERGE_CONST_CFG = (
     'init = "gaussian(0,1)"\n')
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
+SAMPLE_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
 
 @pytest.fixture()
@@ -96,6 +97,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="seed"):
             cfg.integer("seed")
 
+    def test_non_finite_numbers_rejected_naming_the_key(self):
+        """A literal beyond the float range reads as inf, which no key takes."""
+        cfg = parse_config("x = 1e400\nxs = [0.5, -1e999]\nok = [0.5, 2]\n")
+        with pytest.raises(ConfigError, match=r"key 'x' must be finite, got inf"):
+            cfg.num("x")
+        with pytest.raises(ConfigError, match=r"key 'xs' must be finite, got -inf"):
+            cfg.num_list("xs")
+        assert cfg.num_list("ok") == [0.5, 2.0]
+
 
 class TestParseInit:
     def test_kinds(self):
@@ -114,6 +124,30 @@ class TestParseInit:
             parse_init("lognormal(0,1)")
         with pytest.raises(ConfigError):
             parse_init("gaussian(0 1)")
+
+    @pytest.mark.parametrize("spec", ["gaussian(0, nan)", "gaussian(0, inf)", "uniform(0, infinity)",
+                                      "point_mass(1e400)", "mixture(nan gaussian(0,1))",
+                                      "mixture(0.5 gaussian(0,1), 0.5 gaussian(NaN, 1))"])
+    def test_non_finite_numbers_rejected(self, spec):
+        """float() reads nan, inf and infinity; the spec takes only finite
+        numeric literals."""
+        with pytest.raises(ConfigError, match="expected a finite number"):
+            parse_init(spec)
+
+
+@pytest.mark.parametrize("path", SAMPLE_CONFIGS, ids=lambda p: p.name)
+def test_sample_config_parses_validates_and_reads_its_init(path):
+    """Each sample config parses, its coefficient set builds through the
+    certified validation, as the CLI builds it, and its init parses."""
+    cfg = parse_config(path.read_text())
+    cs = _coefficients(cfg)
+    assert cs.report.sup_abs_sigma > 0.0
+    assert isinstance(parse_init(cfg.text("init")), InitialDistribution)
+
+
+def test_sample_configs_found():
+    assert {p.name for p in SAMPLE_CONFIGS} >= {"converge.cfg", "diagnose.cfg", "heat.cfg",
+                                                 "martingale.cfg", "stability.cfg"}
 
 
 class TestRun:
@@ -162,6 +196,26 @@ class TestRun:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(HEAT_CFG.replace('sigma = "sqrt(2)"', 'sigma = "sqrt(2"'))
         assert run(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("x_max = 9.0", "x_max = 1e400", "key 'x_max' must be finite, got inf"),
+        ("snapshot_times = [0.5, 1.0]", "snapshot_times = [0.5, 1e999]",
+         "key 'snapshot_times' must be finite, got inf"),
+        ('init = "point_mass(0)"', 'init = "gaussian(0, nan)"', "expected a finite number"),
+        ('b = "0"', 'b = "0.1/(a - 0.30078125)"',
+         "coefficient b = '0.1/(a - 0.30078125)' is not bounded on piece 307 of 1024"),
+    ], ids=["x_max_inf", "snapshot_inf", "init_nan", "b_pole"])
+    def test_non_finite_input_exit_2(self, tmp_path, capsys, old, new, message):
+        """A non-finite number in the config, or a coefficient unbounded on
+        a piece of [0, 1], is a config error: exit 2 and no CSV."""
+        cfg = tmp_path / "bad.cfg"
+        assert old in HEAT_CFG
+        cfg.write_text(HEAT_CFG.replace(old, new))
+        out = tmp_path / "o"
+        assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not list(out.glob("*.csv"))
 
     def test_degenerate_without_flag_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -250,9 +304,9 @@ class TestDiagnoseAndStability:
 
     @pytest.mark.parametrize("values, message", [
         ({"r_xi": "0.01"}, "r_xi"),
-        ({"r_xi": "1e999"}, "r_xi = inf"),
+        ({"r_xi": "1e999"}, "key 'r_xi' must be finite, got inf"),
         ({"r_x": "0.0"}, "r_x"),
-        ({"r_x": "1e999"}, "r_x = inf"),
+        ({"r_x": "1e999"}, "key 'r_x' must be finite, got inf"),
         ({"r_x": "20.0"}, "support"),
         ({"y_list": "[0.0, 6.5]"}, "support"),
         ({"s": "0.5", "t": "0.25"}, "0 <= s < t <= T"),
@@ -291,7 +345,7 @@ class TestDiagnoseAndStability:
         ("martingale", {"n": "0"}, "particle counts [0]"),
         ("martingale", {"replicas": "0"}, "replicas = 0"),
         ("martingale", {"s": "0.3"}, "s = 0.3 is not a grid time"),
-        ("martingale", {"f_radius": "1e999"}, "radius inf must be positive and finite"),
+        ("martingale", {"f_radius": "1e999"}, "key 'f_radius' must be finite, got inf"),
         ("simulate", {"T": "-0.5"}, "the time horizon -0.5 must be positive"),
         ("martingale", {"t": "-0.5"}, "the time horizon -0.5 must be positive"),
     ], ids=["converge_replicas", "converge_n_zero", "converge_n_repeated", "converge_off_grid",

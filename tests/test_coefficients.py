@@ -1,16 +1,22 @@
 """Antiderivative tables against an adaptive-quadrature oracle, plus
-validation behavior."""
+validation behavior and the certified coefficient bounds."""
+
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rankflow.coefficients import (
+    PIECES,
     DomainError,
     NondegeneracyViolated,
     PositivityViolated,
     TRANSFORMS,
     ValidationError,
+    bounds,
     build_from_sources,
     validate,
 )
@@ -106,6 +112,27 @@ class TestValidate:
         assert cs.report.sup_abs_b == pytest.approx(0.5)
         assert cs.report.sup_abs_sigma == pytest.approx(2.0)
         assert cs.report.sup_abs_gamma == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("name, source, piece", [
+        # a pole: see TestColumnWindow.test_pole_is_rejected_at_build
+        ("sigma", "1 + sqrt(a - 0.75)", 0),
+        # exp(800 a) overflows from a = 0.8873; sin of it is then NaN
+        ("gamma", "2 + sin(exp(800*a))", 908),
+    ])
+    def test_unbounded_piece_names_the_coefficient_and_the_piece(self, name, source, piece):
+        sources = {"b": "0", "sigma": "1", "gamma": "1", name: source}
+        msg = f"coefficient {name} = {source!r} is not bounded on piece {piece} of {PIECES}"
+        with pytest.raises(ValidationError, match=re.escape(msg)):
+            build_from_sources(sources["b"], sources["sigma"], sources["gamma"], 64)
+
+    def test_bounds_are_read_only_and_stored(self):
+        cs = build_from_sources("a - 0.5", "1 + 0.3*sin(5*a)", "0.5*(1 + a)", 16)
+        for name in ("b", "sigma", "gamma"):
+            lo, hi = cs.enclosures[name]
+            assert lo.shape == hi.shape == (PIECES,)
+            assert not lo.flags.writeable and not hi.flags.writeable
+            ref = bounds(getattr(cs, name), name)
+            assert lo.tobytes() == ref[0].tobytes() and hi.tobytes() == ref[1].tobytes()
 
 
 class TestEvalTransform:
@@ -206,3 +233,51 @@ def test_symbolic_derivatives_attached():
     xs = np.linspace(0.1, 0.9, 7)
     np.testing.assert_allclose(cs.b_prime(xs), 2 * xs, rtol=1e-12)
     np.testing.assert_allclose(cs.gamma_prime(xs), 1.0, rtol=1e-12)
+
+
+# coefficient families with random constants: affine, and through sin, exp,
+# integer powers, a quotient and sqrt, none with a pole or a negative root on
+# [0, 1]
+_C = st.floats(-4.0, 4.0)
+_AFFINE = st.builds(lambda c0, c1: f"{c0!r} + {c1!r}*a", _C, _C)
+_NONAFFINE = st.one_of(
+    st.builds(lambda c0, c1, c2: f"{c0!r} + {c1!r}*sin({c2!r}*a)", _C, _C, _C),
+    st.builds(lambda c0, c1: f"{c0!r}*exp({c1!r}*a)", _C, _C),
+    st.builds(lambda c0, c1, k: f"{c0!r} + {c1!r}*(a - 0.3)^{k}", _C, _C, st.integers(2, 5)),
+    st.builds(lambda c0, c1: f"{c0!r}/({c1!r} + a)", _C, st.floats(0.1, 4.0)),
+    st.builds(lambda c0, c1: f"{c0!r}*sqrt({c1!r} + a)", _C, st.floats(0.1, 4.0)),
+)
+
+
+@settings(max_examples=100)
+@given(source=st.one_of(_AFFINE, _NONAFFINE), inner=st.lists(st.floats(0.0, 1.0), max_size=6))
+def test_bounds_hold_every_value_of_their_piece(source, inner):
+    """lo[k] <= expr(a) <= hi[k] at the ends of piece k and at inner points
+    of it, on every piece at once."""
+    expr = parse_coefficient(source)
+    lo, hi = bounds(expr, "c")
+    left = np.arange(PIECES) / PIECES
+    fractions = np.concatenate(([0.0, 0.5, 1.0], inner))
+    a = np.minimum(left[None, :] + fractions[:, None] / PIECES, (np.arange(PIECES) + 1) / PIECES)
+    values = expr(a)
+    assert np.all((lo <= values) & (values <= hi)), source
+
+
+@settings(max_examples=60)
+@given(sources=st.one_of(st.tuples(_AFFINE, _AFFINE, _AFFINE), st.tuples(_NONAFFINE, _AFFINE, _NONAFFINE)),
+       K=st.sampled_from([16, 64, 256]))
+def test_report_sups_bound_the_old_sampled_maxima(sources, K):
+    """The certified sups are at least the maxima of |coefficient| on the
+    10K+1 points that validation sampled before, and for affine
+    coefficients within a few ulps of them: the extremes lie at a = 0 and
+    a = 1, both sample points."""
+    cs = build_from_sources(*sources, K, allow_degenerate=True)
+    grid = np.linspace(0.0, 1.0, 10 * K + 1)
+    for name, source in zip(("b", "sigma", "gamma"), sources):
+        sup = getattr(cs.report, f"sup_abs_{name}")
+        sampled = float(np.max(np.abs(getattr(cs, name)(grid))))
+        assert sup >= sampled
+        affine = re.fullmatch(r"(\S+) \+ (\S+)\*a", source)
+        if affine:
+            c0, c1 = (abs(float(c)) for c in affine.groups())
+            assert sup - sampled <= 4 * np.spacing(max(sampled, c0, c1)), source

@@ -1,7 +1,9 @@
 """Kinetic function, transported test functions, chain rule, co-area,
 dissipation measure, entropy identity, and weak form."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from scipy.integrate import quad
 
 from rankflow import bumps
 from rankflow.bumps import BUMP_L1, Bump1D, bump, bump_d1, bump_d2
-from rankflow.coefficients import CoefficientSet, build_from_sources
+from rankflow.coefficients import PIECES, CoefficientSet, ValidationError, build_from_sources
 from rankflow.diagnostics import (
     BumpTestFunction,
     chain_rule_forms,
@@ -422,9 +424,6 @@ def _chain_lhs_full_grid(u, cs, tfs, t, w_t):
 _WINDOW_COEFFICIENTS = {
     # through sin, exp, ^3, ^-2, / and sqrt
     "nonaffine": ("sin(6*a)*exp(a) - a^3/(1.5 - a)", "sqrt(0.2 + a)*(1 + a)^-2 + 0.3*cos(4*a)"),
-    # a pole of b at 0.30078125 = 192.5/640, between the points k/640 on
-    # which validation samples b at K = 64: the build accepts it
-    "pole": ("0.1/(a - 0.30078125)", "0.5*(1 + a)"),
 }
 
 
@@ -437,8 +436,9 @@ class TestColumnWindow:
     """The entropy and chain-rule quadratures run only on the columns the
     x-bumps can reach; each value equals the full-grid one bit for bit.
     The window is read off certified enclosures of b and gamma, so it holds
-    every column the full grid's shift reaches; it is checked on affine,
-    non-affine and pole-carrying coefficients."""
+    every column the full grid's shift reaches; it is checked on affine and
+    non-affine coefficients, and on enclosures with infinite ends put in
+    by hand, which no coefficient set that builds has."""
 
     DOMAIN = (-4.0, 4.0)
 
@@ -456,7 +456,7 @@ class TestColumnWindow:
     def snaps(self):
         """u = 0 on the left cells and u = 1 on the right ones (a ramp), a
         state that is 0 everywhere, a smooth CDF, and a smooth CDF from 0.5
-        to 1, past the pole of `_WINDOW_COEFFICIENTS["pole"]` everywhere."""
+        to 1."""
         x_min, x_max = self.DOMAIN
         J = 80
         centers = x_min + (np.arange(J) + 0.5) * (x_max - x_min) / J
@@ -563,12 +563,26 @@ class TestColumnWindow:
             for t, w_t in ((0.0, 0.0), (0.3, -0.7), (0.8, 1.9)):
                 self._check_window_holds_exact(snaps[name], cs_nonaffine, tfs, t, w_t)
 
-    def test_pole_gives_the_full_window(self, snaps):
-        """Where [0, u_j] holds the pole of b, the column's shift interval is
-        (-inf, inf), also at t = 0, where 0 * inf is NaN: every column of
-        the state past the pole is in the window, even for the far bump,
-        and nothing raises."""
-        cs, snap = _window_cs("pole"), snaps["high"]
+    def test_pole_is_rejected_at_build(self):
+        """A pole of b at 0.30078125 = 192.5/640, between the points k/640
+        on which validation once sampled b at K = 64, is a cut k / PIECES:
+        the enclosure of the piece below it is the whole line, and the
+        build names b and that piece."""
+        assert 0.30078125 * PIECES == 308
+        msg = "coefficient b = '0.1/(a - 0.30078125)' is not bounded on piece 307 of 1024, [0.29980469, 0.30078125]"
+        with pytest.raises(ValidationError, match=re.escape(msg)):
+            build_from_sources("0.1/(a - 0.30078125)", "1 + 0.3*sin(5*a)", "0.5*(1 + a)", 64)
+
+    def test_infinite_enclosure_gives_the_full_window(self, cs, snaps):
+        """Where [0, u_j] holds a piece on which b is enclosed by the whole
+        line, the column's shift interval is (-inf, inf), also at t = 0,
+        where 0 * inf is NaN: every column of the state past that piece is
+        in the window, even for the far bump, and nothing raises.  A NaN
+        u_j gives (-inf, inf) as well."""
+        lo, hi = (np.array(end) for end in cs.enclosures["b"])
+        lo[307:309], hi[307:309] = -np.inf, np.inf
+        cs = dataclasses.replace(cs, enclosures={**cs.enclosures, "b": (lo, hi)})
+        snap = snaps["high"]
         uv = np.clip(snap.values, 0.0, 1.0)
         for t, w_t in ((0.0, 0.0), (0.3, -0.7)):
             lo, hi = _shift_range(cs, uv, t, w_t)
@@ -576,6 +590,9 @@ class TestColumnWindow:
             for tfs in self._cases().values():
                 cols = _windowed_quadrature(snap, cs, tfs, t, w_t)[0]
                 assert cols == (slice(0, snap.cells) if tfs else slice(0, 0))
+        lo, hi = _shift_range(cs, np.array([0.1, np.nan, 0.2]), 0.3, -0.7)
+        assert np.isfinite(lo[[0, 2]]).all() and np.isfinite(hi[[0, 2]]).all()
+        assert (lo[1], hi[1]) == (-np.inf, np.inf)
 
 
 def test_entropy_bump_d2_points_on_the_window_only(cs_general, monkeypatch):

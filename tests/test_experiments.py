@@ -277,7 +277,7 @@ class TestMartingaleStatistic:
     def test_allowance_rejects_unbounded_derivative(self, b, sigma, name):
         # d/da sqrt(a) is infinite at a = 0: no finite budget covers the bias
         cs = build_from_sources(b, sigma, "0.5*(1 + a)", 32)
-        msg = f"coefficient {name} = '1.0/(2.0*sqrt(a))' is not finite at a = 0"
+        msg = f"coefficient {name} = '1.0/(2.0*sqrt(a))' is not bounded on piece 0 of 1024, [0, 0.0009765625]"
         with pytest.raises(ValidationError, match=re.escape(msg)):
             bias_allowance(cs, [Bump1D(0.0, 2.0)], PhiLinear(), 0.0, 1.0)
         with pytest.raises(ValidationError):

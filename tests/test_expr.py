@@ -307,6 +307,36 @@ def test_enclosure_holds_every_finite_value(tree, ends, inner):
     assert np.all((e_lo <= finite) & (finite <= e_hi)), (to_source(tree), lo, hi)
 
 
+@settings(max_examples=300)
+@given(tree=_trees(_SMALL_CONSTANTS), k=st.integers(0, 2 ** 20))
+def test_derivative_agrees_with_central_differences(tree, k):
+    """differentiate(tree) at a = k / 2^20 agrees with the central
+    difference (f(a + h) - f(a - h)) / 2h, h = 2^-17, so that a - h, a and
+    a + h are exact.  Taylor's theorem puts the real difference within
+    h^2/6 sup |f'''| of the real f'(a), the sup over [a - h, a + h]; each
+    float value lies within its point enclosure of the real one.  All of
+    these are bounded with `enclose`, and a point where one of those bounds
+    is not finite, as near a pole or below 0 under a square root, is
+    skipped."""
+    a, h = k / 2 ** 20, 2.0 ** -17
+    d = differentiate(tree)
+    d3 = differentiate(differentiate(d))
+    ends = np.array([a - h, a, a + h])
+    f_lo, f_hi = enclose(tree, ends, ends)
+    d_lo, d_hi = enclose(d, a, a)
+    m3_lo, m3_hi = enclose(d3, a - h, a + h)
+    if not np.all(np.isfinite(np.concatenate((f_lo, f_hi, [d_lo, d_hi, m3_lo, m3_hi])))):
+        return
+    with np.errstate(all="ignore"):
+        f = evaluate(tree, ends)
+        fd = (f[2] - f[0]) / (2.0 * h)
+        got = evaluate(d, a)
+    truncation = h * h / 6.0 * max(abs(m3_lo), abs(m3_hi))
+    rounding = ((f_hi[0] - f_lo[0]) + (f_hi[2] - f_lo[2])) / (2.0 * h) + (d_hi - d_lo)
+    slack = 1e-12 * abs(fd)  # the rounding of the difference and the quotient
+    assert abs(got - fd) <= truncation + rounding + slack, (to_source(tree), a)
+
+
 @given(tree=_trees(_SMALL_CONSTANTS),
        ends=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted), min_size=1, max_size=6))
 def test_enclosure_is_elementwise(tree, ends):
@@ -321,38 +351,47 @@ def test_enclosure_is_elementwise(tree, ends):
 
 class TestEnclose:
     def test_affine_coefficients_are_tight(self):
-        b = parse_coefficient("a - 0.5")
-        lo, hi = b.enclose(0.0, np.array([0.0, 0.5, 1.0]))
+        lo, hi = enclose(parse_ast("a - 0.5"), 0.0, np.array([0.0, 0.5, 1.0]))
         np.testing.assert_array_equal(lo, np.nextafter(-0.5, -np.inf))
         np.testing.assert_array_equal(hi, np.nextafter(np.array([-0.5, 0.0, 0.5]), np.inf))
 
     def test_divisor_holding_zero_gives_the_whole_line(self):
-        lo, hi = parse_coefficient("1/(a - 0.3)").enclose([0.0, 0.0, 0.5], [0.2, 0.5, 1.0])
+        lo, hi = enclose(parse_ast("1/(a - 0.3)"), [0.0, 0.0, 0.5], [0.2, 0.5, 1.0])
         assert -10.0 > lo[0] > -10.0 - 1e-14 and -10.0 / 3.0 < hi[0] < 0.0
         assert (lo[1], hi[1]) == (-np.inf, np.inf)
         assert 1.0 / 0.7 > lo[2] > 1.0 / 0.7 - 1e-14 and 5.0 < hi[2] < 5.0 + 1e-14
 
     def test_negative_power_pole_and_even_power_across_zero(self):
-        lo, hi = parse_coefficient("(a - 0.5)^-2").enclose(0.0, [0.25, 1.0])
+        lo, hi = enclose(parse_ast("(a - 0.5)^-2"), 0.0, [0.25, 1.0])
         assert 4.0 - 1e-14 < lo[0] <= 4.0 and 16.0 <= hi[0] < 16.0 + 1e-13
         assert (lo[1], hi[1]) == (-np.inf, np.inf)
-        lo, hi = parse_coefficient("(a - 0.5)^2").enclose(0.0, 1.0)
+        lo, hi = enclose(parse_ast("(a - 0.5)^2"), 0.0, 1.0)
         assert -1e-300 < lo <= 0.0 and 0.25 <= hi < 0.25 + 1e-15
 
     def test_nan_end_gives_the_whole_line(self):
         # sqrt below 0 is NaN, and so is an end given as NaN
-        assert parse_coefficient("sqrt(a - 0.5)").enclose(0.0, 1.0) == (-np.inf, np.inf)
-        assert parse_coefficient("a").enclose(0.0, np.nan) == (-np.inf, np.inf)
+        assert enclose(parse_ast("sqrt(a - 0.5)"), 0.0, 1.0) == (-np.inf, np.inf)
+        assert enclose(parse_ast("a"), 0.0, np.nan) == (-np.inf, np.inf)
 
     def test_sin_and_cos_peaks(self):
         # sin(2a) on [0, 1] holds the maximum at a = pi/4; cos on [0, 1] is
         # monotone; a range beyond 2^20 is enclosed by [-1, 1]
-        lo, hi = parse_coefficient("sin(2*a)").enclose(0.0, 1.0)
+        lo, hi = enclose(parse_ast("sin(2*a)"), 0.0, 1.0)
         assert 1.0 <= hi < 1.0 + 1e-15 and -1e-300 < lo <= 0.0
-        lo, hi = parse_coefficient("cos(a)").enclose(0.0, 1.0)
+        lo, hi = enclose(parse_ast("cos(a)"), 0.0, 1.0)
         assert math.cos(1.0) - 1e-15 < lo <= math.cos(1.0) and 1.0 <= hi < 1.0 + 1e-15
-        lo, hi = parse_coefficient("sin(1e7*a)").enclose(0.5, 0.5)
+        lo, hi = enclose(parse_ast("sin(1e7*a)"), 0.5, 0.5)
         assert lo <= -1.0 and 1.0 <= hi
+
+    def test_sin_and_cos_of_an_infinite_argument_give_the_whole_line(self):
+        # exp(800 a) overflows past a = 0.8873 and sin(inf) is NaN; the
+        # argument of cos is the whole line across the pole
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(evaluate(parse_ast("sin(exp(800*a))"), 1.0))
+        assert enclose(parse_ast("sin(exp(800*a))"), 0.9, 1.0) == (-np.inf, np.inf)
+        assert enclose(parse_ast("cos(1/(a - 0.5))"), 0.0, 1.0) == (-np.inf, np.inf)
+        lo, hi = enclose(parse_ast("sin(exp(800*a))"), 0.0, 0.5)
+        assert lo <= -1.0 and 1.0 <= hi and np.isfinite(lo) and np.isfinite(hi)
 
 
 def _spacing(x):

@@ -139,6 +139,15 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(1.0, 0.0, np.array([0.1, 0.2]))
 
+    def test_nan_values_rejected(self):
+        """NaN fails the range and monotonicity checks; validate=False still
+        stores solver output verbatim."""
+        for vals in ([0.0, np.nan, 1.0], [np.nan], [0.0, 0.5, np.nan]):
+            with pytest.raises(ValueError, match="CDF values must lie in"):
+                GridFunction(-1.0, 1.0, np.array(vals))
+        raw = np.array([0.0, np.nan, 1.0])
+        assert GridFunction(-1.0, 1.0, raw, validate=False).values.tobytes() == raw.tobytes()
+
     def test_extension(self):
         g = _ramp_grid()
         assert g.value(-5.0) == 0.0
@@ -206,6 +215,18 @@ class TestInitialDistribution:
     def test_mixture_validation(self):
         with pytest.raises(ValueError):
             mixture([gaussian(0, 1)], [0.5])  # weights do not sum to 1
+
+    @pytest.mark.parametrize("make", [
+        lambda: point_mass(np.nan), lambda: point_mass(np.inf), lambda: uniform(np.nan, 1.0),
+        lambda: uniform(0.0, np.inf), lambda: gaussian(np.nan, 1.0), lambda: gaussian(0.0, np.nan),
+        lambda: gaussian(-np.inf, 1.0), lambda: mixture([gaussian(0, 1)], [np.nan]),
+        lambda: mixture([gaussian(0, 1), gaussian(1, 1)], [np.inf, -np.inf]),
+        lambda: mixture([gaussian(0, 1), gaussian(1, 1)], [1.5, -0.5]),
+    ], ids=["point_nan", "point_inf", "uniform_nan", "uniform_inf", "gaussian_mu_nan",
+            "gaussian_s_nan", "gaussian_mu_inf", "weight_nan", "weights_inf", "weight_negative"])
+    def test_non_finite_parameters_and_weights_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
 
     def test_smoothed_cdf_limits(self):
         d = uniform(0.0, 1.0)
