@@ -110,6 +110,25 @@ class CoefficientSet:
         return tuple(float(np.max(np.abs(bounds(e, nm)))) for e, nm in (
             (self.b_prime, "b'"), (self.gamma_prime, "gamma'"), (self.sigma.derivative(), "sigma'")))
 
+    @cached_property
+    def _level_values(self) -> dict:
+        return {}
+
+    def at_levels(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """b, sigma and gamma at the rank levels k/n, k = 1 .. n: three
+        read-only (n,) arrays, evaluated once per n.  The levels are the
+        values `particles.rank_fractions` takes, bit for bit."""
+        values = self._level_values.get(n)
+        if values is None:
+            levels = np.arange(1, n + 1) / n
+            # broadcast_to gives read-only views; a particle step rejects
+            # non-finite results
+            with np.errstate(invalid="ignore"):
+                values = tuple(np.broadcast_to(np.asarray(e(levels), dtype=np.float64), levels.shape)
+                               for e in (self.b, self.sigma, self.gamma))
+            self._level_values[n] = values
+        return values
+
     def eval_transform(self, which: str, r):
         """Continuous evaluation of a transform at r in [0,1].
 

@@ -38,7 +38,10 @@ def _parse_scalar(text: str, line: int):
     if text in ("true", "false"):
         return text == "true"
     if _NUM_RE.match(text):
-        return int(text) if re.fullmatch(r"[-+]?\d+", text) else float(text)
+        try:
+            return int(text) if re.fullmatch(r"[-+]?\d+", text) else float(text)
+        except ValueError:  # an integer literal past Python's digit limit
+            raise ConfigError(f"integer literal of {len(text)} characters is too long", line) from None
     raise ConfigError(f"cannot parse value {text!r}", line)
 
 
@@ -132,9 +135,13 @@ class RunConfig:
 
 
 def _finite(key: str, v) -> float:
-    if not math.isfinite(v):  # a literal such as 1e400 reads as inf
-        raise ConfigError(f"key {key!r} must be finite, got {float(v)!r}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ConfigError(f"key {key!r} must be finite, got an integer beyond the float range") from None
+    if not math.isfinite(x):  # a literal such as 1e400 reads as inf
+        raise ConfigError(f"key {key!r} must be finite, got {x!r}")
+    return x
 
 
 _INIT_TOKEN = re.compile(r"\s*([A-Za-z_]+|\(|\)|,|[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?)")
@@ -201,7 +208,12 @@ def parse_init(spec: str) -> InitialDistribution:
             return mixture(comps, weights)
         raise ConfigError(f"unknown initial distribution {name!r}")
 
-    out = dist()
+    try:
+        out = dist()
+    except ConfigError:
+        raise
+    except ValueError as e:  # a law its constructor rejects, such as uniform(2, 1)
+        raise ConfigError(f"invalid initial distribution {spec!r}: {e}") from None
     if tokens:
         raise ConfigError(f"trailing tokens in init spec {spec!r}")
     return out

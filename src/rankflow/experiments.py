@@ -294,13 +294,8 @@ def bias_allowance(cs: CoefficientSet, f_list, phi, s: float, t: float) -> float
     lip_b, lip_gamma, lip_sigma = cs.lipschitz
     lip_s2g2 = 2.0 * (sup_sigma * lip_sigma + sup_gamma * lip_gamma)
 
-    f_sup, f1_l1, f2_l1 = 0.0, 0.0, 0.0
-    for f in f_list:
-        lo, hi = f.support()
-        xs = np.linspace(lo, hi, 8193)
-        f_sup = max(f_sup, float(np.max(np.abs(f(xs)))))
-        f1_l1 = max(f1_l1, float(np.trapezoid(np.abs(f.d1(xs)), xs)))
-        f2_l1 = max(f2_l1, float(np.trapezoid(np.abs(f.d2(xs)), xs)))
+    # the largest of each sampled norm over f_list (`Bump1D.norms`)
+    f_sup, f1_l1, f2_l1 = (max(0.0, *col) for col in zip(*(f.norms for f in f_list)))
 
     k = phi.k
     dt_window = t - s
@@ -392,11 +387,12 @@ def martingale_statistic(
     states = itertools.chain([start], march(start, cs, grid, dB, np.diff(W).T))
     reduced = {key: np.empty((4, replicas, kept.size)) for key in bumps}
     for m, state in enumerate(itertools.islice(states, s_idx, None)):
+        # the state's one sort, which the step from it reads again
         srt = state.sorted_positions()
         for key, f in bumps.items():
-            fv = f(srt)
+            fv, f1 = f.value_d1(srt)
             reduced[key][:, :, m] = (f.tail_integral(srt).mean(axis=1), fv @ dB_lv,
-                                     f.d1(srt) @ dD_lv, fv @ dG_lv)
+                                     f1 @ dD_lv, fv @ dG_lv)
 
     integrand = np.empty((len(suite), replicas, kept.size))
     phi_diff = np.empty((len(suite), replicas))

@@ -187,8 +187,15 @@ def _raw_block(seed, stream_id, n: int, word0=0, word1=0, block=_BLOCK_MAIN) -> 
 def _to_uniform(raw: np.ndarray) -> np.ndarray:
     """(2k + 1) 2^-53 for the top 52 bits k of each word: every value is
     exact, so the lattice lies strictly inside (0, 1) and its points stay
-    distinct."""
-    return (raw >> np.uint64(12)).astype(np.float64) * 2.0**-52 + 2.0**-53
+    distinct.  k goes into the mantissa of 1.0, which reads as 1 + k 2^-52;
+    subtracting 1 and adding 2^-53 are both exact, and the bit assembly
+    avoids the slow uint64 to float64 conversion."""
+    u = raw >> np.uint64(12)
+    u |= np.uint64(0x3FF0000000000000)
+    u = u.view(np.float64)
+    u -= 1.0
+    u += 2.0**-53
+    return u
 
 
 def uniforms(seed, stream_id, n: int) -> np.ndarray:

@@ -70,6 +70,50 @@ def test_python_scalar_gives_0d(v):
         _assert_same(fn(v), dense(v))
 
 
+# bumps whose support ends are exact: x = +-1 maps to s = +-1 on the first
+_VALUE_BUMPS = [Bump1D(0.0, 1.0), Bump1D(0.5, 2.5), Bump1D(-0.64, 0.6)]
+
+
+def _assert_same_value(got, want):
+    """Same type, shape, dtype and bytes; a 0-d input gives numpy scalars."""
+    assert type(got) is type(want)
+    _assert_same(np.asarray(got), np.asarray(want))
+
+
+@given(st.sampled_from(_VALUE_BUMPS),
+       arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=12), elements=_ELEMENTS))
+def test_value_d1_equals_call_and_d1(f, x):
+    """The fused pass gives f(x) and f.d1(x) bit for bit: an exact +0.0 off
+    the support on both sides, 0.0 at NaN, and the 0-d scalar rule."""
+    with np.errstate(over="ignore"):  # a huge x overflows to an s off the support
+        v, d = f.value_d1(x)
+        _assert_same_value(v, f(x))
+        _assert_same_value(d, f.d1(x))
+
+
+@given(st.sampled_from(_VALUE_BUMPS), _ELEMENTS)
+def test_value_d1_python_scalar(f, x):
+    with np.errstate(over="ignore"):
+        v, d = f.value_d1(x)
+        _assert_same_value(v, f(x))
+        _assert_same_value(d, f.d1(x))
+
+
+def test_value_d1_is_positive_zero_right_of_the_support():
+    # a dense -2 s e / core^2 would give -0.0 for s > 1
+    _, d = Bump1D(0.0, 1.0).value_d1(np.array([1.0, 2.0, np.inf, np.nan]))
+    assert d.tobytes() == np.zeros(4).tobytes()
+
+
+def test_norms_cached_per_bump():
+    """The sampled norms of bias_allowance, computed once per bump."""
+    f = Bump1D(0.5, 2.5)
+    xs = np.linspace(*f.support(), 8193)
+    assert f.norms == (float(np.max(np.abs(f(xs)))), float(np.trapezoid(np.abs(f.d1(xs)), xs)),
+                       float(np.trapezoid(np.abs(f.d2(xs)), xs)))
+    assert f.norms is f.norms
+
+
 # tables of a centred, a shifted and a narrow far-off bump; on the tables
 # of (-0.64, 0.6) and (0, 0.36), some nodes' neighbours read a wrong value
 # when the index guess is not corrected upwards

@@ -204,7 +204,9 @@ class TestRun:
         ('init = "point_mass(0)"', 'init = "gaussian(0, nan)"', "expected a finite number"),
         ('b = "0"', 'b = "0.1/(a - 0.30078125)"',
          "coefficient b = '0.1/(a - 0.30078125)' is not bounded on piece 307 of 1024"),
-    ], ids=["x_max_inf", "snapshot_inf", "init_nan", "b_pole"])
+        ("x_max = 9.0", "x_max = 1" + "0" * 400, "key 'x_max' must be finite, got an integer beyond"),
+        ("x_max = 9.0", "x_max = 1" + "0" * 5000, "line 11: integer literal of 5001 characters is too long"),
+    ], ids=["x_max_inf", "snapshot_inf", "init_nan", "b_pole", "x_max_int_overflow", "x_max_int_digits"])
     def test_non_finite_input_exit_2(self, tmp_path, capsys, old, new, message):
         """A non-finite number in the config, or a coefficient unbounded on
         a piece of [0, 1], is a config error: exit 2 and no CSV."""
@@ -215,6 +217,17 @@ class TestRun:
         assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
+        assert not list(out.glob("*.csv"))
+
+    def test_invalid_init_law_exit_2(self, tmp_path, capsys):
+        """A spec that parses but names no law is a config error, not a
+        runtime error."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(HEAT_CFG.replace('init = "point_mass(0)"', 'init = "uniform(2, 1)"'))
+        out = tmp_path / "o"
+        assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "uniform(a, b) needs a < b" in err
         assert not list(out.glob("*.csv"))
 
     def test_degenerate_without_flag_exit_2(self, tmp_path, capsys):

@@ -268,6 +268,26 @@ class TestMartingaleStatistic:
         # Ito correction, so the budget vanishes
         assert bias_allowance(cs_const, [Bump1D(0.0, 2.0)], PhiLinear(), 0.0, 1.0) == 0.0
 
+    def test_allowance_from_cached_norms_equals_per_triple_sampling(self):
+        """bias_allowance reads each bump's norms once (`Bump1D.norms`); the
+        allowances equal sampling every f of every triple, bit for bit."""
+        cs = build_from_sources("a - 0.5", "1 + 0.2*a", "0.5*(1 + a)", 32)
+        for f_list, phi, _ in default_martingale_suite():
+            f_sup = f1_l1 = f2_l1 = 0.0
+            for f in f_list:
+                xs = np.linspace(*f.support(), 8193)
+                f_sup = max(f_sup, float(np.max(np.abs(f(xs)))))
+                f1_l1 = max(f1_l1, float(np.trapezoid(np.abs(f.d1(xs)), xs)))
+                f2_l1 = max(f2_l1, float(np.trapezoid(np.abs(f.d2(xs)), xs)))
+            sup_sigma, sup_gamma = cs.report.sup_abs_sigma, cs.report.sup_abs_gamma
+            lip_b, lip_gamma, lip_sigma = cs.lipschitz
+            lip_s2g2 = 2.0 * (sup_sigma * lip_sigma + sup_gamma * lip_gamma)
+            k, dt = phi.k, 0.25
+            want = 2.0 * (0.5 * dt * phi.hess_bound * k * k * f_sup**2 * sup_sigma**2
+                          + dt * phi.grad_bound * k * (f1_l1 * 0.5 * lip_b + 0.5 * f2_l1 * 0.5 * lip_s2g2)
+                          + dt * phi.hess_bound * k * k * (f_sup * sup_gamma * f1_l1 * 0.5 * lip_gamma))
+            assert bias_allowance(cs, f_list, phi, 0.25, 0.5) == want
+
     def test_allowance_positive_for_varying_coefficients(self):
         cs = build_from_sources("a - 0.5", "1", "0.5*(1 + a)", 32)
         assert bias_allowance(cs, [Bump1D(0.0, 2.0)], PhiTanh(2.0), 0.0, 1.0) > 0.0

@@ -27,6 +27,7 @@ def cs_const():
 
 # rank-dependent coefficients through every transcendental of the grammar
 CS_GENERAL = build_from_sources("a - 0.5 + 0.3*sin(5*a)", "1 + 0.5*exp(-a)", "0.5*(1 + cos(a))", 32)
+CS_CONST = build_from_sources("0.3", "1", "0.5", 32)
 
 # few distinct values, so rows are full of ties; -0.0 ties with 0.0
 _TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300])
@@ -55,6 +56,28 @@ def _ranks_along_axis(x):
     fr = np.empty(x.shape)
     np.put_along_axis(fr, order, counts / n, axis=-1)
     return fr
+
+
+def _em_step_reference(state, cs, dt, dB, dW):
+    """The positions after em_step as rank fractions plus b, sigma and gamma
+    evaluated on every entry: the reference for the step from the tables
+    at the rank levels."""
+    fr = rank_fractions(state)
+    with np.errstate(invalid="ignore"):
+        return (state.positions + np.asarray(cs.b(fr), dtype=np.float64) * dt
+                + np.asarray(cs.sigma(fr), dtype=np.float64) * dB
+                + np.asarray(cs.gamma(fr), dtype=np.float64) * np.asarray(dW)[..., None])
+
+
+@st.composite
+def tied_replica_blocks(draw):
+    """(R, n) positions with R in {1, 3}, heavy ties and some rows all
+    equal, or their first row alone as (n,) positions."""
+    x = draw(tied_blocks())
+    x = np.concatenate([x] * 3)[:draw(st.sampled_from([1, 3]))]
+    if draw(st.booleans()):
+        x[-1] = 0.0  # an all-tied point-mass row
+    return x[0] if draw(st.booleans()) else x
 
 
 class TestRankFractions:
@@ -108,6 +131,42 @@ class TestBlocks:
             row = em_step(ParticleState(0.25, x[r]), CS_GENERAL, 0.01, dB[r], float(dW[r]))
             assert row.positions.tobytes() == block.positions[r].tobytes()
             assert row.t == block.t
+
+    @given(tied_replica_blocks(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_em_step_equals_full_evaluation(self, x, seed, general):
+        """The table step equals rank fractions plus evaluation on every
+        entry, bit for bit, with ties and with exp, sin and cos."""
+        cs = CS_GENERAL if general else CS_CONST
+        rng = np.random.default_rng(seed)
+        dB = rng.normal(size=x.shape) * 0.1
+        dW = rng.normal(size=x.shape[:-1]) * 0.1
+        state = ParticleState(0.25, x)
+        got = em_step(state, cs, 0.01, dB, dW).positions
+        assert got.tobytes() == _em_step_reference(state, cs, 0.01, dB, dW).tobytes()
+
+    def test_em_step_equals_full_evaluation_on_a_large_block(self):
+        """(3, 512) positions, one row a point mass, one with a tied pair."""
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(3, 512))
+        x[0] = 0.0
+        x[1, 7] = x[1, 300]
+        dB, dW = rng.normal(size=x.shape) * 0.05, rng.normal(size=3) * 0.05
+        state = ParticleState(0.0, x)
+        for dt in (0.01, 1.0 / 128):
+            got = em_step(state, CS_GENERAL, dt, dB, dW).positions
+            assert got.tobytes() == _em_step_reference(state, CS_GENERAL, dt, dB, dW).tobytes()
+
+    @given(tied_replica_blocks())
+    def test_one_cached_sort(self, x):
+        """sorted_positions is np.sort's values, from the sort that the ranks
+        and the step read."""
+        state = ParticleState(0.0, x)
+        srt = state.sorted_positions()
+        assert srt.shape == x.shape
+        np.testing.assert_array_equal(srt, np.sort(x, axis=-1))
+        assert np.shares_memory(srt, state.sorted_positions())
+        assert not srt.flags.writeable
+        assert rank_fractions(state).tobytes() == _ranks_along_axis(x).tobytes()
 
     def test_non_finite_row_names_step_time(self):
         x = np.zeros((3, 4))

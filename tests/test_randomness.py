@@ -106,6 +106,18 @@ def test_uniform_lattice_strictly_inside_unit_interval():
     assert (_to_uniform(words | np.uint64(0xFFF)) == u).all()
 
 
+def test_uniform_bit_assembly_equals_float_formula():
+    """_to_uniform builds (2k + 1) 2^-53 from the mantissa bits; it equals
+    the float formula k 2^-52 + 2^-53 on the end words, the words next to
+    the dropped 12 bits, and random words."""
+    edges = np.array([0, 2**12 - 1, 2**12, 2**64 - 1], dtype=np.uint64)
+    words = np.concatenate((edges, np.random.default_rng(7).integers(0, 2**64, 4096, dtype=np.uint64,
+                                                                    endpoint=False)))
+    want = (words >> np.uint64(12)).astype(np.float64) * 2.0**-52 + 2.0**-53
+    assert _to_uniform(words).tobytes() == want.tobytes()
+    assert _to_uniform(words[3]) == 1.0 - 2.0**-53
+
+
 class TestSamplePath:
     def test_starts_at_zero(self):
         assert sample_path(1, 2, 1.0, 10).values[0] == 0.0
