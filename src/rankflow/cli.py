@@ -60,7 +60,7 @@ def _coefficients(cfg: RunConfig):
         cfg.text("b"),
         cfg.text("sigma"),
         cfg.text("gamma"),
-        cfg.integer("table_resolution", 256),
+        cfg.count("table_resolution", 256),
         allow_degenerate=cfg.flag("allow_degenerate", False),
     )
     for msg in cs.report.warnings:
@@ -72,7 +72,7 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
     return SolverConfig(
         x_min=cfg.num("x_min"),
         x_max=cfg.num("x_max"),
-        cells=cfg.integer("cells"),
+        cells=cfg.count("cells"),
     )
 
 
@@ -83,7 +83,7 @@ def _mesh_inputs(cfg: RunConfig, seed: int):
     cs = _coefficients(cfg)
     sc = _solver_config(cfg)
     T = cfg.num("T")
-    W = sample_path(seed, STREAM_COMMON, T, cfg.integer("steps"))
+    W = sample_path(seed, STREAM_COMMON, T, cfg.count("steps"))
     u0 = grid_cdf(parse_init(cfg.text("init")), sc.x_min, sc.x_max, sc.cells)
     return cs, sc, T, W, u0
 
@@ -107,8 +107,8 @@ def _cmd_solve(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
 def _cmd_simulate(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     cs = _coefficients(cfg)
     T = cfg.num("T")
-    steps = cfg.integer("steps")
-    n = cfg.integer("n")
+    steps = cfg.count("steps")
+    n = cfg.count("n")
     init = parse_init(cfg.text("init"))
     snap = cfg.num_list("snapshot_times", [0.0, T])
     _particle_inputs([n], 1, T, steps, snap)
@@ -131,9 +131,9 @@ def _cmd_converge(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     cs = _coefficients(cfg)
     reference = cfg.text("reference", "spde")
     T = cfg.num("T")
-    steps = cfg.integer("steps")
+    steps = cfg.count("steps")
     n_list = cfg.int_list("n_list")
-    replicas = cfg.integer("replicas")
+    replicas = cfg.count("replicas")
     snap = cfg.num_list("snapshot_times", [T])
     _particle_inputs(n_list, replicas, T, steps, snap)
     rep = convergence_study(
@@ -167,9 +167,9 @@ def _cmd_martingale(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     init = parse_init(cfg.text("init"))
     s = cfg.num("s")
     t = cfg.num("t")
-    n = cfg.integer("n")
-    replicas = cfg.integer("replicas")
-    steps = cfg.integer("steps")
+    n = cfg.count("n")
+    replicas = cfg.count("replicas")
+    steps = cfg.count("steps")
     _particle_inputs([n], replicas, t, steps, [], s=s)
     rep = martingale_statistic(cs, init, _martingale_suite(cfg), s, t, n, replicas, steps, seed)
     outputs = [write_csv(out / "martingale.csv", rep.columns, rep.rows)]

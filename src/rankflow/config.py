@@ -16,9 +16,15 @@ from dataclasses import dataclass, field
 
 from .measures import InitialDistribution, gaussian, mixture, point_mass, uniform
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_init"]
+__all__ = ["ConfigError", "MAX_COUNT", "RunConfig", "parse_config", "parse_init"]
 
 _REQUIRED = object()
+
+# the largest value of a key that sizes arrays (`RunConfig.count`): far
+# beyond any study on one machine, so that a slip such as steps = 10**30 is
+# a config error naming the key, not an allocation that numpy refuses or
+# that runs out of memory
+MAX_COUNT = 2**20
 
 
 class ConfigError(ValueError):
@@ -109,6 +115,11 @@ class RunConfig:
             raise ConfigError(f"key {key!r} must be an integer, got {v!r}")
         return v
 
+    def count(self, key: str, default=_REQUIRED) -> int:
+        """An integer key that sizes arrays (steps, cells, n, replicas,
+        table_resolution): at most MAX_COUNT."""
+        return _count(key, self.integer(key, default))
+
     def text(self, key: str, default=_REQUIRED) -> str:
         v = self._get(key, default)
         if not isinstance(v, str):
@@ -128,10 +139,17 @@ class RunConfig:
         return [_finite(key, x) for x in v]
 
     def int_list(self, key: str, default=_REQUIRED) -> list:
+        """A list of counts (n_list): each at most MAX_COUNT."""
         v = self._get(key, default)
         if not isinstance(v, list) or any(not isinstance(x, int) or isinstance(x, bool) for x in v):
             raise ConfigError(f"key {key!r} must be a list of integers, got {v!r}")
-        return list(v)
+        return [_count(key, x) for x in v]
+
+
+def _count(key: str, v: int) -> int:
+    if v > MAX_COUNT:
+        raise ConfigError(f"key {key!r} = {v} exceeds the largest count {MAX_COUNT}")
+    return v
 
 
 def _finite(key: str, v) -> float:

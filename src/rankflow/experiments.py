@@ -3,12 +3,17 @@ problem statistic, and pathwise stability in the driving signal.
 
 All studies are reproducible from (config, seed): replica r draws its
 noise from streams keyed by a seed derived from (seed, r), and results are
-aggregated in replica order.
+aggregated in replica order.  The convergence study and the martingale
+statistic split their replicas into one block per usable CPU
+(`_fork_rows`); a replica's row is computed on its own, bit for bit, so
+their output does not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +67,86 @@ class ExperimentReport:
     summary: dict = field(default_factory=dict)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _send_block(fn, seeds, fd: int):
+    """In a forked child: write fn(seeds), or the exception it raised,
+    pickled, to the pipe end fd, and leave without running any of the
+    parent's cleanup.  A reply that does not pickle leaves the pipe empty,
+    which the parent reports."""
+    try:
+        try:
+            reply = (True, fn(seeds))
+        except BaseException as e:  # noqa: BLE001 - the parent re-raises it
+            reply = (False, e)
+        data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
+
+
+def _fork_rows(fn, seeds: np.ndarray) -> np.ndarray:
+    """fn(seeds), for a block function fn that maps replica seeds to an
+    array with one column per seed (the replica axis last) and computes
+    each column on its own, bit for bit.
+
+    The seeds are split into k = min(len(seeds), usable CPUs) contiguous
+    blocks.  This process computes the first block, and each other block
+    runs in a forked child, which sends back its result or the exception it
+    raised through a pipe; the columns are joined in replica order, so the
+    result is the same for every k.  The first exception in replica order
+    is raised here.  Every child is waited for, and killed first if this
+    process fails or is interrupted.  fn runs once, here, when k is 1 or
+    the platform has no fork."""
+    k = min(len(seeds), _usable_cpus())
+    if k < 2 or not hasattr(os, "fork"):
+        return fn(seeds)
+    cuts = [len(seeds) * i // k for i in range(k + 1)]
+    forked = list(zip(cuts[1:-1], cuts[2:]))  # the blocks after the first
+    children, replies, first = [], [], None
+    try:
+        for lo, hi in forked:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _send_block(fn, seeds[lo:hi], w)
+            os.close(w)
+            children.append((pid, r))
+        first = fn(seeds[:cuts[1]])
+    finally:
+        if first is None:
+            from signal import SIGKILL  # loaded only on this path
+
+            for pid, _ in children:
+                os.kill(pid, SIGKILL)
+        for pid, r in children:
+            with os.fdopen(r, "rb") as fh:
+                replies.append(fh.read())
+            os.waitpid(pid, 0)
+    blocks = [first]
+    for (lo, hi), data in zip(forked, replies):
+        if not data:
+            raise RuntimeError(f"the child computing replicas {lo}..{hi - 1} ended without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        blocks.append(value)
+    return np.concatenate(blocks, axis=-1)
+
+
 def _particle_counts(ns) -> list[int]:
     """The particle counts as ints; they must be positive and strictly
     increasing, so that no study runs empty or repeats its rows."""
@@ -89,10 +174,13 @@ def convergence_study(
     reference: the mesh solution of the SPDE (reference="spde") or the exact
     constant-coefficient law (reference="analytic").  The error for (n,
     replica) is the max over snapshot times of the L1 distance between the
-    empirical CDF and the reference CDF.  Both sides march all replicas in
-    lock-step: the mesh solves as one (replicas, J) block of `solve_paths`,
-    and for each n the particles as one (replicas, n) block.  Both are read
-    at the step-grid nodes of the snapshot times (`snapshot_indices`).
+    empirical CDF and the reference CDF.  The replicas are split into one
+    contiguous block per usable CPU (`_fork_rows`).  Within a block both
+    sides march in lock-step: the mesh solves as one (block, J) block of
+    `solve_paths`, and for each n the particles as one (block, n) block.
+    Both are read at the step-grid nodes of the snapshot times
+    (`snapshot_indices`).  Every replica's errors are computed on their
+    own, so the report is the same bytes at any CPU count.
     """
     n_list = _particle_counts(n_list)
     steps_grid = np.linspace(0.0, T, steps + 1)
@@ -108,26 +196,30 @@ def convergence_study(
     else:
         raise ValueError(f"unknown reference {reference!r}")
 
-    seeds = np.array([replica_seed(seed, r) for r in range(replicas)], dtype=np.uint64)
-    paths = [sample_path(seed_r, STREAM_COMMON, T, steps) for seed_r in seeds.tolist()]
-    # per replica, the reference CDF at each snapshot time
-    if reference == "spde":
-        refs = [sol.snapshots for sol in solve_paths(u0, cs, paths, solver_config, snapshot_times)]
-    else:
-        refs = [[analytic_constant_solution(init, b0, s0, g0, t, W.values[k], solver_config)
-                 for t, k in zip(snapshot_times, snap_idx)] for W in paths]
+    def block(seeds):
+        """errors[j, r] of (n_list[j], replica r) for the replicas of `seeds`."""
+        paths = [sample_path(seed_r, STREAM_COMMON, T, steps) for seed_r in seeds.tolist()]
+        # per replica, the reference CDF at each snapshot time
+        if reference == "spde":
+            refs = [sol.snapshots for sol in solve_paths(u0, cs, paths, solver_config, snapshot_times)]
+        else:
+            refs = [[analytic_constant_solution(init, b0, s0, g0, t, W.values[k], solver_config)
+                     for t, k in zip(snapshot_times, snap_idx)] for W in paths]
+        # per n, the replicas march in lock-step, each row on its replica's
+        # common path
+        errors = np.empty((len(n_list), seeds.size))
+        for j, n in enumerate(n_list):
+            traj = simulate(init.sample(n, seeds, STREAM_INIT), cs, T, steps,
+                            make_noise_bundle(seeds, n, T, steps), snapshot_times=snapshot_times)
+            for r in range(seeds.size):
+                errors[j, r] = max(
+                    l1_cdf_distance(ref, empirical_cdf(state.positions[r]))
+                    for ref, state in zip(refs[r], traj.states)
+                )
+        return errors
 
-    # per n, all replicas march in lock-step, each row on its replica's
-    # common path; errors[j, r] is the error of (n_list[j], replica r)
-    errors = np.empty((len(n_list), replicas))
-    for j, n in enumerate(n_list):
-        traj = simulate(init.sample(n, seeds, STREAM_INIT), cs, T, steps,
-                        make_noise_bundle(seeds, n, T, steps), snapshot_times=snapshot_times)
-        for r in range(replicas):
-            errors[j, r] = max(
-                l1_cdf_distance(ref, empirical_cdf(state.positions[r]))
-                for ref, state in zip(refs[r], traj.states)
-            )
+    seeds = np.array([replica_seed(seed, r) for r in range(replicas)], dtype=np.uint64)
+    errors = _fork_rows(block, seeds)
 
     rows = [(n, r, float(errors[j, r])) for j, n in enumerate(n_list) for r in range(replicas)]
     means = {n: float(np.mean(errors[j])) for j, n in enumerate(n_list)}
@@ -345,12 +437,15 @@ def martingale_statistic(
 
     with F_r the empirical CDF, the pairings evaluated exactly through the
     step structure of F_r, and the dr-integrals by trapezoid on the
-    simulation grid.  All replicas are simulated once, in lock-step on the
-    noise of `make_noise_bundle`.  Each kept state is reduced per distinct
-    bump to <F, f> and the three pairings over all replicas at once; phi,
-    psi and the integrals then act on (replicas, kept states, k) blocks, so
-    a triple's row does not depend on the rest of the suite.  Rows and the
-    per-row summary lists are in suite order.
+    simulation grid.  The replicas are split into one contiguous block per
+    usable CPU (`_fork_rows`).  The replicas of a block are simulated once,
+    in lock-step on the noise of `make_noise_bundle`.  Each kept state is
+    reduced per distinct bump to <F, f> and the three pairings over the
+    block at once; phi, psi and the integrals then act on (replicas, kept
+    states, k) blocks, so a triple's row does not depend on the rest of the
+    suite.  Every replica's samples are computed on their own, so the report
+    is the same bytes at any CPU count; the estimates are aggregated here.
+    Rows and the per-row summary lists are in suite order.
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t!r}")
@@ -378,34 +473,42 @@ def martingale_statistic(
         cs.eval_transform("Sigma", levels) + cs.eval_transform("Gamma", levels),
         cs.eval_transform("G", levels)))
 
-    # all replicas march in lock-step, one (R, n) block per step; each kept
-    # state is reduced per bump to <F, f>, <B(F), f'>, <(Sigma+Gamma)(F), f''>
-    # and <G(F), f'> as soon as it is produced
-    seeds = np.array([replica_seed(seed, r) for r in range(replicas)], dtype=np.uint64)
-    W, dB = make_noise_bundle(seeds, n, T, steps)
-    start = ParticleState(0.0, init.sample(n, seeds, STREAM_INIT))
-    states = itertools.chain([start], march(start, cs, grid, dB, np.diff(W).T))
-    reduced = {key: np.empty((4, replicas, kept.size)) for key in bumps}
-    for m, state in enumerate(itertools.islice(states, s_idx, None)):
-        # the state's one sort, which the step from it reads again
-        srt = state.sorted_positions()
-        for key, f in bumps.items():
-            fv, f1 = f.value_d1(srt)
-            reduced[key][:, :, m] = (f.tail_integral(srt).mean(axis=1), fv @ dB_lv,
-                                     f1 @ dD_lv, fv @ dG_lv)
+    def block(seeds):
+        """The samples (M_t - M_s) Psi per (triple, replica) for the replicas
+        of `seeds`.  They march in lock-step, one (R, n) block per step; each
+        kept state is reduced per bump to <F, f>, <B(F), f'>,
+        <(Sigma+Gamma)(F), f''> and <G(F), f'> as soon as it is produced.
+        The pairings are row by row (einsum, not a BLAS gemv, which groups
+        rows), so a replica's bits do not depend on the block it is in."""
+        W, dB = make_noise_bundle(seeds, n, T, steps)
+        start = ParticleState(0.0, init.sample(n, seeds, STREAM_INIT))
+        states = itertools.chain([start], march(start, cs, grid, dB, np.diff(W).T))
+        reduced = {key: np.empty((4, seeds.size, kept.size)) for key in bumps}
+        for m, state in enumerate(itertools.islice(states, s_idx, None)):
+            # the state's one sort, which the step from it reads again
+            srt = state.sorted_positions()
+            for key, f in bumps.items():
+                fv, f1 = f.value_d1(srt)
+                reduced[key][:, :, m] = (f.tail_integral(srt).mean(axis=1),
+                                         np.einsum("rn,n->r", fv, dB_lv),
+                                         np.einsum("rn,n->r", f1, dD_lv),
+                                         np.einsum("rn,n->r", fv, dG_lv))
 
-    integrand = np.empty((len(suite), replicas, kept.size))
-    phi_diff = np.empty((len(suite), replicas))
-    weight = np.empty((len(suite), replicas))
-    for j, (f_list, phi, psi) in enumerate(suite):
-        # each (replicas, kept, k)
-        v, pair_b, pair_d, pair_g = np.stack([reduced[id(f)] for f in f_list], axis=-1)
-        integrand[j] = (np.einsum("...i,...i", phi.grad(v), pair_b + pair_d)
-                        + 0.5 * np.einsum("...i,...ij,...j", pair_g, phi.hess(v), pair_g))
-        phi_diff[j] = phi.value(v[:, -1]) - phi.value(v[:, 0])
-        weight[j] = psi(v[:, 0], W[:, s_idx])
-    # M_t - M_s times Psi per (triple, replica): the phi(v_0) terms cancel
-    samples = (phi_diff - np.trapezoid(integrand, kept)) * weight
+        integrand = np.empty((len(suite), seeds.size, kept.size))
+        phi_diff = np.empty((len(suite), seeds.size))
+        weight = np.empty((len(suite), seeds.size))
+        for j, (f_list, phi, psi) in enumerate(suite):
+            # each (replicas, kept, k)
+            v, pair_b, pair_d, pair_g = np.stack([reduced[id(f)] for f in f_list], axis=-1)
+            integrand[j] = (np.einsum("...i,...i", phi.grad(v), pair_b + pair_d)
+                            + 0.5 * np.einsum("...i,...ij,...j", pair_g, phi.hess(v), pair_g))
+            phi_diff[j] = phi.value(v[:, -1]) - phi.value(v[:, 0])
+            weight[j] = psi(v[:, 0], W[:, s_idx])
+        # the phi(v_0) terms cancel
+        return (phi_diff - np.trapezoid(integrand, kept)) * weight
+
+    seeds = np.array([replica_seed(seed, r) for r in range(replicas)], dtype=np.uint64)
+    samples = _fork_rows(block, seeds)
     rows = []
     for (f_list, phi, psi), col in zip(suite, samples):
         estimate = float(col.mean())

@@ -332,15 +332,25 @@ _PEAKS = {"sin": (0.5 * np.pi, -0.5 * np.pi), "cos": (0.0, np.pi)}
 _TRIG_RANGE = 2.0 ** 20
 
 
-def _outward(lo, hi, ulps: int, whole=False):
-    """[lo, hi] moved `ulps` ulps outward, and (-inf, inf) where `whole` or
-    where either end is NaN."""
+def _outward(lo, hi, ulps: int, whole=False, exact=(False, False)):
+    """[lo, hi] moved `ulps` ulps outward, except at an end that `exact`
+    (one flag or bool array per end) marks as the exact result of its
+    operation, and (-inf, inf) where `whole` or where either end is NaN."""
+    lo_exact, hi_exact = exact
     for _ in range(ulps):
-        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        lo = np.where(lo_exact, lo, np.nextafter(lo, -np.inf))
+        hi = np.where(hi_exact, hi, np.nextafter(hi, np.inf))
     whole = whole | np.isnan(lo) | np.isnan(hi)
     if np.any(whole):
         lo, hi = np.where(whole, -np.inf, lo), np.where(whole, np.inf, hi)
     return lo, hi
+
+
+def _sum_exact(a, b, s):
+    """Where the float sum s = a + b is exact: the error term of Knuth's
+    two-sum is 0 (NaN, so not exact, at an infinite end)."""
+    bb = s - a
+    return (a - (s - bb)) + (b - bb) == 0.0
 
 
 def _peak_inside(lo, hi, peak: float):
@@ -356,10 +366,14 @@ def enclose(node: Node, lo, hi):
     (lo', hi') such that every finite float evaluate(node, a) with
     lo <= a <= hi lies in [lo', hi'].  Each operation rounds its endpoints
     outward with np.nextafter: one ulp after + - * / and sqrt, _FUNC_ULPS
-    after exp, sin, cos and integer powers.  A divisor interval that holds
-    0, a NaN endpoint, or sin or cos of an argument interval with an
-    infinite end, gives (-inf, inf), never an error; so a finite enclosure
-    also certifies that evaluate is finite on the interval.
+    after exp, sin, cos and integer powers.  An end whose operation was
+    exact is not rounded: a sum or difference whose two-sum error is 0, a
+    product with a factor 0, a quotient with a dividend 0 and sqrt(0); so
+    sqrt(0 + a) and sqrt(a*(1 - a)) stay finite at a = 0.  A divisor
+    interval that holds 0, a NaN endpoint, or sin or cos of an argument
+    interval with an infinite end, gives (-inf, inf), never an error; so a
+    finite enclosure also certifies that evaluate is finite on the
+    interval.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64))
     lo, hi = _outward(lo, hi, 0)
@@ -378,14 +392,21 @@ def _enclose(node: Node, lo, hi):
     if isinstance(node, (Add, Sub, Mul, Div)):
         (al, ah), (bl, bh) = _enclose(node.left, lo, hi), _enclose(node.right, lo, hi)
         if isinstance(node, Add):
-            return _outward(al + bl, ah + bh, 1)
+            l, h = al + bl, ah + bh
+            return _outward(l, h, 1, exact=(_sum_exact(al, bl, l), _sum_exact(ah, bh, h)))
         if isinstance(node, Sub):
-            return _outward(al - bh, ah - bl, 1)
-        # a product or quotient of intervals takes its extremes at corners
-        op = np.multiply if isinstance(node, Mul) else np.divide
-        corners = [op(a, b) for a in (al, ah) for b in (bl, bh)]
-        pole = isinstance(node, Div) & (bl <= 0.0) & (bh >= 0.0)
-        return _outward(reduce(np.minimum, corners), reduce(np.maximum, corners), 1, pole)
+            l, h = al - bh, ah - bl
+            return _outward(l, h, 1, exact=(_sum_exact(al, -bh, l), _sum_exact(ah, -bl, h)))
+        # a product or quotient of intervals takes its extremes at corners,
+        # each rounded outward on its own: a product with a factor 0 and a
+        # quotient with a dividend 0 are exact
+        mul = isinstance(node, Mul)
+        op = np.multiply if mul else np.divide
+        corners = [(op(a, b), (a == 0.0) | (mul & (b == 0.0))) for a in (al, ah) for b in (bl, bh)]
+        lows = [np.where(ex, c, np.nextafter(c, -np.inf)) for c, ex in corners]
+        highs = [np.where(ex, c, np.nextafter(c, np.inf)) for c, ex in corners]
+        pole = (not mul) & (bl <= 0.0) & (bh >= 0.0)
+        return _outward(reduce(np.minimum, lows), reduce(np.maximum, highs), 0, pole)
     if isinstance(node, Pow):
         bl, bh = _enclose(node.base, lo, hi)
         k = node.exponent
@@ -402,7 +423,8 @@ def _enclose(node: Node, lo, hi):
         f = _FUNCS[node.name]
         fl, fh = f(al), f(ah)
         if node.name == "sqrt":
-            return _outward(fl, fh, 1)  # below 0 an end is NaN
+            # below 0 an end is NaN; sqrt(0) = 0 is exact
+            return _outward(fl, fh, 1, exact=(al == 0.0, ah == 0.0))
         if node.name == "exp":
             return _outward(fl, fh, _FUNC_ULPS)
         top, bottom = _PEAKS[node.name]

@@ -1,6 +1,9 @@
 """Test-wide settings: Hypothesis runs a fixed, bounded set of examples, so
 property tests are deterministic and cheap.  Also the reference particle
-noise that several test modules compare with."""
+noise and the W1 assignment oracle that several test modules compare with."""
+
+import itertools
+from functools import lru_cache
 
 import numpy as np
 from hypothesis import settings
@@ -26,3 +29,15 @@ def particle_increments(seed, n: int, T: float, steps: int) -> np.ndarray:
     """The (n, steps) Brownian increments of those particles over [0, T]:
     sqrt(T/steps) times the normal of each word."""
     return np.sqrt(T / steps) * ndtri(_to_uniform(particle_words(seed, n, steps)))
+
+
+@lru_cache(maxsize=None)
+def _permutations(n: int) -> np.ndarray:
+    """Every permutation of range(n), one per row, in itertools order."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+
+
+def assignment_oracle(xs: np.ndarray, ys: np.ndarray) -> float:
+    """min over permutations p of mean |xs - ys[p]|: W1 between two equal-size
+    point clouds by enumerating every assignment, all at once."""
+    return float(np.abs(xs - ys[_permutations(xs.size)]).mean(axis=1).min())

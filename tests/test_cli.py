@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rankflow.cli import _coefficients, run
-from rankflow.config import ConfigError, parse_config, parse_init
+from rankflow.config import MAX_COUNT, ConfigError, parse_config, parse_init
 from rankflow.experiments import default_martingale_suite
 from rankflow.measures import InitialDistribution
 
@@ -218,6 +218,32 @@ class TestRun:
         err = capsys.readouterr().err
         assert "config error" in err and message in err
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command, key", [
+        ("solve", "steps"), ("solve", "cells"), ("solve", "table_resolution"),
+        ("simulate", "n"), ("converge", "replicas"), ("converge", "n_list"), ("martingale", "n"),
+    ])
+    def test_count_above_its_bound_exit_2(self, tmp_path, capsys, command, key):
+        """An integer key that sizes arrays is at most MAX_COUNT: one above
+        it, or 10**30, is a config error naming the key, and MAX_COUNT
+        itself passes the config reader."""
+        cfg_text = HEAT_CFG if command == "solve" else PARTICLE_CFGS[command]
+        old = next(ln for ln in cfg_text.splitlines() if ln.startswith(f"{key} = "))
+        for value in (MAX_COUNT + 1, 10**30):
+            new = f"{key} = [8, {value}]" if key == "n_list" else f"{key} = {value}"
+            cfg = tmp_path / "big.cfg"
+            cfg.write_text(cfg_text.replace(old, new))
+            out = tmp_path / "o"
+            assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"config error: key {key!r} = {value} exceeds the largest count {MAX_COUNT}" in err
+            assert not list(out.glob("*.csv"))
+        assert parse_config(f"{key} = {MAX_COUNT}").count(key) == MAX_COUNT
+
+    def test_seed_keeps_its_64_bit_range(self, tmp_path):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(HEAT_CFG.replace("seed = 20240510", f"seed = {2**64 - 1}"))
+        assert run(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_invalid_init_law_exit_2(self, tmp_path, capsys):
         """A spec that parses but names no law is a config error, not a

@@ -107,6 +107,14 @@ class TestValidate:
         with pytest.raises(ValidationError):
             build_from_sources("sqrt(a - 0.5)", "1", "1", 16, allow_degenerate=True)
 
+    @pytest.mark.parametrize("sigma", ["1 + sqrt(a)", "1 + sqrt(0 + a)", "1 + sqrt(a*(1 - a))"])
+    def test_root_of_an_exact_zero_is_accepted(self, sigma):
+        # 0 + a and a*(1 - a) are exactly 0 at a = 0, so their enclosures on
+        # piece 0 start at 0, not one ulp below it, and the root is finite
+        cs = build_from_sources("0", sigma, "1", 64)
+        lo, hi = cs.enclosures["sigma"]
+        assert lo[0] == 1.0 and 1.0 < hi[0] < 1.04
+
     def test_report_sups(self):
         cs = build_from_sources("a - 0.5", "1 + a", "2", 16)
         assert cs.report.sup_abs_b == pytest.approx(0.5)

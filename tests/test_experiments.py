@@ -1,6 +1,8 @@
 """Experiment orchestration: convergence, martingale statistic, stability."""
 
+import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import particle_increments
+from rankflow import experiments
 from rankflow.bumps import Bump1D
+from rankflow.cli import run
 from rankflow.coefficients import ValidationError, build_from_sources
 from rankflow.experiments import (
     PhiConst,
@@ -28,7 +32,7 @@ from rankflow.experiments import (
     stability_experiment,
 )
 from rankflow.measures import empirical_cdf, gaussian, grid_cdf, l1_cdf_distance, point_mass, w1
-from rankflow.particles import ParticleState, march
+from rankflow.particles import NonFiniteState, ParticleState, march
 from rankflow.randomness import STREAM_COMMON, make_noise_bundle, replica_seed, sample_path
 from rankflow.solver import SolverConfig, solve
 
@@ -318,6 +322,113 @@ class TestMartingaleStatistic:
                 cs_const, gaussian(0, 1), [(f_list, PhiLinear(), PsiConst())],
                 s=0.0, t=0.5, n=8, replicas=2, steps=steps, seed=1,
             )
+
+
+def _no_child_left():
+    """Every child this process forked has been waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _studies(R):
+    """Both studies, convergence with both references, on R replicas."""
+    cs = build_from_sources("a - 0.5", "1", "0.5*(1 + a)", 32)
+    cs_c = build_from_sources("0.3", "1", "0.5", 32)
+    sc, init = SolverConfig(-11.0, 11.0, 48), gaussian(0, 1)
+    return (
+        martingale_statistic(cs, init, default_martingale_suite(), s=0.25, t=0.5, n=24,
+                             replicas=R, steps=8, seed=29),
+        convergence_study(cs, init, [8, 32], R, sc, [0.125, 0.25], seed=23, T=0.25, steps=8,
+                          reference="spde"),
+        convergence_study(cs_c, init, [8, 32], R, sc, [0.25], seed=23, T=0.25, steps=8,
+                          reference="analytic"),
+    )
+
+
+class TestForkedRowBlocks:
+    """The replicas of `convergence_study` and `martingale_statistic` run in
+    one block per usable CPU, all but the first in forked children."""
+
+    @pytest.mark.parametrize("R", [1, 2, 3, 5, 16])
+    def test_split_reports_equal_the_serial_ones(self, monkeypatch, R):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        serial = _studies(R)
+        for cpus in (2, 3):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            for a, b in zip(serial, _studies(R)):
+                assert repr(a) == repr(b)
+        _no_child_left()
+
+    def test_blocks_are_contiguous_and_joined_in_replica_order(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+        seeds = np.arange(7, dtype=np.uint64)
+        out = experiments._fork_rows(lambda b: np.stack([b * 2.0, np.full(b.size, os.getpid())]), seeds)
+        assert out[0].tolist() == [2.0 * r for r in range(7)]
+        # 7 rows in 3 blocks: 2 here, then 2 and 3 in two children
+        pids = out[1].tolist()
+        assert pids[:2] == [os.getpid()] * 2 and len(set(pids[2:4])) == len(set(pids[4:])) == 1
+        assert len(set(pids)) == 3
+        _no_child_left()
+
+    def test_non_finite_state_in_a_child_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+
+        def fn(seeds):
+            if seeds[0] >= 2:
+                raise NonFiniteState(f"non-finite positions from seed {seeds[0]}")
+            return seeds[None, :] * 1.0
+
+        # the first failing block in replica order is the one raised
+        with pytest.raises(NonFiniteState, match="from seed 2$"):
+            experiments._fork_rows(fn, np.arange(6, dtype=np.uint64))
+        _no_child_left()
+
+    def test_non_finite_state_of_a_study_raised_in_every_block(self, monkeypatch):
+        # a drift of 8e307 over dt = 3 overflows in the first step of every row
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+        cs = build_from_sources("8e307", "1", "0.5", 16)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteState, match="after step from t = 0.0"):
+            martingale_statistic(cs, gaussian(0, 1), [([Bump1D(0.0, 2.0)], PhiLinear(), PsiConst())],
+                                 s=0.0, t=6.0, n=8, replicas=5, steps=2, seed=1)
+        _no_child_left()
+
+    def test_a_child_that_ends_without_a_result_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+
+        def fn(seeds):
+            if seeds[0] != 0:
+                os._exit(3)
+            return seeds[None, :] * 1.0
+
+        with pytest.raises(RuntimeError, match="replicas 2..3 ended without a result"):
+            experiments._fork_rows(fn, np.arange(4, dtype=np.uint64))
+        _no_child_left()
+
+    def test_an_interrupt_here_kills_and_reaps_the_children(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+
+        def fn(seeds):
+            if seeds[0] != 0:
+                time.sleep(60.0)
+            raise KeyboardInterrupt
+
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            experiments._fork_rows(fn, np.arange(3, dtype=np.uint64))
+        assert time.perf_counter() - t0 < 30.0
+        _no_child_left()
+
+    @pytest.mark.parametrize("command, keys", [
+        ("martingale", "s = 0.25\nt = 0.5\nn = 16\n"),
+        ("converge", "T = 0.25\nn_list = [8, 16]\nx_min = -11.0\nx_max = 11.0\ncells = 32\n"),
+    ])
+    def test_cli_runs_leave_no_child(self, monkeypatch, tmp_path, command, keys):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text('b = "a - 0.5"\nsigma = "1"\ngamma = "0.5*(1 + a)"\ntable_resolution = 32\n'
+                       'seed = 3\nsteps = 8\nreplicas = 5\ninit = "gaussian(0, 1)"\n' + keys)
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        _no_child_left()
 
 
 @pytest.fixture(scope="module")

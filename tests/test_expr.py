@@ -351,9 +351,13 @@ def test_enclosure_is_elementwise(tree, ends):
 
 class TestEnclose:
     def test_affine_coefficients_are_tight(self):
+        # every difference here is exact, so no end is rounded outward
         lo, hi = enclose(parse_ast("a - 0.5"), 0.0, np.array([0.0, 0.5, 1.0]))
-        np.testing.assert_array_equal(lo, np.nextafter(-0.5, -np.inf))
-        np.testing.assert_array_equal(hi, np.nextafter(np.array([-0.5, 0.0, 0.5]), np.inf))
+        np.testing.assert_array_equal(lo, -0.5)
+        np.testing.assert_array_equal(hi, [-0.5, 0.0, 0.5])
+        # 0.1 - 0.5 is not, so both ends are
+        lo, hi = enclose(parse_ast("a - 0.5"), 0.1, 0.1)
+        assert (lo, hi) == (np.nextafter(0.1 - 0.5, -np.inf), np.nextafter(0.1 - 0.5, np.inf))
 
     def test_divisor_holding_zero_gives_the_whole_line(self):
         lo, hi = enclose(parse_ast("1/(a - 0.3)"), [0.0, 0.0, 0.5], [0.2, 0.5, 1.0])
