@@ -9,13 +9,10 @@ from .coefficients import (
     NondegeneracyViolated,
     PositivityViolated,
     ValidationError,
-    build_coefficient_set,
     build_from_sources,
-    validate,
 )
 from .diagnostics import (
     BumpTestFunction,
-    KineticMeasureEstimate,
     chain_rule_residual,
     chi,
     coarea_check,

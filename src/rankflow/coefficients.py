@@ -32,22 +32,20 @@ __all__ = [
     "NondegeneracyViolated",
     "PositivityViolated",
     "DomainError",
-    "build_coefficient_set",
     "build_from_sources",
-    "validate",
     "bounds",
     "parse_coefficient",
     "PIECES",
     "TRANSFORMS",
 ]
 
-# transform name -> its integrand as a function of (coefficient set, a)
+# transform name -> its integrand as a function of (b, sigma, gamma, a)
 _INTEGRANDS = {
-    "B": lambda cs, a: cs.b(a),
-    "Sigma": lambda cs, a: 0.5 * np.square(cs.sigma(a)),
-    "Gamma": lambda cs, a: 0.5 * np.square(cs.gamma(a)),
-    "G": lambda cs, a: cs.gamma(a),
-    "S": lambda cs, a: cs.sigma(a),
+    "B": lambda b, sigma, gamma, a: b(a),
+    "Sigma": lambda b, sigma, gamma, a: 0.5 * np.square(sigma(a)),
+    "Gamma": lambda b, sigma, gamma, a: 0.5 * np.square(gamma(a)),
+    "G": lambda b, sigma, gamma, a: gamma(a),
+    "S": lambda b, sigma, gamma, a: sigma(a),
 }
 
 TRANSFORMS = tuple(_INTEGRANDS)
@@ -148,15 +146,16 @@ class CoefficientSet:
         K = self.table_resolution
         k = np.minimum((r * K).astype(np.int64), K - 1)
         lo = k / K
-        out = self.tables[which][k] + _gauss_legendre(self, which, lo, r - lo)
+        out = self.tables[which][k] + _gauss_legendre((self.b, self.sigma, self.gamma), which, lo, r - lo)
         return float(out[0]) if not shape else out.reshape(shape)
 
 
-def _gauss_legendre(cs: CoefficientSet, which: str, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """Integral of transform `which`'s integrand over [lo, lo + width] by
-    order-8 Gauss-Legendre, entrywise over lo and width."""
+def _gauss_legendre(coefs: tuple, which: str, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Integral of transform `which`'s integrand, given coefs = (b, sigma,
+    gamma), over [lo, lo + width] by order-8 Gauss-Legendre, entrywise over
+    lo and width."""
     nodes = lo[None, :] + (width[None, :] * (_GL_NODES[:, None] + 1.0)) * 0.5
-    return (0.5 * width) * np.einsum("i,ij->j", _GL_WEIGHTS, _INTEGRANDS[which](cs, nodes))
+    return (0.5 * width) * np.einsum("i,ij->j", _GL_WEIGHTS, _INTEGRANDS[which](*coefs, nodes))
 
 
 def bounds(expr: CoefficientExpr, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -178,16 +177,16 @@ def bounds(expr: CoefficientExpr, name: str) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def validate(cs: CoefficientSet, allow_degenerate: bool = False) -> ValidationReport:
-    """Report bounds of b, sigma and gamma read off their enclosures
-    (`bounds`, stored on cs), and enforce non-degeneracy of sigma and
-    positivity of gamma on the certified lower bounds.
+def _report(enclosures: dict, allow_degenerate: bool) -> ValidationReport:
+    """Bounds of b, sigma and gamma read off their `enclosures`, with
+    non-degeneracy of sigma and positivity of gamma enforced on the
+    certified lower bounds.
 
     With allow_degenerate=True the two positivity failures become warnings
     in the report; needed for the closed-form oracle cases (pure heat has
     gamma = 0, pure transport has sigma -> 0).
     """
-    b, sigma, gamma = (cs.enclosures[name] for name in ("b", "sigma", "gamma"))
+    b, sigma, gamma = (enclosures[name] for name in ("b", "sigma", "gamma"))
     inf_sigma, inf_gamma = float(sigma[0].min()), float(gamma[0].min())
     warnings = []
     for inf, error, what in ((inf_sigma, NondegeneracyViolated, "sigma is degenerate"),
@@ -208,51 +207,33 @@ def validate(cs: CoefficientSet, allow_degenerate: bool = False) -> ValidationRe
     )
 
 
-def build_coefficient_set(
-    b: CoefficientExpr,
-    sigma: CoefficientExpr,
-    gamma: CoefficientExpr,
-    K: int,
-    allow_degenerate: bool = False,
+def build_from_sources(
+    b: str, sigma: str, gamma: str, K: int, allow_degenerate: bool = False
 ) -> CoefficientSet:
-    """Build antiderivative tables on K uniform subintervals (K >= 16)."""
+    """Parse three expression strings, certify them on [0, 1] (`bounds`),
+    and tabulate their transforms on K uniform subintervals (K >= 16).  A
+    table entry that is not finite, as when a transform overflows, raises
+    ValidationError naming the transform."""
+    coefs = tuple(parse_coefficient(source) for source in (b, sigma, gamma))
     if K < 16:
         raise ValidationError(f"table resolution K = {K} below minimum of 16")
-
-    cs = CoefficientSet(
-        b=b,
-        sigma=sigma,
-        gamma=gamma,
-        table_resolution=K,
-        tables={},
-        b_prime=b.derivative(),
-        gamma_prime=gamma.derivative(),
-        report=ValidationReport(0, 0, 0, 0, 0),
-        enclosures={name: bounds(e, name) for name, e in (("b", b), ("sigma", sigma), ("gamma", gamma))},
-    )
-    report = validate(cs, allow_degenerate=allow_degenerate)
+    enclosures = {name: bounds(e, name) for name, e in zip(("b", "sigma", "gamma"), coefs)}
+    report = _report(enclosures, allow_degenerate)
 
     lo = np.arange(K) / K
     width = np.full(K, 1.0 / K)
     tables = {}
     for which in TRANSFORMS:
-        table = np.concatenate(([0.0], np.cumsum(_gauss_legendre(cs, which, lo, width))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = np.concatenate(([0.0], np.cumsum(_gauss_legendre(coefs, which, lo, width))))
+        bad = ~np.isfinite(table)
+        if bad.any():
+            raise ValidationError(f"transform {which} of b = {b!r}, sigma = {sigma!r}, gamma = {gamma!r} "
+                                  f"is not finite at r = {np.argmax(bad) / K:.8g}")
         table.setflags(write=False)
         tables[which] = table
 
-    object.__setattr__(cs, "tables", tables)
-    object.__setattr__(cs, "report", report)
-    return cs
-
-
-def build_from_sources(
-    b: str, sigma: str, gamma: str, K: int, allow_degenerate: bool = False
-) -> CoefficientSet:
-    """Convenience wrapper: parse three expression strings and build."""
-    return build_coefficient_set(
-        parse_coefficient(b),
-        parse_coefficient(sigma),
-        parse_coefficient(gamma),
-        K,
-        allow_degenerate=allow_degenerate,
-    )
+    b, sigma, gamma = coefs
+    return CoefficientSet(b=b, sigma=sigma, gamma=gamma, table_resolution=K, tables=tables,
+                          b_prime=b.derivative(), gamma_prime=gamma.derivative(), report=report,
+                          enclosures=enclosures)

@@ -162,6 +162,9 @@ def _finite(key: str, v) -> float:
     return x
 
 
+# law name -> (constructor, number of parameters); `mixture` nests laws
+_LAWS = {"point_mass": (point_mass, 1), "uniform": (uniform, 2), "gaussian": (gaussian, 2)}
+
 _INIT_TOKEN = re.compile(r"\s*([A-Za-z_]+|\(|\)|,|[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?)")
 
 
@@ -197,22 +200,14 @@ def parse_init(spec: str) -> InitialDistribution:
             raise ConfigError(f"init spec {spec!r} ended unexpectedly")
         name = tokens.pop(0)
         expect("(")
-        if name == "point_mass":
-            x0 = number()
+        if name in _LAWS:
+            law, arity = _LAWS[name]
+            args = [number()]
+            for _ in range(arity - 1):
+                expect(",")
+                args.append(number())
             expect(")")
-            return point_mass(x0)
-        if name == "uniform":
-            a = number()
-            expect(",")
-            b = number()
-            expect(")")
-            return uniform(a, b)
-        if name == "gaussian":
-            mu = number()
-            expect(",")
-            s = number()
-            expect(")")
-            return gaussian(mu, s)
+            return law(*args)
         if name == "mixture":
             comps, weights = [], []
             while True:

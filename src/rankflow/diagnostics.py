@@ -27,7 +27,6 @@ from .solver import SpdeSolution
 
 __all__ = [
     "BumpTestFunction",
-    "KineticMeasureEstimate",
     "RhoValues",
     "chi",
     "eval_rho",

@@ -17,13 +17,6 @@ import numpy as np
 
 ALLOWED_FUNCTIONS = ("exp", "sqrt", "sin", "cos")
 
-# precedence: + - < * / < unary minus < ^ < atoms
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
-
 
 class ExpressionSyntaxError(ValueError):
     """Malformed expression text; `offset` is the byte offset of the fault."""
@@ -43,22 +36,18 @@ class UnknownIdentifierError(ExpressionSyntaxError):
 
 @dataclass(frozen=True)
 class Node:
-    def precedence(self) -> int:
-        raise NotImplementedError
+    """A node of the expression tree; `_PRECEDENCE` holds each kind's
+    binding strength."""
 
 
 @dataclass(frozen=True)
 class Const(Node):
     value: float  # nonnegative; negative constants are Neg(Const(...))
 
-    def precedence(self) -> int:
-        return _PREC_ATOM
-
 
 @dataclass(frozen=True)
 class Var(Node):
-    def precedence(self) -> int:
-        return _PREC_ATOM
+    pass
 
 
 @dataclass(frozen=True)
@@ -66,17 +55,11 @@ class Add(Node):
     left: Node
     right: Node
 
-    def precedence(self) -> int:
-        return _PREC_ADD
-
 
 @dataclass(frozen=True)
 class Sub(Node):
     left: Node
     right: Node
-
-    def precedence(self) -> int:
-        return _PREC_ADD
 
 
 @dataclass(frozen=True)
@@ -84,25 +67,16 @@ class Mul(Node):
     left: Node
     right: Node
 
-    def precedence(self) -> int:
-        return _PREC_MUL
-
 
 @dataclass(frozen=True)
 class Div(Node):
     left: Node
     right: Node
 
-    def precedence(self) -> int:
-        return _PREC_MUL
-
 
 @dataclass(frozen=True)
 class Neg(Node):
     child: Node
-
-    def precedence(self) -> int:
-        return _PREC_NEG
 
 
 @dataclass(frozen=True)
@@ -110,17 +84,16 @@ class Pow(Node):
     base: Node
     exponent: int
 
-    def precedence(self) -> int:
-        return _PREC_POW
-
 
 @dataclass(frozen=True)
 class Call(Node):
     name: str
     arg: Node
 
-    def precedence(self) -> int:
-        return _PREC_ATOM
+
+# binding strength, loosest first: + - < * / < unary minus < ^ < atoms
+_PRECEDENCE = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Const: 5, Var: 5, Call: 5}
+_INFIX = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
 
 
 _TOKEN_RE = re.compile(
@@ -255,29 +228,22 @@ def to_source(node: Node) -> str:
     """Render with the minimum parentheses needed to re-parse identically."""
 
     def render(n: Node, min_prec: int) -> str:
-        if isinstance(n, Const):
+        kind = type(n)
+        prec = _PRECEDENCE[kind]
+        if kind is Const:
             text = repr(n.value)
-        elif isinstance(n, Var):
+        elif kind is Var:
             text = "a"
-        elif isinstance(n, Add):
-            text = f"{render(n.left, _PREC_ADD)} + {render(n.right, _PREC_ADD + 1)}"
-        elif isinstance(n, Sub):
-            text = f"{render(n.left, _PREC_ADD)} - {render(n.right, _PREC_ADD + 1)}"
-        elif isinstance(n, Mul):
-            text = f"{render(n.left, _PREC_MUL)}*{render(n.right, _PREC_MUL + 1)}"
-        elif isinstance(n, Div):
-            text = f"{render(n.left, _PREC_MUL)}/{render(n.right, _PREC_MUL + 1)}"
-        elif isinstance(n, Neg):
-            text = f"-{render(n.child, _PREC_NEG)}"
-        elif isinstance(n, Pow):
-            text = f"{render(n.base, _PREC_ATOM)}^{n.exponent}"
-        elif isinstance(n, Call):
+        elif kind in _INFIX:
+            # left-associative: a right operand of equal precedence is bracketed
+            text = f"{render(n.left, prec)}{_INFIX[kind]}{render(n.right, prec + 1)}"
+        elif kind is Neg:
+            text = f"-{render(n.child, prec)}"
+        elif kind is Pow:
+            text = f"{render(n.base, prec + 1)}^{n.exponent}"
+        else:  # Call
             text = f"{n.name}({render(n.arg, 0)})"
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {n!r}")
-        if n.precedence() < min_prec:
-            return f"({text})"
-        return text
+        return f"({text})" if prec < min_prec else text
 
     return render(node, 0)
 
@@ -293,12 +259,13 @@ def _power(base, k: int):
 
 
 def evaluate(node: Node, a):
-    """Evaluate at `a` (scalar or ndarray). May produce nan/inf for
+    """Evaluate at `a` (scalar or ndarray) in numpy float64 arithmetic, so a
+    scalar gives the bits of a 1-element array.  May produce nan/inf for
     expressions that are undefined at `a`; validation rejects those."""
     if isinstance(node, Const):
-        return np.full(np.shape(a), node.value, dtype=np.float64) if np.ndim(a) else node.value
+        return np.full(np.shape(a), node.value, dtype=np.float64)
     if isinstance(node, Var):
-        return np.asarray(a, dtype=np.float64) if np.ndim(a) else float(a)
+        return np.asarray(a, dtype=np.float64)
     if isinstance(node, Add):
         return evaluate(node.left, a) + evaluate(node.right, a)
     if isinstance(node, Sub):

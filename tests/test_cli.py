@@ -387,14 +387,17 @@ class TestDiagnoseAndStability:
         ("martingale", {"f_radius": "1e999"}, "key 'f_radius' must be finite, got inf"),
         ("simulate", {"T": "-0.5"}, "the time horizon -0.5 must be positive"),
         ("martingale", {"t": "-0.5"}, "the time horizon -0.5 must be positive"),
+        # b is bounded, but its transform B overflows: no CSV of NaN estimates
+        ("martingale", {"b": '"1e308"'}, "transform B of b = '1e308'"),
     ], ids=["converge_replicas", "converge_n_zero", "converge_n_repeated", "converge_off_grid",
             "converge_unordered", "simulate_n_zero", "simulate_off_grid", "martingale_n_zero",
             "martingale_replicas", "martingale_s_off_grid", "martingale_radius_inf", "simulate_negative_T",
-            "martingale_negative_t"])
+            "martingale_negative_t", "martingale_transform_overflow"])
     def test_particle_bad_inputs_exit_2_before_work(self, tmp_path, capsys, monkeypatch,
                                                     command, values, message):
-        """Particle counts, replica counts and snapshot times are checked
-        before any solve or particle run: exit 2 and no CSV."""
+        """Particle counts, replica counts, snapshot times and the
+        coefficient transforms are checked before any solve or particle
+        run: exit 2 and no CSV."""
         kept = [ln for ln in PARTICLE_CFGS[command].splitlines() if ln.split(" = ")[0] not in values]
         cfg = tmp_path / f"{command}.cfg"
         cfg.write_text("\n".join(kept + [f"{k} = {v}" for k, v in values.items()]) + "\n")

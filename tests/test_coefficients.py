@@ -18,7 +18,6 @@ from rankflow.coefficients import (
     ValidationError,
     bounds,
     build_from_sources,
-    validate,
 )
 from rankflow.expr import parse_coefficient
 
@@ -83,8 +82,7 @@ class TestQuadratureOracle:
 
 class TestValidate:
     def test_valid_unit_coefficients(self):
-        cs = build_from_sources("0", "1", "1", 16)
-        rep = validate(cs)
+        rep = build_from_sources("0", "1", "1", 16).report
         assert rep.inf_sigma == 1.0
         assert rep.inf_gamma == 1.0
         assert not rep.warnings
@@ -114,6 +112,13 @@ class TestValidate:
         cs = build_from_sources("0", sigma, "1", 64)
         lo, hi = cs.enclosures["sigma"]
         assert lo[0] == 1.0 and 1.0 < hi[0] < 1.04
+
+    @pytest.mark.parametrize("b, sigma, which", [("1e308", "1", "B"), ("0", "1e155", "Sigma")])
+    def test_transform_that_overflows_is_rejected(self, b, sigma, which):
+        # the coefficients are bounded, but B sums past the float range and
+        # sigma^2 / 2 overflows: the table, not a RuntimeWarning, reports it
+        with pytest.raises(ValidationError, match=f"transform {which} of b = '{b}', sigma = '{sigma}'"):
+            build_from_sources(b, sigma, "0.5", 16)
 
     def test_report_sups(self):
         cs = build_from_sources("a - 0.5", "1 + a", "2", 16)

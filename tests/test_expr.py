@@ -92,7 +92,7 @@ class TestErrors:
 
 
 def _random_ast(rng, depth):
-    roll = rng.integers(0, 8 if depth > 0 else 2)
+    roll = rng.integers(0, 9 if depth > 0 else 2)
     if roll == 0:
         return Const(float(np.round(rng.uniform(0, 4), 3)))
     if roll == 1:
@@ -107,6 +107,8 @@ def _random_ast(rng, depth):
         return Neg(_random_ast(rng, depth - 1))
     if roll == 6:
         return Pow(_random_ast(rng, depth - 1), int(rng.integers(0, 4)))
+    if roll == 7:
+        return Div(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
     return Call(["exp", "sqrt", "sin", "cos"][rng.integers(0, 4)], _random_ast(rng, depth - 1))
 
 
@@ -255,6 +257,20 @@ def test_vectorized_evaluation():
             for f in (e, e.derivative()):
                 out = f(a)
                 assert isinstance(out, np.ndarray) and out.shape == a.shape, (src, f.source)
+
+
+def test_scalar_and_one_element_array_agree_bit_for_bit():
+    """A scalar runs the same numpy arithmetic as a 1-element array: the
+    same bits on random trees, and inf, not ZeroDivisionError, at a pole."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        ast = _random_ast(rng, depth=4)
+        for a in (0.0, 0.5, float(rng.uniform(0, 1))):
+            with np.errstate(all="ignore"):
+                scalar, array = evaluate(ast, a), evaluate(ast, np.array([a]))
+            assert np.shape(scalar) == () and array.shape == (1,), to_source(ast)
+            assert np.float64(scalar).tobytes() == array[0].tobytes(), (to_source(ast), a)
+    assert parse_coefficient("1/(a - 0.5)")(0.5) == np.inf
 
 
 # --- property tests: Hypothesis draws trees over the whole grammar ---
