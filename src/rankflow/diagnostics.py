@@ -21,6 +21,7 @@ from numpy.polynomial.legendre import leggauss
 from .bumps import Bump1D
 from .bumps import bump, bump_d1, bump_d2  # noqa: F401  (the benchmark traces rankflow.diagnostics.bump*)
 from .coefficients import PIECES, CoefficientSet
+from .experiments import _fork_rows
 from .measures import GridFunction
 from .randomness import grid_indices
 from .solver import SpdeSolution
@@ -426,26 +427,36 @@ def entropy_identity_residual(sol: SpdeSolution, cs: CoefficientSet,
     with n from dissipation_measure and the entropy defect measure m set
     to zero; each residual therefore estimates the pairing against m.
 
-    The snapshots are walked once, one at a time (`_entropy_terms`); n is
-    built once per call and paired with each rho in one block evaluation.
+    The snapshot terms (`_entropy_terms`) are computed once per snapshot,
+    each on its own, in one contiguous block of snapshots per usable CPU
+    (`experiments._fork_rows`), so the residuals do not depend on the
+    number of CPUs; n is built once per call and paired with each rho in
+    one block evaluation.
     """
     sub, w = _restrict(sol, s, t)
     times = sub.times
     last = len(times) - 1
-    diffusion = []  # per snapshot, per test function
-    boundary = []   # at s and at t, per test function
-    buf = np.zeros((_XI_ORDER, sub.snapshots[0].cells))
-    for k, (snap, r, w_r) in enumerate(zip(sub.snapshots, times, w)):
-        diff_k, bnd_k = _entropy_terms(snap, float(r), float(w_r), cs, tfs, k in (0, last), buf)
-        diffusion.append(diff_k)
-        if bnd_k is not None:
-            boundary.append(bnd_k)
+
+    def terms(ks: np.ndarray) -> np.ndarray:
+        """(2, len(tfs), len(ks)): per snapshot k of ks, the diffusion term
+        of each test function, and the boundary term where k is s or t
+        (NaN elsewhere)."""
+        out = np.full((2, len(tfs), ks.size), np.nan)
+        buf = np.zeros((_XI_ORDER, sub.snapshots[0].cells))
+        for i, k in enumerate(ks):
+            out[0, :, i], bnd = _entropy_terms(sub.snapshots[k], float(times[k]), float(w[k]),
+                                               cs, tfs, k in (0, last), buf)
+            if bnd is not None:
+                out[1, :, i] = bnd
+        return out
+
+    diffusion, boundary = _fork_rows(terms, np.arange(times.size))
 
     est = dissipation_measure(sub, cs)
     out = []
-    for tf, diff_vals, bnd_s, bnd_t in zip(tfs, zip(*diffusion), *boundary):
+    for tf, diff_vals, bnd in zip(tfs, diffusion, boundary):
         n_pair = est.pair(lambda xi, r, x, tf=tf: eval_rho(tf, cs, xi, r, x, w[:, None]).dxi)
-        out.append(-(bnd_t - bnd_s) + 0.5 * float(np.trapezoid(diff_vals, times)) - n_pair)
+        out.append(-(float(bnd[-1]) - float(bnd[0])) + 0.5 * float(np.trapezoid(diff_vals, times)) - n_pair)
     return out
 
 

@@ -5,8 +5,10 @@ All studies are reproducible from (config, seed): replica r draws its
 noise from streams keyed by a seed derived from (seed, r), and results are
 aggregated in replica order.  The convergence study and the martingale
 statistic split their replicas into one block per usable CPU
-(`_fork_rows`); a replica's row is computed on its own, bit for bit, so
-their output does not depend on the number of CPUs.
+(`_fork_rows`, which runs any independent rows: replica seeds here,
+snapshot indices in `diagnostics.entropy_identity_residual`); a replica's
+row is computed on its own, bit for bit, so their output does not depend
+on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -75,14 +77,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _send_block(fn, seeds, fd: int):
-    """In a forked child: write fn(seeds), or the exception it raised,
+def _send_block(fn, rows, fd: int):
+    """In a forked child: write fn(rows), or the exception it raised,
     pickled, to the pipe end fd, and leave without running any of the
     parent's cleanup.  A reply that does not pickle leaves the pipe empty,
     which the parent reports."""
     try:
         try:
-            reply = (True, fn(seeds))
+            reply = (True, fn(rows))
         except BaseException as e:  # noqa: BLE001 - the parent re-raises it
             reply = (False, e)
         data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
@@ -92,23 +94,23 @@ def _send_block(fn, seeds, fd: int):
         os._exit(0)
 
 
-def _fork_rows(fn, seeds: np.ndarray) -> np.ndarray:
-    """fn(seeds), for a block function fn that maps replica seeds to an
-    array with one column per seed (the replica axis last) and computes
-    each column on its own, bit for bit.
+def _fork_rows(fn, rows: np.ndarray) -> np.ndarray:
+    """fn(rows), for a block function fn that maps a 1-d array of row keys
+    (replica seeds, snapshot indices) to an array with one column per row
+    (the row axis last) and computes each column on its own, bit for bit.
 
-    The seeds are split into k = min(len(seeds), usable CPUs) contiguous
+    The rows are split into k = min(len(rows), usable CPUs) contiguous
     blocks.  This process computes the first block, and each other block
     runs in a forked child, which sends back its result or the exception it
-    raised through a pipe; the columns are joined in replica order, so the
-    result is the same for every k.  The first exception in replica order
-    is raised here.  Every child is waited for, and killed first if this
+    raised through a pipe; the columns are joined in row order, so the
+    result is the same for every k.  The first exception in row order is
+    raised here.  Every child is waited for, and killed first if this
     process fails or is interrupted.  fn runs once, here, when k is 1 or
     the platform has no fork."""
-    k = min(len(seeds), _usable_cpus())
+    k = min(len(rows), _usable_cpus())
     if k < 2 or not hasattr(os, "fork"):
-        return fn(seeds)
-    cuts = [len(seeds) * i // k for i in range(k + 1)]
+        return fn(rows)
+    cuts = [len(rows) * i // k for i in range(k + 1)]
     forked = list(zip(cuts[1:-1], cuts[2:]))  # the blocks after the first
     children, replies, first = [], [], None
     try:
@@ -122,10 +124,10 @@ def _fork_rows(fn, seeds: np.ndarray) -> np.ndarray:
                 raise
             if pid == 0:
                 os.close(r)
-                _send_block(fn, seeds[lo:hi], w)
+                _send_block(fn, rows[lo:hi], w)
             os.close(w)
             children.append((pid, r))
-        first = fn(seeds[:cuts[1]])
+        first = fn(rows[:cuts[1]])
     finally:
         if first is None:
             from signal import SIGKILL  # loaded only on this path
@@ -139,7 +141,7 @@ def _fork_rows(fn, seeds: np.ndarray) -> np.ndarray:
     blocks = [first]
     for (lo, hi), data in zip(forked, replies):
         if not data:
-            raise RuntimeError(f"the child computing replicas {lo}..{hi - 1} ended without a result")
+            raise RuntimeError(f"the child computing rows {lo}..{hi - 1} ended without a result")
         ok, value = pickle.loads(data)
         if not ok:
             raise value

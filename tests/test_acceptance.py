@@ -19,6 +19,7 @@ import scipy
 from scipy.special import ndtr
 
 from conftest import assignment_oracle
+from rankflow import experiments
 from rankflow.cli import run as cli_run
 from rankflow.coefficients import build_from_sources
 from rankflow.diagnostics import (
@@ -483,13 +484,17 @@ def _run_config(out_root, name: str, cfg_text: str, label: str) -> Path:
     return out
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, monkeypatch):
+    """Each config is run twice, on one usable CPU and on two, so the
+    second run also splits the forked row blocks (`experiments._fork_rows`)
+    on any host, a one-CPU one included."""
     t0 = time.time()
     ok = True
     details = []
     for name, cfg_text in _DETERMINISM_CONFIGS.items():
         digests = []
-        for label in ("a", "b"):
+        for label, cpus in (("a", 1), ("b", 2)):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda cpus=cpus: cpus)
             out = _run_config(tmp_path, name, cfg_text, label)
             blob = b"".join(
                 p.read_bytes() for p in sorted(out.glob("*.csv"))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.integrate import quad
 
-from rankflow import bumps
+from rankflow import bumps, experiments
 from rankflow.bumps import BUMP_L1, Bump1D, bump, bump_d1, bump_d2
 from rankflow.coefficients import PIECES, CoefficientSet, ValidationError, build_from_sources
 from rankflow.diagnostics import (
@@ -598,7 +598,9 @@ class TestColumnWindow:
 def test_entropy_bump_d2_points_on_the_window_only(cs_general, monkeypatch):
     """The entropy pass evaluates bump_d2 on at most a quarter of the full
     (snapshots x distinct (y, r_x) x 256 x cells) grid on a diagnose-like
-    run; a pass that drops the column window evaluates all of it."""
+    run; a pass that drops the column window evaluates all of it.  The walk
+    runs on one CPU, so that every call reaches the list here."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
     cfg = SolverConfig(-16.0, 16.0, 128)
     u0 = grid_cdf(gaussian(0.0, 1.0), cfg.x_min, cfg.x_max, cfg.cells)
     sol = solve(u0, cs_general, sample_path(5, STREAM_COMMON, 0.5, 16), cfg)

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import particle_increments
-from rankflow import experiments
+from rankflow import diagnostics, experiments
 from rankflow.bumps import Bump1D
 from rankflow.cli import run
 from rankflow.coefficients import ValidationError, build_from_sources
+from rankflow.diagnostics import BumpTestFunction, entropy_identity_residual
 from rankflow.experiments import (
     PhiConst,
     PhiLinear,
@@ -346,8 +347,9 @@ def _studies(R):
 
 
 class TestForkedRowBlocks:
-    """The replicas of `convergence_study` and `martingale_statistic` run in
-    one block per usable CPU, all but the first in forked children."""
+    """The replicas of `convergence_study` and `martingale_statistic`, and
+    the snapshots of `entropy_identity_residual`, run in one block per
+    usable CPU, all but the first in forked children."""
 
     @pytest.mark.parametrize("R", [1, 2, 3, 5, 16])
     def test_split_reports_equal_the_serial_ones(self, monkeypatch, R):
@@ -400,7 +402,7 @@ class TestForkedRowBlocks:
                 os._exit(3)
             return seeds[None, :] * 1.0
 
-        with pytest.raises(RuntimeError, match="replicas 2..3 ended without a result"):
+        with pytest.raises(RuntimeError, match="rows 2..3 ended without a result"):
             experiments._fork_rows(fn, np.arange(4, dtype=np.uint64))
         _no_child_left()
 
@@ -421,6 +423,8 @@ class TestForkedRowBlocks:
     @pytest.mark.parametrize("command, keys", [
         ("martingale", "s = 0.25\nt = 0.5\nn = 16\n"),
         ("converge", "T = 0.25\nn_list = [8, 16]\nx_min = -11.0\nx_max = 11.0\ncells = 32\n"),
+        ("diagnose", "T = 0.5\ns = 0.125\nt = 0.5\nx_min = -16.0\nx_max = 16.0\ncells = 32\n"
+                     "r_xi = 0.3\nr_x = 1.5\neta_list = [0.3, 0.7]\ny_list = [-0.5, 0.5]\n"),
     ])
     def test_cli_runs_leave_no_child(self, monkeypatch, tmp_path, command, keys):
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
@@ -428,6 +432,46 @@ class TestForkedRowBlocks:
         cfg.write_text('b = "a - 0.5"\nsigma = "1"\ngamma = "0.5*(1 + a)"\ntable_resolution = 32\n'
                        'seed = 3\nsteps = 8\nreplicas = 5\ninit = "gaussian(0, 1)"\n' + keys)
         assert run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        _no_child_left()
+
+    @pytest.fixture(scope="class")
+    def entropy_case(self):
+        cs = build_from_sources("a - 0.5", "1", "0.5*(1 + a)", 64)
+        sc = SolverConfig(-16.0, 16.0, 64)
+        sol = solve(grid_cdf(gaussian(0, 1), sc.x_min, sc.x_max, sc.cells), cs,
+                    sample_path(7, STREAM_COMMON, 0.5, 16), sc)
+        tfs = [BumpTestFunction(eta=eta, y=y, r_xi=0.3, r_x=1.5) for eta in (0.3, 0.7) for y in (-0.5, 0.5)]
+        return sol, cs, tfs
+
+    # 9, 8 and 2 snapshots: odd, even, and fewer than the CPUs
+    @pytest.mark.parametrize("s, t", [(0.25, 0.5), (0.0625, 0.28125), (0.25, 0.28125)])
+    def test_entropy_residuals_equal_the_serial_ones(self, monkeypatch, entropy_case, s, t):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        serial = np.array(entropy_identity_residual(*entropy_case, s, t))
+        assert serial.size == 4 and np.isfinite(serial).all()
+        for cpus in (2, 3):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            split = entropy_identity_residual(*entropy_case, s, t)
+            assert np.array(split).tobytes() == serial.tobytes()
+        _no_child_left()
+
+    def test_an_error_in_a_child_snapshot_block_reaches_the_caller(self, monkeypatch, entropy_case):
+        # the snapshots after t = 0.42 are the last of 3 blocks of 9
+        terms = diagnostics._entropy_terms
+
+        def failing(snap, r, *args):
+            if r > 0.42:
+                raise ArithmeticError(f"entropy terms at t = {r}")
+            return terms(snap, r, *args)
+
+        monkeypatch.setattr(diagnostics, "_entropy_terms", failing)
+        raised = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            with pytest.raises(ArithmeticError) as info:
+                entropy_identity_residual(*entropy_case, 0.25, 0.5)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1] == (ArithmeticError, "entropy terms at t = 0.4375")
         _no_child_left()
 
 
