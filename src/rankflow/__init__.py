@@ -14,7 +14,6 @@ from .coefficients import (
 from .diagnostics import (
     BumpTestFunction,
     chain_rule_residual,
-    chi,
     coarea_check,
     dissipation_measure,
     entropy_identity_residual,

@@ -79,9 +79,11 @@ class Bump1D:
     radius: float
 
     def __post_init__(self):
-        # a negated comparison, so that NaN is rejected too
+        # negated comparisons, so that NaN is rejected too
         if not 0.0 < self.radius < np.inf:
             raise ValueError(f"radius {self.radius} must be positive and finite")
+        if not abs(self.center) < np.inf:
+            raise ValueError(f"center {self.center} must be finite")
 
     def _arg(self, x):
         return (np.asarray(x, dtype=np.float64) - self.center) / self.radius

@@ -190,7 +190,7 @@ def _particle_inputs(ns, replicas: int, T: float, steps: int, snapshot_times, **
     otherwise run empty, repeat rows or fail only after a solve: the
     particle-count check of `convergence_study`, the snapshot-time check of
     `simulate`, each named time of `times` off the step grid
-    (`grid_indices`) and fewer than one replica."""
+    (`grid_indices`) or on its last node T, and fewer than one replica."""
     if not T > 0:
         raise ConfigError(f"the time horizon {T} must be positive")
     grid = np.linspace(0.0, T, steps + 1)
@@ -198,7 +198,8 @@ def _particle_inputs(ns, replicas: int, T: float, steps: int, snapshot_times, **
         _particle_counts(ns)
         snapshot_indices(snapshot_times, grid)
         for name, v in times.items():
-            grid_indices(grid, v, name)
+            if grid_indices(grid, v, name) == steps:
+                raise ValueError(f"{name} = {v!r} is the grid node of the horizon {T}; it must lie before it")
     except ValueError as e:
         raise ConfigError(str(e)) from None
     if replicas < 1:

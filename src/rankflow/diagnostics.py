@@ -29,7 +29,6 @@ from .solver import SpdeSolution
 __all__ = [
     "BumpTestFunction",
     "RhoValues",
-    "chi",
     "eval_rho",
     "chain_rule_residual",
     "chain_rule_forms",
@@ -40,6 +39,7 @@ __all__ = [
 ]
 
 _XI_ORDER = 256
+_XI_BINS = 256  # equal bins of [0, 1] into which the dissipation measure deposits
 
 MIN_XI_SCALE = 0.05
 
@@ -61,15 +61,6 @@ def _xi_rule() -> tuple[np.ndarray, np.ndarray]:
     nodes01.setflags(write=False)
     weights01.setflags(write=False)
     return nodes01, weights01
-
-
-def chi(xi, u):
-    """Kinetic function: 1 on 0 < xi < u, -1 on u < xi < 0, else 0."""
-    xi = np.asarray(xi, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    pos = (xi > 0.0) & (xi < u)
-    neg = (xi < 0.0) & (xi > u)
-    return np.where(pos, 1.0, np.where(neg, -1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -95,6 +86,9 @@ class BumpTestFunction:
             )
         if not 0.0 < self.r_x < np.inf:
             raise ValueError(f"r_x = {self.r_x} must be positive and finite")
+        for name, centre in (("eta", self.eta), ("y", self.y)):
+            if not abs(centre) < np.inf:
+                raise ValueError(f"{name} = {centre} must be finite")
         object.__setattr__(self, "fx", Bump1D(0.0, self.r_x))
         object.__setattr__(self, "fxi", Bump1D(0.0, self.r_xi))
 
@@ -150,16 +144,6 @@ def eval_rho(tf: BumpTestFunction, cs: CoefficientSet, xi, t, x, z_t) -> RhoValu
     )
 
 
-def _cell_xi_quadrature(u_vals: np.ndarray):
-    """Nodes/weights of per-cell Gauss-Legendre on [0, u_j]: shape
-    (order, cells).  Integrands are smooth there, unlike on [0,1] where
-    the kinetic cutoff at xi = u_j would cost accuracy."""
-    nodes01, weights01 = _xi_rule()
-    nodes = nodes01[:, None] * u_vals[None, :]
-    weights = weights01[:, None] * u_vals[None, :]
-    return nodes, weights
-
-
 def _reach(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, tfs: Sequence[BumpTestFunction]) -> slice:
     """The columns [j0, j1) of the (order, cells) grid outside which every
     x-bump of the family, fx((x_j - y) - shift_ij), is exactly zero: the
@@ -208,10 +192,12 @@ def _shift_range(cs: CoefficientSet, uv: np.ndarray, t: float, w_t: float):
 
 def _windowed_quadrature(u: GridFunction, cs: CoefficientSet, tfs: Sequence[BumpTestFunction],
                          t: float, w_t: float):
-    """The per-cell xi quadrature of u and the shift b(xi) t + gamma(xi) w_t
+    """The per-cell xi quadrature of u, Gauss-Legendre on [0, u_j] (the
+    integrands are smooth there, unlike on [0, 1], where the kinetic cutoff
+    at xi = u_j would cost accuracy), and the shift b(xi) t + gamma(xi) w_t
     on it, kept on the columns `cols` (`_reach`) that an x-bump of the
     family can reach: returns cols and, on them, the cell centres as a row,
-    the nodes, the weights and the shift.  The window is read off the
+    the (order, cols) nodes, weights and shift.  The window is read off the
     certified shift interval of each column (`_shift_range`), in O(cells)
     work, so it holds every column the full grid's shift reaches and may
     hold a few more; the shift kept is evaluated on the window alone.  Each
@@ -220,7 +206,9 @@ def _windowed_quadrature(u: GridFunction, cs: CoefficientSet, tfs: Sequence[Bump
     uv = np.clip(u.values, 0.0, 1.0)
     x = u.centers()
     cols = _reach(x, *_shift_range(cs, uv, t, w_t), tfs)
-    nodes, weights = _cell_xi_quadrature(uv[cols])
+    nodes01, weights01 = _xi_rule()
+    nodes = nodes01[:, None] * uv[None, cols]
+    weights = weights01[:, None] * uv[None, cols]
     return cols, x[None, cols], nodes, weights, _shift(cs, nodes, t, w_t)
 
 
@@ -254,10 +242,6 @@ def _row_groups(rows: int, cells: int) -> list[slice]:
     _GROUP_POINTS points or one row at most per slice."""
     step = max(1, _GROUP_POINTS // cells)
     return [slice(i, i + step) for i in range(0, rows, step)]
-
-
-def _grid_ux(u: GridFunction) -> np.ndarray:
-    return np.gradient(u.values, u.dx)
 
 
 def chain_rule_forms(u: GridFunction, cs: CoefficientSet, tfs: Sequence[BumpTestFunction],
@@ -313,7 +297,7 @@ def coarea_check(u: GridFunction, cs: CoefficientSet, g) -> float:
     """|int g(x, u) gamma(u) u_x dx - int_0^1 g(u^{-1}(xi), xi) gamma(xi) dxi|."""
     centers = u.centers()
     uv = np.clip(u.values, 0.0, 1.0)
-    ux = _grid_ux(u)
+    ux = np.gradient(u.values, u.dx)
     lhs = float(np.sum(np.asarray(g(centers, uv)) * np.asarray(cs.gamma(uv)) * ux) * u.dx)
     nodes01, weights01 = _xi_rule()
     q = u.quantiles(nodes01)
@@ -321,45 +305,14 @@ def coarea_check(u: GridFunction, cs: CoefficientSet, g) -> float:
     return abs(lhs - rhs)
 
 
-@dataclass(frozen=True)
-class KineticMeasureEstimate:
-    """Discrete parabolic dissipation measure: at snapshot k and cell j a
-    mass (1/2)(S(u)_x)^2 dx dt sits in the xi bin containing u(t_k, x_j)."""
-
-    xi_edges: np.ndarray
-    times: np.ndarray
-    x_centers: np.ndarray
-    bin_idx: np.ndarray  # (snapshots, cells)
-    masses: np.ndarray   # (snapshots, cells), nonnegative
-    dx: float
-    dt: float
-
-    def total_mass(self) -> float:
-        return float(np.sum(self.masses))
-
-    def xi_centers(self) -> np.ndarray:
-        return 0.5 * (self.xi_edges[:-1] + self.xi_edges[1:])
-
-    def pair(self, fn) -> float:
-        """sum of fn(xi_bin_center, t_k, x_j) * mass over all deposits.
-
-        fn is called once on the whole block: xi of shape (snapshots, cells),
-        t the column of snapshot times and x the cell centres.  The products
-        are summed per snapshot and the row sums added in snapshot order."""
-        vals = fn(self.xi_centers()[self.bin_idx], self.times[:, None], self.x_centers)
-        vals = np.broadcast_to(np.asarray(vals), self.masses.shape)
-        total = 0.0
-        for row, mass in zip(vals, self.masses):
-            total += float(np.sum(row * mass))
-        return total
-
-
-def dissipation_measure(sol: SpdeSolution, cs: CoefficientSet, xi_bins: int = 256) -> KineticMeasureEstimate:
-    """Deposit (1/2)(S(u)_x)^2 dx dt per (cell, snapshot) into the one of
-    `xi_bins` equal bins of [0, 1] that holds u(t, x); the snapshot times
-    must be the nodes of a uniform grid (`grid_indices`).  S is evaluated
-    on groups of stacked snapshots (`_row_groups`), bit for bit the values
-    of one call per snapshot."""
+def dissipation_measure(sol: SpdeSolution, cs: CoefficientSet) -> tuple[np.ndarray, np.ndarray]:
+    """The discrete parabolic dissipation measure of `sol` as two
+    (snapshots, cells) arrays (xi, masses): at snapshot k and cell j the
+    mass (1/2)(S(u)_x)^2 dx dt sits at xi, the centre of the one of _XI_BINS
+    equal bins of [0, 1] that holds u(t_k, x_j).  The snapshot times must
+    be the nodes of a uniform grid (`grid_indices`).  S is evaluated on
+    groups of stacked snapshots (`_row_groups`), bit for bit the values of
+    one call per snapshot."""
     times = np.asarray(sol.times)
     if times.size < 2:
         raise ValueError("need at least two snapshots")
@@ -368,20 +321,17 @@ def dissipation_measure(sol: SpdeSolution, cs: CoefficientSet, xi_bins: int = 25
     except ValueError:
         raise ValueError("snapshots must be on a uniform time grid") from None
     dt = float(times[1] - times[0])
-    edges = np.linspace(0.0, 1.0, xi_bins + 1)
-    first = sol.snapshots[0]
-    dx = first.dx
-    bin_idx = np.empty((times.size, first.cells), dtype=np.int32)
-    masses = np.empty(bin_idx.shape)
-    for rows in _row_groups(*bin_idx.shape):
+    edges = np.linspace(0.0, 1.0, _XI_BINS + 1)
+    centres = 0.5 * (edges[:-1] + edges[1:])
+    dx = sol.snapshots[0].dx
+    xi = np.empty((times.size, sol.snapshots[0].cells))
+    masses = np.empty(xi.shape)
+    for rows in _row_groups(*xi.shape):
         values = np.stack([snap.values for snap in sol.snapshots[rows]])
         sx = _grid_sx(values, dx, cs)
         masses[rows] = 0.5 * sx * sx * dx * dt
-        bin_idx[rows] = np.clip(np.digitize(values, edges) - 1, 0, xi_bins - 1)
-    return KineticMeasureEstimate(
-        xi_edges=edges, times=times, x_centers=first.centers(),
-        bin_idx=bin_idx, masses=masses, dx=dx, dt=dt,
-    )
+        xi[rows] = centres[np.clip(np.digitize(values, edges) - 1, 0, _XI_BINS - 1)]
+    return xi, masses
 
 
 def _restrict(sol: SpdeSolution, s: float, t: float):
@@ -430,8 +380,10 @@ def entropy_identity_residual(sol: SpdeSolution, cs: CoefficientSet,
     The snapshot terms (`_entropy_terms`) are computed once per snapshot,
     each on its own, in one contiguous block of snapshots per usable CPU
     (`experiments._fork_rows`), so the residuals do not depend on the
-    number of CPUs; n is built once per call and paired with each rho in
-    one block evaluation.
+    number of CPUs.  n is built once per call, here; for each rho, d_xi rho
+    is evaluated in one call on all of n's (snapshots, cells) points, and
+    the products with the masses are summed per snapshot and the row sums
+    added in snapshot order.
     """
     sub, w = _restrict(sol, s, t)
     times = sub.times
@@ -452,10 +404,13 @@ def entropy_identity_residual(sol: SpdeSolution, cs: CoefficientSet,
 
     diffusion, boundary = _fork_rows(terms, np.arange(times.size))
 
-    est = dissipation_measure(sub, cs)
+    xi, masses = dissipation_measure(sub, cs)
+    x = sub.snapshots[0].centers()
     out = []
     for tf, diff_vals, bnd in zip(tfs, diffusion, boundary):
-        n_pair = est.pair(lambda xi, r, x, tf=tf: eval_rho(tf, cs, xi, r, x, w[:, None]).dxi)
+        n_pair = 0.0
+        for row, mass in zip(eval_rho(tf, cs, xi, times[:, None], x, w[:, None]).dxi, masses):
+            n_pair += float(np.sum(row * mass))
         out.append(-(float(bnd[-1]) - float(bnd[0])) + 0.5 * float(np.trapezoid(diff_vals, times)) - n_pair)
     return out
 

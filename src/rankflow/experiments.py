@@ -185,6 +185,8 @@ def convergence_study(
     own, so the report is the same bytes at any CPU count.
     """
     n_list = _particle_counts(n_list)
+    if replicas < 1:
+        raise ValueError(f"replicas = {replicas} must be at least 1")
     steps_grid = np.linspace(0.0, T, steps + 1)
     snap_idx = snapshot_indices(snapshot_times, steps_grid)
     snapshot_times = steps_grid[snap_idx]
@@ -453,6 +455,8 @@ def martingale_statistic(
         raise ValueError(f"t must be positive, got {t!r}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
+    if replicas < 1:
+        raise ValueError(f"replicas = {replicas} must be at least 1")
     for f_list, phi, _ in suite:
         if len(f_list) != phi.k:
             raise ValueError(f"phi expects {phi.k} test functions, got {len(f_list)}")
@@ -460,6 +464,8 @@ def martingale_statistic(
     grid = np.linspace(0.0, T, steps + 1)
     # s is its node of the simulation grid from here on
     s_idx = int(grid_indices(grid, s, "s"))
+    if s_idx == steps:
+        raise ValueError(f"s = {s!r} is t's grid node; the increment M_t - M_s needs s before t")
     s = float(grid[s_idx])
     # the acceptance allowance, before any replica runs: it may reject cs
     allowances = [bias_allowance(cs, f_list, phi, s, t) for f_list, phi, _ in suite]

@@ -167,6 +167,13 @@ def test_radius_must_be_positive_and_finite(radius):
         Bump1D(0.0, radius)
 
 
+@pytest.mark.parametrize("center", [np.nan, np.inf, -np.inf])
+def test_center_must_be_finite(center):
+    # Bump1D(nan, 1) was once accepted, and a weak form against it read 0.0
+    with pytest.raises(ValueError, match="center .* must be finite"):
+        Bump1D(center, 1.0)
+
+
 def test_tail_integral_rejects_unresolvable_table():
     with pytest.raises(ValueError, match="too far from 0"):
         Bump1D(1e12, 1e-3).tail_integral(0.0)

@@ -384,6 +384,8 @@ class TestDiagnoseAndStability:
         ("martingale", {"n": "0"}, "particle counts [0]"),
         ("martingale", {"replicas": "0"}, "replicas = 0"),
         ("martingale", {"s": "0.3"}, "s = 0.3 is not a grid time"),
+        ("martingale", {"s": "0.5"}, "s = 0.5 is the grid node of the horizon 0.5"),
+        ("martingale", {"s": "0.4999999995"}, "s = 0.4999999995 is the grid node of the horizon 0.5"),
         ("martingale", {"f_radius": "1e999"}, "key 'f_radius' must be finite, got inf"),
         ("simulate", {"T": "-0.5"}, "the time horizon -0.5 must be positive"),
         ("martingale", {"t": "-0.5"}, "the time horizon -0.5 must be positive"),
@@ -391,7 +393,8 @@ class TestDiagnoseAndStability:
         ("martingale", {"b": '"1e308"'}, "transform B of b = '1e308'"),
     ], ids=["converge_replicas", "converge_n_zero", "converge_n_repeated", "converge_off_grid",
             "converge_unordered", "simulate_n_zero", "simulate_off_grid", "martingale_n_zero",
-            "martingale_replicas", "martingale_s_off_grid", "martingale_radius_inf", "simulate_negative_T",
+            "martingale_replicas", "martingale_s_off_grid", "martingale_s_at_t", "martingale_s_near_t",
+            "martingale_radius_inf", "simulate_negative_T",
             "martingale_negative_t", "martingale_transform_overflow"])
     def test_particle_bad_inputs_exit_2_before_work(self, tmp_path, capsys, monkeypatch,
                                                     command, values, message):

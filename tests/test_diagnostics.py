@@ -1,5 +1,5 @@
-"""Kinetic function, transported test functions, chain rule, co-area,
-dissipation measure, entropy identity, and weak form."""
+"""Transported test functions, chain rule, co-area, dissipation measure,
+entropy identity, and weak form."""
 
 import dataclasses
 import math
@@ -19,15 +19,14 @@ from rankflow.diagnostics import (
     BumpTestFunction,
     chain_rule_forms,
     chain_rule_residual,
-    chi,
     coarea_check,
     dissipation_measure,
     entropy_identity_residual,
     eval_rho,
     weak_form_residual,
 )
-from rankflow.diagnostics import (_GROUP_POINTS, _XI_ORDER, _cell_xi_quadrature, _entropy_terms, _grid_sx, _reach,
-                                 _restrict, _row_groups, _shift, _shift_range, _windowed_quadrature, _xi_rule)
+from rankflow.diagnostics import (_GROUP_POINTS, _XI_BINS, _XI_ORDER, _entropy_terms, _grid_sx, _reach, _restrict,
+                                 _row_groups, _shift, _shift_range, _windowed_quadrature, _xi_rule)
 from rankflow.measures import GridFunction, grid_cdf, point_mass, gaussian
 from rankflow.randomness import sample_path, STREAM_COMMON
 from rankflow.solver import SolverConfig, SpdeSolution, solve
@@ -80,20 +79,11 @@ def _heat_solution(J, steps, T=1.0, seed=3, snapshot_times=None):
     return solve(u0, cs, W, cfg, snapshot_times=snapshot_times), cs, cfg
 
 
-class TestChi:
-    def test_three_branches(self):
-        assert chi(0.2, 0.5) == 1.0
-        assert chi(-0.2, -0.5) == -1.0
-        assert chi(0.7, 0.5) == 0.0
-        assert chi(0.0, 0.5) == 0.0  # boundary excluded
-        assert chi(-0.7, -0.5) == 0.0
-
-    def test_integral_recovers_state(self):
-        # int chi(xi, u) dxi = u, checked by dense quadrature
-        xs = np.linspace(0, 1, 200_001)
-        for u in (0.0, 0.15, 0.5, 0.97, 1.0):
-            val = np.trapezoid(chi(xs, u), xs)
-            assert val == pytest.approx(u, abs=1e-5)
+def _cell_quadrature(uv):
+    """Nodes and weights of the per-cell Gauss-Legendre rule on [0, u_j],
+    shape (256, cells), on every column."""
+    nodes01, weights01 = _xi_rule()
+    return nodes01[:, None] * uv[None, :], weights01[:, None] * uv[None, :]
 
 
 # the closed forms the factors had before they were Bump1D(0, r): bump(x /
@@ -205,6 +195,13 @@ class TestEvalRho:
         with pytest.raises(ValueError, match="r_x"):
             BumpTestFunction(eta=0.5, y=0.0, r_xi=0.3, r_x=r_x)
 
+    @pytest.mark.parametrize("centre", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["eta", "y"])
+    def test_centre_not_finite_rejected(self, name, centre):
+        # a NaN centre once gave residuals of exactly 0.0, which read as a pass
+        with pytest.raises(ValueError, match=f"^{name} = "):
+            BumpTestFunction(**{"eta": 0.5, "y": 0.0, "r_xi": 0.3, "r_x": 1.0, name: centre})
+
 
 class TestChainRule:
     def test_zero_state(self, tf, cs_general):
@@ -292,18 +289,19 @@ class TestDissipationMeasure:
             GridFunction(-1.0, 1.0, np.full(32, 0.5), validate=False) for _ in range(3)
         )
         sol = SpdeSolution(np.array([0.0, 0.1, 0.2]), snaps, None)
-        est = dissipation_measure(sol, cs_general, 64)
-        assert est.total_mass() == 0.0
+        _, masses = dissipation_measure(sol, cs_general)
+        assert float(np.sum(masses)) == 0.0
 
     def test_masses_nonnegative_and_bookkeeping(self, cs_heat):
         sol, cs, cfg = _heat_solution(128, 64, snapshot_times=(np.arange(32) + 0.5) / 32)
-        est = dissipation_measure(sol, cs, 256)
-        assert np.all(est.masses >= 0.0)
+        _, masses = dissipation_measure(sol, cs)
+        assert np.all(masses >= 0.0)
+        dt = float(sol.times[1] - sol.times[0])
         book = 0.0
         for snap in sol.snapshots:
             sx = _grid_sx(snap.values, snap.dx, cs)
-            book += 0.5 * float(np.sum(sx * sx)) * snap.dx * est.dt
-        assert abs(est.total_mass() - book) <= 1e-10
+            book += 0.5 * float(np.sum(sx * sx)) * snap.dx * dt
+        assert abs(float(np.sum(masses)) - book) <= 1e-10
 
     def test_heat_total_mass_close_to_closed_form(self):
         """Total mass vs the closed-form value int_0^1 ||u_x||^2 dt for the
@@ -311,9 +309,9 @@ class TestDissipationMeasure:
         T = 1.0
         mids = (np.arange(128) + 0.5) * T / 128
         sol, cs, cfg = _heat_solution(256, 64, snapshot_times=mids)
-        est = dissipation_measure(sol, cs, 256)
+        total = float(np.sum(dissipation_measure(sol, cs)[1]))
         closed = np.sqrt(T / (2 * np.pi))
-        assert abs(est.total_mass() - closed) / closed <= 0.05
+        assert abs(total - closed) / closed <= 0.05
 
     def test_total_mass_cauchy_under_refinement(self):
         T = 1.0
@@ -321,23 +319,8 @@ class TestDissipationMeasure:
         totals = {}
         for J in (256, 512):
             sol, cs, cfg = _heat_solution(J, 64, snapshot_times=mids)
-            totals[J] = dissipation_measure(sol, cs, 256).total_mass()
+            totals[J] = float(np.sum(dissipation_measure(sol, cs)[1]))
         assert abs(totals[256] - totals[512]) / totals[512] <= 0.02
-
-    def test_block_pair_equals_per_snapshot_loop(self, tf, cs_general):
-        """pair evaluates its integrand once on the whole deposit block; the
-        result is bit for bit the loop of one call per snapshot."""
-        sol = _small_solution(cs_general)
-        est = dissipation_measure(sol, cs_general, 64)
-        w = sol.path.values
-        got = est.pair(lambda xi, r, x: eval_rho(tf, cs_general, xi, r, x, w[:, None]).dxi)
-        ref = 0.0
-        for k, r in enumerate(est.times):
-            xi = est.xi_centers()[est.bin_idx[k]]
-            vals = eval_rho(tf, cs_general, xi, float(r), est.x_centers, float(w[k])).dxi
-            ref += float(np.sum(vals * est.masses[k]))
-        assert ref != 0.0
-        assert _bits(got) == _bits(ref)
 
     def test_requires_uniform_time_grid(self, cs_general):
         snaps = tuple(
@@ -345,7 +328,7 @@ class TestDissipationMeasure:
         )
         sol = SpdeSolution(np.array([0.0, 0.1, 0.5]), snaps, None)
         with pytest.raises(ValueError):
-            dissipation_measure(sol, cs_general, 16)
+            dissipation_measure(sol, cs_general)
 
 
 class TestEntropyIdentity:
@@ -393,12 +376,49 @@ class TestEntropyIdentity:
         assert len(set(family)) == len(tfs)
         assert entropy_identity_residual(sol, cs_general, [], 0.125, 0.5) == []
 
+    def test_equals_per_snapshot_pairing_reference(self, cs_general):
+        """The residuals are bit for bit those rebuilt from `_entropy_terms`
+        and a pairing with the dissipation measure's arrays by one d_xi rho
+        call per snapshot; the pairings are not zero.  On this solve, adding
+        all products at once instead of row sums in order changes the bits
+        of 6 of the 8 residuals."""
+        cfg = SolverConfig(-16.0, 16.0, 64)
+        u0 = grid_cdf(gaussian(0.0, 1.0), cfg.x_min, cfg.x_max, cfg.cells)
+        sol = solve(u0, cs_general, sample_path(4, STREAM_COMMON, 0.5, 32), cfg)
+        tfs = _family_grid()
+        ref, pairs = _entropy_residuals_per_snapshot(sol, cs_general, tfs, 0.125, 0.5)
+        assert all(n_pair != 0.0 for n_pair in pairs)
+        assert _bits(entropy_identity_residual(sol, cs_general, tfs, 0.125, 0.5)) == _bits(ref)
+
+
+def _entropy_residuals_per_snapshot(sol, cs, tfs, s, t):
+    """The reference: entropy_identity_residual's terms snapshot by
+    snapshot, each test function paired with the dissipation measure by one
+    eval_rho call per snapshot; returns the residuals and the pairings."""
+    sub, w = _restrict(sol, s, t)
+    times, last = sub.times, len(sub.times) - 1
+    buf = np.zeros((_XI_ORDER, sub.snapshots[0].cells))
+    terms = [_entropy_terms(snap, float(times[k]), float(w[k]), cs, tfs, k in (0, last), buf)
+             for k, snap in enumerate(sub.snapshots)]
+    xi, masses = dissipation_measure(sub, cs)
+    x = sub.snapshots[0].centers()
+    out, pairs = [], []
+    for i, tf in enumerate(tfs):
+        n_pair = 0.0
+        for k in range(times.size):
+            n_pair += float(np.sum(eval_rho(tf, cs, xi[k], float(times[k]), x, float(w[k])).dxi * masses[k]))
+        diffusion = [diff[i] for diff, _ in terms]
+        boundary = terms[last][1][i] - terms[0][1][i]
+        out.append(-boundary + 0.5 * float(np.trapezoid(diffusion, times)) - n_pair)
+        pairs.append(n_pair)
+    return out, pairs
+
 
 def _entropy_terms_full_grid(snap, r, w_r, cs, tfs):
     """The reference: _entropy_terms evaluated on every node of the (256,
     cells) quadrature, as it was before the column window."""
     x = snap.centers()[None, :]
-    nodes, weights = _cell_xi_quadrature(np.clip(snap.values, 0.0, 1.0))
+    nodes, weights = _cell_quadrature(np.clip(snap.values, 0.0, 1.0))
     shift = _shift(cs, nodes, r, w_r)
     sig2 = np.asarray(cs.sigma(nodes)) ** 2
     diffusion, boundary = [], []
@@ -412,7 +432,7 @@ def _entropy_terms_full_grid(snap, r, w_r, cs, tfs):
 def _chain_lhs_full_grid(u, cs, tfs, t, w_t):
     """The reference: the lhs of chain_rule_forms on every quadrature node."""
     x = u.centers()
-    nodes, weights = _cell_xi_quadrature(np.clip(u.values, 0.0, 1.0))
+    nodes, weights = _cell_quadrature(np.clip(u.values, 0.0, 1.0))
     shift = _shift(cs, nodes, t, w_t)
     w_sig = weights * np.asarray(cs.sigma(nodes))
     return [float(np.sum(w_sig * (tf.fx.d1((x[None, :] - tf.y) - shift) * tf.fxi(nodes - tf.eta)))
@@ -520,7 +540,7 @@ class TestColumnWindow:
         (np.fmin/np.fmax skip a NaN shift, whose bump value is 0), and the
         shift kept on it is the full grid's there, byte for byte."""
         x = snap.centers()
-        nodes, _ = _cell_xi_quadrature(np.clip(snap.values, 0.0, 1.0))
+        nodes, _ = _cell_quadrature(np.clip(snap.values, 0.0, 1.0))
         shift = _shift(cs, nodes, t, w_t)
         exact = _reach(x, np.fmin.reduce(shift, axis=0), np.fmax.reduce(shift, axis=0), tfs)
         cols, _, _, _, got = _windowed_quadrature(snap, cs, tfs, t, w_t)
@@ -534,7 +554,7 @@ class TestColumnWindow:
         none, the wide bump all; the nonzero cases above are not vacuous."""
         snap, cases = snaps["smooth"], self._cases()
         x = snap.centers()
-        nodes, _ = _cell_xi_quadrature(snap.values)
+        nodes, _ = _cell_quadrature(snap.values)
         shift = _shift(cs, nodes, 0.3, -0.7)
         lo, hi = shift.min(axis=0), shift.max(axis=0)
         J = snap.cells
@@ -653,17 +673,19 @@ def _weak_form_per_snapshot(sol, cs, fs, s, t):
     return out
 
 
-def _dissipation_per_snapshot(sol, cs, xi_bins):
-    """The reference: the masses and bin indices of dissipation_measure
-    with one S call per snapshot, as before the snapshots were grouped."""
-    edges = np.linspace(0.0, 1.0, xi_bins + 1)
+def _dissipation_per_snapshot(sol, cs):
+    """The reference: the xi and masses of dissipation_measure with one S
+    call per snapshot, as before the snapshots were grouped; xi is the
+    centre of the bin of each u(t_k, x_j)."""
+    edges = np.linspace(0.0, 1.0, _XI_BINS + 1)
+    centres = 0.5 * (edges[:-1] + edges[1:])
     dt = float(sol.times[1] - sol.times[0])
-    masses, bins = [], []
+    xi, masses = [], []
     for snap in sol.snapshots:
         sx = np.gradient(cs.eval_transform("S", np.clip(snap.values, 0.0, 1.0)), snap.dx)
         masses.append(0.5 * sx * sx * snap.dx * dt)
-        bins.append(np.clip(np.digitize(snap.values, edges) - 1, 0, xi_bins - 1))
-    return np.array(masses), np.array(bins, dtype=np.int32)
+        xi.append(centres[np.clip(np.digitize(snap.values, edges) - 1, 0, _XI_BINS - 1)])
+    return np.array(xi), np.array(masses)
 
 
 class TestGroupedTransforms:
@@ -709,11 +731,11 @@ class TestGroupedTransforms:
     @pytest.mark.parametrize("J", [64, 96])
     def test_dissipation_measure_equals_per_snapshot_calls(self, cs_general, J, monkeypatch):
         sol = self._solution(cs_general, J)
-        masses, bins = _dissipation_per_snapshot(sol, cs_general, 64)
+        ref_xi, ref_masses = _dissipation_per_snapshot(sol, cs_general)
         calls = self._count_calls(monkeypatch)
-        est = dissipation_measure(sol, cs_general, 64)
-        assert est.masses.tobytes() == masses.tobytes()
-        assert est.bin_idx.dtype == np.int32 and np.array_equal(est.bin_idx, bins)
+        xi, masses = dissipation_measure(sol, cs_general)
+        assert masses.tobytes() == ref_masses.tobytes()
+        assert xi.tobytes() == ref_xi.tobytes()
         assert calls == {"S": -(-33 // (_GROUP_POINTS // J))}
 
     def test_row_groups(self):

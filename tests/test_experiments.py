@@ -200,6 +200,10 @@ def _martingale_loop(cs, init, suite, s, t, n, replicas, steps, seed):
     return samples.mean(axis=1), samples.std(axis=1, ddof=1) / np.sqrt(replicas)
 
 
+def _no_noise(*args, **kwargs):
+    raise AssertionError("noise drawn")
+
+
 class TestMartingaleStatistic:
     @pytest.mark.parametrize("s", [0.0, 0.25])
     def test_block_statistic_equals_per_replica_loop(self, s):
@@ -221,12 +225,30 @@ class TestMartingaleStatistic:
         assert rep.summary["estimate"] == [0.0]
         assert rep.summary["stderr"] == [0.0]
 
-    def test_equal_endpoints_statistic_exactly_zero(self, cs_const):
-        rep = martingale_statistic(
-            cs_const, gaussian(0, 1), [([Bump1D(0.0, 2.0)], PhiLinear(), PsiConst())],
-            s=0.5, t=0.5, n=32, replicas=8, steps=16, seed=3,
-        )
-        assert rep.summary["estimate"] == [0.0]
+    @pytest.mark.parametrize("s", [0.5, 0.4999999995])
+    def test_s_on_t_node_rejected_before_any_noise(self, cs_const, monkeypatch, s):
+        """s on t's grid node would give an increment M_t - M_s of exactly
+        0, a vacuous pass; it is rejected before any noise is drawn."""
+        monkeypatch.setattr(experiments, "make_noise_bundle", _no_noise)
+        with pytest.raises(ValueError, match=re.escape(f"s = {s!r} is t's grid node")):
+            martingale_statistic(
+                cs_const, gaussian(0, 1), [([Bump1D(0.0, 2.0)], PhiLinear(), PsiConst())],
+                s=s, t=0.5, n=32, replicas=8, steps=16, seed=3,
+            )
+
+    @pytest.mark.parametrize("replicas", [0, -1])
+    def test_no_replicas_rejected_before_any_noise(self, cs_const, monkeypatch, replicas):
+        for name in ("make_noise_bundle", "sample_path"):
+            monkeypatch.setattr(experiments, name, _no_noise)
+        msg = re.escape(f"replicas = {replicas} must be at least 1")
+        with pytest.raises(ValueError, match=msg):
+            martingale_statistic(
+                cs_const, gaussian(0, 1), [([Bump1D(0.0, 2.0)], PhiLinear(), PsiConst())],
+                s=0.25, t=0.5, n=8, replicas=replicas, steps=8, seed=3,
+            )
+        with pytest.raises(ValueError, match=msg):
+            convergence_study(cs_const, gaussian(0, 1), [8], replicas, SolverConfig(-11.0, 11.0, 32),
+                              [0.25], seed=3, T=0.25, steps=8)
 
     def test_linear_phi_centered(self, cs_const):
         rep = martingale_statistic(
@@ -248,7 +270,7 @@ class TestMartingaleStatistic:
                               rep.summary["allowance_C"]):
             assert abs(est) <= 3 * se + C / 128
 
-    @pytest.mark.parametrize("s", [0.0, 0.25, 0.5])
+    @pytest.mark.parametrize("s", [0.0, 0.25, 0.4375])
     def test_suite_rows_equal_single_triple_rows(self, s):
         # rank-dependent coefficients; f1 is shared by the first two triples
         # and f2 by the last two
