@@ -289,6 +289,8 @@ def run(argv) -> int:
         else:
             seed = args.seed
             cfg.read.add("seed")  # overridden, not unused
+        if not 0 <= seed < 2**64:  # the Philox key word; numpy would wrap it onto another seed
+            raise ConfigError(f"seed {seed} must lie in [0, 2**64 - 1]")
         handler = _HANDLERS[args.command]
         # build/validate everything before any output is created
         out = Path(args.out)

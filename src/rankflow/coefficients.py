@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .expr import CoefficientExpr, enclose, parse_coefficient
 
@@ -34,7 +33,6 @@ __all__ = [
     "DomainError",
     "build_from_sources",
     "bounds",
-    "parse_coefficient",
     "PIECES",
     "TRANSFORMS",
 ]
@@ -50,7 +48,11 @@ _INTEGRANDS = {
 
 TRANSFORMS = tuple(_INTEGRANDS)
 
-_GL_NODES, _GL_WEIGHTS = leggauss(8)
+# leggauss(8) as the repr of its doubles, so that the import loads no numpy.polynomial
+_GL_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+                      0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GL_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+                        0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
 
 _DOMAIN_TOL = 1e-12
 

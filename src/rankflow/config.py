@@ -9,12 +9,13 @@ distributions are written as e.g. "gaussian(0,1)", "point_mass(0)",
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .measures import InitialDistribution, gaussian, mixture, point_mass, uniform
+if TYPE_CHECKING:
+    from .measures import InitialDistribution
 
 __all__ = ["ConfigError", "MAX_COUNT", "RunConfig", "parse_config", "parse_init"]
 
@@ -89,6 +90,8 @@ class RunConfig:
     read: set = field(default_factory=set, repr=False, compare=False)
 
     def sha256(self) -> str:
+        import hashlib  # here, so that parsing a config does not load OpenSSL
+
         return hashlib.sha256(self.source.encode()).hexdigest()
 
     def unread(self) -> list:
@@ -134,15 +137,15 @@ class RunConfig:
 
     def num_list(self, key: str, default=_REQUIRED) -> list:
         v = self._get(key, default)
-        if not isinstance(v, list) or any(isinstance(x, (str, bool)) for x in v):
-            raise ConfigError(f"key {key!r} must be a list of numbers, got {v!r}")
+        if not isinstance(v, list) or not v or any(isinstance(x, (str, bool)) for x in v):
+            raise ConfigError(f"key {key!r} must be a non-empty list of numbers, got {v!r}")
         return [_finite(key, x) for x in v]
 
     def int_list(self, key: str, default=_REQUIRED) -> list:
         """A list of counts (n_list): each at most MAX_COUNT."""
         v = self._get(key, default)
-        if not isinstance(v, list) or any(not isinstance(x, int) or isinstance(x, bool) for x in v):
-            raise ConfigError(f"key {key!r} must be a list of integers, got {v!r}")
+        if not isinstance(v, list) or not v or any(not isinstance(x, int) or isinstance(x, bool) for x in v):
+            raise ConfigError(f"key {key!r} must be a non-empty list of integers, got {v!r}")
         return [_count(key, x) for x in v]
 
 
@@ -162,14 +165,16 @@ def _finite(key: str, v) -> float:
     return x
 
 
-# law name -> (constructor, number of parameters); `mixture` nests laws
-_LAWS = {"point_mass": (point_mass, 1), "uniform": (uniform, 2), "gaussian": (gaussian, 2)}
+# law name -> number of parameters of its constructor in `measures`; `mixture` nests laws
+_LAWS = {"point_mass": 1, "uniform": 2, "gaussian": 2}
 
 _INIT_TOKEN = re.compile(r"\s*([A-Za-z_]+|\(|\)|,|[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?)")
 
 
 def parse_init(spec: str) -> InitialDistribution:
     """Parse an initial-distribution spec string."""
+    from . import measures  # here, so that the set-up path loads no sampler
+
     tokens = []
     pos = 0
     while pos < len(spec):
@@ -201,13 +206,12 @@ def parse_init(spec: str) -> InitialDistribution:
         name = tokens.pop(0)
         expect("(")
         if name in _LAWS:
-            law, arity = _LAWS[name]
             args = [number()]
-            for _ in range(arity - 1):
+            for _ in range(_LAWS[name] - 1):
                 expect(",")
                 args.append(number())
             expect(")")
-            return law(*args)
+            return getattr(measures, name)(*args)
         if name == "mixture":
             comps, weights = [], []
             while True:
@@ -218,7 +222,7 @@ def parse_init(spec: str) -> InitialDistribution:
                     continue
                 break
             expect(")")
-            return mixture(comps, weights)
+            return measures.mixture(comps, weights)
         raise ConfigError(f"unknown initial distribution {name!r}")
 
     try:

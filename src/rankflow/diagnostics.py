@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .bumps import Bump1D
 from .bumps import bump, bump_d1, bump_d2  # noqa: F401  (the benchmark traces rankflow.diagnostics.bump*)
@@ -56,6 +55,8 @@ def _xi_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the _XI_ORDER-node Gauss-Legendre rule mapped to
     [0, 1], read-only.  Computed on first use: leggauss(256) takes about
     7 ms, which every import would pay, and only the diagnostics read it."""
+    from numpy.polynomial.legendre import leggauss  # about 0.75 MB, loaded for diagnose alone
+
     gl_nodes, gl_weights = leggauss(_XI_ORDER)
     nodes01, weights01 = 0.5 * (gl_nodes + 1.0), 0.5 * gl_weights
     nodes01.setflags(write=False)

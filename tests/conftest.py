@@ -1,9 +1,15 @@
 """Test-wide settings: Hypothesis runs a fixed, bounded set of examples, so
 property tests are deterministic and cheap.  Also the reference particle
-noise and the W1 assignment oracle that several test modules compare with."""
+noise and the W1 assignment oracle that several test modules compare with,
+and the fresh-interpreter probe of the start-up tests."""
 
+import ast
 import itertools
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
@@ -41,3 +47,14 @@ def assignment_oracle(xs: np.ndarray, ys: np.ndarray) -> float:
     """min over permutations p of mean |xs - ys[p]|: W1 between two equal-size
     point clouds by enumerating every assignment, all at once."""
     return float(np.abs(xs - ys[_permutations(xs.size)]).mean(axis=1).min())
+
+
+def fresh_interpreter(statement: str, expression: str):
+    """The value of `expression` after `statement` runs in a fresh
+    interpreter with this checkout's `src` first on its path and `sys`
+    imported, read back from its repr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys\n{statement}\nprint(repr({expression}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return ast.literal_eval(out.stdout.strip())

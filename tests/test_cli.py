@@ -1,17 +1,14 @@
 """CLI behavior: exit codes, error messages, output schemas, determinism."""
 
-import ast
 import csv
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import fresh_interpreter
 from rankflow.cli import _coefficients, run
 from rankflow.config import MAX_COUNT, ConfigError, parse_config, parse_init
 from rankflow.experiments import default_martingale_suite
@@ -59,7 +56,8 @@ CONVERGE_CONST_CFG = (
     'init = "gaussian(0,1)"\n')
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
-SAMPLE_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SAMPLE_CONFIGS = sorted(CONFIGS.glob("*.cfg"))
 
 
 @pytest.fixture()
@@ -91,6 +89,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config("x = 1\nx = 2\n")
         assert err.value.line == 2
+
+    def test_sha256_of_the_source(self):
+        digest = "6fd2e91cbec40237585cbfbce854f12dcca7c1ad12208f9caf8965c8b1978dca"
+        assert parse_config("seed = 7\n").sha256() == digest
 
     def test_missing_key_names_it(self):
         cfg = parse_config("x = 1\n")
@@ -240,10 +242,48 @@ class TestRun:
             assert not list(out.glob("*.csv"))
         assert parse_config(f"{key} = {MAX_COUNT}").count(key) == MAX_COUNT
 
-    def test_seed_keeps_its_64_bit_range(self, tmp_path):
+    def test_seed_keeps_its_64_bit_range(self, tmp_path, capsys):
+        """A seed is a 64-bit Philox key word: 2**64 - 1 runs, and a seed
+        outside [0, 2**64 - 1], as the key or as --seed, is a config error
+        before any output, not a run on the seed it wraps onto."""
         cfg = tmp_path / "seed.cfg"
         cfg.write_text(HEAT_CFG.replace("seed = 20240510", f"seed = {2**64 - 1}"))
         assert run(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        good = tmp_path / "heat.cfg"
+        good.write_text(HEAT_CFG)
+        for seed in (2**64, -1):
+            cfg.write_text(HEAT_CFG.replace("seed = 20240510", f"seed = {seed}"))
+            for args in (["--config", str(cfg)], ["--config", str(good), "--seed", str(seed)]):
+                out = tmp_path / "bad"
+                assert run(["solve", *args, "--out", str(out)]) == 2
+                assert f"config error: seed {seed} must lie in [0, 2**64 - 1]" in capsys.readouterr().err
+                assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("solve", "heat.cfg", "snapshot_times"), ("stability", "stability.cfg", "epsilons"),
+        ("stability", "stability.cfg", "snapshot_times"), ("diagnose", "diagnose.cfg", "eta_list"),
+        ("diagnose", "diagnose.cfg", "y_list"), ("converge", "converge.cfg", "snapshot_times"),
+        ("converge", "converge.cfg", "n_list"), ("simulate", None, "snapshot_times"),
+    ])
+    def test_empty_list_exit_2_before_work(self, tmp_path, capsys, monkeypatch, command, config, key):
+        """A list key set to [] is a config error naming the key, raised
+        before any solve or particle run: exit 2 and no CSV (an empty list
+        ran to an empty output, or crashed after the work)."""
+        text = PARTICLE_CFGS["simulate"] if config is None else (CONFIGS / config).read_text()
+        kept = [ln for ln in text.splitlines() if ln.split(" = ")[0] != key]
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text("\n".join(kept + [f"{key} = []"]) + "\n")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("solve", "run_particles", "make_noise_bundle", "convergence_study",
+                     "stability_experiment"):
+            monkeypatch.setattr(f"rankflow.cli.{name}", no_work)
+        out = tmp_path / "o"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: key {key!r} must be a non-empty list" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
     def test_invalid_init_law_exit_2(self, tmp_path, capsys):
         """A spec that parses but names no law is a config error, not a
@@ -489,37 +529,55 @@ class TestDiagnoseAndStability:
         assert rows[2]["f_id"] == "bump(0,2.5)+bump(1.25,2.5)"
 
 
-def _after_cli_import(expression: str):
-    """The value of `expression` after `import rankflow.cli` in a fresh
-    interpreter, read back from its repr."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = f"import sys, rankflow.cli; print(repr({expression}))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return ast.literal_eval(out.stdout.strip())
+# the benchmark's set-up: parse a config and build its coefficients
+SETUP_PATH = """\
+from pathlib import Path
+from rankflow.coefficients import build_from_sources
+from rankflow.config import parse_config
+cfg = parse_config(Path({path!r}).read_text())
+build_from_sources(cfg.text("b"), cfg.text("sigma"), cfg.text("gamma"), cfg.count("table_resolution", 256),
+                   allow_degenerate=cfg.flag("allow_degenerate", False))"""
 
 
-def _modules_after_cli_import(package: str) -> list:
-    """The modules of `package` that `import rankflow.cli` loads in a fresh
-    interpreter."""
-    return _after_cli_import(f"[m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})]")
+def test_package_import_loads_no_submodule_and_no_numpy():
+    # the namespace is empty by design: each entry point imports the
+    # submodules it runs, and a fresh interpreter compiles each one it loads
+    loaded = fresh_interpreter("import rankflow",
+                               "[m for m in sys.modules if m.startswith(('rankflow.', 'numpy'))]")
+    assert loaded == []
+
+
+def test_setup_path_loads_only_the_coefficient_modules():
+    # no sampler, solver or diagnostics, no numpy.polynomial, and no OpenSSL
+    # (_hashlib, about 3 MB of RSS), which only the manifest's digest needs
+    loaded = fresh_interpreter(SETUP_PATH.format(path=str(CONFIGS / "converge.cfg")),
+                               "(sorted(m for m in sys.modules if m.startswith('rankflow')),"
+                               " 'numpy.polynomial' in sys.modules, '_hashlib' in sys.modules)")
+    assert loaded == (["rankflow", "rankflow.coefficients", "rankflow.config", "rankflow.expr"], False, False)
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     # rankflow needs only numpy at run time: importing scipy.special alone
     # costs about 0.2 s and 20 MB at start-up, and scipy.integrate,
     # scipy.sparse, scipy.linalg and scipy.stats more
-    assert _modules_after_cli_import("scipy") == []
+    assert fresh_interpreter("import rankflow.cli", "'scipy' in sys.modules") is False
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
     # numpy.random is loaded by the first draw, not at import: loading it
     # adds about 2 MB of RSS and about 15 ms, which every command would
     # otherwise pay before its config is read
-    assert _modules_after_cli_import("numpy.random") == []
+    assert fresh_interpreter("import rankflow.cli", "'numpy.random' in sys.modules") is False
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # numpy.polynomial (about 0.75 MB) is loaded by the diagnostics' xi rule
+    # on first use; the coefficient transforms' order-8 rule is written out
+    assert fresh_interpreter("import rankflow.cli", "'numpy.polynomial' in sys.modules") is False
 
 
 def test_cli_import_leaves_the_xi_rule_uncomputed():
     # leggauss(256), the diagnostics' xi rule, takes 7-17 ms; only diagnose
     # reads it, so it is computed on first use, not at import
-    assert _after_cli_import("sys.modules['rankflow.diagnostics']._xi_rule.cache_info().currsize") == 0
+    assert fresh_interpreter("import rankflow.cli",
+                             "sys.modules['rankflow.diagnostics']._xi_rule.cache_info().currsize") == 0

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rankflow.coefficients import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     PIECES,
     DomainError,
     NondegeneracyViolated,
@@ -20,6 +22,15 @@ from rankflow.coefficients import (
     build_from_sources,
 )
 from rankflow.expr import parse_coefficient
+
+
+def test_gauss_legendre_literals_equal_leggauss():
+    # the order-8 rule is written out so that the import loads no
+    # numpy.polynomial; its doubles must be leggauss(8)'s, bit for bit
+    from numpy.polynomial.legendre import leggauss
+
+    for literal, computed in zip((_GL_NODES, _GL_WEIGHTS), leggauss(8)):
+        assert literal.dtype == computed.dtype and literal.tobytes() == computed.tobytes()
 
 
 class TestBuildExamples:
