@@ -1,74 +1,56 @@
 """Compactly supported smooth test functions.
 
-The building block is the standard bump exp(-1/(1-s^2)) on (-1,1),
-normalized to unit integral; scaled copies and their first two derivatives
-are available in closed form.  All evaluations are vectorized, compute the
-formula only on the support and are exactly zero outside it.
+The building block is the unit-mass polynomial bump c (1-s^2)^4 on (-1,1),
+c = 315/256, which is C^3; scaled copies, their first two derivatives,
+their tails and their norms are available in closed form.  The evaluations
+use only +, -, * and /, which are correctly rounded, so their bits do not
+depend on the host's SIMD level, and are an exact +0.0 off the support
+(also at NaN).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-__all__ = ["bump", "bump_d1", "bump_d2", "Bump1D", "BUMP_L1"]
+__all__ = ["bump", "bump_d1", "bump_d2", "Bump1D"]
 
-# unit-integral normalization of exp(-1/(1-s^2)) on (-1, 1): the value of
-# scipy.integrate.quad(..., -1, 1, epsabs=1e-15), written out so that
-# importing rankflow does not load scipy.integrate (tests/test_bumps.py
-# pins it to quad)
-BUMP_L1 = 0.44399381616807865
-
-# cells of the uniform table behind Bump1D.tail_integral
-_TAIL_CELLS = 16384
+# the unit-mass factor of (1 - s^2)^4 on (-1, 1), exact in binary
+_C = 315.0 / 256.0
 
 
-def _on_support(s, *formulas):
-    """Per formula, formula(s_in, core, e) on the points with |s| < 1, where
-    core = 1 - s^2 and e = exp(-1/core), and exactly 0.0 elsewhere (also at
-    NaN); shape as s, float64.  One formula gives an array, several a tuple
-    of arrays that share the support mask and the exp."""
+def _clamped(s):
+    """s, with every point off (-1, 1) (NaN too) moved to -1, where each
+    formula below is an exact +0.0, and 1 - s^2 on it."""
     s = np.asarray(s, dtype=np.float64)
-    inside = np.abs(s) < 1.0
-    outs = tuple(np.zeros(s.shape) for _ in formulas)
-    if inside.any():
-        # a 0-d s is evaluated in numpy scalar arithmetic, whose x**3 rounds
-        # differently from the array loop's x*x*x
-        s_in = s[inside] if s.ndim else s[()]
-        core = 1.0 - s_in * s_in
-        e = np.exp(-1.0 / core)
-        for out, formula in zip(outs, formulas):
-            out[inside] = formula(s_in, core, e)
-    return outs if len(outs) > 1 else outs[0]
+    s = np.where(np.abs(s) < 1.0, s, -1.0)
+    return s, 1.0 - s * s
 
 
-def _value(s, core, e):
-    return e
+def _value(core):
+    core = core * core
+    return _C * (core * core)
 
 
-def _d1(s, core, e):
-    return e * (-2.0 * s / core**2)
-
-
-def _d2(s, core, e):
-    g = 2.0 * s / core**2
-    gp = 2.0 / core**2 + 8.0 * s * s / core**3
-    return e * (g * g - gp)
+def _d1(s, core):
+    return (-8.0 * _C) * s * (core * core * core)
 
 
 def bump(s):
-    """exp(-1/(1-s^2)) on (-1,1), zero elsewhere."""
-    return _on_support(s, _value)
+    """315/256 (1-s^2)^4 on (-1,1), zero elsewhere."""
+    return _value(_clamped(s)[1])
 
 
 def bump_d1(s):
-    return _on_support(s, _d1)
+    return _d1(*_clamped(s))
 
 
 def bump_d2(s):
-    return _on_support(s, _d2)
+    s, core = _clamped(s)
+    return (8.0 * _C) * (core * core) * (7.0 * (s * s) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -89,69 +71,40 @@ class Bump1D:
         return (np.asarray(x, dtype=np.float64) - self.center) / self.radius
 
     def __call__(self, x):
-        return bump(self._arg(x)) / (BUMP_L1 * self.radius)
+        return bump(self._arg(x)) / self.radius
 
     def d1(self, x):
-        return bump_d1(self._arg(x)) / (BUMP_L1 * self.radius**2)
+        return bump_d1(self._arg(x)) / (self.radius * self.radius)
 
     def d2(self, x):
-        return bump_d2(self._arg(x)) / (BUMP_L1 * self.radius**3)
+        return bump_d2(self._arg(x)) / (self.radius * self.radius * self.radius)
 
     def value_d1(self, x):
-        """(self(x), self.d1(x)), bit for bit, from one argument, one support
-        mask and one exp."""
-        v, d = _on_support(self._arg(x), _value, _d1)
-        return v / (BUMP_L1 * self.radius), d / (BUMP_L1 * self.radius**2)
+        """(self(x), self.d1(x)), bit for bit, from one argument and one
+        clamp."""
+        s, core = _clamped(self._arg(x))
+        return _value(core) / self.radius, _d1(s, core) / (self.radius * self.radius)
 
     def support(self) -> tuple[float, float]:
         return self.center - self.radius, self.center + self.radius
 
     @cached_property
-    def _tail(self):
-        """Nodes, tail values and slopes of the cumulative table: the
-        cumulative trapezoid of f from lo on _TAIL_CELLS uniform cells of the
-        support, tail = total - head, and np.interp's slope per cell."""
-        lo, hi = self.support()
-        # a node's rounding error stays below a quarter cell, which keeps
-        # tail_integral's index guess within one cell of the node
-        if max(abs(lo), abs(hi)) > 2.0**36 * self.radius:
-            raise ValueError(f"bump centre {self.center!r} too far from 0 for radius {self.radius!r}")
-        xs = np.linspace(lo, hi, _TAIL_CELLS + 1)
-        ys = self(xs)
-        head = np.concatenate(([0.0], np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))))
-        tail = head[-1] - head
-        return xs, tail, np.diff(tail) / np.diff(xs)
-
-    @cached_property
     def norms(self) -> tuple[float, float, float]:
-        """sup |f|, ||f'||_1 and ||f''||_1, sampled on 8193 uniform points of
-        the support (trapezoid for the integrals)."""
-        xs = np.linspace(*self.support(), 8193)
-        return (float(np.max(np.abs(self(xs)))), float(np.trapezoid(np.abs(self.d1(xs)), xs)),
-                float(np.trapezoid(np.abs(self.d2(xs)), xs)))
+        """sup |f|, ||f'||_1 and ||f''||_1 in closed form: f peaks at the
+        centre, f' changes sign once, and |f'| peaks where f'' = 0, at
+        s* = 1/sqrt(7), so ||f''||_1 = 4 sup |f'|."""
+        r = self.radius
+        core = 6.0 / 7.0  # 1 - s*^2
+        return _C / r, 2.0 * _C / r, 4.0 * (_C / (r * r)) * 8.0 * math.sqrt(1.0 / 7.0) * core * core * core
 
     def tail_integral(self, x):
-        """F_tail(x) = int_x^inf f(y) dy, from a dense cached cumulative:
-        bit for bit `np.interp(x, nodes, tail, left=tail[0], right=0.0)`,
-        with the cell of x found by index arithmetic on the uniform nodes
-        instead of a binary search."""
-        xs, tail, slopes = self._tail
-        lo, hi = xs[0], xs[-1]
-        x = np.asarray(x, dtype=np.float64)
-        shape = x.shape
-        x = x.reshape(-1)
-        # a non-finite x casts to an arbitrary index: +-inf then reads the
-        # end values below, and NaN stays NaN as in np.interp
-        with np.errstate(invalid="ignore"):
-            j = ((x - lo) * (_TAIL_CELLS / (hi - lo))).astype(np.intp)
-            np.clip(j, 0, _TAIL_CELLS - 1, out=j)
-            # the guess is at most one cell off: step to the last node <= x
-            j -= xs[j] > x
-            j += xs[j + 1] <= x
-            np.clip(j, 0, _TAIL_CELLS - 1, out=j)
-            out = x - xs[j]
-            out *= slopes[j]
-            out += tail[j]
-        out[x < lo] = tail[0]
-        out[x >= hi] = 0.0
-        return out.reshape(shape)[()]
+        """F_tail(x) = int_x^inf f(y) dy = 1/2 - c P(s) at s = (x - center) /
+        radius clipped to [-1, 1], with c P(s) = (315 s - 420 s^3 + 378 s^5
+        - 180 s^7 + 35 s^9) / 256 the antiderivative of the unit-mass bump
+        through 0, by Horner in s^2.  The integer coefficients sum to 128, so
+        the tail is exactly 1 left of the support and 0 right of it; NaN
+        stays NaN."""
+        s = np.clip(self._arg(x), -1.0, 1.0)
+        s2 = s * s
+        p = ((((35.0 * s2 - 180.0) * s2 + 378.0) * s2 - 420.0) * s2 + 315.0) * s
+        return 0.5 - p * (1.0 / 256.0)

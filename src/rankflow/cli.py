@@ -292,9 +292,7 @@ def run(argv) -> int:
         if not 0 <= seed < 2**64:  # the Philox key word; numpy would wrap it onto another seed
             raise ConfigError(f"seed {seed} must lie in [0, 2**64 - 1]")
         handler = _HANDLERS[args.command]
-        # build/validate everything before any output is created
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         outputs, summary = handler(cfg, seed, out)
         # a key set in the file but read by no command is likely a typo or
         # a retired option; sample configs are shared across commands, so

@@ -32,7 +32,10 @@ def format_value(v) -> str:
 
 
 def write_csv(path, header, rows):
+    """Write one CSV, creating its directory: a command that fails before
+    its first CSV leaves no output directory behind."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         writer.writerow(header)

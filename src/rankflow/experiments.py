@@ -390,7 +390,7 @@ def bias_allowance(cs: CoefficientSet, f_list, phi, s: float, t: float) -> float
     lip_b, lip_gamma, lip_sigma = cs.lipschitz
     lip_s2g2 = 2.0 * (sup_sigma * lip_sigma + sup_gamma * lip_gamma)
 
-    # the largest of each sampled norm over f_list (`Bump1D.norms`)
+    # the largest of each closed-form norm over f_list (`Bump1D.norms`)
     f_sup, f1_l1, f2_l1 = (max(0.0, *col) for col in zip(*(f.norms for f in f_list)))
 
     k = phi.k

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from scipy.special import ndtr
 
 from conftest import assignment_oracle
@@ -514,7 +513,7 @@ _GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
 
 def _library_versions() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    return {"numpy": np.__version__}
 
 
 def _csv_digests(out_root) -> dict:
@@ -530,10 +529,8 @@ def _csv_digests(out_root) -> dict:
 def test_golden_digests(tmp_path):
     """The determinism configs write the CSV bytes recorded in
     tests/golden/digests.json.  rankflow computes on numpy alone, so the
-    check runs only under the numpy version the bytes were recorded with;
-    the scipy version recorded beside it pins only the quad check of
-    BUMP_L1 in test_bumps.py.  A change that alters output numbers on
-    purpose regenerates the file with
+    check runs only under the numpy version the bytes were recorded with.
+    A change that alters output numbers on purpose regenerates the file with
     `PYTHONPATH=src python tests/test_acceptance.py` and says why."""
     golden = json.loads(_GOLDEN.read_text())
     if golden["versions"]["numpy"] != np.__version__:

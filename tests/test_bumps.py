@@ -1,47 +1,25 @@
-"""Bump evaluations restricted to their support agree bit for bit with the
-dense formulas, on every shape and at every special value."""
+"""The unit-mass polynomial bump: an exact +0.0 off the support and at NaN
+on every shape, the fused value_d1 pass, and mass, tail, norms and
+derivatives against dense numerics."""
 
-import json
-from pathlib import Path
+import math
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from rankflow.bumps import BUMP_L1, Bump1D, bump, bump_d1, bump_d2
+from rankflow.bumps import Bump1D, bump, bump_d1, bump_d2
 
-GOLDEN = Path(__file__).parent / "golden" / "digests.json"
+_C = 315.0 / 256.0
 
-
-# the dense formulas: every point evaluated, np.where selects the support
-def _dense_parts(s):
-    s = np.asarray(s, dtype=np.float64)
-    inside = np.abs(s) < 1.0
-    safe = np.where(inside, s, 0.0)
-    return inside, safe, 1.0 - safe * safe
-
-
-def _dense_bump(s):
-    inside, _, core = _dense_parts(s)
-    return np.where(inside, np.exp(-1.0 / core), 0.0)
-
-
-def _dense_bump_d1(s):
-    inside, safe, core = _dense_parts(s)
-    return np.where(inside, np.exp(-1.0 / core) * (-2.0 * safe / core**2), 0.0)
-
-
-def _dense_bump_d2(s):
-    inside, safe, core = _dense_parts(s)
-    g = 2.0 * safe / core**2
-    gp = 2.0 / core**2 + 8.0 * safe * safe / core**3
-    return np.where(inside, np.exp(-1.0 / core) * (g * g - gp), 0.0)
-
-
-_PAIRS = ((bump, _dense_bump), (bump_d1, _dense_bump_d1), (bump_d2, _dense_bump_d2))
+# the closed forms in s, written with np.power, which the bumps never call
+_FORMULAS = (
+    (bump, lambda s: _C * np.power(1.0 - s * s, 4)),
+    (bump_d1, lambda s: -8.0 * _C * s * np.power(1.0 - s * s, 3)),
+    (bump_d2, lambda s: 8.0 * _C * np.power(1.0 - s * s, 2) * (7.0 * (s * s) - 1.0)),
+)
 
 _ELEMENTS = st.one_of(
     st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
@@ -59,15 +37,24 @@ def _assert_same(got, want):
 
 
 @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=12), elements=_ELEMENTS))
-def test_support_restricted_equals_dense(s):
-    for fn, dense in _PAIRS:
-        _assert_same(fn(s), dense(s))
+def test_zero_off_the_support_closed_form_on_it(s):
+    """Off (-1, 1) and at NaN every bump function is an exact +0.0, with no
+    overflow at huge |s|; on (-1, 1) it is the closed form to 1e-14."""
+    inside = np.abs(s) < 1.0
+    for fn, formula in _FORMULAS:
+        got = np.asarray(fn(s))
+        assert got.shape == s.shape and got.dtype == np.float64
+        assert got[~inside].tobytes() == np.zeros(np.count_nonzero(~inside)).tobytes()
+        np.testing.assert_allclose(got[inside], formula(s[inside]), rtol=1e-14, atol=1e-300)
 
 
 @given(_ELEMENTS)
 def test_python_scalar_gives_0d(v):
-    for fn, dense in _PAIRS:
-        _assert_same(fn(v), dense(v))
+    """A Python float gives a numpy scalar, the bits of a one-point array."""
+    for fn, _ in _FORMULAS:
+        got = fn(v)
+        assert type(got) is np.float64
+        assert got.tobytes() == fn(np.array([v]))[0].tobytes()
 
 
 # bumps whose support ends are exact: x = +-1 maps to s = +-1 on the first
@@ -100,64 +87,95 @@ def test_value_d1_python_scalar(f, x):
 
 
 def test_value_d1_is_positive_zero_right_of_the_support():
-    # a dense -2 s e / core^2 would give -0.0 for s > 1
+    # a plain -8 c s (1 - s^2)^3 would give -0.0 at s = 1
     _, d = Bump1D(0.0, 1.0).value_d1(np.array([1.0, 2.0, np.inf, np.nan]))
     assert d.tobytes() == np.zeros(4).tobytes()
 
 
-def test_norms_cached_per_bump():
-    """The sampled norms of bias_allowance, computed once per bump."""
-    f = Bump1D(0.5, 2.5)
-    xs = np.linspace(*f.support(), 8193)
-    assert f.norms == (float(np.max(np.abs(f(xs)))), float(np.trapezoid(np.abs(f.d1(xs)), xs)),
-                       float(np.trapezoid(np.abs(f.d2(xs)), xs)))
-    assert f.norms is f.norms
+# a centred, a shifted, a narrow and a narrow far-off bump
+_BUMPS = [Bump1D(0.0, 1.0), Bump1D(-0.64, 0.6), Bump1D(0.0, 0.36), Bump1D(1234.5, 0.001)]
+_IDS = ["centred", "shifted", "narrow", "narrow_far"]
 
 
-# tables of a centred, a shifted and a narrow far-off bump; on the tables
-# of (-0.64, 0.6) and (0, 0.36), some nodes' neighbours read a wrong value
-# when the index guess is not corrected upwards
-_TAIL_BUMPS = [Bump1D(0.0, 1.0), Bump1D(-0.64, 0.6), Bump1D(0.0, 0.36), Bump1D(1234.5, 0.001)]
+def _dense(f, points=400_001):
+    """f on `points` uniform nodes of its support and the cumulative
+    trapezoid tail int_x^hi f there."""
+    xs = np.linspace(*f.support(), points)
+    ys = f(xs)
+    head = np.concatenate(([0.0], np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))))
+    return xs, head[-1] - head
+
+
+@pytest.mark.parametrize("f", _BUMPS, ids=_IDS)
+def test_unit_mass(f):
+    xs, tail = _dense(f)
+    assert abs(tail[0] - 1.0) <= 1e-11
+    lo, hi = f.support()
+    assert f.tail_integral(lo - f.radius) == 1.0 and f.tail_integral(hi + f.radius) == 0.0
+
+
+@pytest.mark.parametrize("f", _BUMPS, ids=_IDS)
+def test_tail_integral_matches_dense_trapezoid(f):
+    xs, tail = _dense(f)
+    assert np.max(np.abs(f.tail_integral(xs) - tail)) <= 1e-11
 
 
 @st.composite
-def _tail_points(draw):
-    """A bump and points mixing its table nodes, their neighbours, the
-    support ends, points inside and outside the support, NaN and +-inf."""
-    f = draw(st.sampled_from(_TAIL_BUMPS))
-    f.tail_integral(0.0)
-    xs = f._tail[0]
+def _off_support_points(draw):
+    """A bump and points left and right of its support, NaN and +-inf."""
+    f = draw(st.sampled_from(_BUMPS))
     lo, hi = f.support()
-    node = st.integers(0, xs.size - 1).map(lambda k: xs[k])
     element = st.one_of(
-        node,
-        node.map(lambda v: np.nextafter(v, np.inf)),
-        node.map(lambda v: np.nextafter(v, -np.inf)),
-        st.sampled_from([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), np.nan, np.inf, -np.inf]),
-        st.floats(lo - f.radius, hi + f.radius),
+        st.floats(lo - 4.0 * f.radius, lo - 0.01 * f.radius),
+        st.floats(hi + 0.01 * f.radius, hi + 4.0 * f.radius),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
     )
     return f, draw(arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=12), elements=element))
 
 
-@given(_tail_points())
-def test_tail_integral_equals_interp(case):
+@given(_off_support_points())
+def test_tail_integral_is_exact_off_the_support(case):
+    """Exactly 1 left of the support, +0.0 right of it, NaN at NaN, in the
+    shape of x; a 0-d x gives a numpy scalar."""
     f, x = case
-    xs, tail = f._tail[:2]
-    _assert_same(np.asarray(f.tail_integral(x)), np.asarray(np.interp(x, xs, tail, left=tail[0], right=0.0)))
-    assert np.shape(f.tail_integral(x)) == x.shape
+    got = f.tail_integral(x)
+    assert np.shape(got) == x.shape
+    if x.ndim == 0:
+        assert type(got) is np.float64
+    got, nan = np.asarray(got), np.isnan(x)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == np.where(x < f.center, 1.0, 0.0)[~nan].tobytes()
 
 
-@pytest.mark.parametrize("f", _TAIL_BUMPS, ids=["centred", "shifted", "narrow", "narrow_far"])
-def test_tail_integral_equals_interp_at_every_node(f):
-    """Every table node and both its neighbours, where the index guess is
-    most often one cell off, plus a random (16, 512) block."""
-    f.tail_integral(0.0)
-    xs, tail = f._tail[:2]
-    rng = np.random.default_rng(5)
-    lo, hi = f.support()
-    for x in (xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf),
-              rng.uniform(lo - f.radius, hi + f.radius, (16, 512))):
-        _assert_same(f.tail_integral(x), np.interp(x, xs, tail, left=tail[0], right=0.0))
+@pytest.mark.parametrize("f", _BUMPS, ids=_IDS)
+def test_norms_match_dense_sampling(f):
+    """sup |f|, ||f'||_1 and ||f''||_1 against 400001 uniform points of the
+    support (trapezoid for the integrals)."""
+    xs = np.linspace(*f.support(), 400_001)
+    sampled = (np.max(np.abs(f(xs))), np.trapezoid(np.abs(f.d1(xs)), xs), np.trapezoid(np.abs(f.d2(xs)), xs))
+    np.testing.assert_allclose(f.norms, sampled, rtol=1e-8)
+
+
+def test_norms_cached_per_bump():
+    """The closed-form norms of bias_allowance, computed once per bump:
+    c/r, 2c/r and 4 sup |f'| = 4 |f'(center - r/sqrt(7))|."""
+    f = Bump1D(0.5, 2.5)
+    sup_d1 = abs(float(f.d1(f.center - f.radius / math.sqrt(7.0))))
+    assert f.norms == pytest.approx((_C / 2.5, 2.0 * _C / 2.5, 4.0 * sup_d1), rel=1e-15, abs=0)
+    assert f.norms is f.norms
+
+
+@pytest.mark.parametrize("f", _BUMPS, ids=_IDS)
+def test_derivatives_match_central_differences(f):
+    """d1 and d2 against central differences of f and d1 with h = 1e-4 r,
+    whose O(h^2) error stays below 1e-6 of sup |f'| (per radius for d2)."""
+    xs = np.linspace(*f.support(), 2001)
+    h = 1e-4 * f.radius
+    sup_d1 = f.norms[2] / 4.0
+    step = (xs + h) - (xs - h)  # 2h, up to the rounding of x +- h near a large centre
+    np.testing.assert_allclose(f.d1(xs), (f(xs + h) - f(xs - h)) / step, rtol=0, atol=1e-6 * sup_d1)
+    np.testing.assert_allclose(f.d2(xs), (f.d1(xs + h) - f.d1(xs - h)) / step, rtol=0,
+                               atol=1e-6 * sup_d1 / f.radius)
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf, -np.inf])
@@ -172,20 +190,3 @@ def test_center_must_be_finite(center):
     # Bump1D(nan, 1) was once accepted, and a weak form against it read 0.0
     with pytest.raises(ValueError, match="center .* must be finite"):
         Bump1D(center, 1.0)
-
-
-def test_tail_integral_rejects_unresolvable_table():
-    with pytest.raises(ValueError, match="too far from 0"):
-        Bump1D(1e12, 1e-3).tail_integral(0.0)
-
-
-def test_bump_l1_literal_equals_quad():
-    # BUMP_L1 is written out so that rankflow does not import
-    # scipy.integrate; it scales every bump, so under the scipy version the
-    # golden digests were recorded with it must be quad's value exactly
-    recorded = json.loads(GOLDEN.read_text())["versions"]["scipy"]
-    if scipy.__version__ != recorded:
-        pytest.skip(f"quad value recorded with scipy {recorded}")
-    from scipy.integrate import quad
-
-    assert BUMP_L1 == quad(lambda s: np.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0, epsabs=1e-15)[0]

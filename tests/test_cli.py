@@ -219,7 +219,7 @@ class TestRun:
         assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, key", [
         ("solve", "steps"), ("solve", "cells"), ("solve", "table_resolution"),
@@ -239,7 +239,7 @@ class TestRun:
             assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert f"config error: key {key!r} = {value} exceeds the largest count {MAX_COUNT}" in err
-            assert not list(out.glob("*.csv"))
+            assert not out.exists()
         assert parse_config(f"{key} = {MAX_COUNT}").count(key) == MAX_COUNT
 
     def test_seed_keeps_its_64_bit_range(self, tmp_path, capsys):
@@ -267,8 +267,10 @@ class TestRun:
     ])
     def test_empty_list_exit_2_before_work(self, tmp_path, capsys, monkeypatch, command, config, key):
         """A list key set to [] is a config error naming the key, raised
-        before any solve or particle run: exit 2 and no CSV (an empty list
-        ran to an empty output, or crashed after the work)."""
+        before any solve or particle run: exit 2 and no output directory
+        (an empty list ran to an empty output, or crashed after the work,
+        and the directory was once created before the handler read its
+        keys)."""
         text = PARTICLE_CFGS["simulate"] if config is None else (CONFIGS / config).read_text()
         kept = [ln for ln in text.splitlines() if ln.split(" = ")[0] != key]
         cfg = tmp_path / f"{command}.cfg"
@@ -283,7 +285,7 @@ class TestRun:
         out = tmp_path / "o"
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert f"config error: key {key!r} must be a non-empty list" in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     def test_invalid_init_law_exit_2(self, tmp_path, capsys):
         """A spec that parses but names no law is a config error, not a
@@ -294,7 +296,7 @@ class TestRun:
         assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "uniform(a, b) needs a < b" in err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     def test_degenerate_without_flag_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -306,7 +308,7 @@ class TestRun:
         cfg.write_text(HEAT_CFG.replace("T = 1.0\n", ""))  # missing T
         out = tmp_path / "o"
         assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 2
-        assert not list(out.glob("*.csv")) if out.exists() else True
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -411,7 +413,7 @@ class TestDiagnoseAndStability:
         assert run(["diagnose", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, values, message", [
         ("converge", {"replicas": "0"}, "replicas = 0"),
@@ -455,7 +457,7 @@ class TestDiagnoseAndStability:
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     def test_diagnose_window_within_grid_tolerance_runs(self, tmp_path):
         # t = 0.4375 + 5e-10 is 14 T/16 within the 1e-9 that the check allows

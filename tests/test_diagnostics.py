@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.integrate import quad
 
 from rankflow import bumps, experiments
-from rankflow.bumps import BUMP_L1, Bump1D, bump, bump_d1, bump_d2
+from rankflow.bumps import Bump1D, bump, bump_d1, bump_d2
 from rankflow.coefficients import PIECES, CoefficientSet, ValidationError, build_from_sources
 from rankflow.diagnostics import (
     BumpTestFunction,
@@ -86,14 +86,14 @@ def _cell_quadrature(uv):
     return nodes01[:, None] * uv[None, :], weights01[:, None] * uv[None, :]
 
 
-# the closed forms the factors had before they were Bump1D(0, r): bump(x /
-# r) / (BUMP_L1 r^k), k = 1, 2, 3
+# the closed forms of the factors, centred bumps of radius r: bump(x / r) /
+# r^k, k = 1, 2, 3, with bump the unit-mass bump on (-1, 1) and r^k a product
 _OLD_FACTORS = (
-    ("fx", "r_x", lambda x, r: bump(np.asarray(x) / r) / (BUMP_L1 * r)),
-    ("fx.d1", "r_x", lambda x, r: bump_d1(np.asarray(x) / r) / (BUMP_L1 * r**2)),
-    ("fx.d2", "r_x", lambda x, r: bump_d2(np.asarray(x) / r) / (BUMP_L1 * r**3)),
-    ("fxi", "r_xi", lambda x, r: bump(np.asarray(x) / r) / (BUMP_L1 * r)),
-    ("fxi.d1", "r_xi", lambda x, r: bump_d1(np.asarray(x) / r) / (BUMP_L1 * r**2)),
+    ("fx", "r_x", lambda x, r: bump(np.asarray(x) / r) / r),
+    ("fx.d1", "r_x", lambda x, r: bump_d1(np.asarray(x) / r) / (r * r)),
+    ("fx.d2", "r_x", lambda x, r: bump_d2(np.asarray(x) / r) / (r * r * r)),
+    ("fxi", "r_xi", lambda x, r: bump(np.asarray(x) / r) / r),
+    ("fxi.d1", "r_xi", lambda x, r: bump_d1(np.asarray(x) / r) / (r * r)),
 )
 
 
@@ -125,7 +125,7 @@ def _factor_cases(draw):
 @given(_factor_cases())
 def test_bump1d_factors_equal_the_old_closed_forms(case):
     """tf.fx, tf.fx.d1, tf.fx.d2, tf.fxi and tf.fxi.d1 are bit for bit the
-    closed forms they replaced, in value, type, shape and dtype."""
+    scaled closed forms, in value, type, shape and dtype."""
     tf, cases = case
     for name, old, r, x in cases:
         factor = tf

@@ -1,5 +1,6 @@
 """Experiment orchestration: convergence, martingale statistic, stability."""
 
+import math
 import os
 import re
 import time
@@ -295,17 +296,20 @@ class TestMartingaleStatistic:
         # Ito correction, so the budget vanishes
         assert bias_allowance(cs_const, [Bump1D(0.0, 2.0)], PhiLinear(), 0.0, 1.0) == 0.0
 
-    def test_allowance_from_cached_norms_equals_per_triple_sampling(self):
+    def test_allowance_from_cached_norms_equals_per_triple_closed_forms(self):
         """bias_allowance reads each bump's norms once (`Bump1D.norms`); the
-        allowances equal sampling every f of every triple, bit for bit."""
+        allowances equal the closed forms c/r, 2c/r and 4 sup |f'|, with
+        c = 315/256 and sup |f'| = (c/r^2) 8 s (1 - s^2)^3 at s = 1/sqrt(7),
+        taken over every f of every triple, bit for bit."""
         cs = build_from_sources("a - 0.5", "1 + 0.2*a", "0.5*(1 + a)", 32)
+        c, core = 315.0 / 256.0, 6.0 / 7.0
         for f_list, phi, _ in default_martingale_suite():
             f_sup = f1_l1 = f2_l1 = 0.0
             for f in f_list:
-                xs = np.linspace(*f.support(), 8193)
-                f_sup = max(f_sup, float(np.max(np.abs(f(xs)))))
-                f1_l1 = max(f1_l1, float(np.trapezoid(np.abs(f.d1(xs)), xs)))
-                f2_l1 = max(f2_l1, float(np.trapezoid(np.abs(f.d2(xs)), xs)))
+                r = f.radius
+                f_sup = max(f_sup, c / r)
+                f1_l1 = max(f1_l1, 2.0 * c / r)
+                f2_l1 = max(f2_l1, 4.0 * (c / (r * r)) * 8.0 * math.sqrt(1.0 / 7.0) * core * core * core)
             sup_sigma, sup_gamma = cs.report.sup_abs_sigma, cs.report.sup_abs_gamma
             lip_b, lip_gamma, lip_sigma = cs.lipschitz
             lip_s2g2 = 2.0 * (sup_sigma * lip_sigma + sup_gamma * lip_gamma)

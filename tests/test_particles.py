@@ -218,6 +218,25 @@ class TestEmStep:
         b = em_step(ParticleState(0.0, pos[perm]), cs_const, 0.05, dB[perm], 0.3)
         np.testing.assert_array_equal(a.positions[perm], b.positions)
 
+    def test_row_mean_moves_by_the_level_sums(self):
+        """On tie-free rows one step moves each row's mean by exactly
+        (1/n) sum_k [b(k/n) dt + sigma(k/n) dB_(k) + gamma(k/n) dW], with
+        dB_(k) the increment of the particle of rank k: an exact check of
+        `CoefficientSet.at_levels` with rank-dependent coefficients.  The
+        tolerance 1e-13 covers the rounding of O(1) positions and sums over
+        n = 257; a level off by one moves a mean by about dt / n = 4e-4."""
+        cs = build_from_sources("a - 0.5", "1 + 0.2*a", "0.5*(1 + a)", 32)
+        rng = np.random.default_rng(8)
+        R, n, dt = 6, 257, 0.1
+        pos = rng.normal(size=(R, n))
+        dB, dW = rng.normal(size=(R, n)) * np.sqrt(dt), rng.normal(size=R) * np.sqrt(dt)
+        out = em_step(ParticleState(0.0, pos), cs, dt, dB, dW)
+        a = np.arange(1, n + 1) / n
+        dB_ranked = np.take_along_axis(dB, np.argsort(pos, axis=-1), axis=-1)
+        want = ((a - 0.5).mean() * dt + ((1 + 0.2 * a) * dB_ranked).mean(axis=-1)
+                + (0.5 * (1 + a)).mean() * dW)
+        np.testing.assert_allclose(out.positions.mean(axis=-1) - pos.mean(axis=-1), want, rtol=0, atol=1e-13)
+
 
 def _bundle(seed, n, T, steps):
     """The noise of `make_noise_bundle` as arrays: the common path's values
