@@ -5,10 +5,8 @@ All studies are reproducible from (config, seed): replica r draws its
 noise from streams keyed by a seed derived from (seed, r), and results are
 aggregated in replica order.  The convergence study and the martingale
 statistic split their replicas into one block per usable CPU
-(`_fork_rows`, which runs any independent rows: replica seeds here,
-snapshot indices in `diagnostics.entropy_identity_residual`); a replica's
-row is computed on its own, bit for bit, so their output does not depend
-on the number of CPUs.
+(`_fork_rows`); a replica's row is computed on its own, bit for bit, so
+their output does not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -95,9 +93,9 @@ def _send_block(fn, rows, fd: int):
 
 
 def _fork_rows(fn, rows: np.ndarray) -> np.ndarray:
-    """fn(rows), for a block function fn that maps a 1-d array of row keys
-    (replica seeds, snapshot indices) to an array with one column per row
-    (the row axis last) and computes each column on its own, bit for bit.
+    """fn(rows), for a block function fn that maps a 1-d array of replica
+    seeds to an array with one column per seed (the row axis last) and
+    computes each column on its own, bit for bit.
 
     The rows are split into k = min(len(rows), usable CPUs) contiguous
     blocks.  This process computes the first block, and each other block

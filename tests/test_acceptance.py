@@ -193,16 +193,20 @@ def test_criterion_6_entropy_structure():
     cr_slope = math.log2(cr[128] / cr[256])
     ca_slope = math.log2(ca[128] / ca[256])
 
-    # entropy identity residual decays under refinement (heat oracle)
+    # entropy identity on the heat oracle: the run is symmetric,
+    # u(-x) = 1 - u(x), so for tf (eta = 0.5, y = 0) every term vanishes and
+    # the residual is rounding; for an asymmetric rho it decays under
+    # refinement
     cs_heat = build_from_sources("0", "sqrt(2)", "0", 64, allow_degenerate=True)
-    ent = {}
+    asym = BumpTestFunction(eta=0.4, y=0.3, r_xi=0.3, r_x=1.5)
+    ent, ent_asym = {}, {}
     for J, steps in ((128, 64), (256, 128)):
         cfg = SolverConfig(-9.0, 9.0, J)
         u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, J)
         Wh = sample_path(3, STREAM_COMMON, 1.0, steps)
         sol = solve(u0, cs_heat, Wh, cfg)
-        ent[J] = abs(entropy_identity_residual(sol, cs_heat, [tf], 0.25, 0.75)[0])
-    ent_decays = ent[256] < ent[128]
+        ent[J], ent_asym[J] = np.abs(entropy_identity_residual(sol, cs_heat, [tf, asym], 0.25, 0.75))
+    ent_ok = ent[128] <= 1e-12 and ent[256] <= 1e-12 and ent_asym[256] < ent_asym[128]
 
     # dissipation measure: bookkeeping to 1e-10 and the closed-form heat
     # value sqrt(T / (2 pi)) to 5% at J = 256
@@ -224,10 +228,11 @@ def test_criterion_6_entropy_structure():
     nonneg = bool(np.all(masses >= 0.0))
 
     elapsed = time.time() - t0
-    ok = cr_slope >= 1.0 and ca_slope >= 1.0 and ent_decays and book_ok and heat_ok and nonneg
+    ok = cr_slope >= 1.0 and ca_slope >= 1.0 and ent_ok and book_ok and heat_ok and nonneg
     _report(6, "entropy structure", ok,
             f"chain-rule slope {cr_slope:.2f}, co-area slope {ca_slope:.2f}, "
-            f"entropy residual {ent[128]:.1e} -> {ent[256]:.1e}, "
+            f"symmetric entropy residual {ent[128]:.1e}, {ent[256]:.1e} <= 1e-12, "
+            f"asymmetric {ent_asym[128]:.1e} -> {ent_asym[256]:.1e}, "
             f"dissipation bookkeeping {abs(total - book):.1e}, "
             f"heat total within {abs(total - closed) / closed * 100:.1f}%",
             elapsed, 120.0)

@@ -573,13 +573,16 @@ def test_cli_import_leaves_numpy_random_unloaded():
 
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():
-    # numpy.polynomial (about 0.75 MB) is loaded by the diagnostics' xi rule
-    # on first use; the coefficient transforms' order-8 rule is written out
+    # numpy.polynomial (about 0.75 MB) is not loaded by any command; the
+    # coefficient transforms' order-8 rule is written out
     assert fresh_interpreter("import rankflow.cli", "'numpy.polynomial' in sys.modules") is False
 
 
-def test_cli_import_leaves_the_xi_rule_uncomputed():
-    # leggauss(256), the diagnostics' xi rule, takes 7-17 ms; only diagnose
-    # reads it, so it is computed on first use, not at import
-    assert fresh_interpreter("import rankflow.cli",
-                             "sys.modules['rankflow.diagnostics']._xi_rule.cache_info().currsize") == 0
+def test_diagnose_run_leaves_numpy_polynomial_unloaded(tmp_path):
+    # the diagnostics' xi rule reuses that order-8 rule, so a whole diagnose
+    # run loads no numpy.polynomial either
+    statement = ("import contextlib, io\nfrom rankflow.cli import run\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    code = run(['diagnose', '--config', {str(CONFIGS / 'diagnose.cfg')!r}, "
+                 f"'--out', {str(tmp_path / 'out')!r}])")
+    assert fresh_interpreter(statement, "(code, 'numpy.polynomial' in sys.modules)") == (0, False)
