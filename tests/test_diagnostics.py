@@ -1,7 +1,7 @@
 """Transported test functions, chain rule, co-area, dissipation measure,
 entropy identity, and weak form."""
 
-import dataclasses
+import functools
 import math
 import re
 
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.integrate import quad
 
+from rankflow import bumps
 from rankflow.bumps import Bump1D, bump, bump_d1, bump_d2
 from rankflow.coefficients import PIECES, CoefficientSet, ValidationError, build_from_sources
 from rankflow.diagnostics import (
@@ -24,7 +25,7 @@ from rankflow.diagnostics import (
     eval_rho,
     weak_form_residual,
 )
-from rankflow.diagnostics import _GROUP_POINTS, _entropy_terms, _grid_sx, _restrict, _row_groups
+from rankflow.diagnostics import _GROUP_POINTS, _entropy_terms, _grid_sx, _kinetic_rule, _restrict, _row_groups
 from rankflow.measures import GridFunction, grid_cdf, point_mass, gaussian, mixture
 from rankflow.randomness import sample_path, STREAM_COMMON
 from rankflow.solver import SolverConfig, SpdeSolution, solve
@@ -464,6 +465,190 @@ class TestLayerCake:
         for got, want in zip(zip(diffusion, boundary, lhs), ref):
             assert want[1] != 0.0
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-7)
+
+
+def _kinetic_x_first(u, cs, tf, r, w_r, xi_pieces=512, xi_order=8, x_order=8):
+    """A second reference, for one test function, on the whole line: the
+    integrals of `_kinetic_double_integrals` taken x first.  At each xi,
+    {x : u(x) > xi} = (x_xi, inf) with x_xi read off u's values by
+    np.interp (u is 0 left of its domain and 1 right of it), and the
+    x-integral runs on the part of it where the transported x-bump is
+    nonzero, on which the bump is a polynomial of degree 8: an
+    `x_order`-node Gauss-Legendre rule takes it exactly.  xi runs over an
+    `xi_order`-node rule on each piece between k / `xi_pieces`, u's values
+    and the ends of the xi-bump's support."""
+    xi_nodes, xi_weights = np.polynomial.legendre.leggauss(xi_order)
+    x_nodes, x_weights = np.polynomial.legendre.leggauss(x_order)
+    anchors = np.concatenate(([u.x_min], u.centers(), [u.x_max]))
+    levels = np.concatenate(([0.0], np.clip(u.values, 0.0, 1.0), [1.0]))
+    cuts = np.union1d(np.arange(xi_pieces + 1) / xi_pieces, levels)
+    cuts = np.union1d(cuts, np.clip([tf.eta - tf.r_xi, tf.eta + tf.r_xi], 0.0, 1.0))
+    width = np.diff(cuts)
+    xi = (cuts[:-1, None] + 0.5 * width[:, None] * (xi_nodes + 1.0)).ravel()
+    w_xi = (0.5 * width[:, None] * xi_weights).ravel() * tf.fxi(xi - tf.eta)
+    centre = tf.y + np.asarray(cs.b(xi)) * r + np.asarray(cs.gamma(xi)) * w_r
+    lo = np.maximum(np.interp(xi, levels, anchors), centre - tf.r_x)
+    hi = np.maximum(lo, centre + tf.r_x)
+    xt = (lo - centre)[:, None] + 0.5 * (hi - lo)[:, None] * (x_nodes + 1.0)
+    w_x = 0.5 * (hi - lo)[:, None] * x_weights
+    sigma = np.asarray(cs.sigma(xi))
+    return [float(np.sum(w_xi * sigma * sigma * np.sum(w_x * tf.fx.d2(xt), axis=1))),
+            float(np.sum(w_xi * np.sum(w_x * tf.fx(xt), axis=1))),
+            float(np.sum(w_xi * sigma * np.sum(w_x * tf.fx.d1(xt), axis=1)))]
+
+
+# b and gamma of the whole-line cases; sigma goes through sin, and the
+# non-affine pair through sin, exp, ^3, ^-2, / and sqrt
+_WHOLE_LINE_COEFFICIENTS = {
+    "affine": ("a - 0.5", "0.5*(1 + a)"),
+    "nonaffine": ("sin(6*a)*exp(a) - a^3/(1.5 - a)", "sqrt(0.2 + a)*(1 + a)^-2 + 0.3*cos(4*a)"),
+}
+
+
+@functools.cache
+def _whole_line_cs(name):
+    b, gamma = _WHOLE_LINE_COEFFICIENTS[name]
+    return build_from_sources(b, "1 + 0.3*sin(5*a)", gamma, 64)
+
+
+@functools.cache
+def _whole_line_state(name):
+    """On (-4, 4) with 80 cells: u = 0 on the left cells and 1 on the right
+    ones with a ramp between, u = 0 on every cell, a smooth CDF, the same
+    CDF from 0.5 to 1, and the smooth CDF held at 0.5 on |x| < 0.5."""
+    x = -4.0 + (np.arange(80) + 0.5) * 0.1
+    smooth = gaussian(0.2, 0.8).cdf(x)
+    values = {
+        "ramp": np.clip((x + 1.0) / 2.0, 0.0, 1.0),
+        "zero": np.zeros(x.size),
+        "smooth": smooth,
+        "high": 0.5 + 0.5 * smooth,
+        "plateau": np.where(np.abs(x) < 0.5, 0.5, smooth),
+    }[name]
+    return GridFunction(-4.0, 4.0, values)
+
+
+def _whole_line_cases():
+    edges = [BumpTestFunction(eta=0.1, y=y, r_xi=0.3, r_x=1.0) for y in (-3.9, 3.9)]
+    far = BumpTestFunction(eta=0.6, y=40.0, r_xi=0.3, r_x=0.5)
+    wide = BumpTestFunction(eta=0.5, y=0.0, r_xi=0.25, r_x=50.0)
+    inner = [BumpTestFunction(eta=eta, y=y, r_xi=0.3, r_x=1.0) for eta in (0.2, 0.5) for y in (-0.5, 0.5)]
+    return {
+        "edges": edges, "far": [far], "wide": [wide], "single": inner[:1], "none": [],
+        "family": edges + [far, wide] + inner,
+    }
+
+
+@functools.cache
+def _whole_line_reference(state, coefficients, tf, r, w_r):
+    return _kinetic_x_first(_whole_line_state(state), _whole_line_cs(coefficients), tf, r, w_r)
+
+
+class TestWholeLine:
+    """The entropy terms and the chain rule's lhs equal the x-first
+    integrals (`_kinetic_x_first`) to 1e-7, for bumps across the domain's
+    ends, right of it (where u = 1), wider than it and inside it, one by
+    one and as one family, at three (t, w_t), on affine and non-affine b
+    and gamma; the rules agree to about 1e-8 on these cases."""
+
+    SHIFTS = ((0.0, 0.0), (0.3, -0.7), (0.8, 1.9))
+
+    def _check_entropy_terms(self, coefficients, state, case):
+        u, cs, tfs = _whole_line_state(state), _whole_line_cs(coefficients), _whole_line_cases()[case]
+        for r, w_r in self.SHIFTS:
+            diffusion, boundary = _entropy_terms(u, r, w_r, cs, tfs, True)
+            assert _entropy_terms(u, r, w_r, cs, tfs, False) == (diffusion, None)
+            want = [_whole_line_reference(state, coefficients, tf, r, w_r)[:2] for tf in tfs]
+            np.testing.assert_allclose(np.reshape(list(zip(diffusion, boundary)), (-1, 2)),
+                                       np.reshape(want, (-1, 2)), rtol=0.0, atol=1e-7)
+
+    def _check_chain_rule_lhs(self, coefficients, state, case):
+        u, cs, tfs = _whole_line_state(state), _whole_line_cs(coefficients), _whole_line_cases()[case]
+        for t, w_t in self.SHIFTS:
+            lhs = [form[0] for form in chain_rule_forms(u, cs, tfs, t, w_t)]
+            want = [_whole_line_reference(state, coefficients, tf, t, w_t)[2] for tf in tfs]
+            np.testing.assert_allclose(lhs, want, rtol=0.0, atol=1e-7)
+
+    @pytest.mark.parametrize("case", ["edges", "far", "wide", "single", "none", "family"])
+    @pytest.mark.parametrize("state", ["ramp", "zero", "smooth"])
+    def test_entropy_terms_equal_the_x_first_integrals(self, state, case):
+        self._check_entropy_terms("affine", state, case)
+
+    @pytest.mark.parametrize("case", ["edges", "far", "wide", "single", "none", "family"])
+    @pytest.mark.parametrize("state", ["ramp", "zero", "smooth"])
+    def test_chain_rule_lhs_equals_the_x_first_integral(self, state, case):
+        self._check_chain_rule_lhs("affine", state, case)
+
+    @pytest.mark.parametrize("case", ["far", "single", "family"])
+    @pytest.mark.parametrize("state", ["ramp", "smooth", "high"])
+    def test_nonaffine_entropy_terms_equal_the_x_first_integrals(self, state, case):
+        self._check_entropy_terms("nonaffine", state, case)
+
+    @pytest.mark.parametrize("case", ["far", "single", "family"])
+    @pytest.mark.parametrize("state", ["ramp", "smooth", "high"])
+    def test_nonaffine_chain_rule_lhs_equals_the_x_first_integral(self, state, case):
+        self._check_chain_rule_lhs("nonaffine", state, case)
+
+    @pytest.mark.parametrize("state", ["ramp", "zero", "smooth", "high"])
+    def test_far_bumps_see_zero_left_and_one_right(self, state):
+        """u is 0 left of its domain and 1 right of it: a bump far left
+        gives exact zeros; one far right gives the xi-bump's mass 1 as the
+        boundary term and exact zeros for the x-derivative terms."""
+        u, cs = _whole_line_state(state), _whole_line_cs("nonaffine")
+        tfs = [BumpTestFunction(eta=0.6, y=y, r_xi=0.3, r_x=0.5) for y in (-40.0, 40.0)]
+        for r, w_r in self.SHIFTS:
+            diffusion, boundary = _entropy_terms(u, r, w_r, cs, tfs, True)
+            lhs = [form[0] for form in chain_rule_forms(u, cs, tfs, r, w_r)]
+            assert diffusion == [0.0, 0.0] and lhs == [0.0, 0.0] and boundary[0] == 0.0
+            assert boundary[1] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestKineticRule:
+    """The xi rule of every kinetic integral (`_kinetic_rule`)."""
+
+    STATES = ["ramp", "zero", "smooth", "high", "plateau"]
+
+    @pytest.mark.parametrize("state", STATES)
+    def test_breaks_at_every_level_of_u_and_every_k_over_256(self, state):
+        """The weights below each k / 256 and each value of u sum to that
+        level, as only a breakpoint there allows, and all of them to 1."""
+        u = _whole_line_state(state)
+        nodes, weights, _ = _kinetic_rule(u)
+        assert np.all(np.diff(nodes) > 0.0) and 0.0 < nodes[0] and nodes[-1] < 1.0
+        levels = np.union1d(np.arange(257) / 256, np.clip(u.values, 0.0, 1.0))
+        below = np.array([np.sum(weights[nodes < v]) for v in levels])
+        np.testing.assert_allclose(below, levels, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("state", STATES)
+    def test_quantile_integral_is_the_exact_one(self, state):
+        """int_0^1 q dxi = x_max - int u dx, with u piecewise linear through
+        its values, 0 at x_min and 1 at x_max: exact on the rule, a jump of
+        q at a plateau included."""
+        u = _whole_line_state(state)
+        _, weights, q = _kinetic_rule(u)
+        anchors = np.concatenate(([u.x_min], u.centers(), [u.x_max]))
+        levels = np.concatenate(([0.0], np.clip(u.values, 0.0, 1.0), [1.0]))
+        assert float(np.sum(weights * q)) == pytest.approx(u.x_max - np.trapezoid(levels, anchors), abs=1e-12)
+
+
+def test_entropy_terms_build_each_bump_factor_once_per_key(cs_general, monkeypatch):
+    """On a family of three xi-centres by three x-centres, one snapshot's
+    terms evaluate three xi-bumps and three fx' on every node of the xi
+    rule, and three tails only with the boundary term."""
+    u = grid_cdf(gaussian(0.0, 1.0), -16.0, 16.0, 128)
+    tfs = [BumpTestFunction(eta=eta, y=y, r_xi=0.3, r_x=1.5) for eta in (0.3, 0.5, 0.7) for y in (-0.5, 0.0, 0.5)]
+    nodes = _kinetic_rule(u)[0].size
+    calls = {"bump": [], "bump_d1": [], "bump_d2": [], "tail_integral": []}
+    for name in ("bump", "bump_d1", "bump_d2"):
+        monkeypatch.setattr(bumps, name, lambda s, f=getattr(bumps, name), n=calls[name]: n.append(np.size(s)) or f(s))
+    tail = Bump1D.tail_integral
+    monkeypatch.setattr(Bump1D, "tail_integral",
+                        lambda self, x: calls["tail_integral"].append(np.size(x)) or tail(self, x))
+    for boundary, tails in ((False, []), (True, [nodes] * 3)):
+        for points in calls.values():
+            points.clear()
+        _entropy_terms(u, 0.3, -0.7, cs_general, tfs, boundary)
+        assert calls == {"bump": [nodes] * 3, "bump_d1": [nodes] * 3, "bump_d2": [], "tail_integral": tails}
 
 
 def test_pole_is_rejected_at_build():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import particle_increments
-from rankflow import experiments
+from rankflow import diagnostics, experiments
 from rankflow.bumps import Bump1D
 from rankflow.cli import run
 from rankflow.coefficients import ValidationError, build_from_sources
@@ -480,6 +480,28 @@ class TestForkedRowBlocks:
             monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
             split = entropy_identity_residual(*entropy_case, s, t)
             assert np.array(split).tobytes() == serial.tobytes()
+        _no_child_left()
+
+    def test_an_error_in_a_snapshot_reaches_the_caller_unforked(self, monkeypatch, entropy_case):
+        # the snapshot walk runs in the caller on any number of CPUs: the
+        # error of the first failing snapshot, t = 0.4375, is raised as is,
+        # and no child is forked
+        terms = diagnostics._entropy_terms
+
+        def failing(snap, r, *args):
+            if r > 0.42:
+                raise ArithmeticError(f"entropy terms at t = {r}")
+            return terms(snap, r, *args)
+
+        def no_fork():
+            raise AssertionError("the entropy walk forked")
+
+        monkeypatch.setattr(diagnostics, "_entropy_terms", failing)
+        monkeypatch.setattr(os, "fork", no_fork)
+        for cpus in (1, 3):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            with pytest.raises(ArithmeticError, match=r"^entropy terms at t = 0\.4375$"):
+                entropy_identity_residual(*entropy_case, 0.25, 0.5)
         _no_child_left()
 
 
