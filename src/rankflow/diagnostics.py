@@ -69,6 +69,16 @@ def _kinetic_rule(u: GridFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, weights, u.quantiles(nodes)
 
 
+def _x_side(u: GridFunction, f: np.ndarray, nodes: np.ndarray, terms: np.ndarray) -> float:
+    """An integral over the whole line, given as f at the cell centres and,
+    in co-area form, as the xi rule's weighted `terms`: the trapezoid sum
+    of f from the first centre to the last, plus `terms` over the levels
+    that u rises through on its end half-cells, from 0 at x_min to u_1 and
+    from u_J to 1 at x_max, which a sum on the cells does not see."""
+    lo, hi = np.searchsorted(nodes, np.clip(u.values[[0, -1]], 0.0, 1.0))
+    return float((np.sum(f) - 0.5 * (f[0] + f[-1])) * u.dx + np.sum(terms[:lo]) + np.sum(terms[hi:]))
+
+
 @dataclass(frozen=True)
 class BumpTestFunction:
     """Tensorized bump rho0(x~, xi~) = psi_{r_x}(x~) psi_{r_xi}(xi~),
@@ -175,25 +185,27 @@ def chain_rule_forms(u: GridFunction, cs: CoefficientSet, tfs: Sequence[BumpTest
           = -int_0^1 sigma(xi) rho0(q(xi) - y - b(xi) t - gamma(xi) w_t, xi - eta) dxi
       rhs = -int S(u)_x rho(u(t,x), t, x) dx
 
-    lhs in layer-cake form on the xi rule (`_kinetic_rule`), rhs on the
-    cells.  b, gamma and sigma are evaluated once per call on each, and
-    each bump factor once per distinct centre and radius.
+    both over the whole line.  lhs is in layer-cake form on the xi rule
+    (`_kinetic_rule`); rhs is taken on the cells and, where u rises at the
+    domain's ends, on the same rule (`_x_side`), where S(u)_x dx is
+    sigma(xi) dxi at x = q(xi).  b, gamma and sigma are evaluated once per
+    call on each, and each bump factor once per distinct centre and radius.
     """
     nodes, weights, q = _kinetic_rule(u)
     shift = _shift(cs, nodes, t, w_t)
-    w_sig = weights * np.asarray(cs.sigma(nodes))
+    w_sig = -weights * np.asarray(cs.sigma(nodes))
     fx = _shared(tfs, _x_key, lambda tf: tf.fx((q - tf.y) - shift))
     fxi = _shared(tfs, _xi_key, lambda tf: tf.fxi(nodes - tf.eta))
-    lhs = [float(-np.sum(w_sig * (a * c))) for a, c in zip(fx, fxi)]
+    terms = [w_sig * (a * c) for a, c in zip(fx, fxi)]
 
     x = u.centers()
     uv = np.clip(u.values, 0.0, 1.0)
-    sx = _grid_sx(u.values, u.dx, cs)
+    minus_sx = -_grid_sx(u.values, u.dx, cs)
     shift = _shift(cs, uv, t, w_t)
     fx = _shared(tfs, _x_key, lambda tf: tf.fx((x - tf.y) - shift))
     fxi = _shared(tfs, _xi_key, lambda tf: tf.fxi(uv - tf.eta))
-    rhs = [float(-np.sum(sx * (a * c)) * u.dx) for a, c in zip(fx, fxi)]
-    return list(zip(lhs, rhs))
+    return [(float(np.sum(terms_tf)), _x_side(u, minus_sx * (a * c), nodes, terms_tf))
+            for a, c, terms_tf in zip(fx, fxi, terms)]
 
 
 def chain_rule_residual(u: GridFunction, cs: CoefficientSet, tfs: Sequence[BumpTestFunction],
@@ -204,14 +216,16 @@ def chain_rule_residual(u: GridFunction, cs: CoefficientSet, tfs: Sequence[BumpT
 
 def coarea_check(u: GridFunction, cs: CoefficientSet, g) -> float:
     """|int g(x, u) gamma(u) u_x dx - int_0^1 g(q(xi), xi) gamma(xi) dxi|,
-    the first on the cells, the second on the xi rule (`_kinetic_rule`)."""
+    both over the whole line: the first on the cells and, where u rises at
+    the domain's ends, on the xi rule (`_x_side`), the second on the xi
+    rule (`_kinetic_rule`)."""
+    nodes, weights, q = _kinetic_rule(u)
+    terms = weights * np.asarray(g(q, nodes)) * np.asarray(cs.gamma(nodes))
     centers = u.centers()
     uv = np.clip(u.values, 0.0, 1.0)
     ux = np.gradient(u.values, u.dx)
-    lhs = float(np.sum(np.asarray(g(centers, uv)) * np.asarray(cs.gamma(uv)) * ux) * u.dx)
-    nodes, weights, q = _kinetic_rule(u)
-    rhs = float(np.sum(weights * np.asarray(g(q, nodes)) * np.asarray(cs.gamma(nodes))))
-    return abs(lhs - rhs)
+    lhs = _x_side(u, np.asarray(g(centers, uv)) * np.asarray(cs.gamma(uv)) * ux, nodes, terms)
+    return abs(lhs - float(np.sum(terms)))
 
 
 def dissipation_measure(sol: SpdeSolution, cs: CoefficientSet) -> tuple[np.ndarray, np.ndarray]:

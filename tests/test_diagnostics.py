@@ -197,10 +197,24 @@ class TestEvalRho:
 
 class TestChainRule:
     def test_zero_state(self, tf, cs_general):
-        # u = 0 on the domain and, as every GridFunction, 1 right of it: the
-        # x-bump (radius 1.5, shifted by at most 0.25) stays where u = 0
-        u = GridFunction(-4.0, 4.0, np.zeros(64), validate=False)
+        # the x-bump reaches past x_max, across u's rise from 0 to 1 on the
+        # last half-cell: both sides count it, and nothing else
+        u = GridFunction(-1.0, 1.0, np.zeros(64), validate=False)
         assert chain_rule_residual(u, cs_general, [tf], 0.3, 0.1) == [0.0]
+
+    def test_bumps_across_the_domain_ends_converge(self, cs_general):
+        """u = Phi(x) on (-1, 1) is 0.16 and 0.84 at the ends, and rises to 0
+        and 1 past them; bumps across either end, and one inside, converge
+        at second order.  A rhs on the cells alone stays near 0.39 and 0.33
+        for the first two."""
+        tfs = [BumpTestFunction(eta=eta, y=y, r_xi=0.3, r_x=1.0) for eta, y in ((0.2, -1.0), (0.8, 1.0), (0.5, 0.0))]
+        res = {}
+        for J in (64, 128, 256):
+            x = -1.0 + (np.arange(J) + 0.5) * 2.0 / J
+            res[J] = np.array(chain_rule_residual(GridFunction(-1.0, 1.0, gaussian(0, 1).cdf(x)), cs_general,
+                                                  tfs, 0.3, 0.1))
+        assert np.all(res[64] <= 2e-4)
+        assert np.all(res[256] <= res[128] / 3.0) and np.all(res[128] <= res[64] / 3.0)
 
     def test_identity_ramp_value_and_residual(self, tf):
         # sigma = 1, b = 0, gamma = 1, t = 0: both sides equal
@@ -273,6 +287,18 @@ class TestCoarea:
                 centers = -12.0 + (np.arange(J) + 0.5) * dx
                 u = GridFunction(-12.0, 12.0, gaussian(mu, sd).cdf(centers))
                 assert coarea_check(u, cs_general, g) <= 0.05 * dx
+
+    def test_a_state_cut_off_at_the_domain_ends_converges(self, cs_general):
+        """u = Phi(x) on (-1, 1) rises from 0 to 0.16 and from 0.84 to 1 on
+        its end half-cells, which the xi-side sees: the cell side counts
+        them too, and the residual falls at second order.  On the cells
+        alone it stays near 0.26."""
+        g = lambda x, v: np.cos(x) + v**2
+        res = []
+        for J in (64, 128, 256):
+            x = -1.0 + (np.arange(J) + 0.5) * 2.0 / J
+            res.append(coarea_check(GridFunction(-1.0, 1.0, gaussian(0, 1).cdf(x)), cs_general, g))
+        assert res[0] <= 5e-5 and res[0] >= 3.0 * res[1] and res[1] >= 3.0 * res[2]
 
     def test_plateau_between_two_bumps_converges(self, cs_general):
         """Between the bumps u is flat at 0.5, where q jumps: the xi rule has
@@ -418,58 +444,11 @@ def _entropy_residuals_per_snapshot(sol, cs, tfs, s, t):
     return out, pairs
 
 
-def _kinetic_double_integrals(u, cs, tfs, r, w_r, x_order=32, xi_order=64):
-    """The reference: int int chi(xi, u) g dx dxi for g = sigma^2 rho_xx,
-    rho and sigma rho_x, per test function, taken directly over u's domain,
-    with u the piecewise linear interpolant of its values that
-    `GridFunction.quantiles` inverts: an `x_order`-node Gauss-Legendre rule
-    on each interval on which u is linear, and an `xi_order`-node one on
-    [0, u(x)] at each x."""
-    x_nodes, x_weights = np.polynomial.legendre.leggauss(x_order)
-    xi_nodes, xi_weights = np.polynomial.legendre.leggauss(xi_order)
-    cuts = np.concatenate(([u.x_min], u.centers(), [u.x_max]))
-    width = np.diff(cuts)
-    x = (cuts[:-1, None] + 0.5 * width[:, None] * (x_nodes + 1.0)).ravel()
-    ux = np.interp(x, cuts, np.concatenate(([0.0], np.clip(u.values, 0.0, 1.0), [1.0])))
-    xi = 0.5 * (xi_nodes[:, None] + 1.0) * ux
-    w = (0.25 * xi_weights[:, None] * ux) * (width[:, None] * x_weights).ravel()
-    shift = np.asarray(cs.b(xi)) * r + np.asarray(cs.gamma(xi)) * w_r
-    sigma = np.asarray(cs.sigma(xi))
-    out = []
-    for tf in tfs:
-        xt, fxi = (x - tf.y) - shift, tf.fxi(xi - tf.eta)
-        out.append([float(np.sum(w * sigma * sigma * tf.fx.d2(xt) * fxi)),
-                    float(np.sum(w * tf.fx(xt) * fxi)),
-                    float(np.sum(w * sigma * tf.fx.d1(xt) * fxi))])
-    return out
-
-
-class TestLayerCake:
-    """The layer-cake forms of the entropy terms and of the chain rule's
-    lhs equal the double integrals they stand for, taken directly on a
-    fine grid, on a smooth CDF and on one with a plateau, for bumps with
-    non-affine coefficients and a nonzero shift."""
-
-    @pytest.mark.parametrize("state", ["smooth", "plateau"])
-    def test_terms_equal_the_double_integrals(self, state):
-        cs = build_from_sources("a - 0.5", "1 + 0.3*sin(5*a)", "0.5*(1 + a)", 64)
-        x = -4.0 + (np.arange(80) + 0.5) * 0.1
-        smooth = gaussian(0.2, 0.8).cdf(x)
-        values = smooth if state == "smooth" else np.where(np.abs(x) < 0.5, 0.5, smooth)
-        u = GridFunction(-4.0, 4.0, values)
-        tfs = [BumpTestFunction(eta=eta, y=y, r_xi=0.3, r_x=1.0) for eta in (0.3, 0.55) for y in (-0.5, 0.5)]
-        r, w_r = 0.3, -0.7
-        diffusion, boundary = _entropy_terms(u, r, w_r, cs, tfs, True)
-        lhs = [form[0] for form in chain_rule_forms(u, cs, tfs, r, w_r)]
-        ref = _kinetic_double_integrals(u, cs, tfs, r, w_r)
-        for got, want in zip(zip(diffusion, boundary, lhs), ref):
-            assert want[1] != 0.0
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-7)
-
-
 def _kinetic_x_first(u, cs, tf, r, w_r, xi_pieces=512, xi_order=8, x_order=8):
-    """A second reference, for one test function, on the whole line: the
-    integrals of `_kinetic_double_integrals` taken x first.  At each xi,
+    """The reference, for one test function, on the whole line: the double
+    integrals int int chi(xi, u) g dx dxi for g = sigma^2 rho_xx, rho and
+    sigma rho_x, with u the piecewise linear interpolant of its values
+    that `GridFunction.quantiles` inverts, taken x first.  At each xi,
     {x : u(x) > xi} = (x_xi, inf) with x_xi read off u's values by
     np.interp (u is 0 left of its domain and 1 right of it), and the
     x-integral runs on the part of it where the transported x-bump is
@@ -546,10 +525,11 @@ def _whole_line_reference(state, coefficients, tf, r, w_r):
 
 class TestWholeLine:
     """The entropy terms and the chain rule's lhs equal the x-first
-    integrals (`_kinetic_x_first`) to 1e-7, for bumps across the domain's
-    ends, right of it (where u = 1), wider than it and inside it, one by
-    one and as one family, at three (t, w_t), on affine and non-affine b
-    and gamma; the rules agree to about 1e-8 on these cases."""
+    integrals (`_kinetic_x_first`) to 1e-7, on the states of
+    `_whole_line_state`, a plateau of u included, for bumps across the
+    domain's ends, right of it (where u = 1), wider than it and inside it,
+    one by one and as one family, at three (t, w_t), on affine and
+    non-affine b and gamma; the rules agree to about 1e-8 on these cases."""
 
     SHIFTS = ((0.0, 0.0), (0.3, -0.7), (0.8, 1.9))
 
@@ -570,26 +550,26 @@ class TestWholeLine:
             np.testing.assert_allclose(lhs, want, rtol=0.0, atol=1e-7)
 
     @pytest.mark.parametrize("case", ["edges", "far", "wide", "single", "none", "family"])
-    @pytest.mark.parametrize("state", ["ramp", "zero", "smooth"])
+    @pytest.mark.parametrize("state", ["ramp", "zero", "smooth", "plateau"])
     def test_entropy_terms_equal_the_x_first_integrals(self, state, case):
         self._check_entropy_terms("affine", state, case)
 
     @pytest.mark.parametrize("case", ["edges", "far", "wide", "single", "none", "family"])
-    @pytest.mark.parametrize("state", ["ramp", "zero", "smooth"])
+    @pytest.mark.parametrize("state", ["ramp", "zero", "smooth", "plateau"])
     def test_chain_rule_lhs_equals_the_x_first_integral(self, state, case):
         self._check_chain_rule_lhs("affine", state, case)
 
     @pytest.mark.parametrize("case", ["far", "single", "family"])
-    @pytest.mark.parametrize("state", ["ramp", "smooth", "high"])
+    @pytest.mark.parametrize("state", ["ramp", "smooth", "high", "plateau"])
     def test_nonaffine_entropy_terms_equal_the_x_first_integrals(self, state, case):
         self._check_entropy_terms("nonaffine", state, case)
 
     @pytest.mark.parametrize("case", ["far", "single", "family"])
-    @pytest.mark.parametrize("state", ["ramp", "smooth", "high"])
+    @pytest.mark.parametrize("state", ["ramp", "smooth", "high", "plateau"])
     def test_nonaffine_chain_rule_lhs_equals_the_x_first_integral(self, state, case):
         self._check_chain_rule_lhs("nonaffine", state, case)
 
-    @pytest.mark.parametrize("state", ["ramp", "zero", "smooth", "high"])
+    @pytest.mark.parametrize("state", ["ramp", "zero", "smooth", "high", "plateau"])
     def test_far_bumps_see_zero_left_and_one_right(self, state):
         """u is 0 left of its domain and 1 right of it: a bump far left
         gives exact zeros; one far right gives the xi-bump's mass 1 as the
