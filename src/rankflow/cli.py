@@ -37,7 +37,7 @@ from .experiments import (
 from .expr import ExpressionSyntaxError
 from .measures import empirical_cdf, grid_cdf
 from .particles import simulate as run_particles, snapshot_indices
-from .randomness import STREAM_COMMON, grid_indices, make_noise_bundle, sample_path
+from .randomness import STREAM_COMMON, grid_indices, make_noise_bundle, refine_path, sample_path
 from .solver import DomainMarginError, SolverConfig, solve
 
 COMMANDS = ("simulate", "solve", "converge", "martingale", "stability", "diagnose")
@@ -88,9 +88,24 @@ def _mesh_inputs(cfg: RunConfig, seed: int):
     return cs, sc, T, W, u0
 
 
+def _mesh_snapshot_times(cfg: RunConfig, T: float) -> list:
+    """The snapshot times of `solve` and `stability`, [T] by default; a time
+    outside [0, T], unless the on-grid rule (`grid_indices`) reads it at 0
+    or T, is a config error before any work."""
+    snap = cfg.num_list("snapshot_times", [T])
+    for t in snap:
+        if not 0.0 <= t <= T:
+            try:
+                grid_indices(np.array([0.0, T]), t, "snapshot time")
+            except ValueError:
+                raise ConfigError(f"snapshot time = {t!r} must lie in [0, T] = [0, {T!r}]") from None
+    return snap
+
+
 def _cmd_solve(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     cs, sc, T, W, u0 = _mesh_inputs(cfg, seed)
-    sol = solve(u0, cs, W, sc, snapshot_times=cfg.num_list("snapshot_times", [T]))
+    snap = _mesh_snapshot_times(cfg, T)
+    sol = solve(u0, cs, refine_path(W, snap), sc, snap)
     centers = sc.centers()
     rows = [
         (t, x, u)
@@ -180,7 +195,7 @@ def _cmd_martingale(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
 def _cmd_stability(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     cs, sc, T, W, u0 = _mesh_inputs(cfg, seed)
     rep = stability_experiment(cs, u0, W, cfg.num_list("epsilons"), sc,
-                               snapshot_times=cfg.num_list("snapshot_times", [T]))
+                               snapshot_times=_mesh_snapshot_times(cfg, T))
     outputs = [write_csv(out / "stability.csv", rep.columns, rep.rows)]
     return outputs, f"stability: implied-C spread {rep.summary['implied_C_spread']:.3g}"
 

@@ -47,13 +47,6 @@ _XI_PIECES = 256
 
 MIN_XI_SCALE = 0.05
 
-# the transforms of the weak form and the dissipation measure are evaluated
-# on groups of consecutive snapshots of at most this many points, one call
-# per group.  On configs/diagnose.cfg (33 snapshots of 256 cells), against
-# one call per snapshot, one call on all of them raised the peak RSS of a
-# run by 1.6 MB and groups of 4096 points by 0.5 MB; groups of 2048 did not
-_GROUP_POINTS = 2048
-
 
 def _kinetic_rule(u: GridFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes, weights and u's quantiles q(xi) (`GridFunction.quantiles`) of
@@ -169,13 +162,6 @@ def _grid_sx(values: np.ndarray, dx: float, cs: CoefficientSet) -> np.ndarray:
     return np.gradient(su, dx, axis=-1)
 
 
-def _row_groups(rows: int, cells: int) -> list[slice]:
-    """Consecutive slices of `rows` stacked states of `cells` points each,
-    _GROUP_POINTS points or one row at most per slice."""
-    step = max(1, _GROUP_POINTS // cells)
-    return [slice(i, i + step) for i in range(0, rows, step)]
-
-
 def chain_rule_forms(u: GridFunction, cs: CoefficientSet, tfs: Sequence[BumpTestFunction],
                      t: float, w_t: float) -> list[tuple[float, float]]:
     """For each test function rho of the family `tfs`, in order, the two
@@ -232,10 +218,9 @@ def dissipation_measure(sol: SpdeSolution, cs: CoefficientSet) -> tuple[np.ndarr
     """The discrete parabolic dissipation measure of `sol` as two
     (snapshots, cells) arrays (xi, masses): at snapshot k and cell j the
     mass (1/2)(S(u)_x)^2 dx dt sits at xi = u(t_k, x_j) clipped to
-    [0, 1].  The snapshot times must
-    be the nodes of a uniform grid (`grid_indices`).  S is evaluated on
-    groups of stacked snapshots (`_row_groups`), bit for bit the values of
-    one call per snapshot."""
+    [0, 1].  The snapshot times must be the nodes of a uniform grid
+    (`grid_indices`).  S is evaluated in one call on the stacked snapshots,
+    bit for bit the values of one call per snapshot."""
     times = np.asarray(sol.times)
     if times.size < 2:
         raise ValueError("need at least two snapshots")
@@ -245,14 +230,9 @@ def dissipation_measure(sol: SpdeSolution, cs: CoefficientSet) -> tuple[np.ndarr
         raise ValueError("snapshots must be on a uniform time grid") from None
     dt = float(times[1] - times[0])
     dx = sol.snapshots[0].dx
-    xi = np.empty((times.size, sol.snapshots[0].cells))
-    masses = np.empty(xi.shape)
-    for rows in _row_groups(*xi.shape):
-        values = np.stack([snap.values for snap in sol.snapshots[rows]])
-        sx = _grid_sx(values, dx, cs)
-        masses[rows] = 0.5 * sx * sx * dx * dt
-        xi[rows] = np.clip(values, 0.0, 1.0)
-    return xi, masses
+    values = np.stack([snap.values for snap in sol.snapshots])
+    sx = _grid_sx(values, dx, cs)
+    return np.clip(values, 0.0, 1.0), 0.5 * sx * sx * dx * dt
 
 
 def _restrict(sol: SpdeSolution, s: float, t: float):
@@ -328,9 +308,9 @@ def weak_form_residual(sol: SpdeSolution, cs: CoefficientSet, fs: Sequence[Bump1
     """Residual of the weak (distributional) form over [s, t] against each
     compactly supported f of the family `fs`, in order: time integrals by
     trapezoid on the snapshot grid, the noise integral as a left-endpoint
-    Ito sum.  B, Sigma + Gamma and G are evaluated for the whole family on
-    groups of stacked snapshots (`_row_groups`), bit for bit the values of
-    one call per snapshot, G only where the Ito sum reads it: not at t."""
+    Ito sum.  B, Sigma + Gamma and G are evaluated for the whole family in
+    one call each on the stacked snapshots, bit for bit the values of one
+    call per snapshot, G only where the Ito sum reads it: not at t."""
     first = sol.snapshots[0]
     for f in fs:
         lo, hi = f.support()
@@ -343,18 +323,14 @@ def weak_form_residual(sol: SpdeSolution, cs: CoefficientSet, fs: Sequence[Bump1
 
     times = sub.times
     dw = np.diff(w)
-    drift = np.empty((times.size, len(fs)))         # per snapshot, per f
-    noise_coef = np.empty((times.size - 1, len(fs)))  # per left endpoint, per f
-    for rows in _row_groups(times.size, first.cells):
-        uv = np.clip(np.stack([snap.values for snap in sub.snapshots[rows]]), 0.0, 1.0)
-        Bu = cs.eval_transform("B", uv)
-        Du = cs.eval_transform("Sigma", uv) + cs.eval_transform("Gamma", uv)
-        for i, (b_row, d_row) in enumerate(zip(Bu, Du), rows.start):
-            drift[i] = [float(np.sum(b_row * f1 + d_row * f2) * dx) for f1, f2 in derivs]
-        if rows.start < dw.size:
-            Gu = cs.eval_transform("G", uv[:dw.size - rows.start])
-            for i, g_row in enumerate(Gu, rows.start):
-                noise_coef[i] = [float(np.sum(g_row * f1) * dx) for f1, _ in derivs]
+    uv = np.clip(np.stack([snap.values for snap in sub.snapshots]), 0.0, 1.0)
+    Bu = cs.eval_transform("B", uv)
+    Du = cs.eval_transform("Sigma", uv) + cs.eval_transform("Gamma", uv)
+    Gu = cs.eval_transform("G", uv[:-1])
+    # per snapshot, and per left endpoint of the Ito sum; per f
+    drift = np.array([[float(np.sum(b_row * f1 + d_row * f2) * dx) for f1, f2 in derivs]
+                      for b_row, d_row in zip(Bu, Du)])
+    noise_coef = np.array([[float(np.sum(g_row * f1) * dx) for f1, _ in derivs] for g_row in Gu])
 
     u_s, u_t = sub.snapshots[0].values, sub.snapshots[-1].values
     out = []

@@ -35,6 +35,7 @@ from .randomness import (
     BrownianPath,
     grid_indices,
     make_noise_bundle,
+    refine_path,
     replica_seed,
     sample_path,
 )
@@ -542,7 +543,8 @@ def stability_experiment(
     """Pathwise stability: solve with the base path and with base + eps t/T
     (a ramp keeps the sup-distance between signals exactly eps), and record
     D(eps) = max over snapshots of the L1 distance between the solutions.
-    The base path and every perturbed path are solved in lock-step, one
+    The base path and every perturbed path, each refined by the snapshot
+    times after its shift (`refine_path`), are solved in lock-step, one
     block of 1 + len(epsilons) rows of `solve_paths`.  The implied constant
     is D / (sqrt(eps) + eps)."""
     epsilons = [float(e) for e in epsilons]
@@ -552,6 +554,7 @@ def stability_experiment(
     if snapshot_times is None:
         snapshot_times = [T]
     paths = [base_path] + [base_path.shifted(lambda tt, e=eps: e * tt / T) for eps in epsilons]
+    paths = [refine_path(W, snapshot_times) for W in paths]
     base_sol, *sols = solve_paths(u0, cs, paths, config, snapshot_times)
 
     rows = []

@@ -17,8 +17,8 @@ counter map gives independent streams, and word k of particle i depends
 only on (seed, i, k).
 
 Bridge refinement draws are keyed by the bit pattern of the inserted time
-in a counter block disjoint from the main increment block, so two solver
-runs that share (seed, stream_id) refine their paths with coupled noise.
+in a counter block disjoint from the main increment block, so a path and
+its `shifted` copy, which share (seed, stream_id), refine with coupled noise.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 __all__ = [
     "ndtri",
     "BrownianPath",
-    "GridConflict",
     "grid_indices",
     "sample_path",
     "refine_path",
@@ -54,10 +53,6 @@ STREAM_PARTICLES = (1 << 62) + 2
 _BLOCK_MAIN = 0
 _BLOCK_BRIDGE = 1
 _BLOCK_SAMPLING = 2
-
-
-class GridConflict(ValueError):
-    """An insert time duplicates an existing grid node."""
 
 
 # Cephes ndtri (Moshier, "Methods and Programs for Mathematical Functions",
@@ -271,8 +266,8 @@ class BrownianPath:
         return float(self.values[grid_indices(self.t_grid, t, "time")])
 
     def shifted(self, offset_fn) -> "BrownianPath":
-        """Path with values + offset_fn(t); keeps (seed, stream_id) so
-        bridge refinement stays coupled with the original."""
+        """Path with values + offset_fn(t); keeps (seed, stream_id), so
+        `refine_path` draws the original's bridge normals for it."""
         return BrownianPath(
             self.t_grid.copy(),
             self.values + offset_fn(self.t_grid),
@@ -305,6 +300,8 @@ def sample_path(seed: int, stream_id: int, T: float, steps: int) -> BrownianPath
 def refine_path(path: BrownianPath, insert_times) -> BrownianPath:
     """Insert nodes by Brownian-bridge interpolation; the only bridge sampler.
 
+    A time on a node, or within the on-grid tolerance of one
+    (`grid_indices`), is not inserted, and a repeated time is inserted once.
     The value at s in (t1, t2) between known neighbours (t1, w1) and
     (t2, w2) is Gaussian with mean (1 - f) w1 + f w2 and variance
     f (1 - f) (t2 - t1), where f = (s - t1)/(t2 - t1), and its normal draw
@@ -312,19 +309,17 @@ def refine_path(path: BrownianPath, insert_times) -> BrownianPath:
     chain left to right: the left neighbour of each is the insert before it,
     the right neighbour the next original node.  They are drawn in rounds,
     the m-th insert of every interval in one vectorised pass.  Original grid
-    values are unchanged.
+    values are unchanged.  A time to insert outside (0, T) raises ValueError.
     """
-    s = np.sort(np.asarray(insert_times, dtype=np.float64))
+    t, w = path.t_grid, path.values
+    s = np.unique(np.asarray(insert_times, dtype=np.float64))
+    s = s[~_nearest_nodes(t, s)[1]]
     if s.size == 0:
         return path
-    t, w = path.t_grid, path.values
-    if s[0] <= 0.0 or s[-1] >= t[-1]:
-        raise ValueError("insert times must lie strictly inside (0, T)")
-    if (s[1:] == s[:-1]).any():
-        raise GridConflict("duplicate insert times")
+    outside = ~((s > 0.0) & (s < t[-1]))
+    if outside.any():
+        raise ValueError(f"insert time {float(s[outside][0])!r} is not inside (0, T) = (0, {path.T!r})")
     right = np.searchsorted(t, s)
-    if (t[right] == s).any():
-        raise GridConflict(f"insert time {s[t[right] == s][0]!r} duplicates an existing node")
 
     rank = np.arange(s.size) - np.searchsorted(right, right)  # m: rank within the interval
     t1 = np.maximum(t[right - 1], np.concatenate(([0.0], s[:-1])))  # the later of node and insert

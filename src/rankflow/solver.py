@@ -23,10 +23,10 @@ the noise grid is one split step:
   rearrangement, which selects the entropy solution) and interpolated back
   onto the cell centres.  With h = 0 this is the identity, bit for bit.
 
-There is no noise CFL condition, so W's grid is marched as it stands.  A
-snapshot time on W's grid (`randomness.grid_indices`) is read at its node;
-only the others are inserted, by Brownian-bridge refinement
-(`randomness.refine_path`).
+There is no noise CFL condition, so W's grid is marched as it stands, and
+the solver draws no random word.  A snapshot time is read at its node of
+W's grid (`randomness.grid_indices`); a caller inserts a time between
+nodes first, by Brownian-bridge refinement (`randomness.refine_path`).
 
 `solve_paths` is the one marcher: paths that share one time grid march in
 lock-step as one (R, J + 2) block with ghost columns.  A step makes one
@@ -46,7 +46,8 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .measures import GridFunction, InitialDistribution
-from .randomness import BrownianPath, _nearest_nodes, grid_indices, refine_path
+from .randomness import BrownianPath, grid_indices
+from .randomness import refine_path  # noqa: F401  (the benchmark traces rankflow.solver.refine_path)
 
 __all__ = [
     "SolverConfig",
@@ -94,7 +95,7 @@ class SolverConfig:
 class SpdeSolution:
     times: np.ndarray
     snapshots: tuple
-    path: BrownianPath  # W plus off-grid snapshot inserts
+    path: BrownianPath  # the path the solve marched
 
     def snapshot_index(self, t, what: str = "snapshot time"):
         """The index in `times` of the snapshot at t: t is read at its node
@@ -205,12 +206,11 @@ def _check_margin(u0: GridFunction, cs: CoefficientSet, T: float):
 def solve_paths(u0: GridFunction, cs: CoefficientSet, paths, config: SolverConfig,
                 snapshot_times=None) -> tuple[SpdeSolution, ...]:
     """Solve from u0 along each of `paths`, which share one time grid, all
-    in lock-step as one (R, J + 2) block: the one marcher.  Snapshot times
-    off that grid (`grid_indices`) are inserted into every path with
-    `refine_path`, so the refined grids coincide; a snapshot time on the
-    grid is its node.  Solution r records its snapshots at the snapshot
-    times and returns its refined path as the path it consumed; it equals a
-    solve along paths[r] alone bit for bit."""
+    in lock-step as one (R, J + 2) block: the one marcher.  A snapshot time
+    is read at its node of that grid (`grid_indices`), and an off-grid one
+    raises ValueError naming it: insert it first with `refine_path`.  None
+    means every node.  Solution r records its snapshots at those nodes, with
+    paths[r] as its path; it equals a solve along paths[r] alone bit for bit."""
     if u0.cells != config.cells or u0.x_min != config.x_min or u0.x_max != config.x_max:
         raise ValueError("initial data grid does not match the solver config")
     paths = list(paths)
@@ -219,23 +219,16 @@ def solve_paths(u0: GridFunction, cs: CoefficientSet, paths, config: SolverConfi
     t_grid = paths[0].t_grid
     if not all(np.array_equal(W.t_grid, t_grid) for W in paths[1:]):
         raise ValueError("the paths of one block must share one time grid")
-    T = paths[0].T
-    times = np.unique(np.asarray(t_grid if snapshot_times is None else snapshot_times, dtype=np.float64))
-    node, on_grid = _nearest_nodes(t_grid, times)
-    inserts = times[~on_grid]
-    if not np.all((inserts > 0.0) & (inserts < T)):
-        raise ValueError("snapshot times must lie in [0, T]")
-    times = np.where(on_grid, t_grid[node], times)
-    if T > 0:
-        _check_margin(u0, cs, T)
-        paths = [refine_path(W, inserts) for W in paths]
-    t_grid = paths[0].t_grid
+    record = np.full(t_grid.size, snapshot_times is None)
+    if snapshot_times is not None:
+        record[grid_indices(t_grid, snapshot_times, "snapshot time")] = True
+    if paths[0].T > 0:
+        _check_margin(u0, cs, paths[0].T)
     dt = np.diff(t_grid)
     dW = np.diff(np.stack([W.values for W in paths]), axis=1)
     _check_noise(t_grid, dt, dW)
 
     block = _Block(cs, config.x_min, config.dx, u0.values, len(paths))
-    record = np.isin(t_grid, times)
     snapshots = [[u0] if record[0] else [] for _ in paths]
     for i in range(dt.size):
         block.step(dt[i], dW[:, i])

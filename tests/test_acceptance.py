@@ -45,7 +45,7 @@ from rankflow.measures import (
     w1,
 )
 from rankflow.particles import ParticleState, rank_fractions
-from rankflow.randomness import STREAM_COMMON, sample_path
+from rankflow.randomness import STREAM_COMMON, refine_path, sample_path
 from rankflow.solver import SolverConfig, analytic_constant_solution, solve, spde_step
 
 
@@ -215,7 +215,7 @@ def test_criterion_6_entropy_structure():
     cfg = SolverConfig(-9.0, 9.0, 256)
     u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, 256)
     Wh = sample_path(3, STREAM_COMMON, T, 64)
-    sol = solve(u0, cs_heat, Wh, cfg, snapshot_times=mids)
+    sol = solve(u0, cs_heat, refine_path(Wh, mids), cfg, snapshot_times=mids)
     _, masses = dissipation_measure(sol, cs_heat)
     total = float(np.sum(masses))
     dt = float(sol.times[1] - sol.times[0])
@@ -411,8 +411,8 @@ init = "gaussian(0,1)"
 snapshot_times = [0.125, 0.25]
 """,
     # gamma != 0 on the non-dyadic grid k/20 with the off-grid snapshot
-    # time 0.13: the solver inserts it with refine_path, so the bridge
-    # value it draws reaches the CSVs
+    # time 0.13: the CLI inserts it with refine_path, so the bridge value
+    # it draws reaches the CSVs
     "solve_bisect": """\
 b = "a - 0.5"
 sigma = "1"

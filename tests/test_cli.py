@@ -459,6 +459,45 @@ class TestDiagnoseAndStability:
         assert "config error" in err and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, config, times, bad", [
+        ("solve", "heat.cfg", "[0.25, 1.5]", "1.5"),
+        ("solve", "heat.cfg", "[-0.25, 0.5]", "-0.25"),
+        ("stability", "stability.cfg", "[0.5, 1.5]", "1.5"),
+    ], ids=["solve_past_T", "solve_negative", "stability_past_T"])
+    def test_mesh_snapshot_time_outside_horizon_exit_2_before_work(self, tmp_path, capsys, monkeypatch,
+                                                                   command, config, times, bad):
+        """A snapshot time outside [0, T] is a config error before any
+        refinement or solve, as it is for simulate and converge."""
+        kept = [ln for ln in (CONFIGS / config).read_text().splitlines() if not ln.startswith("snapshot_times")]
+        cfg = tmp_path / config
+        cfg.write_text("\n".join(kept + [f"snapshot_times = {times}"]) + "\n")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("rankflow.cli.solve", "rankflow.cli.refine_path", "rankflow.cli.stability_experiment"):
+            monkeypatch.setattr(name, no_work)
+        out = tmp_path / "o"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: snapshot time = {bad} must lie in [0, T] = [0, 1.0]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, name", [
+        ("solve", "heat.cfg", "snapshots.csv"), ("stability", "stability.cfg", "stability.csv")])
+    def test_mesh_snapshot_time_within_tolerance_of_an_end_is_that_end(self, tmp_path, command, config, name):
+        """A snapshot time 5e-10 outside [0, T] is read at 0 or T by the
+        on-grid rule: the run writes the bytes of the run at the node."""
+        kept = [ln for ln in (CONFIGS / config).read_text().splitlines() if not ln.startswith("snapshot_times")]
+        written = {}
+        for times in ("[0.0, 0.5, 1.0]", "[-5e-10, 0.5, 1.0000000005]"):
+            cfg = tmp_path / config
+            cfg.write_text("\n".join(kept + [f"snapshot_times = {times}"]) + "\n")
+            out = tmp_path / f"o{len(written)}"
+            assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+            written[times] = (out / name).read_bytes()
+        assert len(set(written.values())) == 1
+
     def test_diagnose_window_within_grid_tolerance_runs(self, tmp_path):
         # t = 0.4375 + 5e-10 is 14 T/16 within the 1e-9 that the check allows
         cfg = tmp_path / "diag.cfg"

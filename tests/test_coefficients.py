@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from rankflow import coefficients
 from rankflow.coefficients import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -189,6 +190,30 @@ class TestEvalTransform:
         cube = block.reshape(2, 2, 37)
         assert cs.eval_transform(which, cube).tobytes() == out.tobytes()
         assert cs.eval_transform(which, block[1:2, 5:6]).shape == (1, 1)
+
+    @pytest.mark.parametrize("which", TRANSFORMS)
+    def test_blocks_of_2048_points_equal_per_slice_calls(self, which, monkeypatch):
+        """33 rows of 257 points are 8481 points, four blocks of 2048 and
+        one of 289: no Gauss-Legendre call sees more than 2048 points, and
+        the values are those of one call per row, whose slices straddle the
+        block ends, and of one call per 2048-point slice, bit for bit."""
+        cs = build_from_sources("a - 0.5", "1 + 0.3*sin(5*a)", "0.5*(1 + a)", 64)
+        r = np.random.default_rng(5).uniform(0.0, 1.0, (33, 257))
+        sizes = []
+        plain = coefficients._gauss_legendre
+
+        def counted(coefs, which, lo, width):
+            sizes.append(lo.size)
+            return plain(coefs, which, lo, width)
+
+        monkeypatch.setattr(coefficients, "_gauss_legendre", counted)
+        out = cs.eval_transform(which, r)
+        assert sizes == [2048] * 4 + [289]
+        rows = np.stack([cs.eval_transform(which, row) for row in r])
+        flat = r.ravel()
+        slices = np.concatenate([cs.eval_transform(which, flat[i:i + 2048]) for i in range(0, flat.size, 2048)])
+        assert max(sizes) == 2048
+        assert out.tobytes() == rows.tobytes() == slices.reshape(r.shape).tobytes()
 
     def test_clamp_within_tolerance(self):
         cs = build_from_sources("0", "1", "1", 16)

@@ -25,9 +25,9 @@ from rankflow.diagnostics import (
     eval_rho,
     weak_form_residual,
 )
-from rankflow.diagnostics import _GROUP_POINTS, _entropy_terms, _grid_sx, _kinetic_rule, _restrict, _row_groups
+from rankflow.diagnostics import _entropy_terms, _grid_sx, _kinetic_rule, _restrict
 from rankflow.measures import GridFunction, grid_cdf, point_mass, gaussian, mixture
-from rankflow.randomness import sample_path, STREAM_COMMON
+from rankflow.randomness import refine_path, sample_path, STREAM_COMMON
 from rankflow.solver import SolverConfig, SpdeSolution, solve
 
 
@@ -75,6 +75,9 @@ def _heat_solution(J, steps, T=1.0, seed=3, snapshot_times=None):
     cfg = SolverConfig(-9.0, 9.0, J)
     u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, J)
     W = sample_path(seed, STREAM_COMMON, T, steps)
+    if snapshot_times is not None:
+        # snapshot times between noise nodes are inserted into the path first
+        W = refine_path(W, snapshot_times)
     return solve(u0, cs, W, cfg, snapshot_times=snapshot_times), cs, cfg
 
 
@@ -644,7 +647,7 @@ def test_pole_is_rejected_at_build():
 
 def _weak_form_per_snapshot(sol, cs, fs, s, t):
     """The reference: weak_form_residual with one transform call per
-    snapshot, as before the snapshots were grouped."""
+    snapshot."""
     first = sol.snapshots[0]
     sub, w = _restrict(sol, s, t)
     centers, dx = first.centers(), first.dx
@@ -671,8 +674,7 @@ def _weak_form_per_snapshot(sol, cs, fs, s, t):
 
 def _dissipation_per_snapshot(sol, cs):
     """The reference: the xi and masses of dissipation_measure with one S
-    call per snapshot, as before the snapshots were grouped; xi is each
-    u(t_k, x_j) clipped to [0, 1]."""
+    call per snapshot; xi is each u(t_k, x_j) clipped to [0, 1]."""
     dt = float(sol.times[1] - sol.times[0])
     xi, masses = [], []
     for snap in sol.snapshots:
@@ -683,11 +685,12 @@ def _dissipation_per_snapshot(sol, cs):
 
 
 class TestGroupedTransforms:
-    """The weak form and the dissipation measure evaluate each transform on
-    groups of stacked snapshots, one call per group, bit for bit the values
-    of one call per snapshot.  33 snapshots at J = 64 are a group of 32 and
-    one of the t snapshot alone, where the weak form reads no G; at J = 96
-    they are a group of 21 and a partial one of 12."""
+    """The weak form and the dissipation measure evaluate each transform in
+    one call on their stacked snapshots, bit for bit the values of one call
+    per snapshot.  33 snapshots are 2112 points at J = 64, 3168 at J = 96
+    and 33792 at J = 1024, so `eval_transform` splits the calls into blocks
+    of 2048 points: on snapshot boundaries at J = 64 and 1024, across them
+    at J = 96."""
 
     @staticmethod
     def _solution(cs, J):
@@ -707,7 +710,7 @@ class TestGroupedTransforms:
         monkeypatch.setattr(CoefficientSet, "eval_transform", counted)
         return calls
 
-    @pytest.mark.parametrize("J", [64, 96])
+    @pytest.mark.parametrize("J", [64, 96, 1024])
     def test_weak_form_equals_per_snapshot_calls(self, cs_general, J, monkeypatch):
         sol = self._solution(cs_general, J)
         assert len(sol.snapshots) == 33
@@ -717,12 +720,9 @@ class TestGroupedTransforms:
             calls = self._count_calls(monkeypatch)
             assert _bits(weak_form_residual(sol, cs_general, fs, s, t)) == _bits(ref)
             monkeypatch.undo()
-            rows = _GROUP_POINTS // J
-            snapshots = round((t - s) * 64) + 1
-            groups, g_groups = -(-snapshots // rows), -(-(snapshots - 1) // rows)
-            assert calls == {"B": groups, "Sigma": groups, "Gamma": groups, "G": g_groups}
+            assert calls == {"B": 1, "Sigma": 1, "Gamma": 1, "G": 1}
 
-    @pytest.mark.parametrize("J", [64, 96])
+    @pytest.mark.parametrize("J", [64, 96, 1024])
     def test_dissipation_measure_equals_per_snapshot_calls(self, cs_general, J, monkeypatch):
         sol = self._solution(cs_general, J)
         ref_xi, ref_masses = _dissipation_per_snapshot(sol, cs_general)
@@ -730,14 +730,7 @@ class TestGroupedTransforms:
         xi, masses = dissipation_measure(sol, cs_general)
         assert masses.tobytes() == ref_masses.tobytes()
         assert xi.tobytes() == ref_xi.tobytes()
-        assert calls == {"S": -(-33 // (_GROUP_POINTS // J))}
-
-    def test_row_groups(self):
-        assert _row_groups(33, 64) == [slice(0, 32), slice(32, 64)]
-        assert _row_groups(33, 96) == [slice(0, 21), slice(21, 42)]
-        assert _row_groups(32, 64) == [slice(0, 32)]
-        # a state wider than a group is a group of its own
-        assert _row_groups(3, _GROUP_POINTS + 1) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert calls == {"S": 1}
 
 
 class TestWeakForm:

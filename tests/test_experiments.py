@@ -35,7 +35,7 @@ from rankflow.experiments import (
 )
 from rankflow.measures import empirical_cdf, gaussian, grid_cdf, l1_cdf_distance, point_mass, w1
 from rankflow.particles import NonFiniteState, ParticleState, march
-from rankflow.randomness import STREAM_COMMON, make_noise_bundle, replica_seed, sample_path
+from rankflow.randomness import STREAM_COMMON, make_noise_bundle, refine_path, replica_seed, sample_path
 from rankflow.solver import SolverConfig, solve
 
 
@@ -543,17 +543,18 @@ class TestStabilityExperiment:
 
     def test_rows_equal_per_path_solves(self):
         """The one block of base and perturbed paths gives the rows of one
-        solve per path, bit for bit."""
+        solve per path, bit for bit; the off-grid snapshot time 0.3 is
+        refined into each path after its shift."""
         cs = build_from_sources("a - 0.5", "1", "0.5*(1 + a)", 64)
         cfg = SolverConfig(-18.0, 18.0, 64)
         u0 = grid_cdf(gaussian(0, 1), cfg.x_min, cfg.x_max, cfg.cells)
         W = sample_path(11, STREAM_COMMON, 1.0, 24)
         epsilons, times = [0.0, 0.04, 0.64], [0.3, 1.0]
         rep = stability_experiment(cs, u0, W, epsilons, cfg, snapshot_times=times)
-        base = solve(u0, cs, W, cfg, snapshot_times=times)
+        base = solve(u0, cs, refine_path(W, times), cfg, snapshot_times=times)
         rows = []
         for eps in epsilons:
-            sol = solve(u0, cs, W.shifted(lambda t, e=eps: e * t), cfg, snapshot_times=times)
+            sol = solve(u0, cs, refine_path(W.shifted(lambda t, e=eps: e * t), times), cfg, snapshot_times=times)
             D = max(w1(a, b) for a, b in zip(base.snapshots, sol.snapshots))
             rows.append((eps, D, D / (np.sqrt(eps) + eps) if eps > 0 else float("nan")))
         assert repr(rep.rows) == repr(tuple(rows))

@@ -12,7 +12,6 @@ from scipy.stats import kstest
 
 from conftest import particle_increments
 from rankflow.randomness import (
-    GridConflict,
     grid_indices,
     make_noise_bundle,
     ndtri,
@@ -155,9 +154,13 @@ class TestSamplePath:
 
 
 def _sequential_refine(path, insert_times):
-    """Reference bridge: one insert at a time, ascending, by list insertion."""
+    """Reference bridge: one insert at a time, ascending, by list insertion;
+    a time within the on-grid tolerance 1e-9 max(1, T) of an original node
+    is that node and is skipped."""
     t, w = list(path.t_grid), list(path.values)
     for s in sorted(insert_times):
+        if np.min(np.abs(path.t_grid - s)) <= 1e-9 * max(1.0, path.T):
+            continue
         j = bisect.bisect(t, s)
         t1, w1, t2, w2 = t[j - 1], w[j - 1], t[j], w[j]
         f = (s - t1) / (t2 - t1)
@@ -198,17 +201,28 @@ class TestRefinePath:
         b = refine_path(path, [0.98765, 0.013, 0.512])
         assert np.array_equal(a.values, b.values)
 
-    def test_grid_conflict(self):
+    def test_node_times_and_repeats_are_not_inserted_again(self):
+        """A time on a node, or 5e-10 from one (within the on-grid
+        tolerance), is that node and is not inserted, and a repeated time
+        is inserted once: refining by a whole snapshot list is refining by
+        its distinct off-grid times."""
         path = sample_path(11, 4, 1.0, 10)
-        with pytest.raises(GridConflict):
-            refine_path(path, [0.5])
-        with pytest.raises(GridConflict):
-            refine_path(path, [0.123, 0.123])
+        for times in ([0.5], [0.0, 0.5 + 5e-10, 0.7 - 5e-10, 1.0, 1.0 + 5e-10]):
+            same = refine_path(path, times)
+            assert same.t_grid.tobytes() == path.t_grid.tobytes()
+            assert same.values.tobytes() == path.values.tobytes()
+        once = refine_path(path, [0.123])
+        assert once.t_grid.size == path.t_grid.size + 1
+        for times in ([0.123, 0.123], [0.5, 0.123, 0.5 - 5e-10, 0.123, 1.0]):
+            got = refine_path(path, times)
+            assert got.t_grid.tobytes() == once.t_grid.tobytes()
+            assert got.values.tobytes() == once.values.tobytes()
 
     def test_outside_range_rejected(self):
         path = sample_path(11, 4, 1.0, 10)
-        with pytest.raises(ValueError):
-            refine_path(path, [1.5])
+        for bad in (1.5, -0.25, np.nan):
+            with pytest.raises(ValueError, match=rf"^insert time {bad!r} is not inside \(0, T\) = \(0, 1\.0\)$"):
+                refine_path(path, [0.25, bad])
 
     def test_midpoint_conditional_variance(self):
         # bridge variance at the midpoint of a unit interval is 1/4; the
@@ -240,7 +254,7 @@ class TestRefinePath:
         # up to 16 inserts over at most 4 intervals: several share an interval
         path = sample_path(seed, 5, T, steps)
         times = sorted({f * T for f in fracs})
-        assume(0.0 < times[0] and times[-1] < T and not np.isin(times, path.t_grid).any())
+        assume(0.0 < times[0] and times[-1] < T)
         refined = refine_path(path, times[::-1])
         ref_t, ref_w = _sequential_refine(path, times)
         assert refined.t_grid.tobytes() == ref_t.tobytes()

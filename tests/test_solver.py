@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from rankflow import randomness
 from rankflow.coefficients import build_from_sources
 from rankflow.measures import GridFunction, grid_cdf, point_mass, w1
 from rankflow.randomness import BrownianPath, refine_path, sample_path, STREAM_COMMON
@@ -122,8 +123,26 @@ class TestSolve:
         cfg = SolverConfig(-9.0, 9.0, 64)
         u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
         W = sample_path(1, STREAM_COMMON, 1.0, 8)
-        sol = solve(u0, cs_heat, W, cfg, snapshot_times=[0.3, 1.0])
+        sol = solve(u0, cs_heat, refine_path(W, [0.3, 1.0]), cfg, snapshot_times=[0.3, 1.0])
         np.testing.assert_allclose(sol.times, [0.3, 1.0])
+
+    def test_off_grid_snapshot_time_raises_and_draws_nothing(self, cs_general, monkeypatch):
+        """The solver reads snapshot times only at nodes of the path it is
+        given: a time between nodes raises ValueError naming it, and no
+        solve draws a random word or returns a path other than its own."""
+        cfg = SolverConfig(-14.0, 14.0, 64)
+        u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
+        W = sample_path(17, STREAM_COMMON, 1.0, 4)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the solver drew a random word")
+
+        monkeypatch.setattr(randomness, "_raw_block", no_draw)
+        with pytest.raises(ValueError, match=r"^snapshot time = 0\.3 is not a grid time$"):
+            solve_paths(u0, cs_general, [W, W], cfg, snapshot_times=[0.25, 0.3, 1.0])
+        with pytest.raises(ValueError, match=r"^snapshot time = 1\.5 is not a grid time$"):
+            solve(u0, cs_general, W, cfg, snapshot_times=[1.5])
+        assert solve(u0, cs_general, W, cfg, snapshot_times=[0.25, 1.0]).path is W
 
     def test_constant_coefficient_oracle_first_order(self, cs_const):
         """L1 error against the exact conditional law, J=128 vs 256.
@@ -185,31 +204,35 @@ class TestSolve:
 
     @pytest.mark.parametrize("T", [0.3, 1.0])
     def test_consumed_path_is_refine_path_of_snapshot_inserts(self, cs_general, T):
-        """The path the solver consumes is W with the off-grid snapshot
-        times inserted by refine_path, bit for bit, whatever the noise."""
+        """The path the solver consumes is the one it is given: W refined by
+        the whole snapshot list, which inserts only the off-grid times, bit
+        for bit, whatever the noise."""
         cfg = SolverConfig(-14.0, 14.0, 64)
         u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
         W = sample_path(17, STREAM_COMMON, T, 4)
         off_grid = [0.13 * T, 0.6 * T]
         ref = refine_path(W, off_grid)
-        sol = solve(u0, cs_general, W, cfg, snapshot_times=off_grid + [0.5 * T, T])
+        times = off_grid + [0.5 * T, T]
+        sol = solve(u0, cs_general, refine_path(W, times), cfg, snapshot_times=times)
         assert sol.path.t_grid.tobytes() == ref.t_grid.tobytes()
         assert sol.path.values.tobytes() == ref.values.tobytes()
         np.testing.assert_array_equal(sol.times, [0.13 * T, 0.5 * T, 0.6 * T, T])
 
     def test_snapshot_near_a_node_is_that_node(self, cs_general):
         """A snapshot time within the on-grid tolerance of a W node is read
-        at that node, with no bridge insert; a time 2e-9 off is inserted."""
+        at that node, and refine_path inserts no bridge value for it; a time
+        2e-9 off is inserted."""
         cfg = SolverConfig(-14.0, 14.0, 64)
         u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
         W = sample_path(17, STREAM_COMMON, 1.0, 4)
         exact = solve(u0, cs_general, W, cfg, snapshot_times=[0.25, 1.0])
-        near = solve(u0, cs_general, W, cfg, snapshot_times=[0.25 + 5e-10, 1.0 + 5e-10])
+        near_times = [0.25 + 5e-10, 1.0 + 5e-10]
+        near = solve(u0, cs_general, refine_path(W, near_times), cfg, snapshot_times=near_times)
         assert near.path.t_grid.tobytes() == W.t_grid.tobytes()
         np.testing.assert_array_equal(near.times, [0.25, 1.0])
         assert [s.values.tobytes() for s in near.snapshots] == [s.values.tobytes() for s in exact.snapshots]
         assert near.snapshot_at(0.25 - 5e-10) is near.snapshots[0]
-        off = solve(u0, cs_general, W, cfg, snapshot_times=[0.25 + 2e-9])
+        off = solve(u0, cs_general, refine_path(W, [0.25 + 2e-9]), cfg, snapshot_times=[0.25 + 2e-9])
         np.testing.assert_array_equal(off.times, [0.25 + 2e-9])
         assert off.path.t_grid.size == W.t_grid.size + 1
         with pytest.raises(ValueError, match="snapshot time = 0.25 is not a grid time"):
@@ -296,14 +319,15 @@ class TestSolvePaths:
         """Row r of the block equals a solve along paths[r] alone, and the
         per-path reference march, bit for bit: snapshots, times and the
         refined path; the rows differ, so a row paired with another row's
-        noise fails here."""
+        noise fails here.  The off-grid times are refined into each path
+        first."""
         cfg = SolverConfig(-14.0, 14.0, 64)
         u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
         paths = [sample_path(40 + r, STREAM_COMMON, 1.0, 16) for r in range(R)]
-        block = solve_paths(u0, cs_general, paths, cfg, snapshot_times=times)
+        block = solve_paths(u0, cs_general, [refine_path(W, times) for W in paths], cfg, snapshot_times=times)
         assert len(block) == R
         for W, sol in zip(paths, block):
-            one = solve(u0, cs_general, W, cfg, snapshot_times=times)
+            one = solve(u0, cs_general, refine_path(W, times), cfg, snapshot_times=times)
             ref_path, ref = _reference_solve(u0, cs_general, W, cfg, times)
             np.testing.assert_array_equal(sol.times, times)
             assert sol.times.tobytes() == one.times.tobytes()
@@ -317,13 +341,14 @@ class TestSolvePaths:
 
     def test_shifted_family_rows_equal_per_path_solves(self, cs_general):
         """stability_experiment's family: a base path and its ramps
-        base + eps t/T, one block, each row as its own solve."""
+        base + eps t/T, each refined after its shift, one block, each row as
+        its own solve."""
         cfg = SolverConfig(-18.0, 18.0, 96)
         u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, cfg.cells)
         base = sample_path(11, STREAM_COMMON, 1.0, 24)
         paths = [base] + [base.shifted(lambda t, e=eps: e * t) for eps in (0.0, 0.04, 0.64)]
         times = [0.3, 1.0]
-        block = solve_paths(u0, cs_general, paths, cfg, snapshot_times=times)
+        block = solve_paths(u0, cs_general, [refine_path(W, times) for W in paths], cfg, snapshot_times=times)
         for W, sol in zip(paths, block):
             _, ref = _reference_solve(u0, cs_general, W, cfg, times)
             assert [g.values.tobytes() for g in sol.snapshots] == [v.tobytes() for v in ref]
