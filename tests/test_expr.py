@@ -242,6 +242,43 @@ def test_derivative_of_constant_is_zero():
     assert d(0.3) == 0.0
 
 
+# (text, to_source of its tree, source of its derivative): the sample
+# configs' coefficients, then each node kind, each integer power and each
+# function; `bounds` quotes these texts in its ValidationError messages
+_PRINTED = [
+    ("a - 0.5", "a - 0.5", "1.0"),
+    ("1", "1.0", "0.0"),
+    ("0.5*(1 + a)", "0.5*(1.0 + a)", "0.5"),
+    ("sqrt(2)", "sqrt(2.0)", "0.0"),
+    ("3.5", "3.5", "0.0"),
+    ("a", "a", "1.0"),
+    ("2 + a", "2.0 + a", "1.0"),
+    ("1 - (a - 2)", "1.0 - (a - 2.0)", "-1.0"),
+    ("2*a*a", "2.0*a*a", "2.0*a + 2.0*a"),
+    ("(1 + a)/(2 - a)", "(1.0 + a)/(2.0 - a)", "(2.0 - a - (1.0 + a)*-1.0)/(2.0 - a)^2"),
+    ("a/(1 + a)", "a/(1.0 + a)", "(1.0 + a - a)/(1.0 + a)^2"),
+    ("-a", "-a", "-1.0"),
+    ("-(1 - a)", "-(1.0 - a)", "--1.0"),
+    ("(1 + a)^-2", "(1.0 + a)^-2", "-(2.0*(1.0 + a)^-3)"),
+    ("a^0", "a^0", "0.0"),
+    ("(2*a)^1", "(2.0*a)^1", "2.0"),
+    ("(a - 1)^2", "(a - 1.0)^2", "2.0*(a - 1.0)"),
+    ("(3*a)^3", "(3.0*a)^3", "3.0*(3.0*a)^2*3.0"),
+    ("exp(2*a)", "exp(2.0*a)", "exp(2.0*a)*2.0"),
+    ("sqrt(1 + a)", "sqrt(1.0 + a)", "1.0/(2.0*sqrt(1.0 + a))"),
+    ("sin(a^2)", "sin(a^2)", "cos(a^2)*(2.0*a)"),
+    ("cos(-a)", "cos(-a)", "-sin(-a)*-1.0"),
+]
+
+
+@pytest.mark.parametrize("text, printed, derivative", _PRINTED, ids=[t for t, _, _ in _PRINTED])
+def test_printed_trees_and_derivatives(text, printed, derivative):
+    """The exact text of a parsed tree and of its derivative."""
+    e = parse_coefficient(text)
+    assert to_source(e.ast) == printed
+    assert e.derivative().source == derivative
+
+
 def test_vectorized_evaluation():
     e = parse_coefficient("1 + a^2")
     out = e(np.array([0.0, 0.5, 1.0]))
