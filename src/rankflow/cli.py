@@ -79,10 +79,13 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
 def _mesh_inputs(cfg: RunConfig, seed: int):
     """The inputs of a mesh command: the coefficient set, the mesh, the
     horizon T, the common-noise path W on `steps` steps and the initial
-    CDF on the mesh."""
+    CDF on the mesh.  A horizon T <= 0 is a config error before the path
+    is drawn."""
     cs = _coefficients(cfg)
     sc = _solver_config(cfg)
     T = cfg.num("T")
+    if not T > 0:
+        raise ConfigError(f"the time horizon {T} must be positive")
     W = sample_path(seed, STREAM_COMMON, T, cfg.count("steps"))
     u0 = grid_cdf(parse_init(cfg.text("init")), sc.x_min, sc.x_max, sc.cells)
     return cs, sc, T, W, u0

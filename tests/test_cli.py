@@ -483,6 +483,28 @@ class TestDiagnoseAndStability:
         assert f"config error: snapshot time = {bad} must lie in [0, T] = [0, 1.0]" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("T", ["-0.5", "0"])
+    @pytest.mark.parametrize("command, config", [
+        ("solve", "heat.cfg"), ("stability", "stability.cfg"), ("diagnose", "diagnose.cfg")])
+    def test_mesh_non_positive_horizon_exit_2_before_work(self, tmp_path, capsys, monkeypatch,
+                                                          command, config, T):
+        """A horizon T <= 0 is a config error before the path is drawn, as
+        it is for simulate, converge and martingale."""
+        kept = [ln for ln in (CONFIGS / config).read_text().splitlines() if not ln.startswith("T =")]
+        cfg = tmp_path / config
+        cfg.write_text("\n".join(kept + [f"T = {T}"]) + "\n")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("rankflow.cli.sample_path", "rankflow.cli.solve", "rankflow.cli.stability_experiment"):
+            monkeypatch.setattr(name, no_work)
+        out = tmp_path / "o"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: the time horizon {float(T)} must be positive" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, config, name", [
         ("solve", "heat.cfg", "snapshots.csv"), ("stability", "stability.cfg", "stability.csv")])
     def test_mesh_snapshot_time_within_tolerance_of_an_end_is_that_end(self, tmp_path, command, config, name):
