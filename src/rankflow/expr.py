@@ -1,14 +1,23 @@
 """Minimal arithmetic expressions in one variable `a`.
 
 Model coefficients are supplied as text like ``"0.5*(1 + a)"`` and parsed
-into a small AST supporting +, -, *, /, ^ with integer exponents, unary
-minus, and the functions exp, sqrt, sin, cos.  Evaluation is vectorized
-over numpy arrays; exact derivatives are produced symbolically, and
-`enclose` bounds the float values over intervals by interval arithmetic.
+into a tree of tagged tuples, which compare and hash by structure:
+
+- a float for a constant (nonnegative: -c is ``("neg", c)``);
+- the string ``"a"`` for the variable;
+- ``(op, left, right)`` for op in ``+ - * /``;
+- ``("neg", x)`` for unary minus;
+- ``("^", x, k)`` for x to an integer power k;
+- ``(name, x)`` for the functions exp, sqrt, sin and cos.
+
+Evaluation is vectorized over numpy arrays; exact derivatives are produced
+symbolically, and `enclose` bounds the float values over intervals by
+interval arithmetic.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -34,66 +43,10 @@ class UnknownIdentifierError(ExpressionSyntaxError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class Node:
-    """A node of the expression tree; `_PRECEDENCE` holds each kind's
-    binding strength."""
-
-
-@dataclass(frozen=True)
-class Const(Node):
-    value: float  # nonnegative; negative constants are Neg(Const(...))
-
-
-@dataclass(frozen=True)
-class Var(Node):
-    pass
-
-
-@dataclass(frozen=True)
-class Add(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Sub(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Mul(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Div(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Neg(Node):
-    child: Node
-
-
-@dataclass(frozen=True)
-class Pow(Node):
-    base: Node
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Call(Node):
-    name: str
-    arg: Node
-
-
-# binding strength, loosest first: + - < * / < unary minus < ^ < atoms
-_PRECEDENCE = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Const: 5, Var: 5, Call: 5}
-_INFIX = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
+# binding strength, loosest first: + - < * / < unary minus < ^ < atoms and
+# calls (5)
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+_INFIX = {"+": " + ", "-": " - ", "*": "*", "/": "/"}
 
 
 _TOKEN_RE = re.compile(
@@ -140,49 +93,49 @@ class _Parser:
             raise ExpressionSyntaxError(f"expected '{op}'", off)
         self.advance()
 
-    def parse(self) -> Node:
+    def parse(self):
         node = self.parse_sum()
         kind, text, off = self.peek()
         if kind is not None:
             raise ExpressionSyntaxError(f"unexpected token {text!r}", off)
         return node
 
-    def parse_sum(self) -> Node:
+    def parse_sum(self):
         node = self.parse_product()
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.parse_product()
-                node = Add(node, rhs) if text == "+" else Sub(node, rhs)
+                node = (text, node, rhs)
             else:
                 return node
 
-    def parse_product(self) -> Node:
+    def parse_product(self):
         node = self.parse_unary()
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
                 rhs = self.parse_unary()
-                node = Mul(node, rhs) if text == "*" else Div(node, rhs)
+                node = (text, node, rhs)
             else:
                 return node
 
-    def parse_unary(self) -> Node:
+    def parse_unary(self):
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.parse_unary())
+            return ("neg", self.parse_unary())
         return self.parse_power()
 
-    def parse_power(self) -> Node:
+    def parse_power(self):
         node = self.parse_atom()
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text == "^":
                 self.advance()
-                node = Pow(node, self.parse_exponent())
+                node = ("^", node, self.parse_exponent())
             else:
                 return node
 
@@ -198,18 +151,18 @@ class _Parser:
         self.advance()
         return sign * int(text)
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self):
         kind, text, off = self.advance()
         if kind == "num":
-            return Const(float(text))
+            return float(text)
         if kind == "name":
             if text == "a":
-                return Var()
+                return text
             if text in ALLOWED_FUNCTIONS:
                 self.expect_op("(")
                 arg = self.parse_sum()
                 self.expect_op(")")
-                return Call(text, arg)
+                return (text, arg)
             raise UnknownIdentifierError(text, off)
         if kind == "op" and text == "(":
             node = self.parse_sum()
@@ -218,36 +171,38 @@ class _Parser:
         raise ExpressionSyntaxError(f"expected a value, got {text!r}", off)
 
 
-def parse_ast(source: str) -> Node:
+def parse_ast(source: str):
     if not source or source.strip() == "":
         raise ExpressionSyntaxError("empty expression", 0)
     return _Parser(source).parse()
 
 
-def to_source(node: Node) -> str:
+def to_source(node) -> str:
     """Render with the minimum parentheses needed to re-parse identically."""
 
-    def render(n: Node, min_prec: int) -> str:
-        kind = type(n)
-        prec = _PRECEDENCE[kind]
-        if kind is Const:
-            text = repr(n.value)
-        elif kind is Var:
-            text = "a"
-        elif kind in _INFIX:
+    def render(n, min_prec: int) -> str:
+        if isinstance(n, float):
+            return repr(n)
+        if n == "a":
+            return n
+        op = n[0]
+        prec = _PRECEDENCE.get(op, 5)
+        if op in _INFIX:
             # left-associative: a right operand of equal precedence is bracketed
-            text = f"{render(n.left, prec)}{_INFIX[kind]}{render(n.right, prec + 1)}"
-        elif kind is Neg:
-            text = f"-{render(n.child, prec)}"
-        elif kind is Pow:
-            text = f"{render(n.base, prec + 1)}^{n.exponent}"
-        else:  # Call
-            text = f"{n.name}({render(n.arg, 0)})"
+            text = f"{render(n[1], prec)}{_INFIX[op]}{render(n[2], prec + 1)}"
+        elif op == "neg":
+            text = f"-{render(n[1], prec)}"
+        elif op == "^":
+            text = f"{render(n[1], prec + 1)}^{n[2]}"
+        else:  # a function
+            text = f"{op}({render(n[1], 0)})"
         return f"({text})" if prec < min_prec else text
 
     return render(node, 0)
 
 
+# the operators, not the ufuncs: on numpy scalars they take numpy's scalar path
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _FUNCS = {"exp": np.exp, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos}
 
 
@@ -258,32 +213,27 @@ def _power(base, k: int):
         return np.power(base, k) if k >= 0 else np.power(base, float(k))
 
 
-def evaluate(node: Node, a):
+def evaluate(node, a):
     """Evaluate at `a` (scalar or ndarray) in numpy float64 arithmetic, so a
     scalar gives the bits of a 1-element array.  May produce nan/inf for
     expressions that are undefined at `a`; validation rejects those."""
-    if isinstance(node, Const):
-        return np.full(np.shape(a), node.value, dtype=np.float64)
-    if isinstance(node, Var):
+    if isinstance(node, float):
+        return np.full(np.shape(a), node, dtype=np.float64)
+    if node == "a":
         return np.asarray(a, dtype=np.float64)
-    if isinstance(node, Add):
-        return evaluate(node.left, a) + evaluate(node.right, a)
-    if isinstance(node, Sub):
-        return evaluate(node.left, a) - evaluate(node.right, a)
-    if isinstance(node, Mul):
-        return evaluate(node.left, a) * evaluate(node.right, a)
-    if isinstance(node, Div):
+    op, x = node[0], node[1]
+    if op in _BINARY:
+        if op != "/":
+            return _BINARY[op](evaluate(x, a), evaluate(node[2], a))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return evaluate(node.left, a) / evaluate(node.right, a)
-    if isinstance(node, Neg):
-        return -evaluate(node.child, a)
-    if isinstance(node, Pow):
-        return _power(evaluate(node.base, a), node.exponent)
-    if isinstance(node, Call):
-        arg = evaluate(node.arg, a)
-        with np.errstate(invalid="ignore"):
-            return _FUNCS[node.name](arg)
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+            return evaluate(x, a) / evaluate(node[2], a)
+    if op == "neg":
+        return -evaluate(x, a)
+    if op == "^":
+        return _power(evaluate(x, a), node[2])
+    x = evaluate(x, a)
+    with np.errstate(invalid="ignore"):
+        return _FUNCS[op](x)
 
 
 # an endpoint of exp, sin, cos or an integer power moves outward by this many
@@ -326,7 +276,7 @@ def _peak_inside(lo, hi, peak: float):
     return np.floor((hi - peak) / period + 1e-6) >= np.ceil((lo - peak) / period - 1e-6)
 
 
-def enclose(node: Node, lo, hi):
+def enclose(node, lo, hi):
     """Interval enclosure of `evaluate` (Moore, *Interval Analysis*, 1966).
 
     Elementwise over the broadcast endpoint arrays lo <= hi, returns arrays
@@ -348,35 +298,35 @@ def enclose(node: Node, lo, hi):
         return _enclose(node, lo, hi)
 
 
-def _enclose(node: Node, lo, hi):
-    if isinstance(node, Const):
-        return np.full(lo.shape, node.value), np.full(lo.shape, node.value)
-    if isinstance(node, Var):
+def _enclose(node, lo, hi):
+    if isinstance(node, float):
+        return np.full(lo.shape, node), np.full(lo.shape, node)
+    if node == "a":
         return lo, hi
-    if isinstance(node, Neg):
-        l, h = _enclose(node.child, lo, hi)
+    op, x = node[0], node[1]
+    if op == "neg":
+        l, h = _enclose(x, lo, hi)
         return -h, -l
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        (al, ah), (bl, bh) = _enclose(node.left, lo, hi), _enclose(node.right, lo, hi)
-        if isinstance(node, Add):
+    if op in _BINARY:
+        (al, ah), (bl, bh) = _enclose(x, lo, hi), _enclose(node[2], lo, hi)
+        if op == "+":
             l, h = al + bl, ah + bh
             return _outward(l, h, 1, exact=(_sum_exact(al, bl, l), _sum_exact(ah, bh, h)))
-        if isinstance(node, Sub):
+        if op == "-":
             l, h = al - bh, ah - bl
             return _outward(l, h, 1, exact=(_sum_exact(al, -bh, l), _sum_exact(ah, -bl, h)))
         # a product or quotient of intervals takes its extremes at corners,
         # each rounded outward on its own: a product with a factor 0 and a
         # quotient with a dividend 0 are exact
-        mul = isinstance(node, Mul)
-        op = np.multiply if mul else np.divide
-        corners = [(op(a, b), (a == 0.0) | (mul & (b == 0.0))) for a in (al, ah) for b in (bl, bh)]
+        mul = op == "*"
+        corners = [(_BINARY[op](a, b), (a == 0.0) | (mul & (b == 0.0))) for a in (al, ah) for b in (bl, bh)]
         lows = [np.where(ex, c, np.nextafter(c, -np.inf)) for c, ex in corners]
         highs = [np.where(ex, c, np.nextafter(c, np.inf)) for c, ex in corners]
         pole = (not mul) & (bl <= 0.0) & (bh >= 0.0)
         return _outward(reduce(np.minimum, lows), reduce(np.maximum, highs), 0, pole)
-    if isinstance(node, Pow):
-        bl, bh = _enclose(node.base, lo, hi)
-        k = node.exponent
+    if op == "^":
+        bl, bh = _enclose(x, lo, hi)
+        k = node[2]
         pl, ph = _power(bl, k), _power(bh, k)
         # monotone on each side of 0: an even power across 0 reaches 0, a
         # negative power at 0 has a pole
@@ -385,115 +335,85 @@ def _enclose(node: Node, lo, hi):
             l = np.where((bl < 0.0) & (bh > 0.0), 0.0, l)
         pole = k < 0 and (bl <= 0.0) & (bh >= 0.0)
         return _outward(l, np.maximum(pl, ph), _FUNC_ULPS, pole)
-    if isinstance(node, Call):
-        al, ah = _enclose(node.arg, lo, hi)
-        f = _FUNCS[node.name]
-        fl, fh = f(al), f(ah)
-        if node.name == "sqrt":
-            # below 0 an end is NaN; sqrt(0) = 0 is exact
-            return _outward(fl, fh, 1, exact=(al == 0.0, ah == 0.0))
-        if node.name == "exp":
-            return _outward(fl, fh, _FUNC_ULPS)
-        top, bottom = _PEAKS[node.name]
-        near = (np.abs(al) <= _TRIG_RANGE) & (np.abs(ah) <= _TRIG_RANGE)
-        l = np.where(near & ~_peak_inside(al, ah, bottom), np.minimum(fl, fh), -1.0)
-        h = np.where(near & ~_peak_inside(al, ah, top), np.maximum(fl, fh), 1.0)
-        # sin and cos of an infinite argument are NaN
-        return _outward(l, h, _FUNC_ULPS, ~(np.isfinite(al) & np.isfinite(ah)))
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+    al, ah = _enclose(x, lo, hi)
+    fl, fh = _FUNCS[op](al), _FUNCS[op](ah)
+    if op == "sqrt":
+        # below 0 an end is NaN; sqrt(0) = 0 is exact
+        return _outward(fl, fh, 1, exact=(al == 0.0, ah == 0.0))
+    if op == "exp":
+        return _outward(fl, fh, _FUNC_ULPS)
+    top, bottom = _PEAKS[op]
+    near = (np.abs(al) <= _TRIG_RANGE) & (np.abs(ah) <= _TRIG_RANGE)
+    l = np.where(near & ~_peak_inside(al, ah, bottom), np.minimum(fl, fh), -1.0)
+    h = np.where(near & ~_peak_inside(al, ah, top), np.maximum(fl, fh), 1.0)
+    # sin and cos of an infinite argument are NaN
+    return _outward(l, h, _FUNC_ULPS, ~(np.isfinite(al) & np.isfinite(ah)))
 
 
-def _is_zero(n: Node) -> bool:
-    return isinstance(n, Const) and n.value == 0.0
+# constant folding: a tree equal to 0.0 or 1.0 is that constant
+def _add(l, r):
+    return r if l == 0.0 else l if r == 0.0 else ("+", l, r)
 
 
-def _is_one(n: Node) -> bool:
-    return isinstance(n, Const) and n.value == 1.0
+def _sub(l, r):
+    return l if r == 0.0 else ("neg", r) if l == 0.0 else ("-", l, r)
 
 
-def _add(l: Node, r: Node) -> Node:
-    if _is_zero(l):
-        return r
-    if _is_zero(r):
-        return l
-    return Add(l, r)
+def _mul(l, r):
+    if l == 0.0 or r == 0.0:
+        return 0.0
+    return r if l == 1.0 else l if r == 1.0 else ("*", l, r)
 
 
-def _sub(l: Node, r: Node) -> Node:
-    if _is_zero(r):
-        return l
-    if _is_zero(l):
-        return Neg(r)
-    return Sub(l, r)
+# the derivative of each function, as a tree in its argument x
+_OUTER = {
+    "exp": lambda x: ("exp", x),
+    "sqrt": lambda x: ("/", 1.0, ("*", 2.0, ("sqrt", x))),
+    "sin": lambda x: ("cos", x),
+    "cos": lambda x: ("neg", ("sin", x)),
+}
 
 
-def _mul(l: Node, r: Node) -> Node:
-    if _is_zero(l) or _is_zero(r):
-        return Const(0.0)
-    if _is_one(l):
-        return r
-    if _is_one(r):
-        return l
-    return Mul(l, r)
-
-
-def differentiate(node: Node) -> Node:
+def differentiate(node):
     """Exact derivative with respect to `a`, lightly constant-folded."""
-    if isinstance(node, Const):
-        return Const(0.0)
-    if isinstance(node, Var):
-        return Const(1.0)
-    if isinstance(node, Add):
-        return _add(differentiate(node.left), differentiate(node.right))
-    if isinstance(node, Sub):
-        return _sub(differentiate(node.left), differentiate(node.right))
-    if isinstance(node, Mul):
-        return _add(_mul(differentiate(node.left), node.right),
-                    _mul(node.left, differentiate(node.right)))
-    if isinstance(node, Div):
-        num = _sub(_mul(differentiate(node.left), node.right),
-                   _mul(node.left, differentiate(node.right)))
-        if _is_zero(num):
-            return Const(0.0)
-        return Div(num, Pow(node.right, 2))
-    if isinstance(node, Neg):
-        inner = differentiate(node.child)
-        return Const(0.0) if _is_zero(inner) else Neg(inner)
-    if isinstance(node, Pow):
-        k = node.exponent
-        if k == 0:
-            return Const(0.0)
-        base_d = differentiate(node.base)
-        if _is_zero(base_d):
-            return Const(0.0)
-        coeff = Const(float(abs(k)))
-        power_part = node.base if k == 2 else Pow(node.base, k - 1)
+    if isinstance(node, float):
+        return 0.0
+    if node == "a":
+        return 1.0
+    op, x = node[0], node[1]
+    if op in _BINARY:
+        y = node[2]
+        dx, dy = differentiate(x), differentiate(y)
+        if op == "+":
+            return _add(dx, dy)
+        if op == "-":
+            return _sub(dx, dy)
+        if op == "*":
+            return _add(_mul(dx, y), _mul(x, dy))
+        num = _sub(_mul(dx, y), _mul(x, dy))
+        return 0.0 if num == 0.0 else ("/", num, ("^", y, 2))
+    dx = differentiate(x)
+    if dx == 0.0:
+        return 0.0
+    if op == "neg":
+        return ("neg", dx)
+    if op == "^":
+        k = node[2]
         if k == 1:
-            return base_d
-        term = _mul(_mul(coeff, power_part), base_d)
-        return Neg(term) if k < 0 else term
-    if isinstance(node, Call):
-        arg_d = differentiate(node.arg)
-        if _is_zero(arg_d):
-            return Const(0.0)
-        if node.name == "exp":
-            outer: Node = Call("exp", node.arg)
-        elif node.name == "sqrt":
-            outer = Div(Const(1.0), _mul(Const(2.0), Call("sqrt", node.arg)))
-        elif node.name == "sin":
-            outer = Call("cos", node.arg)
-        else:  # cos
-            return _mul(Neg(Call("sin", node.arg)), arg_d)
-        return _mul(outer, arg_d)
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+            return dx
+        # k = 0 folds to 0.0 in _mul
+        term = _mul(_mul(float(abs(k)), x if k == 2 else ("^", x, k - 1)), dx)
+        return ("neg", term) if k < 0 else term
+    return _mul(_OUTER[op](x), dx)
 
 
 @dataclass(frozen=True)
 class CoefficientExpr:
-    """A parsed coefficient: text plus AST, evaluable on [0, 1]."""
+    """A parsed coefficient: text plus tree (see the module docstring),
+    evaluable on [0, 1]."""
 
     source: str
-    ast: Node
+    ast: float | str | tuple
 
     def __call__(self, a):
         return evaluate(self.ast, a)

@@ -9,17 +9,8 @@ from hypothesis import strategies as st
 
 from rankflow.expr import (
     _FUNC_ULPS,
-    Add,
-    Call,
-    Const,
-    Div,
     ExpressionSyntaxError,
-    Mul,
-    Neg,
-    Pow,
-    Sub,
     UnknownIdentifierError,
-    Var,
     differentiate,
     enclose,
     evaluate,
@@ -32,26 +23,26 @@ from rankflow.expr import (
 class TestParseExamples:
     def test_constant_literal(self):
         e = parse_coefficient("1.0")
-        assert e.ast == Const(1.0)
+        assert e.ast == 1.0
 
     def test_add_power(self):
         e = parse_coefficient("1 + a^2")
-        assert e.ast == Add(Const(1.0), Pow(Var(), 2))
+        assert e.ast == ("+", 1.0, ("^", "a", 2))
         assert e(0.5) == 1.25
 
     def test_unary_minus_binds_tighter_than_mul(self):
         e = parse_coefficient("2*a - -a")
-        assert e.ast == Sub(Mul(Const(2.0), Var()), Neg(Var()))
+        assert e.ast == ("-", ("*", 2.0, "a"), ("neg", "a"))
         assert e(1.0) == 3.0
 
     def test_power_binds_tighter_than_unary_minus(self):
         e = parse_coefficient("-a^2")
-        assert e.ast == Neg(Pow(Var(), 2))
+        assert e.ast == ("neg", ("^", "a", 2))
         assert e(3.0) == -9.0
 
     def test_left_association(self):
         e = parse_coefficient("1 - 2 - a")
-        assert e.ast == Sub(Sub(Const(1.0), Const(2.0)), Var())
+        assert e.ast == ("-", ("-", 1.0, 2.0), "a")
 
     def test_functions(self):
         e = parse_coefficient("exp(a) + sqrt(a) - sin(a)*cos(a)")
@@ -91,25 +82,22 @@ class TestErrors:
             parse_coefficient("(1 + a")
 
 
+_ROLLED_OPS = {2: "+", 3: "-", 4: "*", 7: "/"}
+
+
 def _random_ast(rng, depth):
     roll = rng.integers(0, 9 if depth > 0 else 2)
     if roll == 0:
-        return Const(float(np.round(rng.uniform(0, 4), 3)))
+        return float(np.round(rng.uniform(0, 4), 3))
     if roll == 1:
-        return Var()
-    if roll == 2:
-        return Add(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
-    if roll == 3:
-        return Sub(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
-    if roll == 4:
-        return Mul(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
+        return "a"
+    if roll in _ROLLED_OPS:
+        return (_ROLLED_OPS[roll], _random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
     if roll == 5:
-        return Neg(_random_ast(rng, depth - 1))
+        return ("neg", _random_ast(rng, depth - 1))
     if roll == 6:
-        return Pow(_random_ast(rng, depth - 1), int(rng.integers(0, 4)))
-    if roll == 7:
-        return Div(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
-    return Call(["exp", "sqrt", "sin", "cos"][rng.integers(0, 4)], _random_ast(rng, depth - 1))
+        return ("^", _random_ast(rng, depth - 1), int(rng.integers(0, 4)))
+    return (["exp", "sqrt", "sin", "cos"][rng.integers(0, 4)], _random_ast(rng, depth - 1))
 
 
 def test_roundtrip_fuzz():
@@ -237,7 +225,7 @@ def test_derivative_matches_finite_differences():
 
 
 def test_derivative_of_constant_is_zero():
-    assert differentiate(parse_ast("3.5")) == Const(0.0)
+    assert differentiate(parse_ast("3.5")) == 0.0
     d = parse_coefficient("sqrt(2)").derivative()
     assert d(0.3) == 0.0
 
@@ -317,17 +305,17 @@ def _trees(constants):
     """Trees over + - * / ^int, unary minus, exp, sqrt, sin, cos and `a`.
     The leaves a - c and c*a make zero crossings, poles and the peaks of
     sin and cos inside the interval common."""
-    leaves = st.one_of(st.just(Var()), constants.map(Const),
-                       constants.map(lambda c: Sub(Var(), Const(c))),
-                       constants.map(lambda c: Mul(Const(c), Var())))
-    binary = st.sampled_from([Add, Sub, Mul, Div])
+    leaves = st.one_of(st.just("a"), constants,
+                       constants.map(lambda c: ("-", "a", c)),
+                       constants.map(lambda c: ("*", c, "a")))
+    binary = st.sampled_from(["+", "-", "*", "/"])
 
     def extend(children):
         return st.one_of(
-            st.builds(lambda op, l, r: op(l, r), binary, children, children),
-            st.builds(Neg, children),
-            st.builds(Pow, children, st.integers(-3, 4)),
-            st.builds(Call, st.sampled_from(["exp", "sqrt", "sin", "cos"]), children),
+            st.tuples(binary, children, children),
+            st.tuples(st.just("neg"), children),
+            st.tuples(st.just("^"), children, st.integers(-3, 4)),
+            st.tuples(st.sampled_from(["exp", "sqrt", "sin", "cos"]), children),
         )
 
     return st.recursive(leaves, extend, max_leaves=8)
@@ -335,7 +323,7 @@ def _trees(constants):
 
 @given(_trees(st.floats(0.0, 1e6, allow_nan=False).map(abs)))
 def test_parse_of_to_source_round_trips(tree):
-    """Negative constants are Neg(Const) in the tree, so the constants drawn
+    """Negative constants are ("neg", c) in the tree, so the constants drawn
     are nonnegative; every other tree prints and re-parses to itself."""
     assert parse_ast(to_source(tree)) == tree
 
@@ -486,7 +474,7 @@ def test_integer_powers_within_one_ulp_of_libm(k):
     x = np.random.default_rng(18).uniform(-3.0, 3.0, 20000)
     x = x[np.abs(x) > 1e-3]
     ref = np.array([math.pow(v, k) for v in x])
-    tree = Pow(Var(), k)
+    tree = ("^", "a", k)
     assert np.all(np.abs(evaluate(tree, x) - ref) <= _spacing(ref))
     scalar = np.array([evaluate(tree, float(v)) for v in x[:1000]])
     assert np.all(np.abs(scalar - ref[:1000]) <= _spacing(ref[:1000]))
