@@ -286,6 +286,53 @@ class TestSolve:
         assert np.all(sv.snapshots[-1].values >= su.snapshots[-1].values - 1e-12)
 
 
+def _sigma_zero_errors(b: str, gamma: str, half_width: float, seeds, exact) -> dict:
+    """The mean over `seeds` of the L1 error at T = 1 of the sigma = 0 mesh
+    solution from Heaviside data on [-half_width, half_width], on each
+    seed's 32-step common-noise path, for J = 128, 256, 512 and 1024;
+    `exact(x, W)` is the law at the cell centres x on the marched path W."""
+    cs = build_from_sources(b, "0", gamma, 64, allow_degenerate=True)
+    paths = [sample_path(seed, STREAM_COMMON, 1.0, 32) for seed in seeds]
+    errs = {}
+    for J in (128, 256, 512, 1024):
+        cfg = SolverConfig(-half_width, half_width, J)
+        u0 = grid_cdf(point_mass(0.0), cfg.x_min, cfg.x_max, J)
+        sols = solve_paths(u0, cs, paths, cfg, snapshot_times=[1.0])
+        errs[J] = np.mean([w1(sol.snapshots[-1], GridFunction(cfg.x_min, cfg.x_max, exact(cfg.centers(), W)))
+                           for sol, W in zip(sols, paths)])
+    return errs
+
+
+class TestEntropyLaws:
+    """Exact entropy solutions at sigma = 0, where an entropy solution and
+    other weak solutions differ (ROADMAP Directions 16 and 17)."""
+
+    def test_fan_first_order(self):
+        """b = a has the convex flux B = a^2/2: Heaviside data open the
+        rarefaction fan u = clip(z / T, 0, 1), z = x - 0.5 W_T (Lax-Oleinik).
+        Measured errors 0.163, 0.065, 0.025 and 0.0087 (ratios 2.5-2.8)."""
+        errs = _sigma_zero_errors("a", "0.5", 8.0, [1, 2],
+                                  lambda x, W: np.clip(x - 0.5 * W.values[-1], 0.0, 1.0))
+        for J in (128, 256, 512):
+            assert errs[J] / errs[2 * J] >= 2.0, errs
+
+    def test_rank_dependent_gamma_law_first_order(self):
+        """gamma = g0 + g1 a with g0 = 0.5, g1 = 1, so G(1) = 1: each rise of
+        W opens a fan, each fall compresses it, and a fall below the running
+        minimum m_T = min(0, min W) closes it into a shock, so with
+        tau = W_T - m_T, u = clip(((x - G(1) m_T)/tau - g0)/g1, 0, 1).
+        Measured errors 0.234, 0.096 and 0.039 (ratios 2.4 and 2.5).  The
+        step to J = 1024 (0.022, ratio 1.7) is left for Direction 8."""
+
+        def law(x, W):
+            m = min(0.0, W.values.min())
+            return np.clip((x - m) / (W.values[-1] - m) - 0.5, 0.0, 1.0)
+
+        errs = _sigma_zero_errors("0", "0.5 + a", 12.0, [1, 2, 3], law)
+        for J in (128, 256):
+            assert errs[J] / errs[2 * J] >= 2.0, errs
+
+
 def _reference_solve(u0, cs, W, cfg, times):
     """One path marched with the per-path step the block step replaced:
     b and gamma evaluated on the cell values and the 4J quantile levels
