@@ -25,7 +25,7 @@ from .bumps import Bump1D
 from .bumps import bump, bump_d1, bump_d2  # noqa: F401  (the benchmark traces rankflow.diagnostics.bump*)
 from .coefficients import _GL_NODES, _GL_WEIGHTS, CoefficientSet
 from .measures import GridFunction
-from .randomness import grid_indices
+from .randomness import _sorted_union, grid_indices
 from .solver import SpdeSolution
 
 __all__ = [
@@ -55,7 +55,7 @@ def _kinetic_rule(u: GridFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     between consecutive values of u, and a plateau of u is a jump of q at
     its level, which is a breakpoint, so every piece integrates a smooth
     function of q."""
-    cuts = np.union1d(np.arange(_XI_PIECES + 1) / _XI_PIECES, np.clip(u.values, 0.0, 1.0))
+    cuts = _sorted_union(np.arange(_XI_PIECES + 1) / _XI_PIECES, np.clip(u.values, 0.0, 1.0))
     width = np.diff(cuts)
     nodes = (cuts[:-1, None] + (width[:, None] * (_GL_NODES + 1.0)) * 0.5).ravel()
     weights = ((0.5 * width)[:, None] * _GL_WEIGHTS).ravel()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .randomness import STREAM_INIT, _p1evl, _polevl, ndtri, uniforms
+from .randomness import STREAM_INIT, _p1evl, _polevl, _sorted_union, ndtri, uniforms
 
 __all__ = [
     "ndtr",
@@ -107,7 +107,7 @@ class StepCDF:
         return np.searchsorted(self.points, x, side="right") / self.n
 
     def breakpoints(self) -> np.ndarray:
-        return np.unique(self.points)
+        return _sorted_union(self.points)
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def _l1_between(F, G) -> float:
     split where needed).  Outside the breakpoint hull both CDFs are 0 or 1,
     so nothing is lost by integrating over the hull only.
     """
-    bps = np.union1d(F.breakpoints(), G.breakpoints())
+    bps = _sorted_union(F.breakpoints(), G.breakpoints())
     if bps.size < 2:
         return 0.0
     p, q = bps[:-1], bps[1:]

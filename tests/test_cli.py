@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -639,11 +640,31 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
     assert fresh_interpreter("import rankflow.cli", "'numpy.polynomial' in sys.modules") is False
 
 
-def test_diagnose_run_leaves_numpy_polynomial_unloaded(tmp_path):
-    # the diagnostics' xi rule reuses that order-8 rule, so a whole diagnose
-    # run loads no numpy.polynomial either
+# each command on its sample config, the replicated ones cut to a few
+# replicas; simulate has none, so it runs a small config of its own
+_RUN_CONFIGS = {"converge": ("converge.cfg", 2), "diagnose": ("diagnose.cfg", None),
+                "martingale": ("martingale.cfg", 4), "simulate": (None, None),
+                "solve": ("heat.cfg", None), "stability": ("stability.cfg", None)}
+
+
+@pytest.mark.parametrize("command", sorted(_RUN_CONFIGS))
+def test_run_leaves_numpy_polynomial_and_ma_unloaded(tmp_path, command):
+    # no command loads numpy.polynomial: the coefficient transforms and the
+    # diagnostics' xi rule share a written-out order-8 rule.  Nor numpy.ma
+    # (about 11 ms of import): np.unique's first call imports it, so the
+    # distinct sorted values come from randomness._sorted_union instead
+    name, replicas = _RUN_CONFIGS[command]
+    if name is None:
+        text = PARTICLE_CFGS["simulate"]
+    else:
+        text = (CONFIGS / name).read_text()
+        if replicas is not None:
+            text, cut = re.subn(r"(?m)^replicas = \d+$", f"replicas = {replicas}", text)
+            assert cut == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
     statement = ("import contextlib, io\nfrom rankflow.cli import run\n"
                  "with contextlib.redirect_stdout(io.StringIO()):\n"
-                 f"    code = run(['diagnose', '--config', {str(CONFIGS / 'diagnose.cfg')!r}, "
-                 f"'--out', {str(tmp_path / 'out')!r}])")
-    assert fresh_interpreter(statement, "(code, 'numpy.polynomial' in sys.modules)") == (0, False)
+                 f"    code = run([{command!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])")
+    loaded = fresh_interpreter(statement, "(code, 'numpy.polynomial' in sys.modules, 'numpy.ma' in sys.modules)")
+    assert loaded == (0, False, False)

@@ -5,8 +5,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import kstest
 
@@ -25,6 +26,7 @@ from rankflow.randomness import (
     _brownian_rows,
     _bridge_normals,
     _raw_block,
+    _sorted_union,
     _to_uniform,
 )
 
@@ -84,9 +86,12 @@ class TestNdtri:
         u = _to_uniform(_raw_block(5, 3, 7 * (3 * _NDTRI_BLOCK // 7 + 11)))
         edges = np.arange(1, 4) * _NDTRI_BLOCK
         u[np.concatenate((edges - 1, edges))] = [1e-300, 0.01, 0.99, 1e-20, 1.0 - 1e-9, 0.1]
+        given_u = u.copy()
         pieces = np.concatenate([ndtri(u[k:k + 1000]) for k in range(0, u.size, 1000)])
         assert ndtri(u).tobytes() == pieces.tobytes()
         assert ndtri(u.reshape(7, -1)).tobytes() == pieces.tobytes()
+        # ndtri works in place on a copy: its argument keeps its values
+        assert u.tobytes() == given_u.tobytes()
 
 
 def test_uniform_lattice_strictly_inside_unit_interval():
@@ -115,6 +120,23 @@ def test_uniform_bit_assembly_equals_float_formula():
     want = (words >> np.uint64(12)).astype(np.float64) * 2.0**-52 + 2.0**-53
     assert _to_uniform(words).tobytes() == want.tobytes()
     assert _to_uniform(words[3]) == 1.0 - 2.0**-53
+
+
+# few distinct values, so most draws repeat; -0.0 ties with 0.0
+_REPEATS = arrays(np.float64, st.integers(0, 24), elements=st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.5, 5e-324]), st.floats(allow_nan=False)))
+
+
+@given(a=_REPEATS, b=st.none() | _REPEATS)
+@example(a=np.array([]), b=None)
+@example(a=np.array([-0.0]), b=None)
+@example(a=np.array([]), b=np.array([0.0, -0.0, 0.0]))
+def test_sorted_union_equals_numpy(a, b):
+    """_sorted_union gives np.unique of one array and np.union1d of two,
+    strictly increasing."""
+    got = _sorted_union(a) if b is None else _sorted_union(a, b)
+    assert np.array_equal(got, np.unique(a) if b is None else np.union1d(a, b))
+    assert (got[1:] > got[:-1]).all()
 
 
 class TestSamplePath:
