@@ -28,7 +28,9 @@ from .diagnostics import (
     weak_form_residual,
 )
 from .experiments import (
+    _epsilons,
     _particle_counts,
+    _reference,
     convergence_study,
     default_martingale_suite,
     martingale_statistic,
@@ -105,6 +107,15 @@ def _mesh_snapshot_times(cfg: RunConfig, T: float) -> list:
     return snap
 
 
+def _checked(check, *args):
+    """check(*args), a rule that the library entry point applies too, with
+    its ValueError as a config error: run before any work."""
+    try:
+        return check(*args)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
 def _cmd_solve(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     cs, sc, T, W, u0 = _mesh_inputs(cfg, seed)
     snap = _mesh_snapshot_times(cfg, T)
@@ -148,6 +159,7 @@ def _cmd_simulate(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
 def _cmd_converge(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     cs = _coefficients(cfg)
     reference = cfg.text("reference", "spde")
+    _checked(_reference, reference, cs)
     T = cfg.num("T")
     steps = cfg.count("steps")
     n_list = cfg.int_list("n_list")
@@ -174,10 +186,7 @@ def _cmd_converge(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
 
 def _martingale_suite(cfg: RunConfig):
     """Six (f, phi, psi) triples over bumps sized to the initial spread."""
-    try:
-        return default_martingale_suite(cfg.num("f_center", 0.0), cfg.num("f_radius", 2.5))
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return _checked(default_martingale_suite, cfg.num("f_center", 0.0), cfg.num("f_radius", 2.5))
 
 
 def _cmd_martingale(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
@@ -196,9 +205,9 @@ def _cmd_martingale(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
 
 
 def _cmd_stability(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
+    epsilons = _checked(_epsilons, cfg.num_list("epsilons"))
     cs, sc, T, W, u0 = _mesh_inputs(cfg, seed)
-    rep = stability_experiment(cs, u0, W, cfg.num_list("epsilons"), sc,
-                               snapshot_times=_mesh_snapshot_times(cfg, T))
+    rep = stability_experiment(cs, u0, W, epsilons, sc, snapshot_times=_mesh_snapshot_times(cfg, T))
     outputs = [write_csv(out / "stability.csv", rep.columns, rep.rows)]
     return outputs, f"stability: implied-C spread {rep.summary['implied_C_spread']:.3g}"
 

@@ -5,6 +5,8 @@ numbers, double-quoted strings, `true`/`false`, or bracketed lists of
 numbers/strings.  Errors carry one-based line numbers.  Initial
 distributions are written as e.g. "gaussian(0,1)", "point_mass(0)",
 "uniform(-1,2)", or "mixture(0.3 gaussian(0,1), 0.7 uniform(-1,2))".
+A number, in a value or in an init spec, is an `expr.NUMBER` numeral with
+an optional sign, as in a coefficient expression.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from .expr import NUMBER, Tokens
 
 if TYPE_CHECKING:
     from .measures import InitialDistribution
@@ -35,7 +39,7 @@ class ConfigError(ValueError):
 
 
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
-_NUM_RE = re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+_NUM_RE = re.compile(rf"[-+]?(?:{NUMBER})")
 
 
 def _parse_scalar(text: str, line: int):
@@ -44,7 +48,7 @@ def _parse_scalar(text: str, line: int):
         return text[1:-1]
     if text in ("true", "false"):
         return text == "true"
-    if _NUM_RE.match(text):
+    if _NUM_RE.fullmatch(text):
         try:
             return int(text) if re.fullmatch(r"[-+]?\d+", text) else float(text)
         except ValueError:  # an integer literal past Python's digit limit
@@ -168,69 +172,49 @@ def _finite(key: str, v) -> float:
 # law name -> number of parameters of its constructor in `measures`; `mixture` nests laws
 _LAWS = {"point_mass": 1, "uniform": 2, "gaussian": 2}
 
-_INIT_TOKEN = re.compile(r"\s*([A-Za-z_]+|\(|\)|,|[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?)")
-
 
 def parse_init(spec: str) -> InitialDistribution:
-    """Parse an initial-distribution spec string."""
+    """Parse an initial-distribution spec string, on the expression
+    tokenizer: a sign is a token of its own, as in an expression."""
     from . import measures  # here, so that the set-up path loads no sampler
 
-    tokens = []
-    pos = 0
-    while pos < len(spec):
-        m = _INIT_TOKEN.match(spec, pos)
-        if not m:
-            if spec[pos:].strip() == "":
-                break
-            raise ConfigError(f"bad initial distribution spec near {spec[pos:]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-
-    def expect(tok):
-        if not tokens or tokens[0] != tok:
-            raise ConfigError(f"expected {tok!r} in init spec {spec!r}")
-        tokens.pop(0)
-
     def number() -> float:
-        if not tokens:
-            raise ConfigError(f"init spec {spec!r} ended unexpectedly")
-        tok = tokens.pop(0)
-        # float() would also read the names nan, inf and infinity
-        if not _NUM_RE.match(tok) or not math.isfinite(float(tok)):
-            raise ConfigError(f"expected a finite number in init spec {spec!r}, got {tok!r}")
-        return float(tok)
+        kind, text, _ = toks.advance()
+        sign = -1.0 if text == "-" else 1.0
+        if text in ("-", "+"):
+            kind, text, _ = toks.advance()
+        # a name such as nan or inf is no numeral, and 1e400 reads as inf
+        if kind != "num" or not math.isfinite(float(text)):
+            raise ConfigError(f"expected a finite number in init spec {spec!r}, got {text!r}")
+        return sign * float(text)
 
     def dist() -> InitialDistribution:
-        if not tokens:
-            raise ConfigError(f"init spec {spec!r} ended unexpectedly")
-        name = tokens.pop(0)
-        expect("(")
+        _, name, _ = toks.advance()
+        toks.expect("(")
         if name in _LAWS:
             args = [number()]
             for _ in range(_LAWS[name] - 1):
-                expect(",")
+                toks.expect(",")
                 args.append(number())
-            expect(")")
+            toks.expect(")")
             return getattr(measures, name)(*args)
         if name == "mixture":
-            comps, weights = [], []
-            while True:
+            weights, laws = [number()], [dist()]
+            while toks.take(","):
                 weights.append(number())
-                comps.append(dist())
-                if tokens and tokens[0] == ",":
-                    tokens.pop(0)
-                    continue
-                break
-            expect(")")
-            return measures.mixture(comps, weights)
+                laws.append(dist())
+            toks.expect(")")
+            return measures.mixture(laws, weights)
         raise ConfigError(f"unknown initial distribution {name!r}")
 
     try:
+        toks = Tokens(spec)
         out = dist()
+        if toks.peek()[0] is not None:
+            raise ConfigError(f"trailing tokens in init spec {spec!r}")
     except ConfigError:
         raise
-    except ValueError as e:  # a law its constructor rejects, such as uniform(2, 1)
+    # a malformed spec, or a law its constructor rejects, such as uniform(2, 1)
+    except ValueError as e:
         raise ConfigError(f"invalid initial distribution {spec!r}: {e}") from None
-    if tokens:
-        raise ConfigError(f"trailing tokens in init spec {spec!r}")
     return out

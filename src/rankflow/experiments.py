@@ -157,6 +157,23 @@ def _particle_counts(ns) -> list[int]:
     return ns
 
 
+def _constant_coefficients(cs: CoefficientSet) -> tuple[float, float, float]:
+    """(b, sigma, gamma) of a coefficient set whose every coefficient is
+    constant, as the analytic reference needs."""
+    for nm, (lo, hi) in cs.enclosures.items():
+        if hi.max() - lo.min() > 1e-12:
+            raise ValueError(f"analytic reference needs constant coefficients; {nm} varies")
+    return tuple(float(e(0.0)) for e in (cs.b, cs.sigma, cs.gamma))
+
+
+def _reference(reference: str, cs: CoefficientSet):
+    """The reference of `convergence_study`, checked: None for "spde", and
+    the constant coefficients (`_constant_coefficients`) for "analytic"."""
+    if reference not in ("spde", "analytic"):
+        raise ValueError(f"unknown reference {reference!r}")
+    return _constant_coefficients(cs) if reference == "analytic" else None
+
+
 def convergence_study(
     cs: CoefficientSet,
     init: InitialDistribution,
@@ -189,15 +206,9 @@ def convergence_study(
     steps_grid = np.linspace(0.0, T, steps + 1)
     snap_idx = snapshot_indices(snapshot_times, steps_grid)
     snapshot_times = steps_grid[snap_idx]
-    if reference == "analytic":
-        for nm, (lo, hi) in cs.enclosures.items():
-            if hi.max() - lo.min() > 1e-12:
-                raise ValueError(f"analytic reference needs constant coefficients; {nm} varies")
-        b0, s0, g0 = (float(e(0.0)) for e in (cs.b, cs.sigma, cs.gamma))
-    elif reference == "spde":
+    constants = _reference(reference, cs)
+    if constants is None:
         u0 = grid_cdf(init, solver_config.x_min, solver_config.x_max, solver_config.cells)
-    else:
-        raise ValueError(f"unknown reference {reference!r}")
 
     def block(seeds):
         """errors[j, r] of (n_list[j], replica r) for the replicas of `seeds`."""
@@ -206,7 +217,7 @@ def convergence_study(
         if reference == "spde":
             refs = [sol.snapshots for sol in solve_paths(u0, cs, paths, solver_config, snapshot_times)]
         else:
-            refs = [[analytic_constant_solution(init, b0, s0, g0, t, W.values[k], solver_config)
+            refs = [[analytic_constant_solution(init, *constants, t, W.values[k], solver_config)
                      for t, k in zip(snapshot_times, snap_idx)] for W in paths]
         # per n, the replicas march in lock-step, each row on its replica's
         # common path
@@ -532,6 +543,15 @@ def martingale_statistic(
     )
 
 
+def _epsilons(epsilons) -> list[float]:
+    """The perturbation heights of `stability_experiment` as floats; they
+    must be nonnegative and increasing."""
+    epsilons = [float(e) for e in epsilons]
+    if any(e < 0 for e in epsilons) or sorted(epsilons) != epsilons:
+        raise ValueError(f"epsilons {epsilons} must be nonnegative and increasing")
+    return epsilons
+
+
 def stability_experiment(
     cs: CoefficientSet,
     u0: GridFunction,
@@ -547,9 +567,7 @@ def stability_experiment(
     times after its shift (`refine_path`), are solved in lock-step, one
     block of 1 + len(epsilons) rows of `solve_paths`.  The implied constant
     is D / (sqrt(eps) + eps)."""
-    epsilons = [float(e) for e in epsilons]
-    if any(e < 0 for e in epsilons) or sorted(epsilons) != epsilons:
-        raise ValueError("epsilons must be nonnegative and increasing")
+    epsilons = _epsilons(epsilons)
     T = base_path.T
     if snapshot_times is None:
         snapshot_times = [T]

@@ -44,40 +44,34 @@ class UnknownIdentifierError(ExpressionSyntaxError):
 
 
 # binding strength, loosest first: + - < * / < unary minus < ^ < atoms and
-# calls (5)
+# calls (5); the parser (`_parse`) and the printer (`to_source`) both read it
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 _INFIX = {"+": " + ", "-": " - ", "*": "*", "/": "/"}
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
+# a numeral, unsigned: a sign is a token of its own
+NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<num>{NUMBER})|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),]))")
 
 
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            # trailing whitespace only
-            if source[pos:].strip() == "":
-                break
-            bad = pos + len(source[pos:]) - len(source[pos:].lstrip())
-            raise ExpressionSyntaxError(f"unexpected character {source[bad]!r}", bad)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    return tokens
+class Tokens:
+    """A cursor over the tokens (kind, text, offset) of `source`, where kind
+    is "num", "name" or "op", and (None, None, len(source)) past the end.
+    An operator character outside `ops` is an unexpected character, as is
+    any character no token matches."""
 
-
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.i = 0
+    def __init__(self, source: str, ops: str = "-+*/^(),"):
+        self.source, self.tokens, self.i = source, [], 0
+        pos = 0
+        while pos < len(source):
+            m = _TOKEN_RE.match(source, pos)
+            if m is None or m.lastgroup == "op" and m.group("op") not in ops:
+                if source[pos:].strip() == "":  # trailing whitespace only
+                    break
+                bad = pos + len(source[pos:]) - len(source[pos:].lstrip())
+                raise ExpressionSyntaxError(f"unexpected character {source[bad]!r}", bad)
+            self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+            pos = m.end()
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.source))
@@ -87,94 +81,75 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, text, off = self.peek()
-        if kind != "op" or text != op:
-            raise ExpressionSyntaxError(f"expected '{op}'", off)
-        self.advance()
-
-    def parse(self):
-        node = self.parse_sum()
-        kind, text, off = self.peek()
-        if kind is not None:
-            raise ExpressionSyntaxError(f"unexpected token {text!r}", off)
-        return node
-
-    def parse_sum(self):
-        node = self.parse_product()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.parse_product()
-                node = (text, node, rhs)
-            else:
-                return node
-
-    def parse_product(self):
-        node = self.parse_unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.parse_unary()
-                node = (text, node, rhs)
-            else:
-                return node
-
-    def parse_unary(self):
+    def take(self, op: str) -> bool:
+        """Consume the operator `op` if it comes next."""
         kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return ("neg", self.parse_unary())
-        return self.parse_power()
+        if kind == "op" and text == op:
+            self.i += 1
+            return True
+        return False
 
-    def parse_power(self):
-        node = self.parse_atom()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == "^":
-                self.advance()
-                node = ("^", node, self.parse_exponent())
-            else:
-                return node
+    def expect(self, op: str):
+        if not self.take(op):
+            raise ExpressionSyntaxError(f"expected '{op}'", self.peek()[2])
 
-    def parse_exponent(self) -> int:
-        sign = 1
-        kind, text, off = self.peek()
-        if kind == "op" and text == "-":
-            sign = -1
-            self.advance()
-            kind, text, off = self.peek()
-        if kind != "num" or any(c in text for c in ".eE"):
-            raise ExpressionSyntaxError("exponent must be an integer literal", off)
-        self.advance()
-        return sign * int(text)
 
-    def parse_atom(self):
-        kind, text, off = self.advance()
-        if kind == "num":
-            return float(text)
-        if kind == "name":
-            if text == "a":
-                return text
-            if text in ALLOWED_FUNCTIONS:
-                self.expect_op("(")
-                arg = self.parse_sum()
-                self.expect_op(")")
-                return (text, arg)
-            raise UnknownIdentifierError(text, off)
-        if kind == "op" and text == "(":
-            node = self.parse_sum()
-            self.expect_op(")")
+def _parse(toks: Tokens, min_prec: int = 1):
+    """Precedence climbing on _PRECEDENCE: an operand, then every infix
+    operator that binds at least as tightly as `min_prec`."""
+    if toks.take("-"):
+        node = ("neg", _parse(toks, _PRECEDENCE["neg"]))
+    else:
+        node = _atom(toks)
+    while True:
+        kind, op, _ = toks.peek()
+        prec = _PRECEDENCE.get(op, 0) if kind == "op" else 0
+        if prec < min_prec:
             return node
-        raise ExpressionSyntaxError(f"expected a value, got {text!r}", off)
+        toks.advance()
+        # left-associative: the right operand binds strictly tighter
+        node = ("^", node, _exponent(toks)) if op == "^" else (op, node, _parse(toks, prec + 1))
+
+
+def _exponent(toks: Tokens) -> int:
+    sign = -1 if toks.take("-") else 1
+    kind, text, off = toks.peek()
+    if kind != "num" or any(c in text for c in ".eE"):
+        raise ExpressionSyntaxError("exponent must be an integer literal", off)
+    toks.advance()
+    return sign * int(text)
+
+
+def _atom(toks: Tokens):
+    kind, text, off = toks.advance()
+    if kind == "num":
+        return float(text)
+    if kind == "name":
+        if text == "a":
+            return text
+        if text in ALLOWED_FUNCTIONS:
+            toks.expect("(")
+            arg = _parse(toks)
+            toks.expect(")")
+            return (text, arg)
+        raise UnknownIdentifierError(text, off)
+    if kind == "op" and text == "(":
+        node = _parse(toks)
+        toks.expect(")")
+        return node
+    raise ExpressionSyntaxError(f"expected a value, got {text!r}", off)
 
 
 def parse_ast(source: str):
     if not source or source.strip() == "":
         raise ExpressionSyntaxError("empty expression", 0)
-    return _Parser(source).parse()
+    # an expression has no comma: one is an unexpected character
+    toks = Tokens(source, ops="-+*/^()")
+    node = _parse(toks)
+    kind, text, off = toks.peek()
+    if kind is not None:
+        raise ExpressionSyntaxError(f"unexpected token {text!r}", off)
+    return node
 
 
 def to_source(node) -> str:

@@ -3,17 +3,21 @@
 import csv
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import fresh_interpreter
 from rankflow.cli import _coefficients, run
 from rankflow.config import MAX_COUNT, ConfigError, parse_config, parse_init
 from rankflow.experiments import default_martingale_suite
-from rankflow.measures import InitialDistribution
+from rankflow.expr import NUMBER, evaluate, parse_ast
+from rankflow.measures import InitialDistribution, gaussian, mixture, point_mass, uniform
 
 HEAT_CFG = """\
 # pure heat equation oracle
@@ -110,7 +114,67 @@ class TestConfigParsing:
         assert cfg.num_list("ok") == [0.5, 2.0]
 
 
+# signed numerals of the one numeral grammar, finite as floats
+_NUMERALS = st.tuples(st.sampled_from(["", "-", "+"]), st.from_regex(NUMBER, fullmatch=True)).map(
+    "".join).filter(lambda text: math.isfinite(float(text)))
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LAW_TREES = st.recursive(
+    st.one_of(_FINITE.map(point_mass),
+              st.tuples(_FINITE, _FINITE).filter(lambda ab: ab[0] < ab[1]).map(lambda ab: uniform(*ab)),
+              st.tuples(_FINITE, st.floats(0.0, exclude_min=True, allow_infinity=False)).map(
+                  lambda ms: gaussian(*ms))),
+    # weights k / sum(k) sum to 1 within the mixture's tolerance
+    lambda laws: st.lists(st.tuples(st.integers(1, 5), laws), min_size=1, max_size=3).map(
+        lambda parts: mixture([law for _, law in parts], [k / sum(k for k, _ in parts) for k, _ in parts])),
+    max_leaves=6)
+
+
+def _spec(law: InitialDistribution) -> str:
+    """The init spec of `law`, its numbers printed with repr."""
+    if law.kind == "mixture":
+        return f"mixture({', '.join(f'{w!r} {_spec(c)}' for w, c in zip(law.weights, law.components))})"
+    return f"{law.kind}({', '.join(map(repr, law.params))})"
+
+
 class TestParseInit:
+    @given(_NUMERALS)
+    def test_one_numeral_grammar(self, text):
+        """A signed numeral reads as float(text) as an expression constant
+        (which takes no unary plus), as a config value and as an init-spec
+        parameter: a point mass, a gaussian's scale and a mixture weight."""
+        x = float(text)
+        assert evaluate(parse_ast(text.removeprefix("+")), 0.0) == x
+        assert parse_config(f"x = {text}\n").num("x") == x
+        assert parse_init(f"point_mass({text})") == point_mass(x)
+        if x > 0:
+            assert parse_init(f"gaussian(0, {text})") == gaussian(0.0, x)
+        if 0.0 <= x <= 1.0:
+            spec = f"mixture({text} point_mass(0), {1.0 - x!r} point_mass(1))"
+            assert parse_init(spec).weights == (x, 1.0 - x)
+
+    @given(_LAW_TREES)
+    def test_printed_law_parses_back(self, law):
+        assert parse_init(_spec(law)) == law
+
+    @given(_LAW_TREES, st.data())
+    def test_malformed_spec_rejected(self, law, data):
+        """A printed law with one comma or paren dropped, a token appended,
+        a numeral replaced by a name or literal float() reads as non-finite,
+        or an unknown law name, is a config error."""
+        spec = _spec(law)
+        cut = data.draw(st.sampled_from([i for i, c in enumerate(spec) if c in ",()"]))
+        with pytest.raises(ConfigError):
+            parse_init(spec[:cut] + spec[cut + 1:])
+        with pytest.raises(ConfigError, match="trailing tokens"):
+            parse_init(spec + data.draw(st.sampled_from([")", " 1", ", point_mass(0)", " gaussian(0, 1)"])))
+        num = data.draw(st.sampled_from(list(re.finditer(NUMBER, spec))))
+        bad = data.draw(st.sampled_from(["nan", "NaN", "inf", "infinity", "1e400"]))
+        with pytest.raises(ConfigError, match="expected a finite number"):
+            parse_init(spec[:num.start()] + bad + spec[num.end():])
+        with pytest.raises(ConfigError, match="unknown initial distribution 'lognormal'"):
+            parse_init(spec.replace(law.kind, "lognormal", 1))
+
     def test_kinds(self):
         for spec, kind in [
             ("point_mass(0.5)", "point_mass"),
@@ -434,25 +498,32 @@ class TestDiagnoseAndStability:
         ("martingale", {"t": "-0.5"}, "the time horizon -0.5 must be positive"),
         # b is bounded, but its transform B overflows: no CSV of NaN estimates
         ("martingale", {"b": '"1e308"'}, "transform B of b = '1e308'"),
+        ("converge", {"reference": '"bogus"'}, "unknown reference 'bogus'"),
+        ("converge", {"reference": '"analytic"'}, "analytic reference needs constant coefficients; b varies"),
+        ("stability", {"epsilons": "[0.16, 0.04]"}, "epsilons [0.16, 0.04] must be nonnegative and increasing"),
+        ("stability", {"epsilons": "[-0.1, 0.04]"}, "epsilons [-0.1, 0.04] must be nonnegative and increasing"),
     ], ids=["converge_replicas", "converge_n_zero", "converge_n_repeated", "converge_off_grid",
             "converge_unordered", "simulate_n_zero", "simulate_off_grid", "martingale_n_zero",
             "martingale_replicas", "martingale_s_off_grid", "martingale_s_at_t", "martingale_s_near_t",
             "martingale_radius_inf", "simulate_negative_T",
-            "martingale_negative_t", "martingale_transform_overflow"])
+            "martingale_negative_t", "martingale_transform_overflow", "converge_unknown_reference",
+            "converge_analytic_varying", "stability_unordered", "stability_negative"])
     def test_particle_bad_inputs_exit_2_before_work(self, tmp_path, capsys, monkeypatch,
                                                     command, values, message):
-        """Particle counts, replica counts, snapshot times and the
-        coefficient transforms are checked before any solve or particle
-        run: exit 2 and no CSV."""
-        kept = [ln for ln in PARTICLE_CFGS[command].splitlines() if ln.split(" = ")[0] not in values]
+        """Particle counts, replica counts, snapshot times, the coefficient
+        transforms, the converge reference and the stability epsilons are
+        checked before any solve or particle run: exit 2 and no CSV.
+        Stability runs on its sample config."""
+        text = PARTICLE_CFGS[command] if command in PARTICLE_CFGS else (CONFIGS / f"{command}.cfg").read_text()
+        kept = [ln for ln in text.splitlines() if ln.split(" = ")[0] not in values]
         cfg = tmp_path / f"{command}.cfg"
         cfg.write_text("\n".join(kept + [f"{k} = {v}" for k, v in values.items()]) + "\n")
 
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
 
-        for name in ("rankflow.cli.solve", "rankflow.cli.run_particles", "rankflow.experiments.solve",
-                     "rankflow.experiments.simulate", "rankflow.experiments.march"):
+        for name in ("rankflow.cli.solve", "rankflow.cli.run_particles", "rankflow.cli.stability_experiment",
+                     "rankflow.experiments.solve", "rankflow.experiments.simulate", "rankflow.experiments.march"):
             monkeypatch.setattr(name, no_work)
         out = tmp_path / "o"
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 2

@@ -17,7 +17,7 @@ from rankflow.particles import (
     rank_fractions,
     simulate,
 )
-from rankflow.randomness import STREAM_COMMON, make_noise_bundle, replica_seed, sample_path
+from rankflow.randomness import STREAM_COMMON, STREAM_INIT, make_noise_bundle, replica_seed, sample_path, uniforms
 
 
 @pytest.fixture(scope="module")
@@ -398,3 +398,64 @@ class TestEntropySelection:
                              snapshot_times=[1.0]).states[-1].positions
             errs[n] = np.mean([w1(empirical_cdf(z), law) for z in final - 0.5 * W[:, -1:]])
         assert errs[256] / errs[1024] >= 2.5 and errs[1024] <= 1e-3, errs
+
+
+class TestRankDependentGammaLaw:
+    """b = 0, sigma = 0 and gamma = 1/2 + a, with Heaviside data at 0: every
+    rise of W opens a fan, every fall compresses it back, and a fall below
+    the running minimum m = min(0, min W) closes it into a shock.  With
+    tau = W_T - m, u(T) is the uniform law on [m + tau/2, m + 3 tau/2], or
+    a point mass at m when tau = 0 (ROADMAP Direction 17).  The law depends
+    on the path only through (W_T, m), so each replica is held to the law of
+    the step-grid path it marched."""
+
+    def test_particles_converge_at_order_sqrt_dt(self):
+        """Started from uniform(-1e-3, 1e-3), 16 replicas each on its own W.
+        Mean errors measured at n = 256: 0.0102 on 256 steps and 0.0032 on
+        2048 (ratio 3.17, where sqrt(8) = 2.83); n = 1024 on 256 steps gave
+        0.973 times the n = 256 error, so the error is the time step's.
+        Over five base seeds the step ratio was 2.53-3.35 and the n ratio
+        0.96-0.98."""
+        cs = build_from_sources("0", "0", "0.5 + a", 64, allow_degenerate=True)
+        seeds = np.array([replica_seed(2024, r) for r in range(16)], dtype=np.uint64)
+
+        def mean_error(n, steps):
+            W, dB = make_noise_bundle(seeds, n, 1.0, steps)
+            final = simulate(uniform(-1e-3, 1e-3).sample(n, seeds), cs, 1.0, steps, (W, dB),
+                             snapshot_times=[1.0]).states[-1].positions
+            errs = []
+            for x, w in zip(final, W):
+                m = w.min()  # w[0] = 0, so m = min(0, min W)
+                tau = w[-1] - m
+                law = GridFunction(m + 0.5 * tau, m + 1.5 * tau, [0.5]) if tau > 0 else empirical_cdf([m])
+                errs.append(w1(empirical_cdf(x), law))
+            return np.mean(errs)
+
+        coarse = mean_error(256, 256)
+        assert coarse / mean_error(256, 2048) >= 2.0
+        assert 0.9 <= mean_error(1024, 256) / coarse <= 1.1
+
+
+class TestTravellingWave:
+    """b = 1/2 - a, sigma = 1 and gamma = 1/2 have B(1) = 0 and the logistic
+    travelling wave U(x) = 1/(1 + e^-x), so particles started from U follow
+    U(x - W_t / 2) exactly in law (ROADMAP Direction 15)."""
+
+    def test_particles_converge_at_order_inverse_sqrt_n(self):
+        """Exact wave samples logit(u), 256 steps to T = 1, 8 replicas each on
+        its own W; the cloud shifted back by W_T / 2 is held to U on a mesh
+        of 2^16 cells over [-30, 30].  Mean errors measured: 0.0876 at
+        n = 1024 and 0.0366 at n = 4096 (ratio 2.39, where n^(-1/2) gives 2);
+        over base seeds 2024, 7 and 11 the ratio was 1.82-2.39."""
+        cs = build_from_sources("0.5 - a", "1", "0.5", 64)
+        seeds = np.array([replica_seed(2024, r) for r in range(8)], dtype=np.uint64)
+        centers = -30.0 + (np.arange(2**16) + 0.5) * (60.0 / 2**16)
+        wave = GridFunction(-30.0, 30.0, 1.0 / (1.0 + np.exp(-centers)))
+        errs = {}
+        for n in (1024, 4096):
+            u = uniforms(seeds, STREAM_INIT, n)
+            W, dB = make_noise_bundle(seeds, n, 1.0, 256)
+            final = simulate(np.log(u / (1.0 - u)), cs, 1.0, 256, (W, dB),
+                             snapshot_times=[1.0]).states[-1].positions
+            errs[n] = np.mean([w1(empirical_cdf(z), wave) for z in final - 0.5 * W[:, -1:]])
+        assert errs[1024] / errs[4096] >= 1.5, errs
