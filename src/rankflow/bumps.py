@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .expr import InputError
+
 __all__ = ["bump", "bump_d1", "bump_d2", "Bump1D"]
 
 # the unit-mass factor of (1 - s^2)^4 on (-1, 1), exact in binary
@@ -63,9 +65,9 @@ class Bump1D:
     def __post_init__(self):
         # negated comparisons, so that NaN is rejected too
         if not 0.0 < self.radius < np.inf:
-            raise ValueError(f"radius {self.radius} must be positive and finite")
+            raise InputError(f"radius {self.radius} must be positive and finite")
         if not abs(self.center) < np.inf:
-            raise ValueError(f"center {self.center} must be finite")
+            raise InputError(f"center {self.center} must be finite")
 
     def _arg(self, x):
         return (np.asarray(x, dtype=np.float64) - self.center) / self.radius

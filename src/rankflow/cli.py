@@ -5,7 +5,8 @@
 
 Configs are flat `key = value` files (see config module).  Every run
 writes its CSV artifacts plus a manifest recording the config hash and
-seed.  Exit codes: 0 success, 1 runtime error, 2 config error.
+seed.  Exit codes: 0 success, 1 runtime error, 2 config error: an
+`InputError`, which input that breaks a rule of the library raises.
 """
 
 from __future__ import annotations
@@ -17,30 +18,31 @@ from pathlib import Path
 import numpy as np
 
 from .bumps import Bump1D
-from .coefficients import ValidationError, build_from_sources
+from .coefficients import build_from_sources
 from .config import ConfigError, RunConfig, parse_config, parse_init
 from .csvio import write_csv, write_cdf_csv, write_manifest, write_path_csv
 from .diagnostics import (
     BumpTestFunction,
     chain_rule_residual,
+    check_supports,
     coarea_check,
     entropy_identity_residual,
     weak_form_residual,
+    window_nodes,
 )
 from .experiments import (
     _epsilons,
     _particle_counts,
-    _reference,
     convergence_study,
     default_martingale_suite,
     martingale_statistic,
     stability_experiment,
 )
-from .expr import ExpressionSyntaxError
+from .expr import InputError
 from .measures import empirical_cdf, grid_cdf
 from .particles import simulate as run_particles, snapshot_indices
-from .randomness import STREAM_COMMON, grid_indices, make_noise_bundle, refine_path, sample_path
-from .solver import DomainMarginError, SolverConfig, solve
+from .randomness import STREAM_COMMON, check_horizon, make_noise_bundle, refine_path, sample_path, step_grid
+from .solver import SolverConfig, solve
 
 COMMANDS = ("simulate", "solve", "converge", "martingale", "stability", "diagnose")
 
@@ -80,40 +82,24 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
 
 def _mesh_inputs(cfg: RunConfig, seed: int):
     """The inputs of a mesh command: the coefficient set, the mesh, the
-    horizon T, the common-noise path W on `steps` steps and the initial
-    CDF on the mesh.  A horizon T <= 0 is a config error before the path
-    is drawn."""
+    horizon T, the common-noise path W on `steps` steps (`step_grid`, checked
+    before the draw) and the initial CDF on the mesh."""
     cs = _coefficients(cfg)
     sc = _solver_config(cfg)
     T = cfg.num("T")
-    if not T > 0:
-        raise ConfigError(f"the time horizon {T} must be positive")
-    W = sample_path(seed, STREAM_COMMON, T, cfg.count("steps"))
+    steps = cfg.count("steps")
+    step_grid(T, steps)
+    W = sample_path(seed, STREAM_COMMON, T, steps)
     u0 = grid_cdf(parse_init(cfg.text("init")), sc.x_min, sc.x_max, sc.cells)
     return cs, sc, T, W, u0
 
 
 def _mesh_snapshot_times(cfg: RunConfig, T: float) -> list:
-    """The snapshot times of `solve` and `stability`, [T] by default; a time
-    outside [0, T], unless the on-grid rule (`grid_indices`) reads it at 0
-    or T, is a config error before any work."""
+    """The snapshot times of `solve` and `stability`, [T] by default: they
+    must lie in [0, T] (`check_horizon`), checked before any refinement."""
     snap = cfg.num_list("snapshot_times", [T])
-    for t in snap:
-        if not 0.0 <= t <= T:
-            try:
-                grid_indices(np.array([0.0, T]), t, "snapshot time")
-            except ValueError:
-                raise ConfigError(f"snapshot time = {t!r} must lie in [0, T] = [0, {T!r}]") from None
+    check_horizon(snap, T, "snapshot time")
     return snap
-
-
-def _checked(check, *args):
-    """check(*args), a rule that the library entry point applies too, with
-    its ValueError as a config error: run before any work."""
-    try:
-        return check(*args)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
 
 
 def _cmd_solve(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
@@ -140,7 +126,9 @@ def _cmd_simulate(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     n = cfg.count("n")
     init = parse_init(cfg.text("init"))
     snap = cfg.num_list("snapshot_times", [0.0, T])
-    _particle_inputs([n], 1, T, steps, snap)
+    # the rules of `run_particles`, before the noise is drawn
+    _particle_counts([n])
+    snapshot_indices(snap, step_grid(T, steps))
     noise = make_noise_bundle(seed, n, T, steps)
     traj = run_particles(init.sample(n, seed), cs, T, steps, noise, snapshot_times=snap)
     rows = [
@@ -159,23 +147,17 @@ def _cmd_simulate(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
 def _cmd_converge(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     cs = _coefficients(cfg)
     reference = cfg.text("reference", "spde")
-    _checked(_reference, reference, cs)
     T = cfg.num("T")
-    steps = cfg.count("steps")
-    n_list = cfg.int_list("n_list")
-    replicas = cfg.count("replicas")
-    snap = cfg.num_list("snapshot_times", [T])
-    _particle_inputs(n_list, replicas, T, steps, snap)
     rep = convergence_study(
         cs,
         parse_init(cfg.text("init")),
-        n_list,
-        replicas,
+        cfg.int_list("n_list"),
+        cfg.count("replicas"),
         _solver_config(cfg),
-        snap,
+        cfg.num_list("snapshot_times", [T]),
         seed,
         T,
-        steps,
+        cfg.count("steps"),
         reference=reference,
     )
     outputs = [write_csv(out / "convergence.csv", rep.columns, rep.rows)]
@@ -184,79 +166,35 @@ def _cmd_converge(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     return outputs, f"converge[{reference}]: {desc}"
 
 
-def _martingale_suite(cfg: RunConfig):
-    """Six (f, phi, psi) triples over bumps sized to the initial spread."""
-    return _checked(default_martingale_suite, cfg.num("f_center", 0.0), cfg.num("f_radius", 2.5))
-
-
 def _cmd_martingale(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
     cs = _coefficients(cfg)
     init = parse_init(cfg.text("init"))
-    s = cfg.num("s")
-    t = cfg.num("t")
-    n = cfg.count("n")
-    replicas = cfg.count("replicas")
-    steps = cfg.count("steps")
-    _particle_inputs([n], replicas, t, steps, [], s=s)
-    rep = martingale_statistic(cs, init, _martingale_suite(cfg), s, t, n, replicas, steps, seed)
+    suite = default_martingale_suite(cfg.num("f_center", 0.0), cfg.num("f_radius", 2.5))
+    rep = martingale_statistic(cs, init, suite, cfg.num("s"), cfg.num("t"), cfg.count("n"),
+                               cfg.count("replicas"), cfg.count("steps"), seed)
     outputs = [write_csv(out / "martingale.csv", rep.columns, rep.rows)]
     return outputs, (f"martingale: {len(rep.rows)} triples, "
                      f"max |estimate|/stderr = {max(rep.summary['z']):.2f}")
 
 
 def _cmd_stability(cfg: RunConfig, seed: int, out: Path) -> tuple[list, str]:
-    epsilons = _checked(_epsilons, cfg.num_list("epsilons"))
+    epsilons = _epsilons(cfg.num_list("epsilons"))
     cs, sc, T, W, u0 = _mesh_inputs(cfg, seed)
     rep = stability_experiment(cs, u0, W, epsilons, sc, snapshot_times=_mesh_snapshot_times(cfg, T))
     outputs = [write_csv(out / "stability.csv", rep.columns, rep.rows)]
     return outputs, f"stability: implied-C spread {rep.summary['implied_C_spread']:.3g}"
 
 
-def _particle_inputs(ns, replicas: int, T: float, steps: int, snapshot_times, **times) -> None:
-    """Reject, before any work, the particle-study inputs that would
-    otherwise run empty, repeat rows or fail only after a solve: the
-    particle-count check of `convergence_study`, the snapshot-time check of
-    `simulate`, each named time of `times` off the step grid
-    (`grid_indices`) or on its last node T, and fewer than one replica."""
-    if not T > 0:
-        raise ConfigError(f"the time horizon {T} must be positive")
-    grid = np.linspace(0.0, T, steps + 1)
-    try:
-        _particle_counts(ns)
-        snapshot_indices(snapshot_times, grid)
-        for name, v in times.items():
-            if grid_indices(grid, v, name) == steps:
-                raise ValueError(f"{name} = {v!r} is the grid node of the horizon {T}; it must lie before it")
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    if replicas < 1:
-        raise ConfigError(f"replicas = {replicas} must be at least 1")
-
-
 def _diagnose_bumps(sc: SolverConfig, grid: np.ndarray, s: float, t: float,
                     r_xi: float, r_x: float, etas, ys):
-    """Check the diagnose parameters that would otherwise fail only after
-    the solve (bump scales, weak-form supports, the window [s, t] on the
-    noise grid) and return the test functions, one per (eta, y), the
-    weak-form test functions, one per distinct centre in first-seen order,
-    and s and t as grid nodes (`grid_indices`)."""
-    try:
-        tfs = [BumpTestFunction(eta=eta, y=y, r_xi=r_xi, r_x=r_x) for eta in etas for y in ys]
-        fs = {y: Bump1D(y, r_x) for y in ys}
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    for f in fs.values():
-        lo, hi = f.support()
-        if lo <= sc.x_min or hi >= sc.x_max:
-            raise ConfigError(f"bump support [{lo}, {hi}] (y = {f.center}, r_x = {r_x}) must lie "
-                              f"inside (x_min, x_max) = ({sc.x_min}, {sc.x_max})")
-    window = ConfigError(f"need 0 <= s < t <= T, got s = {s}, t = {t}, T = {grid[-1]}")
-    try:
-        k_s, k_t = (grid_indices(grid, v, name) for name, v in (("s", s), ("t", t)))
-    except ValueError as e:
-        raise (ConfigError(str(e)) if 0.0 <= s < t <= grid[-1] else window) from None
-    if not k_s < k_t:
-        raise window
+    """The test functions, one per (eta, y), the weak-form test functions,
+    one per distinct centre in first-seen order, and s and t as grid nodes
+    (`window_nodes`).  The rules of the diagnostics on them (bump scales,
+    weak-form supports, the window [s, t]) run here, before the solve."""
+    tfs = [BumpTestFunction(eta=eta, y=y, r_xi=r_xi, r_x=r_x) for eta in etas for y in ys]
+    fs = {y: Bump1D(y, r_x) for y in ys}
+    check_supports(fs.values(), sc.x_min, sc.x_max)
+    k_s, k_t = window_nodes(grid, s, t)
     return tfs, fs, float(grid[k_s]), float(grid[k_t])
 
 
@@ -304,12 +242,10 @@ def run(argv) -> int:
         return int(e.code or 0)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as e:
-        print(f"config error: cannot read {args.config}: {e}", file=sys.stderr)
-        return 2
-
-    try:
+        try:
+            text = Path(args.config).read_text()
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read {args.config}: {e}") from None
         cfg = parse_config(text)
         if args.seed is None:
             seed = cfg.integer("seed")
@@ -326,7 +262,7 @@ def run(argv) -> int:
         # this warns instead of failing
         for key in cfg.unread():
             print(f"warning: unused config key {key!r}", file=sys.stderr)
-    except (ConfigError, ExpressionSyntaxError, ValidationError, DomainMarginError) as e:
+    except InputError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import CoefficientExpr, enclose, parse_coefficient
+from .expr import CoefficientExpr, InputError, enclose, parse_coefficient
 
 __all__ = [
     "CoefficientSet",
@@ -66,7 +66,7 @@ _BLOCK_POINTS = 2048
 PIECES = 1024
 
 
-class ValidationError(ValueError):
+class ValidationError(InputError):
     pass
 
 

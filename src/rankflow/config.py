@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .expr import NUMBER, Tokens
+from .expr import NUMBER, InputError, Tokens
 
 if TYPE_CHECKING:
     from .measures import InitialDistribution
@@ -32,7 +32,7 @@ _REQUIRED = object()
 MAX_COUNT = 2**20
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line else message)

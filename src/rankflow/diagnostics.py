@@ -24,6 +24,7 @@ import numpy as np
 from .bumps import Bump1D
 from .bumps import bump, bump_d1, bump_d2  # noqa: F401  (the benchmark traces rankflow.diagnostics.bump*)
 from .coefficients import _GL_NODES, _GL_WEIGHTS, CoefficientSet
+from .expr import InputError
 from .measures import GridFunction
 from .randomness import _sorted_union, grid_indices
 from .solver import SpdeSolution
@@ -31,6 +32,8 @@ from .solver import SpdeSolution
 __all__ = [
     "BumpTestFunction",
     "RhoValues",
+    "check_supports",
+    "window_nodes",
     "eval_rho",
     "chain_rule_residual",
     "chain_rule_forms",
@@ -89,16 +92,16 @@ class BumpTestFunction:
     def __post_init__(self):
         # negated comparisons, so that NaN is rejected too
         if not MIN_XI_SCALE <= self.r_xi < np.inf:
-            raise ValueError(
+            raise InputError(
                 f"r_xi = {self.r_xi} must be finite and at least {MIN_XI_SCALE}; the chain rule's "
                 "rhs and the dissipation pairing sample it at the grid values of u, which "
                 "cannot resolve narrower bumps"
             )
         if not 0.0 < self.r_x < np.inf:
-            raise ValueError(f"r_x = {self.r_x} must be positive and finite")
+            raise InputError(f"r_x = {self.r_x} must be positive and finite")
         for name, centre in (("eta", self.eta), ("y", self.y)):
             if not abs(centre) < np.inf:
-                raise ValueError(f"{name} = {centre} must be finite")
+                raise InputError(f"{name} = {centre} must be finite")
         object.__setattr__(self, "fx", Bump1D(0.0, self.r_x))
         object.__setattr__(self, "fxi", Bump1D(0.0, self.r_xi))
 
@@ -235,12 +238,37 @@ def dissipation_measure(sol: SpdeSolution, cs: CoefficientSet) -> tuple[np.ndarr
     return np.clip(values, 0.0, 1.0), 0.5 * sx * sx * dx * dt
 
 
+def window_nodes(grid, s: float, t: float) -> tuple[int, int]:
+    """The nodes k_s < k_t of the sorted time grid `grid` at s and t
+    (`grid_indices`).  A window [s, t] outside 0 <= s < t <= T = grid[-1]
+    raises InputError naming s, t and T, else an off-grid s or t does."""
+    window = InputError(f"need 0 <= s < t <= T, got s = {s}, t = {t}, T = {grid[-1]}")
+    try:
+        k_s, k_t = (int(grid_indices(grid, v, name)) for name, v in (("s", s), ("t", t)))
+    except InputError:
+        if 0.0 <= s < t <= grid[-1]:
+            raise
+        raise window from None
+    if not k_s < k_t:
+        raise window
+    return k_s, k_t
+
+
+def check_supports(fs: Sequence[Bump1D], x_min: float, x_max: float) -> None:
+    """Each bump of `fs` must have its support inside (x_min, x_max), where
+    the weak form reads it on the cells."""
+    for f in fs:
+        lo, hi = f.support()
+        if lo <= x_min or hi >= x_max:
+            raise InputError(f"bump support [{lo}, {hi}] (y = {f.center}, r_x = {f.radius}) must lie "
+                             f"inside (x_min, x_max) = ({x_min}, {x_max})")
+
+
 def _restrict(sol: SpdeSolution, s: float, t: float):
-    """The snapshots from s to t (`SpdeSolution.snapshot_index`) and W at
-    each of their times."""
+    """The snapshots from s to t (`window_nodes` on the path's grid, then
+    `SpdeSolution.snapshot_index`) and W at each of their times."""
+    window_nodes(sol.path.t_grid, s, t)
     i, j = (int(sol.snapshot_index(r, name)) for name, r in (("s", s), ("t", t)))
-    if not i < j:
-        raise ValueError("s and t must be snapshot times with snapshots between them")
     sub = SpdeSolution(sol.times[i:j + 1], sol.snapshots[i:j + 1], sol.path)
     return sub, sol.path.values[grid_indices(sol.path.t_grid, sub.times, "snapshot time")]
 
@@ -312,10 +340,7 @@ def weak_form_residual(sol: SpdeSolution, cs: CoefficientSet, fs: Sequence[Bump1
     one call each on the stacked snapshots, bit for bit the values of one
     call per snapshot, G only where the Ito sum reads it: not at t."""
     first = sol.snapshots[0]
-    for f in fs:
-        lo, hi = f.support()
-        if lo <= first.x_min or hi >= first.x_max:
-            raise ValueError("test function support must lie inside the domain")
+    check_supports(fs, first.x_min, first.x_max)
     sub, w = _restrict(sol, s, t)
     centers = first.centers()
     dx = first.dx

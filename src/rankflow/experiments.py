@@ -20,6 +20,7 @@ import numpy as np
 
 from .bumps import Bump1D
 from .coefficients import CoefficientSet
+from .expr import InputError
 from .measures import (
     GridFunction,
     InitialDistribution,
@@ -38,6 +39,7 @@ from .randomness import (
     refine_path,
     replica_seed,
     sample_path,
+    step_grid,
 )
 from .solver import SolverConfig, analytic_constant_solution, solve_paths
 from .solver import solve  # noqa: F401  (the benchmark traces rankflow.experiments.solve)
@@ -153,8 +155,16 @@ def _particle_counts(ns) -> list[int]:
     increasing, so that no study runs empty or repeats its rows."""
     ns = [int(n) for n in ns]
     if not ns or ns[0] < 1 or sorted(set(ns)) != ns:
-        raise ValueError(f"particle counts {ns} must be positive and strictly increasing")
+        raise InputError(f"particle counts {ns} must be positive and strictly increasing")
     return ns
+
+
+def _replica_seeds(seed: int, replicas: int) -> np.ndarray:
+    """The seeds of replicas 0 .. replicas - 1 (`replica_seed`); a study
+    needs at least one replica."""
+    if replicas < 1:
+        raise InputError(f"replicas = {replicas} must be at least 1")
+    return np.array([replica_seed(seed, r) for r in range(replicas)], dtype=np.uint64)
 
 
 def _constant_coefficients(cs: CoefficientSet) -> tuple[float, float, float]:
@@ -162,7 +172,7 @@ def _constant_coefficients(cs: CoefficientSet) -> tuple[float, float, float]:
     constant, as the analytic reference needs."""
     for nm, (lo, hi) in cs.enclosures.items():
         if hi.max() - lo.min() > 1e-12:
-            raise ValueError(f"analytic reference needs constant coefficients; {nm} varies")
+            raise InputError(f"analytic reference needs constant coefficients; {nm} varies")
     return tuple(float(e(0.0)) for e in (cs.b, cs.sigma, cs.gamma))
 
 
@@ -170,7 +180,7 @@ def _reference(reference: str, cs: CoefficientSet):
     """The reference of `convergence_study`, checked: None for "spde", and
     the constant coefficients (`_constant_coefficients`) for "analytic"."""
     if reference not in ("spde", "analytic"):
-        raise ValueError(f"unknown reference {reference!r}")
+        raise InputError(f"unknown reference {reference!r}")
     return _constant_coefficients(cs) if reference == "analytic" else None
 
 
@@ -201,9 +211,8 @@ def convergence_study(
     own, so the report is the same bytes at any CPU count.
     """
     n_list = _particle_counts(n_list)
-    if replicas < 1:
-        raise ValueError(f"replicas = {replicas} must be at least 1")
-    steps_grid = np.linspace(0.0, T, steps + 1)
+    seeds = _replica_seeds(seed, replicas)
+    steps_grid = step_grid(T, steps)
     snap_idx = snapshot_indices(snapshot_times, steps_grid)
     snapshot_times = steps_grid[snap_idx]
     constants = _reference(reference, cs)
@@ -232,7 +241,6 @@ def convergence_study(
                 )
         return errors
 
-    seeds = np.array([replica_seed(seed, r) for r in range(replicas)], dtype=np.uint64)
     errors = _fork_rows(block, seeds)
 
     rows = [(n, r, float(errors[j, r])) for j, n in enumerate(n_list) for r in range(replicas)]
@@ -461,21 +469,17 @@ def martingale_statistic(
     is the same bytes at any CPU count; the estimates are aggregated here.
     Rows and the per-row summary lists are in suite order.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t!r}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps!r}")
-    if replicas < 1:
-        raise ValueError(f"replicas = {replicas} must be at least 1")
+    grid = step_grid(t, steps)
+    _particle_counts([n])
+    seeds = _replica_seeds(seed, replicas)
     for f_list, phi, _ in suite:
         if len(f_list) != phi.k:
             raise ValueError(f"phi expects {phi.k} test functions, got {len(f_list)}")
-    T = t
-    grid = np.linspace(0.0, T, steps + 1)
-    # s is its node of the simulation grid from here on
+    # s is its node of the simulation grid from here on; at t's node the
+    # increment M_t - M_s would be 0, a vacuous pass
     s_idx = int(grid_indices(grid, s, "s"))
     if s_idx == steps:
-        raise ValueError(f"s = {s!r} is t's grid node; the increment M_t - M_s needs s before t")
+        raise InputError(f"s = {s!r} is the grid node of the horizon {t}; it must lie before it")
     s = float(grid[s_idx])
     # the acceptance allowance, before any replica runs: it may reject cs
     allowances = [bias_allowance(cs, f_list, phi, s, t) for f_list, phi, _ in suite]
@@ -498,7 +502,7 @@ def martingale_statistic(
         <(Sigma+Gamma)(F), f''> and <G(F), f'> as soon as it is produced.
         The pairings are row by row (einsum, not a BLAS gemv, which groups
         rows), so a replica's bits do not depend on the block it is in."""
-        W, dB = make_noise_bundle(seeds, n, T, steps)
+        W, dB = make_noise_bundle(seeds, n, t, steps)
         start = ParticleState(0.0, init.sample(n, seeds, STREAM_INIT))
         states = itertools.chain([start], march(start, cs, grid, dB, np.diff(W).T))
         reduced = {key: np.empty((4, seeds.size, kept.size)) for key in bumps}
@@ -525,7 +529,6 @@ def martingale_statistic(
         # the phi(v_0) terms cancel
         return (phi_diff - np.trapezoid(integrand, kept)) * weight
 
-    seeds = np.array([replica_seed(seed, r) for r in range(replicas)], dtype=np.uint64)
     samples = _fork_rows(block, seeds)
     rows = []
     for (f_list, phi, psi), col in zip(suite, samples):
@@ -548,7 +551,7 @@ def _epsilons(epsilons) -> list[float]:
     must be nonnegative and increasing."""
     epsilons = [float(e) for e in epsilons]
     if any(e < 0 for e in epsilons) or sorted(epsilons) != epsilons:
-        raise ValueError(f"epsilons {epsilons} must be nonnegative and increasing")
+        raise InputError(f"epsilons {epsilons} must be nonnegative and increasing")
     return epsilons
 
 

@@ -27,7 +27,13 @@ import numpy as np
 ALLOWED_FUNCTIONS = ("exp", "sqrt", "sin", "cos")
 
 
-class ExpressionSyntaxError(ValueError):
+class InputError(ValueError):
+    """The caller's input breaks a rule of a run: a config, an expression or
+    a parameter outside the domain where the model is defined.  The CLI
+    reports it as a config error (exit 2)."""
+
+
+class ExpressionSyntaxError(InputError):
     """Malformed expression text; `offset` is the byte offset of the fault."""
 
     def __init__(self, message: str, offset: int):
@@ -117,7 +123,10 @@ def _exponent(toks: Tokens) -> int:
     if kind != "num" or any(c in text for c in ".eE"):
         raise ExpressionSyntaxError("exponent must be an integer literal", off)
     toks.advance()
-    return sign * int(text)
+    try:
+        return sign * int(text)
+    except ValueError:  # past Python's integer-string digit limit
+        raise ExpressionSyntaxError(f"exponent of {len(text)} digits is too long", off) from None
 
 
 def _atom(toks: Tokens):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .expr import InputError
 from .randomness import STREAM_INIT, _p1evl, _polevl, _sorted_union, ndtri, uniforms
 
 __all__ = [
@@ -80,7 +81,7 @@ def ndtr(a):
     return y[()]
 
 
-class EmptyInputError(ValueError):
+class EmptyInputError(InputError):
     pass
 
 

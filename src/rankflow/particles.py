@@ -22,7 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .randomness import grid_indices
+from .expr import InputError
+from .randomness import grid_indices, step_grid
 
 __all__ = [
     "ParticleState",
@@ -177,21 +178,21 @@ def snapshot_indices(snapshot_times, grid: np.ndarray) -> np.ndarray:
         return np.arange(grid.size)
     idx = grid_indices(grid, snapshot_times, "snapshot time")
     if np.any(np.diff(idx) <= 0):
-        raise ValueError("snapshot times must be increasing and distinct")
+        raise InputError("snapshot times must be increasing and distinct")
     return idx
 
 
 def simulate(positions, cs: CoefficientSet, T: float, steps: int, noise,
              snapshot_times=None) -> Trajectory:
     """March the particle system from `positions`, one system (n,) or R
-    replicas (R, n), over the uniform grid with `steps` steps over [0, T] on
-    `noise`, the (W, dB) pair of `make_noise_bundle` for that grid with one
-    row per replica.  Snapshot times must lie on the step grid; None
-    captures every step."""
-    grid = np.linspace(0.0, T, steps + 1)
+    replicas (R, n), over the step grid of [0, T] (`step_grid`) on `noise`,
+    the (W, dB) pair of `make_noise_bundle` for that grid with one row per
+    replica.  Snapshot times must lie on the step grid; None captures every
+    step."""
+    grid = step_grid(T, steps)
     want = snapshot_indices(snapshot_times, grid)
     W, dB = noise
-    if steps > 0 and np.shape(W)[-1] != steps + 1:  # a zero-step run reads no noise
+    if np.shape(W)[-1] != steps + 1:
         raise ValueError(f"noise has {np.shape(W)[-1] - 1} steps, not {steps}")
     start = ParticleState(0.0, positions)
     states = itertools.chain([start], march(start, cs, grid, dB, np.diff(W).T))

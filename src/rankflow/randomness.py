@@ -27,10 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expr import InputError
+
 __all__ = [
     "ndtri",
     "BrownianPath",
+    "step_grid",
     "grid_indices",
+    "check_horizon",
     "sample_path",
     "refine_path",
     "make_noise_bundle",
@@ -243,12 +247,31 @@ def grid_indices(grid, times, what: str) -> np.ndarray:
     """The index of the node of the sorted time grid `grid` at each of
     `times` (a scalar or an array, shaped alike): the one on-grid rule.  A
     time within 1e-9 max(1, grid[-1]) of a node is that node; a time with
-    no node that close raises ValueError naming `what` and the time."""
+    no node that close raises InputError naming `what` and the time."""
     k, on_grid = _nearest_nodes(grid, times)
     if not on_grid.all():
         bad = np.asarray(times, dtype=np.float64)[~on_grid][0]
-        raise ValueError(f"{what} = {float(bad)!r} is not a grid time")
+        raise InputError(f"{what} = {float(bad)!r} is not a grid time")
     return k
+
+
+def check_horizon(times, T: float, what: str) -> None:
+    """Each of `times` must lie in [0, T], up to the on-grid tolerance
+    (`grid_indices`); else InputError names `what` and the first outside."""
+    times = np.asarray(times, dtype=np.float64)
+    outside = ~((times >= 0.0) & (times <= T)) & ~_nearest_nodes([0.0, T], times)[1]
+    if outside.any():
+        raise InputError(f"{what} = {float(times[outside][0])!r} must lie in [0, T] = [0, {T!r}]")
+
+
+def step_grid(T: float, steps: int) -> np.ndarray:
+    """The uniform grid of `steps` steps over [0, T] of every path, noise
+    bundle and particle run: T must be positive and steps at least 1."""
+    if not T > 0:
+        raise InputError(f"the time horizon {T} must be positive")
+    if steps < 1:
+        raise InputError(f"steps = {steps} must be at least 1")
+    return np.linspace(0.0, T, steps + 1)
 
 
 @dataclass(frozen=True)
@@ -301,10 +324,6 @@ def _brownian_rows(seed, stream_id, T: float, steps: int) -> np.ndarray:
     every (seed, stream_id) of the broadcast of the two, along a new last
     axis: one raw word per increment through ndtri, scaled by sqrt(T/steps)
     and summed.  A row depends only on its own (seed, stream_id)."""
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T!r}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps!r}")
     return np.cumsum(np.sqrt(T / steps) * ndtri(_to_uniform(_raw_block(seed, stream_id, steps))), axis=-1)
 
 
@@ -313,8 +332,9 @@ def sample_path(seed: int, stream_id: int, T: float, steps: int) -> BrownianPath
 
     Increment k is a deterministic function of (seed, stream_id, k).
     """
+    grid = step_grid(T, steps)
     values = np.concatenate(([0.0], _brownian_rows(seed, stream_id, T, steps)))
-    return BrownianPath(np.linspace(0.0, T, steps + 1), values, seed, stream_id)
+    return BrownianPath(grid, values, seed, stream_id)
 
 
 def refine_path(path: BrownianPath, insert_times) -> BrownianPath:
@@ -329,16 +349,15 @@ def refine_path(path: BrownianPath, insert_times) -> BrownianPath:
     chain left to right: the left neighbour of each is the insert before it,
     the right neighbour the next original node.  They are drawn in rounds,
     the m-th insert of every interval in one vectorised pass.  Original grid
-    values are unchanged.  A time to insert outside (0, T) raises ValueError.
+    values are unchanged.  A time to insert outside [0, T] raises InputError
+    (`check_horizon`).
     """
+    check_horizon(insert_times, path.T, "insert time")
     t, w = path.t_grid, path.values
     s = _sorted_union(np.asarray(insert_times, dtype=np.float64))
     s = s[~_nearest_nodes(t, s)[1]]
     if s.size == 0:
         return path
-    outside = ~((s > 0.0) & (s < t[-1]))
-    if outside.any():
-        raise ValueError(f"insert time {float(s[outside][0])!r} is not inside (0, T) = (0, {path.T!r})")
     right = np.searchsorted(t, s)
 
     rank = np.arange(s.size) - np.searchsorted(right, right)  # m: rank within the interval
@@ -376,6 +395,7 @@ def make_noise_bundle(seeds, n: int, T: float, steps: int):
     out step by step, so each step yielded is a contiguous array; the last
     step of a block is a copy, so the caller's hold on it does not keep the
     block alive while the next block is drawn."""
+    step_grid(T, steps)  # the rules on T and steps, before any draw
     seeds = _u64(seeds)
     rows = _brownian_rows(seeds, STREAM_COMMON, T, steps)
     W = np.concatenate((np.zeros(seeds.shape + (1,)), rows), axis=-1)

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet
+from .expr import InputError
 from .measures import GridFunction, InitialDistribution
 from .randomness import BrownianPath, grid_indices
 from .randomness import refine_path  # noqa: F401  (the benchmark traces rankflow.solver.refine_path)
@@ -65,7 +66,7 @@ __all__ = [
 CFL_TARGET = 0.9
 
 
-class DomainMarginError(ValueError):
+class DomainMarginError(InputError):
     """Truncated domain too small around the initial support."""
 
 
@@ -79,9 +80,9 @@ class SolverConfig:
 
     def __post_init__(self):
         if not self.x_min < self.x_max:
-            raise ValueError("x_min must be below x_max")
+            raise InputError(f"x_min = {self.x_min!r} must be below x_max = {self.x_max!r}")
         if self.cells < 8:
-            raise ValueError("need at least 8 cells")
+            raise InputError(f"cells = {self.cells} must be at least 8")
 
     @property
     def dx(self) -> float:

@@ -14,10 +14,13 @@ from hypothesis import strategies as st
 
 from conftest import fresh_interpreter
 from rankflow.cli import _coefficients, run
+from rankflow.coefficients import DomainError, ValidationError
 from rankflow.config import MAX_COUNT, ConfigError, parse_config, parse_init
 from rankflow.experiments import default_martingale_suite
-from rankflow.expr import NUMBER, evaluate, parse_ast
-from rankflow.measures import InitialDistribution, gaussian, mixture, point_mass, uniform
+from rankflow.expr import NUMBER, ExpressionSyntaxError, InputError, evaluate, parse_ast
+from rankflow.measures import EmptyInputError, InitialDistribution, gaussian, mixture, point_mass, uniform
+from rankflow.particles import NonFiniteState
+from rankflow.solver import DomainMarginError
 
 HEAT_CFG = """\
 # pure heat equation oracle
@@ -264,6 +267,36 @@ class TestRun:
         cfg.write_text(HEAT_CFG.replace('sigma = "sqrt(2)"', 'sigma = "sqrt(2"'))
         assert run(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_exponent_past_the_integer_digit_limit_exit_2(self, tmp_path, capsys):
+        """An exponent of more than 4300 digits is a syntax error of the
+        coefficient, not a runtime error."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(HEAT_CFG.replace('gamma = "0"', 'gamma = "a^' + "1" * 4400 + '"'))
+        out = tmp_path / "o"
+        assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: exponent of 4400 digits is too long (at offset 2)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_input_errors_are_config_errors_and_runtime_faults_are_not(self, heat_cfg, tmp_path,
+                                                                      capsys, monkeypatch):
+        """Every error of the caller's input is an InputError, which the CLI
+        reports as a config error (exit 2); a fault of a run, such as a
+        transform argument outside [0, 1] in the solve, stays a runtime
+        error (exit 1)."""
+        for error in (ConfigError, ExpressionSyntaxError, ValidationError, DomainMarginError, EmptyInputError):
+            assert issubclass(error, InputError)
+        for error in (DomainError, NonFiniteState):
+            assert not issubclass(error, InputError)
+
+        def fault(*args, **kwargs):
+            raise DomainError("transform argument 1.5 outside [0,1]")
+
+        monkeypatch.setattr("rankflow.cli.solve", fault)
+        out = tmp_path / "o"
+        assert run(["solve", "--config", str(heat_cfg), "--out", str(out)]) == 1
+        assert "runtime error: DomainError: transform argument 1.5 outside [0,1]" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("old, new, message", [
         ("x_max = 9.0", "x_max = 1e400", "key 'x_max' must be finite, got inf"),
         ("snapshot_times = [0.5, 1.0]", "snapshot_times = [0.5, 1e999]",
@@ -377,6 +410,16 @@ class TestRun:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_undecodable_config_file_exit_2(self, tmp_path, capsys):
+        """A config that is not UTF-8 text is a config error, not a traceback."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b'seed = 1\nb = "\xff"\n')
+        out = tmp_path / "o"
+        assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot read {cfg}: " in err and "can't decode" in err
+        assert not out.exists()
 
     def test_unknown_command_exit_2(self):
         assert run(["frobnicate", "--config", "x"]) == 2
@@ -529,6 +572,37 @@ class TestDiagnoseAndStability:
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, values, message", [
+        *((command, {"steps": str(v)}, f"steps = {v} must be at least 1")
+          for command in ("converge", "diagnose", "martingale", "simulate", "solve", "stability")
+          for v in (0, -1)),
+        *((command, values, message) for command in ("converge", "diagnose", "solve", "stability")
+          for values, message in (({"cells": "4"}, "cells = 4 must be at least 8"),
+                                  ({"x_min": "3.0", "x_max": "-3.0"}, "x_min = 3.0 must be below x_max = -3.0"))),
+    ])
+    def test_empty_grid_exit_2_before_work(self, tmp_path, capsys, monkeypatch, command, values, message):
+        """A step grid with no step and a mesh with fewer than 8 cells or
+        x_max below x_min break a rule of the library (`step_grid`,
+        `SolverConfig`): exit 2 naming the key, before any path, solve or
+        particle run, and no output directory."""
+        config = {"solve": "heat.cfg"}.get(command, f"{command}.cfg")
+        text = PARTICLE_CFGS[command] if command in PARTICLE_CFGS else (CONFIGS / config).read_text()
+        kept = [ln for ln in text.splitlines() if ln.split(" = ")[0] not in values]
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text("\n".join(kept + [f"{k} = {v}" for k, v in values.items()]) + "\n")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("rankflow.cli.sample_path", "rankflow.cli.solve", "rankflow.cli.run_particles",
+                     "rankflow.cli.stability_experiment", "rankflow.experiments.sample_path",
+                     "rankflow.experiments.solve", "rankflow.experiments.simulate", "rankflow.experiments.march"):
+            monkeypatch.setattr(name, no_work)
+        out = tmp_path / "o"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, config, times, bad", [

@@ -17,6 +17,7 @@ from rankflow.bumps import Bump1D
 from rankflow.cli import run
 from rankflow.coefficients import ValidationError, build_from_sources
 from rankflow.diagnostics import BumpTestFunction, entropy_identity_residual
+from rankflow.expr import InputError
 from rankflow.experiments import (
     PhiConst,
     PhiLinear,
@@ -231,7 +232,7 @@ class TestMartingaleStatistic:
         """s on t's grid node would give an increment M_t - M_s of exactly
         0, a vacuous pass; it is rejected before any noise is drawn."""
         monkeypatch.setattr(experiments, "make_noise_bundle", _no_noise)
-        with pytest.raises(ValueError, match=re.escape(f"s = {s!r} is t's grid node")):
+        with pytest.raises(InputError, match=re.escape(f"s = {s!r} is the grid node of the horizon 0.5")):
             martingale_statistic(
                 cs_const, gaussian(0, 1), [([Bump1D(0.0, 2.0)], PhiLinear(), PsiConst())],
                 s=s, t=0.5, n=32, replicas=8, steps=16, seed=3,

@@ -81,6 +81,12 @@ class TestErrors:
         with pytest.raises(ExpressionSyntaxError):
             parse_coefficient("(1 + a")
 
+    def test_exponent_past_the_integer_digit_limit(self):
+        """An exponent longer than Python's integer-string limit (4300
+        digits) is a syntax error at the exponent's offset."""
+        with pytest.raises(ExpressionSyntaxError, match=r"exponent of 4400 digits is too long \(at offset 2\)"):
+            parse_ast("a^" + "1" * 4400)
+
 
 _ROLLED_OPS = {2: "+", 3: "-", 4: "*", 7: "/"}
 

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import particle_increments
 from rankflow.coefficients import build_from_sources
+from rankflow.expr import InputError
 from rankflow.measures import GridFunction, empirical_cdf, point_mass, uniform, w1
 from rankflow.particles import (
     NonFiniteState,
@@ -255,11 +256,15 @@ def _march_to_end(positions, cs, T, steps, dB, W):
 
 
 class TestSimulate:
-    def test_zero_steps_initial_snapshot_only(self, cs_const):
+    @pytest.mark.parametrize("T, steps, message", [
+        (0.0, 0, "the time horizon 0.0 must be positive"), (1.0, 0, "steps = 0 must be at least 1")])
+    def test_empty_step_grid_rejected(self, cs_const, T, steps, message):
+        """A run needs a positive horizon and at least one step (`step_grid`):
+        the zero-step run T = 0, steps = 0, or steps = 0 alone, is an input
+        error before any step."""
         noise = make_noise_bundle(5, 2, 1.0, 1)
-        traj = simulate(np.array([1.0, 2.0]), cs_const, 0.0, 0, noise, snapshot_times=[0.0])
-        assert len(traj.states) == 1
-        np.testing.assert_array_equal(traj.states[0].positions, [1.0, 2.0])
+        with pytest.raises(InputError, match=f"^{message}$"):
+            simulate(np.array([1.0, 2.0]), cs_const, T, steps, noise, snapshot_times=[0.0])
 
     def test_exact_for_constant_coefficients(self, cs_const):
         # X_i(T) = X_i(0) + b T + B^i_T + gamma W_T exactly for EM

@@ -12,6 +12,7 @@ from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import kstest
 
 from conftest import particle_increments
+from rankflow.expr import InputError
 from rankflow.randomness import (
     grid_indices,
     make_noise_bundle,
@@ -243,7 +244,7 @@ class TestRefinePath:
     def test_outside_range_rejected(self):
         path = sample_path(11, 4, 1.0, 10)
         for bad in (1.5, -0.25, np.nan):
-            with pytest.raises(ValueError, match=rf"^insert time {bad!r} is not inside \(0, T\) = \(0, 1\.0\)$"):
+            with pytest.raises(InputError, match=rf"^insert time = {bad!r} must lie in \[0, T\] = \[0, 1\.0\]$"):
                 refine_path(path, [0.25, bad])
 
     def test_midpoint_conditional_variance(self):
